@@ -50,14 +50,12 @@ from .network import (
     enumerate_paths,
     euclidean_metric,
     indices_of,
-    load_network,
     mask_from,
     table_metric,
     validate_metric,
     validate_network,
 )
 from .simulator import (
-    GameState,
     GuaranteeReport,
     SimOutcome,
     TranscriptRow,

@@ -62,7 +62,7 @@ class InconsistentObservation(PursuitError):
 
 
 class MissingSubset(PursuitError):
-    """The solve family lacks a set the recursion needs (on-demand fill disabled)."""
+    """A lookup table lacks a set that candidate evaluation needs."""
 
 
 class SimulationError(PursuitError):

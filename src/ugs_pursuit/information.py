@@ -140,6 +140,7 @@ def realizable_sets(schedule: VisitSchedule, paths, reverse_ties: bool = False) 
     events.sort(key=lambda ev: (ev[0], -ev[1] if reverse_ties else ev[1]))
 
     alive: list[int] = [full]
+    alive_set = {full}
     family: list[int] = [full]
     seen = {full}
     log: list[FamilyEvent] = []
@@ -147,7 +148,6 @@ def realizable_sets(schedule: VisitSchedule, paths, reverse_ties: bool = False) 
     for t, j, group_mask in events:
         row = list(alive)
         created = []
-        additions = []
         for s in alive:
             hit = s & group_mask
             if hit == 0 or hit == s:
@@ -157,8 +157,10 @@ def realizable_sets(schedule: VisitSchedule, paths, reverse_ties: bool = False) 
                 if child not in seen:
                     seen.add(child)
                     family.append(child)
-                additions.append(child)
-        alive.extend(a for a in additions if a not in alive)
+        for a in created:
+            if a not in alive_set:
+                alive_set.add(a)
+                alive.append(a)
 
         # exit event: paths ending here now are out of play
         gone = 0
@@ -167,12 +169,9 @@ def realizable_sets(schedule: VisitSchedule, paths, reverse_ties: bool = False) 
                 gone |= 1 << (k - 1)
         if gone:
             alive = [s for s in alive if s & gone == 0]
+            alive_set = set(alive)
 
-        row_masks = []
-        for s in row + created:
-            if s not in row_masks:
-                row_masks.append(s)
-        log.append(FamilyEvent(node=j, time=t, masks=tuple(row_masks)))
+        log.append(FamilyEvent(node=j, time=t, masks=tuple(dict.fromkeys(row + created))))
 
     family.sort(key=lambda s: (bin(s).count("1"), s))
     return RealizableFamily(n=n, sets=tuple(family), log=tuple(log))

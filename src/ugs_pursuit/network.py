@@ -15,7 +15,6 @@ threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -409,13 +408,3 @@ def table_metric(rows, network: RoadNetwork) -> PursuerMetric:
     metric = PursuerMetric(d=tuple(tuple(row) if not isinstance(row, tuple) else row for row in d))
     validate_metric(metric, network)
     return metric
-
-
-def load_network(path: str, max_paths: int = DEFAULT_PATH_CAP):
-    """Read a network JSON file and return (network, paths, schedule)."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    network = validate_network(raw)
-    paths = enumerate_paths(network, max_paths=max_paths)
-    schedule = build_schedule(paths, network.m)
-    return network, paths, schedule

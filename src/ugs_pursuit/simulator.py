@@ -31,17 +31,6 @@ ORACLE_NODE_CAP = 10
 
 
 @dataclass(frozen=True)
-class GameState:
-    """Pursuer-side game state at a decision instant."""
-
-    node: int
-    clock: float
-    info: int
-    evader_path: int
-    arrived_at: float
-
-
-@dataclass(frozen=True)
 class TranscriptRow:
     t: float
     node: int

@@ -1,7 +1,8 @@
 """Latest-exit-time tables and the optimal pursuit policy.
 
-The recursion evaluates uncertainty sets in increasing cardinality. For a
-set ``I`` and a candidate sensor ``u``:
+The solve works top-down. It evaluates the root set (every path, pursuer at
+the entry) and, recursively, only the subsets that the root's candidate
+moves read. For a set ``I`` and a candidate sensor ``u``:
 
 * every path in ``I`` passes ``u``  ->  park there by the earliest possible
   visit and capture (a "capture" move, worth ``min`` visit time);
@@ -20,23 +21,25 @@ visit.
 
 Values for a fixed set do not depend on the pursuer's node except through
 the final travel-time subtraction, so candidates are evaluated once per set
-and reused for every node. Result tables are immutable once built; cells
-within one cardinality level are independent given the lower levels.
+and the rows of every node are filled together. Every recursive call is on
+a strict subset, so the recursion depth is bounded by the path count.
+
+A solved result's tables fill on read: looking up a row of a set the solve
+has not computed yet computes that set first.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import logging
+import weakref
 from dataclasses import dataclass, field
 
 from .errors import MissingSubset
-from .information import RealizableFamily, partition, realizable_sets
+# bench/tracing.py wraps this name to time the realizable-family sweep
+from .information import partition, realizable_sets  # noqa: F401
 from .network import PursuerMetric, VisitSchedule, indices_of, mask_from
-from .util import TIME_EPS, teq, tlt
-
-log = logging.getLogger(__name__)
+from .util import TIME_EPS, tlt
 
 CAPTURE = "capture"
 SPLIT = "split"
@@ -58,6 +61,9 @@ class SolveResult:
     node to visit; ``capture_move`` flags moves that end in immediate
     capture. ``strict_resolution`` records which convention produced the
     tables (simulation replays observations under the same convention).
+    ``on_demand_sets`` lists the sets the solve computed beyond its
+    pre-filled domain (the singletons, or the full lattice without
+    pruning).
     """
 
     n: int
@@ -68,7 +74,6 @@ class SolveResult:
     latest: dict = field(default_factory=dict)
     policy: dict = field(default_factory=dict)
     capture_move: dict = field(default_factory=dict)
-    family_sets: tuple = ()
     on_demand_sets: tuple = ()
 
     @property
@@ -135,148 +140,13 @@ def metric_digest(metric: PursuerMetric) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-class _Solver:
-    def __init__(self, schedule, metric, paths, family_members, strict_resolution, on_demand):
-        self.schedule = schedule
-        self.metric = metric
-        self.paths = paths
-        self.family_members = family_members
-        self.strict = strict_resolution
-        self.on_demand = on_demand
-        self.latest: dict = {}
-        self.policy: dict = {}
-        self.capture_move: dict = {}
-        self.computed: set[int] = set()
-        self.extra: list[int] = []
-        for k in range(1, schedule.n + 1):
-            mask = 1 << (k - 1)
-            exit_node = paths[k - 1].exit
-            for j in range(1, schedule.m + 1):
-                self.latest[(j, mask)] = base_case(j, k, schedule, metric, paths)
-                self.policy[(j, mask)] = exit_node
-                self.capture_move[(j, mask)] = True
-            self.computed.add(mask)
+def _candidates(mask: int, value, schedule: VisitSchedule, strict: bool):
+    """Admissible moves for a set, as (node, exit-time-at-node, kind),
+    ordered capture moves first then by node id (the tie-break order).
 
-    def value(self, u: int, mask: int):
-        self.ensure(mask)
-        return self.latest[(u, mask)]
-
-    def ensure(self, mask: int) -> None:
-        if mask in self.computed:
-            return
-        if mask not in self.family_members:
-            if not self.on_demand:
-                raise MissingSubset(f"set {indices_of(mask)} is outside the solve family")
-            self.extra.append(mask)
-            log.debug("computing out-of-family set %s on demand", indices_of(mask))
-        candidates = self.candidates(mask)
-        for j in range(1, self.schedule.m + 1):
-            best = None
-            for u, value, kind in candidates:
-                score = value - self.metric.time(j, u)
-                if best is None or score > best[0] + TIME_EPS:
-                    best = (score, u, kind)
-            if best is None:
-                self.latest[(j, mask)] = None
-                self.policy[(j, mask)] = None
-                self.capture_move[(j, mask)] = False
-            else:
-                self.latest[(j, mask)] = best[0]
-                self.policy[(j, mask)] = best[1]
-                self.capture_move[(j, mask)] = best[2] == CAPTURE
-        self.computed.add(mask)
-
-    def candidates(self, mask: int):
-        """Admissible moves for a set, as (node, exit-time-at-node, kind),
-        ordered capture moves first then by node id (the tie-break order)."""
-        schedule = self.schedule
-        out = []
-        for u in range(1, schedule.m + 1):
-            red, green = partition(mask, u, schedule)
-            if red == 0:
-                continue
-            if red == mask:
-                out.append((u, schedule.min_visit(u, mask), CAPTURE))
-                continue
-            green_value = self.value(u, green)
-            if green_value is None:
-                continue
-            if self.strict:
-                if tlt(green_value, schedule.max_visit(u, red)):
-                    continue
-                worst = green_value
-                for _, group_mask in schedule.groups[u]:
-                    cls = group_mask & red
-                    if cls == 0:
-                        continue
-                    cls_value = self.value(u, cls)
-                    if cls_value is None:
-                        worst = None
-                        break
-                    worst = min(worst, cls_value)
-                if worst is None:
-                    continue
-            else:
-                if tlt(green_value, schedule.min_visit(u, red)):
-                    continue
-                red_value = self.value(u, red)
-                if red_value is None:
-                    continue
-                worst = min(red_value, green_value)
-            out.append((u, worst, SPLIT))
-        out.sort(key=lambda cand: (cand[2] != CAPTURE, cand[0]))
-        return out
-
-    def close_for_simulation(self) -> None:
-        """Compute every set a policy walk can reach under either report
-        convention, so simulation never sees a missing table row."""
-        pending = list(self.computed)
-        seen = set(pending)
-        while pending:
-            mask = pending.pop()
-            self.ensure(mask)
-            needed = []
-            for u in range(1, self.schedule.m + 1):
-                red, green = partition(mask, u, self.schedule)
-                if red == 0:
-                    continue
-                if green:
-                    needed.append(green)
-                if red != mask:
-                    needed.append(red)
-                remaining = mask
-                for _, group_mask in self.schedule.groups[u]:
-                    cls = group_mask & mask
-                    if cls == 0:
-                        continue
-                    needed.append(cls)
-                    remaining &= ~cls
-                    if remaining:
-                        needed.append(remaining)
-            for sub in needed:
-                if sub and sub not in seen:
-                    seen.add(sub)
-                    self.ensure(sub)
-                    pending.append(sub)
-
-
-def candidate_moves(j: int, mask: int, memo, schedule: VisitSchedule, metric: PursuerMetric,
-                    strict_resolution: bool = False):
-    """Admissible moves out of node ``j`` holding set ``mask``.
-
-    ``memo`` maps ``(node, mask)`` to latest exit times for every strictly
-    smaller set the evaluation touches (raises MissingSubset otherwise).
-    Returns (node, exit-time-at-node, kind) triples; subtract the travel
-    time from ``j`` to rank them from ``j``.
+    ``value(u, sub)`` returns the latest exit time from ``u`` holding the
+    strict subset ``sub``.
     """
-    lookup = memo.latest if isinstance(memo, SolveResult) else memo
-
-    def value(u, sub):
-        try:
-            return lookup[(u, sub)]
-        except KeyError:
-            raise MissingSubset(f"memo lacks set {indices_of(sub)} at node {u}") from None
-
     out = []
     for u in range(1, schedule.m + 1):
         red, green = partition(mask, u, schedule)
@@ -288,7 +158,7 @@ def candidate_moves(j: int, mask: int, memo, schedule: VisitSchedule, metric: Pu
         green_value = value(u, green)
         if green_value is None:
             continue
-        if strict_resolution:
+        if strict:
             if tlt(green_value, schedule.max_visit(u, red)):
                 continue
             worst = green_value
@@ -315,6 +185,127 @@ def candidate_moves(j: int, mask: int, memo, schedule: VisitSchedule, metric: Pu
     return out
 
 
+class _Table(dict):
+    """A solved table that computes a set's rows the first time one of
+    them is read. Keys outside the solve's nodes and sets raise KeyError."""
+
+    solver = None
+
+    def __missing__(self, key):
+        j, mask = key
+        if not (1 <= j <= self.solver.schedule.m and 0 < mask <= self.solver.full):
+            raise KeyError(key)
+        self.solver.ensure(mask)
+        return dict.__getitem__(self, key)
+
+
+class _Solver:
+    """Computes the rows of one set at a time, for every node at once.
+
+    ``rows`` maps each computed set to its (latest, policy, capture) lists,
+    indexed by node - 1, and each new row is copied into the result tables.
+    Each table holds the solver so that a read can fill it; the solver holds
+    the tables only weakly. With no reference cycle, a dropped result is
+    freed at once, and a table kept on its own still fills on read.
+    """
+
+    def __init__(self, schedule, metric, paths, strict_resolution, tables):
+        self.schedule = schedule
+        self.metric = metric
+        self.strict = strict_resolution
+        self.full = (1 << schedule.n) - 1
+        self.nodes = range(1, schedule.m + 1)
+        self.rows: dict[int, tuple[list, list, list]] = {}
+        self.tables = tuple(weakref.ref(table) for table in tables)
+        for table in tables:
+            table.solver = self
+        for k in range(1, schedule.n + 1):
+            latest = [base_case(j, k, schedule, metric, paths) for j in self.nodes]
+            self.store(1 << (k - 1), latest, [paths[k - 1].exit] * schedule.m,
+                       [True] * schedule.m)
+
+    def store(self, mask: int, *row):
+        self.rows[mask] = row
+        keys = [(j, mask) for j in self.nodes]
+        for ref, values in zip(self.tables, row):
+            table = ref()
+            if table is not None:
+                table.update(zip(keys, values))
+        return row
+
+    def value(self, u: int, mask: int):
+        return self.ensure(mask)[0][u - 1]
+
+    def ensure(self, mask: int):
+        """The set's (latest, policy, capture) row, computed on first use."""
+        row = self.rows.get(mask)
+        if row is not None:
+            return row
+        candidates = _candidates(mask, self.value, self.schedule, self.strict)
+        latest, policy, capture = [], [], []
+        for j in self.nodes:
+            best = (None, None, None)
+            for u, value, kind in candidates:
+                score = value - self.metric.time(j, u)
+                if best[0] is None or score > best[0] + TIME_EPS:
+                    best = (score, u, kind)
+            latest.append(best[0])
+            policy.append(best[1])
+            capture.append(best[2] == CAPTURE)
+        return self.store(mask, latest, policy, capture)
+
+    def successors(self, mask: int, u: int):
+        """Every set a pursuer holding ``mask`` can hold at ``u`` after
+        visiting or waiting there, under either report convention: the set
+        itself, its red and green parts, each visit-time class, and what is
+        left once the earliest classes have passed."""
+        red, green = partition(mask, u, self.schedule)
+        out = {mask, red, green}
+        remaining = mask
+        for _, group_mask in self.schedule.groups[u]:
+            cls = group_mask & mask
+            if cls:
+                remaining &= ~cls
+                out.update((cls, remaining))
+        out.discard(0)
+        return out
+
+    def walk_policy(self, root: tuple[int, int]) -> None:
+        """Compute every row that playback of the policy from ``root`` or a
+        decision tree drawn from it can read."""
+        seen = {root}
+        pending = [root]
+        while pending:
+            p, mask = pending.pop()
+            u = self.ensure(mask)[1][p - 1]
+            if u is None:
+                continue
+            for sub in self.successors(mask, u):
+                if (u, sub) not in seen:
+                    seen.add((u, sub))
+                    pending.append((u, sub))
+
+
+def candidate_moves(j: int, mask: int, memo, schedule: VisitSchedule, metric: PursuerMetric,
+                    strict_resolution: bool = False):
+    """Admissible moves out of node ``j`` holding set ``mask``.
+
+    ``memo`` maps ``(node, mask)`` to latest exit times for every strictly
+    smaller set the evaluation touches (raises MissingSubset otherwise).
+    Returns (node, exit-time-at-node, kind) triples; subtract the travel
+    time from ``j`` to rank them from ``j``.
+    """
+    lookup = memo.latest if isinstance(memo, SolveResult) else memo
+
+    def value(u, sub):
+        try:
+            return lookup[(u, sub)]
+        except KeyError:
+            raise MissingSubset(f"memo lacks set {indices_of(sub)} at node {u}") from None
+
+    return _candidates(mask, value, schedule, strict_resolution)
+
+
 def full_lattice(n: int) -> tuple[int, ...]:
     masks = list(range(1, 1 << n))
     masks.sort(key=lambda s: (bin(s).count("1"), s))
@@ -322,52 +313,34 @@ def full_lattice(n: int) -> tuple[int, ...]:
 
 
 def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
-          prune: bool = True, strict_resolution: bool = False, family=None,
-          on_demand: bool = True, close_for_simulation: bool = True) -> SolveResult:
-    """Fill the latest-exit and policy tables for every set in the family
-    (realizable sets by default, the full subset lattice with ``prune``
-    off), in increasing cardinality order.
+          prune: bool = True, strict_resolution: bool = False,
+          close_for_simulation: bool = True) -> SolveResult:
+    """Solve the root set top-down, computing only the subsets it reads.
 
-    Sets outside the family that the recursion or a policy walk needs are
-    computed on demand and recorded, unless ``on_demand`` is off, in which
-    case MissingSubset is raised.
+    With ``prune`` off, every set of the full subset lattice is computed
+    first. With ``close_for_simulation`` on, the sets that playback of the
+    policy from the entry can reach are computed too, so the exported
+    tables replay without holes. Rows the solve did not compute are filled
+    when the returned tables are read.
     """
-    if family is None:
-        if prune:
-            family = realizable_sets(schedule, paths)
-            family_masks = family.sets
-        else:
-            family_masks = full_lattice(schedule.n)
-    elif isinstance(family, RealizableFamily):
-        family_masks = family.sets
-    else:
-        family_masks = tuple(family)
-
-    worker = _Solver(
-        schedule, metric, paths,
-        family_members=frozenset(family_masks),
-        strict_resolution=strict_resolution,
-        on_demand=on_demand,
-    )
-    for mask in sorted(family_masks, key=lambda s: (bin(s).count("1"), s)):
-        worker.ensure(mask)
-    root = (1 << schedule.n) - 1
-    worker.ensure(root)
+    latest, policy, capture_move = _Table(), _Table(), _Table()
+    worker = _Solver(schedule, metric, paths, strict_resolution, (latest, policy, capture_move))
+    if not prune:
+        for mask in full_lattice(schedule.n):
+            worker.ensure(mask)
+    prefilled = len(worker.rows)
+    worker.ensure(worker.full)
     if close_for_simulation:
-        if schedule.n <= 14:
-            worker.close_for_simulation()
-        else:
-            log.warning("skipping simulation closure for n=%d (too many subsets)", schedule.n)
+        worker.walk_policy((network.entry, worker.full))
 
     return SolveResult(
         n=schedule.n,
         m=schedule.m,
         strict_resolution=strict_resolution,
-        pruned=prune and family is None,
+        pruned=prune,
         metric_digest=metric_digest(metric),
-        latest=worker.latest,
-        policy=worker.policy,
-        capture_move=worker.capture_move,
-        family_sets=tuple(family_masks),
-        on_demand_sets=tuple(worker.extra),
+        latest=latest,
+        policy=policy,
+        capture_move=capture_move,
+        on_demand_sets=tuple(worker.rows)[prefilled:],
     )

@@ -4,7 +4,10 @@ from ugs_pursuit import (
     CapExceeded,
     InconsistentObservation,
     PolicyHole,
+    PursuitError,
     SolveResult,
+    build_schedule,
+    enumerate_paths,
     euclidean_metric,
     guarantee_exists,
     indices_of,
@@ -15,7 +18,7 @@ from ugs_pursuit import (
     update_red,
     verify_guarantee,
 )
-from ugs_pursuit.fixtures import random_instance, speed_floor
+from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +227,44 @@ class TestTranscriptSetsShrink:
             masks = [row.info for row in outcome.transcript]
             for earlier, later in zip(masks, masks[1:]):
                 assert later & earlier == later, [indices_of(x) for x in masks]
+
+
+def _playback(network, schedule, metric, result, k, t0):
+    """Captured flag of one playback, or the type of the error it raised."""
+    try:
+        return simulate(network, schedule, metric, result, k, t0).captured
+    except PursuitError as exc:
+        return type(exc)
+
+
+class TestExportedTablesPlayBack:
+    """Exported tables hold every row that playback of the policy reads."""
+
+    def test_corpus_outcomes_survive_json_round_trip(self):
+        for seed in range(1, 51):
+            network, paths, schedule = random_instance(seed, n_max=4, m_max=8)
+            metric = euclidean_metric(network, 1.1 * speed_floor(network))
+            for strict in (False, True):
+                result = solve(network, schedule, metric, paths, strict_resolution=strict)
+                clone = SolveResult.from_json(result.to_json())
+                delay = result.tolerable_delay
+                if delay <= 0:
+                    continue
+                for t0 in (delay, 0.5 * delay):
+                    for k in range(1, schedule.n + 1):
+                        live = _playback(network, schedule, metric, result, k, t0)
+                        assert _playback(network, schedule, metric, clone, k, t0) == live, (
+                            seed, strict, t0, k)
+
+    @pytest.mark.parametrize("seed", [13, 5])
+    def test_large_strict_tables_capture_every_path(self, seed):
+        network = random_layered_network(seed)
+        paths = enumerate_paths(network)
+        schedule = build_schedule(paths, network.m)
+        assert schedule.n > 14
+        metric = euclidean_metric(network, 1.1 * speed_floor(network))
+        result = solve(network, schedule, metric, paths, strict_resolution=True)
+        assert result.tolerable_delay > 0
+        clone = SolveResult.from_json(result.to_json())
+        report = verify_guarantee(network, schedule, metric, clone, result.tolerable_delay)
+        assert report.all_captured

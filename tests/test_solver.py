@@ -159,17 +159,33 @@ class TestSolve:
             values.append(solve(network, schedule, metric, paths).root_latest)
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
-    def test_on_demand_sets_logged(self, demo, demo_metric):
+    def test_on_demand_sets_are_the_lazy_sets(self, demo, demo_metric):
         network, paths, schedule = demo
-        result = solve(network, schedule, demo_metric, paths, prune=True)
-        family = realizable_sets(schedule, paths)
-        assert result.on_demand_sets
-        assert all(mask not in family for mask in result.on_demand_sets)
+        lazy = solve(network, schedule, demo_metric, paths, prune=True)
+        assert lazy.root_mask in lazy.on_demand_sets
+        assert all(mask & (mask - 1) for mask in lazy.on_demand_sets)  # no singleton
+        lattice = solve(network, schedule, demo_metric, paths, prune=False)
+        assert lattice.on_demand_sets == ()
 
-    def test_missing_subset_raised_without_on_demand(self, demo, demo_metric):
+    def test_tables_fill_on_read(self, demo, demo_metric):
         network, paths, schedule = demo
-        with pytest.raises(MissingSubset):
-            solve(network, schedule, demo_metric, paths, prune=True, on_demand=False)
+        lazy = solve(network, schedule, demo_metric, paths)
+        lattice = solve(network, schedule, demo_metric, paths, prune=False)
+        unread = [mask for mask in full_lattice(schedule.n) if (1, mask) not in lazy.latest]
+        assert unread
+        for mask in unread:
+            for j in range(1, network.m + 1):
+                key = (j, mask)
+                assert lazy.latest[key] == lattice.latest[key]
+                assert lazy.policy[key] == lattice.policy[key]
+                assert lazy.capture_move[key] == lattice.capture_move[key]
+        alone = solve(network, schedule, demo_metric, paths).policy  # result dropped
+        assert alone[(1, unread[0])] == lattice.policy[(1, unread[0])]
+        full = lazy.root_mask
+        for key in ((0, full), (network.m + 1, full), (1, 0), (1, full + 1)):
+            for table in (lazy.latest, lazy.policy, lazy.capture_move):
+                with pytest.raises(KeyError):
+                    table[key]
 
     def test_family_domain_covered(self, demo, demo_metric):
         network, paths, schedule = demo
