@@ -38,6 +38,7 @@ from .information import (
     RealizableFamily,
     partition,
     realizable_sets,
+    red_reports,
     update_green,
     update_red,
 )

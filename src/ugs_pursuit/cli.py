@@ -16,6 +16,7 @@ from .errors import PursuitError
 from .fixtures import demo_raw, random_layered_network
 from .information import realizable_sets
 from .network import (
+    DEFAULT_PATH_CAP,
     build_schedule,
     enumerate_paths,
     euclidean_metric,
@@ -152,15 +153,9 @@ def _cmd_tree(args) -> int:
 
 
 def _policy_or_solve(args, network, paths, schedule):
-    metric = _load_metric(args, network)
-    if args.policy is not None:
-        result = SolveResult.from_json(_load_json_file(args.policy))
-    else:
-        result = solve(
-            network, schedule, metric, paths,
-            prune=not args.no_prune, strict_resolution=args.strict_resolution,
-        )
-    return metric, result
+    if args.policy is None:
+        return _solve(args, network, paths, schedule)
+    return _load_metric(args, network), SolveResult.from_json(_load_json_file(args.policy))
 
 
 def _cmd_simulate(args) -> int:
@@ -228,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="network JSON file, or 'demo' / 'random'")
     shared.add_argument("--seed", type=int, default=0,
                         help="seed for --network random")
-    shared.add_argument("--max-paths", type=int, default=63)
+    shared.add_argument("--max-paths", type=int, default=DEFAULT_PATH_CAP)
     shared.add_argument("--speed", type=float, default=None,
                         help="pursuer speed for the euclidean metric")
     shared.add_argument("--metric", default=None, help="metric JSON file")

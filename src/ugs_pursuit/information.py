@@ -78,6 +78,26 @@ def partition(mask: int, u: int, schedule: VisitSchedule) -> tuple[int, int]:
     return red, mask & ~red
 
 
+def red_reports(mask: int, u: int, schedule: VisitSchedule, strict: bool) -> tuple[tuple[float, int], ...]:
+    """The red reports a visit to ``u`` can give a pursuer holding ``mask``,
+    as ``(visit time, set)`` pairs in increasing time; empty when no path in
+    ``mask`` passes ``u``.
+
+    Under strict resolution each visit-time class of the red part is its own
+    report. Under the membership convention there is one report: the whole
+    red part, at its earliest visit. Either way the green report resolves at
+    the time of the last red report.
+    """
+    reports = []
+    for t, group in schedule.groups[u]:
+        cls = group & mask
+        if cls:
+            if not strict:
+                return ((t, mask & schedule.through[u]),)
+            reports.append((t, cls))
+    return tuple(reports)
+
+
 @dataclass(frozen=True)
 class FamilyEvent:
     """One sweep event: the sets in play when node ``node`` can report at

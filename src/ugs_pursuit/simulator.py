@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InconsistentObservation, NonTermination, PolicyHole, SimulationError
-from .information import Observation, partition, update_green, update_red
+from .information import Observation, partition, red_reports, update_green, update_red
 from .network import PursuerMetric, RoadNetwork, VisitSchedule, indices_of
 from .solver import SolveResult
 from .util import teq, tle, tlt
@@ -124,13 +124,9 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
             if not strict and red_part and red_part != info:
                 # membership-only convention: the visit question is treated
                 # as settled at the earliest scheduled visit
-                window_end = max(arrival, schedule.min_visit(p, red_part))
+                window_end = max(arrival, red_reports(info, p, schedule, False)[0][0])
                 if tle(tau, window_end):
                     return SimOutcome(True, tau, p, tuple(rows))
-                if green_part == 0:
-                    raise InconsistentObservation(
-                        f"green at node {p} leaves no consistent path in {indices_of(info)}"
-                    )
                 info = green_part
                 t = window_end
             else:

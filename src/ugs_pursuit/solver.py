@@ -12,12 +12,13 @@ moves read. For a set ``I`` and a candidate sensor ``u``:
   continuation can still succeed once the red question resolves, and its
   worth is the worst case over the two reports.
 
-Two resolution conventions are supported. The default treats a red report
-as membership information only (the delay value is not used to narrow
-further) and considers the green side resolved at the earliest scheduled
-visit. Strict resolution narrows red reports to the exact visit-time class
-and requires the green continuation to survive until the last scheduled
-visit.
+Two resolution conventions are supported. They differ only in the red
+reports a visit can give, and ``information.red_reports`` is the one place
+that lists them. The default treats a red report as membership information
+only: one report, the whole red part at its earliest visit. Strict
+resolution gives one report per visit-time class. Under both, the green
+continuation must survive until the last red report, and the move's worth
+is the worst value over the green part and every red report.
 
 Values for a fixed set do not depend on the pursuer's node except through
 the final travel-time subtraction, so candidates are evaluated once per set
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 from .errors import MissingSubset
 # bench/tracing.py wraps this name to time the realizable-family sweep
-from .information import partition, realizable_sets  # noqa: F401
+from .information import partition, realizable_sets, red_reports  # noqa: F401
 from .network import PursuerMetric, VisitSchedule, indices_of, mask_from
 from .util import TIME_EPS, tlt
 
@@ -145,42 +146,28 @@ def _candidates(mask: int, value, schedule: VisitSchedule, strict: bool):
     ordered capture moves first then by node id (the tie-break order).
 
     ``value(u, sub)`` returns the latest exit time from ``u`` holding the
-    strict subset ``sub``.
+    strict subset ``sub``. Sets are read green first, then the red reports
+    in time order.
     """
     out = []
     for u in range(1, schedule.m + 1):
-        red, green = partition(mask, u, schedule)
-        if red == 0:
+        reports = red_reports(mask, u, schedule, strict)
+        if not reports:
             continue
-        if red == mask:
-            out.append((u, schedule.min_visit(u, mask), CAPTURE))
+        green = mask & ~schedule.through[u]
+        if green == 0:
+            out.append((u, reports[0][0], CAPTURE))
             continue
-        green_value = value(u, green)
-        if green_value is None:
+        worst = value(u, green)
+        if worst is None or tlt(worst, reports[-1][0]):
             continue
-        if strict:
-            if tlt(green_value, schedule.max_visit(u, red)):
-                continue
-            worst = green_value
-            for _, group_mask in schedule.groups[u]:
-                cls = group_mask & red
-                if cls == 0:
-                    continue
-                cls_value = value(u, cls)
-                if cls_value is None:
-                    worst = None
-                    break
-                worst = min(worst, cls_value)
-            if worst is None:
-                continue
-        else:
-            if tlt(green_value, schedule.min_visit(u, red)):
-                continue
+        for _, red in reports:
             red_value = value(u, red)
             if red_value is None:
-                continue
-            worst = min(red_value, green_value)
-        out.append((u, worst, SPLIT))
+                break
+            worst = min(worst, red_value)
+        else:
+            out.append((u, worst, SPLIT))
     out.sort(key=lambda cand: (cand[2] != CAPTURE, cand[0]))
     return out
 
@@ -262,11 +249,9 @@ class _Solver:
         red, green = partition(mask, u, self.schedule)
         out = {mask, red, green}
         remaining = mask
-        for _, group_mask in self.schedule.groups[u]:
-            cls = group_mask & mask
-            if cls:
-                remaining &= ~cls
-                out.update((cls, remaining))
+        for _, cls in red_reports(mask, u, self.schedule, True):
+            remaining &= ~cls
+            out.update((cls, remaining))
         out.discard(0)
         return out
 
@@ -286,14 +271,13 @@ class _Solver:
                     pending.append((u, sub))
 
 
-def candidate_moves(j: int, mask: int, memo, schedule: VisitSchedule, metric: PursuerMetric,
-                    strict_resolution: bool = False):
-    """Admissible moves out of node ``j`` holding set ``mask``.
+def candidate_moves(mask: int, memo, schedule: VisitSchedule, strict_resolution: bool = False):
+    """Admissible moves for a pursuer holding set ``mask``.
 
     ``memo`` maps ``(node, mask)`` to latest exit times for every strictly
     smaller set the evaluation touches (raises MissingSubset otherwise).
     Returns (node, exit-time-at-node, kind) triples; subtract the travel
-    time from ``j`` to rank them from ``j``.
+    time from a node to rank them from there.
     """
     lookup = memo.latest if isinstance(memo, SolveResult) else memo
 

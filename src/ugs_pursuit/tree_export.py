@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import PolicyHole
+from .information import partition, red_reports
 from .network import PursuerMetric, VisitSchedule, indices_of
 from .solver import SolveResult, metric_digest
 
@@ -84,21 +85,19 @@ def build_tree(result: SolveResult, schedule: VisitSchedule,
                             resolve_t=exit_t)
             return TreeNode(ugs=j, mask=mask, latest=latest, kind="decision",
                             resolve_t=resolve_t, children={"red": leaf})
+        reports = red_reports(mask, move, schedule, result.strict_resolution)
         if result.capture_move[(j, mask)]:
-            catch_t = schedule.min_visit(move, mask)
+            catch_t = reports[0][0]
             leaf = TreeNode(ugs=move, mask=mask, latest=catch_t, kind="capture",
                             resolve_t=catch_t)
             return TreeNode(ugs=j, mask=mask, latest=latest, kind="decision",
                             resolve_t=resolve_t, children={"red": leaf})
-        red = mask & schedule.through[move]
-        green = mask & ~red
-        red_t = schedule.min_visit(move, red)
-        green_t = (schedule.max_visit if result.strict_resolution else schedule.min_visit)(move, red)
+        red, green = partition(mask, move, schedule)
         return TreeNode(
             ugs=j, mask=mask, latest=latest, kind="decision", resolve_t=resolve_t,
             children={
-                "red": expand(move, red, red_t),
-                "green": expand(move, green, green_t),
+                "red": expand(move, red, reports[0][0]),
+                "green": expand(move, green, reports[-1][0]),
             },
         )
 

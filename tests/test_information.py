@@ -7,14 +7,16 @@ from ugs_pursuit import (
     Observation,
     build_schedule,
     enumerate_paths,
+    full_lattice,
     indices_of,
     mask_from,
     partition,
     realizable_sets,
+    red_reports,
     update_green,
     update_red,
 )
-from ugs_pursuit.fixtures import random_layered_network
+from ugs_pursuit.fixtures import random_instance, random_layered_network
 
 from conftest import mask_of
 
@@ -225,3 +227,30 @@ class TestRealizableFamily:
         payload = realizable_sets(schedule, paths).to_json()
         assert {"sets", "log"} <= payload.keys()
         assert all({"node", "time", "sets"} <= row.keys() for row in payload["log"])
+
+
+class TestRedReports:
+    """``red_reports`` against the per-path ``min_visit``/``max_visit``
+    scans the oracle uses, on every set of every corpus instance."""
+
+    def test_matches_per_path_visit_times(self):
+        for seed in range(1, 51):
+            _, _, schedule = random_instance(seed, n_max=4, m_max=8)
+            for mask in full_lattice(schedule.n):
+                for u in range(1, schedule.m + 1):
+                    red = mask & schedule.through[u]
+                    strict = red_reports(mask, u, schedule, True)
+                    default = red_reports(mask, u, schedule, False)
+                    if red == 0:
+                        assert strict == () and default == (), (seed, mask, u)
+                        continue
+                    times = [t for t, _ in strict]
+                    assert times == sorted(set(times)), (seed, mask, u)
+                    union = 0
+                    for _, cls in strict:
+                        assert cls and cls & union == 0, (seed, mask, u)
+                        union |= cls
+                    assert union == red, (seed, mask, u)
+                    assert times[0] == schedule.min_visit(u, red), (seed, mask, u)
+                    assert times[-1] == schedule.max_visit(u, red), (seed, mask, u)
+                    assert default == ((schedule.min_visit(u, red), red),), (seed, mask, u)

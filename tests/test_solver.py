@@ -65,7 +65,7 @@ class TestCandidateMoves:
         _, paths, schedule = demo
         result = solve(demo[0], schedule, demo_metric, paths)
         pair = mask_of(demo_index, (1, 3, 4, 6), (1, 3, 4, 7))
-        moves = candidate_moves(6, pair, result, schedule, demo_metric)
+        moves = candidate_moves(pair, result, schedule)
         by_node = {u: (value, kind) for u, value, kind in moves}
         assert by_node[6][1] == SPLIT
         assert by_node[6][0] == pytest.approx(16.30, abs=1e-9)
@@ -75,7 +75,7 @@ class TestCandidateMoves:
         _, paths, schedule = demo
         result = solve(demo[0], schedule, demo_metric, paths)
         only = mask_of(demo_index, (1, 2, 7))
-        moves = candidate_moves(6, only, result, schedule, demo_metric)
+        moves = candidate_moves(only, result, schedule)
         by_node = {u: (value, kind) for u, value, kind in moves}
         assert by_node[7] == (pytest.approx(14.66, abs=1e-9), CAPTURE)
 
@@ -83,15 +83,15 @@ class TestCandidateMoves:
         _, paths, schedule = demo
         result = solve(demo[0], schedule, demo_metric, paths)
         pair = mask_of(demo_index, (1, 3, 4, 6), (1, 3, 4, 7))
-        moves = candidate_moves(1, pair, result, schedule, demo_metric)
+        moves = candidate_moves(pair, result, schedule)
         kinds = [kind for _, _, kind in moves]
         assert kinds == sorted(kinds, key=lambda k: k != CAPTURE)
 
-    def test_missing_memo_raises(self, demo, demo_index, demo_metric):
-        _, paths, schedule = demo
+    def test_missing_memo_raises(self, demo, demo_index):
+        _, _, schedule = demo
         pair = mask_of(demo_index, (1, 3, 4, 6), (1, 3, 4, 7))
         with pytest.raises(MissingSubset):
-            candidate_moves(6, pair, {}, schedule, demo_metric)
+            candidate_moves(pair, {}, schedule)
 
 
 class TestSolve:
