@@ -16,7 +16,6 @@ from .errors import PursuitError
 from .fixtures import demo_raw, random_layered_network
 from .information import realizable_sets
 from .network import (
-    DEFAULT_PATH_CAP,
     build_schedule,
     enumerate_paths,
     euclidean_metric,
@@ -223,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="network JSON file, or 'demo' / 'random'")
     shared.add_argument("--seed", type=int, default=0,
                         help="seed for --network random")
-    shared.add_argument("--max-paths", type=int, default=DEFAULT_PATH_CAP)
+    shared.add_argument("--max-paths", type=int, default=None,
+                        help="refuse networks with more evader paths (default: no cap)")
     shared.add_argument("--speed", type=float, default=None,
                         help="pursuer speed for the euclidean metric")
     shared.add_argument("--metric", default=None, help="metric JSON file")

@@ -34,8 +34,6 @@ from .errors import (
 )
 from .util import TIME_EPS, group_times, tlt
 
-DEFAULT_PATH_CAP = 63
-
 
 @dataclass(frozen=True)
 class RoadNetwork:
@@ -93,9 +91,6 @@ class VisitSchedule:
     times: tuple[tuple[float, ...], ...]
     through: tuple[int, ...]
     groups: tuple[tuple[tuple[float, int], ...], ...]
-
-    def visit_time(self, j: int, k: int) -> float:
-        return self.times[j][k]
 
     def min_visit(self, j: int, mask: int) -> float:
         return min(self.times[j][k] for k in iter_indices(mask))
@@ -256,19 +251,20 @@ def _reaches_goal(m: int, children, goals) -> set[int]:
     return good
 
 
-def enumerate_paths(network: RoadNetwork, max_paths: int = DEFAULT_PATH_CAP) -> tuple[EvaderPath, ...]:
+def enumerate_paths(network: RoadNetwork, max_paths: int | None = None) -> tuple[EvaderPath, ...]:
     """All directed entry-to-goal paths with cumulative arrival times.
 
     Paths are ordered lexicographically by node sequence and indexed 1..n in
-    that order, so indices are reproducible across runs. Raises PathExplosion
-    when more than ``max_paths`` paths exist.
+    that order, so indices are reproducible across runs. With ``max_paths``
+    set, raises PathExplosion when more than that many paths exist; by
+    default there is no cap.
     """
     sequences: list[tuple[int, ...]] = []
 
     def walk(prefix: list[int]) -> None:
         j = prefix[-1]
         if not network.children[j]:
-            if len(sequences) >= max_paths:
+            if max_paths is not None and len(sequences) >= max_paths:
                 raise PathExplosion(f"more than {max_paths} evader paths")
             sequences.append(tuple(prefix))
             return

@@ -25,6 +25,13 @@ the final travel-time subtraction, so candidates are evaluated once per set
 and the rows of every node are filled together. Every recursive call is on
 a strict subset, so the recursion depth is bounded by the path count.
 
+Scoring order: a set's candidates are listed capture moves first, then
+split moves, each group by node id; nodes no path in the set passes are
+skipped before their reports are built. From node ``j`` a candidate ``u``
+scores its exit time at ``u`` minus the travel time ``d[j][u]``, and ``j``
+keeps the first candidate in that order whose score beats the best so far
+by more than ``TIME_EPS``: a near-tie goes to the earlier candidate.
+
 A solved result's tables fill on read: looking up a row of a set the solve
 has not computed yet computes that set first.
 """
@@ -149,14 +156,15 @@ def _candidates(mask: int, value, schedule: VisitSchedule, strict: bool):
     strict subset ``sub``. Sets are read green first, then the red reports
     in time order.
     """
-    out = []
+    captures, splits = [], []
+    through = schedule.through
     for u in range(1, schedule.m + 1):
-        reports = red_reports(mask, u, schedule, strict)
-        if not reports:
+        if not mask & through[u]:
             continue
-        green = mask & ~schedule.through[u]
+        reports = red_reports(mask, u, schedule, strict)
+        green = mask & ~through[u]
         if green == 0:
-            out.append((u, reports[0][0], CAPTURE))
+            captures.append((u, reports[0][0], CAPTURE))
             continue
         worst = value(u, green)
         if worst is None or tlt(worst, reports[-1][0]):
@@ -165,11 +173,11 @@ def _candidates(mask: int, value, schedule: VisitSchedule, strict: bool):
             red_value = value(u, red)
             if red_value is None:
                 break
-            worst = min(worst, red_value)
+            if red_value < worst:
+                worst = red_value
         else:
-            out.append((u, worst, SPLIT))
-    out.sort(key=lambda cand: (cand[2] != CAPTURE, cand[0]))
-    return out
+            splits.append((u, worst, SPLIT))
+    return captures + splits
 
 
 class _Table(dict):
@@ -221,7 +229,10 @@ class _Solver:
         return row
 
     def value(self, u: int, mask: int):
-        return self.ensure(mask)[0][u - 1]
+        row = self.rows.get(mask)
+        if row is None:
+            row = self.ensure(mask)
+        return row[0][u - 1]
 
     def ensure(self, mask: int):
         """The set's (latest, policy, capture) row, computed on first use."""
@@ -229,16 +240,18 @@ class _Solver:
         if row is not None:
             return row
         candidates = _candidates(mask, self.value, self.schedule, self.strict)
+        d = self.metric.d
         latest, policy, capture = [], [], []
         for j in self.nodes:
-            best = (None, None, None)
+            dj = d[j]
+            best = best_u = best_kind = None
             for u, value, kind in candidates:
-                score = value - self.metric.time(j, u)
-                if best[0] is None or score > best[0] + TIME_EPS:
-                    best = (score, u, kind)
-            latest.append(best[0])
-            policy.append(best[1])
-            capture.append(best[2] == CAPTURE)
+                score = value - dj[u]
+                if best is None or score > best + TIME_EPS:
+                    best, best_u, best_kind = score, u, kind
+            latest.append(best)
+            policy.append(best_u)
+            capture.append(best_kind == CAPTURE)
         return self.store(mask, latest, policy, capture)
 
     def successors(self, mask: int, u: int):

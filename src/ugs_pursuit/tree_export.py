@@ -2,8 +2,10 @@
 
 A tree expands the solved policy from a root (node, uncertainty set):
 capture moves and known-path states end in capture leaves; split moves
-branch on the red and green reports. Every child set is a strict subset of
-its parent's, so depth never exceeds the path count.
+branch once per red report (``information.red_reports``: one under the
+membership convention, one per visit-time class under strict resolution)
+and once on the green report. Every child set is a strict subset of its
+parent's, so depth never exceeds the path count.
 """
 
 from __future__ import annotations
@@ -86,20 +88,18 @@ def build_tree(result: SolveResult, schedule: VisitSchedule,
             return TreeNode(ugs=j, mask=mask, latest=latest, kind="decision",
                             resolve_t=resolve_t, children={"red": leaf})
         reports = red_reports(mask, move, schedule, result.strict_resolution)
-        if result.capture_move[(j, mask)]:
-            catch_t = reports[0][0]
-            leaf = TreeNode(ugs=move, mask=mask, latest=catch_t, kind="capture",
-                            resolve_t=catch_t)
-            return TreeNode(ugs=j, mask=mask, latest=latest, kind="decision",
-                            resolve_t=resolve_t, children={"red": leaf})
-        red, green = partition(mask, move, schedule)
-        return TreeNode(
-            ugs=j, mask=mask, latest=latest, kind="decision", resolve_t=resolve_t,
-            children={
-                "red": expand(move, red, reports[0][0]),
-                "green": expand(move, green, reports[-1][0]),
-            },
-        )
+        if len(reports) == 1:
+            labels = ("red",)
+        else:
+            labels = tuple(f"red {i}" for i in range(1, len(reports) + 1))
+        if result.capture_move[(j, mask)]:  # wait at the move for each report
+            children = {label: TreeNode(ugs=move, mask=red, latest=t, kind="capture", resolve_t=t)
+                        for label, (t, red) in zip(labels, reports)}
+        else:
+            children = {label: expand(move, red, t) for label, (t, red) in zip(labels, reports)}
+            children["green"] = expand(move, partition(mask, move, schedule)[1], reports[-1][0])
+        return TreeNode(ugs=j, mask=mask, latest=latest, kind="decision",
+                        resolve_t=resolve_t, children=children)
 
     return expand(root[0], root[1], None)
 

@@ -122,6 +122,16 @@ class TestEnumeratePaths:
         with pytest.raises(PathExplosion):
             enumerate_paths(network, max_paths=3)
 
+    def test_no_cap_by_default(self):
+        # 288 routes, far past any small cap; bitmasks are Python ints
+        network = random_layered_network(7, widths=[1, 4, 4, 4, 4, 3])
+        paths = enumerate_paths(network)
+        assert len(paths) == 288
+        schedule = build_schedule(paths, network.m)
+        assert schedule.n == 288
+        assert schedule.through[network.entry] == (1 << 288) - 1
+        assert sum(bin(schedule.through[g]).count("1") for g in network.goals) == 288
+
     def test_arrival_times_match_edge_sums(self):
         for seed in range(8):
             network = random_layered_network(seed)

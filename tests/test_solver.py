@@ -1,17 +1,23 @@
+import random
+
 import pytest
 
 from ugs_pursuit import (
     MissingSubset,
     SolveResult,
     base_case,
+    build_schedule,
     candidate_moves,
+    enumerate_paths,
     euclidean_metric,
     full_lattice,
     realizable_sets,
     solve,
+    validate_network,
 )
-from ugs_pursuit.fixtures import random_instance, speed_floor
+from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
 from ugs_pursuit.solver import CAPTURE, SPLIT
+from ugs_pursuit.util import TIME_EPS
 
 from conftest import mask_of
 
@@ -219,3 +225,82 @@ class TestSolve:
         assert entry["D"] is None and entry["mu"] is None
         clone = SolveResult.from_json(result.to_json())
         assert clone.latest[(1, 1)] is None
+
+
+def reference_rows(mask, result, schedule, metric, strict):
+    """Per-node (latest, policy, capture) rows of a set, scored the plain
+    way: candidates sorted capture moves first then by node, one
+    ``metric.time`` call per (node, candidate), first strictly better
+    score wins."""
+    moves = sorted(candidate_moves(mask, result, schedule, strict),
+                   key=lambda move: (move[2] != CAPTURE, move[0]))
+    rows = []
+    for j in range(1, schedule.m + 1):
+        best = (None, None, None)
+        for u, value, kind in moves:
+            score = value - metric.time(j, u)
+            if best[0] is None or score > best[0] + TIME_EPS:
+                best = (score, u, kind)
+        rows.append((best[0], best[1], best[2] == CAPTURE))
+    return rows
+
+
+def assert_kernel_matches_reference(result, schedule, metric):
+    computed = sorted({mask for _, mask in list(result.latest) if mask & (mask - 1)})
+    assert computed
+    for mask in computed:
+        expected = reference_rows(mask, result, schedule, metric, result.strict_resolution)
+        got = [(result.latest[(j, mask)], result.policy[(j, mask)], result.capture_move[(j, mask)])
+               for j in range(1, schedule.m + 1)]
+        assert got == expected, mask
+
+
+def corpus():
+    for seed in range(1, 51):
+        network, paths, schedule = random_instance(seed, n_max=4, m_max=8)
+        yield network, paths, schedule, euclidean_metric(network, 1.1 * speed_floor(network))
+
+
+def relabelled(network, seed):
+    """The same network with node ids 2..m shuffled; the entry stays 1."""
+    others = list(range(2, network.m + 1))
+    shuffled = others[:]
+    random.Random(seed).shuffle(shuffled)
+    ids = {1: 1, **dict(zip(others, shuffled))}
+    return validate_network({
+        "nodes": [{"id": ids[j], "x": network.coords[j][0], "y": network.coords[j][1]}
+                  for j in range(1, network.m + 1)],
+        "edges": [{"from": ids[a], "to": ids[b], "time": t} for a, b, t in network.edges()],
+        "entry": 1,
+    })
+
+
+class TestScoringKernel:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_rows_match_reference_on_corpus(self, strict):
+        for network, paths, schedule, metric in corpus():
+            result = solve(network, schedule, metric, paths, strict_resolution=strict)
+            assert_kernel_matches_reference(result, schedule, metric)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_full_lattice_matches_reference(self, strict):
+        network = random_layered_network(85, widths=[1, 3, 3, 3, 3, 2])
+        paths = enumerate_paths(network)
+        schedule = build_schedule(paths, network.m)
+        metric = euclidean_metric(network, 1.1 * speed_floor(network))
+        result = solve(network, schedule, metric, paths, prune=False, strict_resolution=strict)
+        assert_kernel_matches_reference(result, schedule, metric)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_root_invariant_under_relabelling(self, strict):
+        for network, paths, schedule, metric in corpus():
+            speed = 1.1 * speed_floor(network)
+            root = solve(network, schedule, metric, paths, strict_resolution=strict).root_latest
+            for seed in (1, 2, 3):
+                other = relabelled(network, seed)
+                other_paths = enumerate_paths(other)
+                other_schedule = build_schedule(other_paths, other.m)
+                other_metric = euclidean_metric(other, speed)
+                value = solve(other, other_schedule, other_metric, other_paths,
+                              strict_resolution=strict).root_latest
+                assert value == pytest.approx(root, abs=1e-9)

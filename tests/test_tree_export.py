@@ -1,15 +1,18 @@
 import pytest
 
 from ugs_pursuit import (
+    build_schedule,
     build_tree,
+    enumerate_paths,
     euclidean_metric,
     mask_from,
+    red_reports,
     simulate,
     solve,
     tree_to_dot,
     tree_to_json,
 )
-from ugs_pursuit.fixtures import random_instance, speed_floor
+from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
 
 from conftest import mask_of
 
@@ -121,6 +124,59 @@ class TestReplayConsistency:
                 leaf.ugs == outcome.node and abs(leaf.latest - outcome.time) <= 1e-9
                 for leaf in leaf_like
             )
+
+
+def strict_tree(seed, widths):
+    network = random_layered_network(seed, widths=widths)
+    paths = enumerate_paths(network)
+    schedule = build_schedule(paths, network.m)
+    metric = euclidean_metric(network, 1.1 * speed_floor(network))
+    result = solve(network, schedule, metric, paths, strict_resolution=True)
+    return network, schedule, metric, result, build_tree(result, schedule, metric)
+
+
+# both draw red parts that span several visit-time classes
+MULTI_CLASS = [(85, [1, 3, 3, 3, 3, 2]), (5, None)]
+
+
+class TestStrictRedReports:
+    @pytest.mark.parametrize("seed,widths", MULTI_CLASS)
+    def test_one_child_per_red_report(self, seed, widths):
+        _, schedule, _, result, tree = strict_tree(seed, widths)
+        several = 0
+        for node in tree.walk():
+            if node.kind == "capture" or node.mask & (node.mask - 1) == 0:
+                continue  # leaves, and known paths met at their exit
+            move = result.policy[(node.ugs, node.mask)]
+            reports = red_reports(node.mask, move, schedule, True)
+            reds = [(label, child) for label, child in node.children.items() if label != "green"]
+            assert [(child.ugs, child.resolve_t, child.mask) for _, child in reds] == [
+                (move, t, cls) for t, cls in reports]
+            if len(reports) == 1:
+                assert [label for label, _ in reds] == ["red"]
+            else:
+                assert [label for label, _ in reds] == [f"red {i}" for i in range(1, len(reports) + 1)]
+                several += 1
+        assert several
+
+    @pytest.mark.parametrize("seed,widths", MULTI_CLASS)
+    def test_playback_ends_at_matching_leaf(self, seed, widths):
+        network, schedule, metric, result, tree = strict_tree(seed, widths)
+        for k in range(1, schedule.n + 1):
+            outcome = simulate(network, schedule, metric, result, k, result.root_latest)
+            assert outcome.captured
+            node = tree
+            for row in outcome.transcript[1:]:
+                reached = [child for child in node.children.values()
+                           if child.kind == "decision" and (child.ugs, child.mask) == (row.node, row.info)]
+                if row.obs.is_red:  # every red reading here lands on a drawn red child
+                    assert reached, (k, row)
+                if reached:
+                    node = reached[0]
+            # the capture comes no later than a leaf of the reached subtree
+            # that still holds the evader's path promises
+            assert any(leaf.mask & (1 << (k - 1)) and outcome.time <= leaf.latest + 1e-9
+                       for leaf in node.leaves())
 
 
 class TestRenderings:
