@@ -39,22 +39,19 @@ class SpeedSweep:
         return "\n".join(lines) + "\n"
 
 
-def _solve_at(network, schedule, paths, speed, strict_resolution, prune):
+def _solve_at(network, schedule, paths, speed, strict_resolution):
     metric = euclidean_metric(network, speed)
-    return solve(
-        network, schedule, metric, paths,
-        prune=prune, strict_resolution=strict_resolution, close_for_simulation=False,
-    )
+    return solve(network, schedule, metric, paths,
+                 strict_resolution=strict_resolution, close_for_simulation=False)
 
 
-def sweep(network, schedule, paths, grid, strict_resolution: bool = False,
-          prune: bool = True) -> SpeedSweep:
+def sweep(network, schedule, paths, grid, strict_resolution: bool = False) -> SpeedSweep:
     """One solve per speed in the (ascending) grid. Speeds that violate the
     pursuer-faster-than-evader requirement yield rows flagged invalid."""
     rows = []
     for speed in grid:
         try:
-            result = _solve_at(network, schedule, paths, speed, strict_resolution, prune)
+            result = _solve_at(network, schedule, paths, speed, strict_resolution)
         except MetricError:
             rows.append(SweepRow(speed=speed, latest=None, delay=None, move=None, valid=False))
             continue
@@ -83,7 +80,7 @@ def critical_speed(network, schedule, paths, v_lo: float, v_hi: float,
 
     def positive(speed: float) -> bool:
         try:
-            result = _solve_at(network, schedule, paths, speed, strict_resolution, prune=True)
+            result = _solve_at(network, schedule, paths, speed, strict_resolution)
         except MetricError:
             return False
         value = result.root_latest

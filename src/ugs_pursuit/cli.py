@@ -8,6 +8,7 @@ critical-speed, sweep. Exit status 0 on success, 2 on validation errors,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -42,6 +43,15 @@ def _load_json_file(path: str):
         raise PursuitError(f"{path}: {exc.strerror}") from None
 
 
+@contextlib.contextmanager
+def _parsing(source: str, shape: str):
+    """Report a value from ``source`` that is not ``shape`` as a PursuitError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise PursuitError(f"{source}: not {shape} ({type(exc).__name__}: {exc})") from None
+
+
 def _load_bundle(args):
     if args.network == "demo":
         raw = demo_raw()
@@ -60,11 +70,12 @@ def _load_bundle(args):
 def _load_metric(args, network):
     if args.metric is not None:
         data = _load_json_file(args.metric)
-        kind = data.get("kind", "table")
-        if kind == "euclidean":
-            return euclidean_metric(network, float(data["speed"]))
-        if kind == "table":
-            return table_metric(data["d"], network)
+        with _parsing(args.metric, "a metric description"):
+            kind = data.get("kind", "table")
+            if kind == "euclidean":
+                return euclidean_metric(network, float(data["speed"]))
+            if kind == "table":
+                return table_metric(data["d"], network)
         raise PursuitError(f"unknown metric kind {kind!r}")
     if args.speed is not None:
         return euclidean_metric(network, args.speed)
@@ -73,11 +84,7 @@ def _load_metric(args, network):
 
 def _solve(args, network, paths, schedule):
     metric = _load_metric(args, network)
-    result = solve(
-        network, schedule, metric, paths,
-        prune=not args.no_prune, strict_resolution=args.strict_resolution,
-    )
-    return metric, result
+    return metric, solve(network, schedule, metric, paths, strict_resolution=args.strict_resolution)
 
 
 def _emit(text: str) -> None:
@@ -154,7 +161,9 @@ def _cmd_tree(args) -> int:
 def _policy_or_solve(args, network, paths, schedule):
     if args.policy is None:
         return _solve(args, network, paths, schedule)
-    return _load_metric(args, network), SolveResult.from_json(_load_json_file(args.policy))
+    metric, data = _load_metric(args, network), _load_json_file(args.policy)
+    with _parsing(args.policy, "solved tables from 'solve --format json'"):
+        return metric, SolveResult.from_json(data)
 
 
 def _cmd_simulate(args) -> int:
@@ -209,9 +218,9 @@ def _cmd_critical_speed(args) -> int:
 
 def _cmd_sweep(args) -> int:
     network, paths, schedule = _load_bundle(args)
-    grid = [float(v) for v in args.grid.split(",")]
-    table = sweep(network, schedule, paths, grid,
-                  strict_resolution=args.strict_resolution, prune=not args.no_prune)
+    with _parsing(f"--grid {args.grid}", "comma-separated speeds"):
+        grid = [float(v) for v in args.grid.split(",")]
+    table = sweep(network, schedule, paths, grid, strict_resolution=args.strict_resolution)
     _emit(table.to_csv())
     return EXIT_OK
 
@@ -227,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--speed", type=float, default=None,
                         help="pursuer speed for the euclidean metric")
     shared.add_argument("--metric", default=None, help="metric JSON file")
-    shared.add_argument("--no-prune", action="store_true",
-                        help="solve over the full subset lattice")
     shared.add_argument("--strict-resolution", action="store_true",
                         help="split red reports by delay; green resolves at the last visit")
     shared.add_argument("--format", choices=("json", "csv", "dot", "text"), default="text")

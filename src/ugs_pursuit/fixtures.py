@@ -1,11 +1,12 @@
-"""Bundled demo network and the random layered-network generator used by
-tests and the CLI's random-instance mode.
+"""Bundled demo network and the random instances used by tests, the
+benchmark and the CLI's ``--network random``.
 
 The demo is a seven-node network with three exits and four evader paths.
 Its coordinates realize the edge lengths as straight-line distances (and
 put exits 6 and 7 exactly two distance units apart), so the euclidean
 pursuer metric is consistent with the road geometry and any pursuer speed
-above 1 satisfies the speed-advantage requirement.
+above 1 satisfies the speed-advantage requirement. The 50-instance
+corpus is ``random_instance`` seeds 1-50 with the default caps.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 
+from .errors import PathExplosion
 from .network import RoadNetwork, build_schedule, enumerate_paths, validate_network
 
 DEMO_COORDS = {
@@ -67,17 +69,15 @@ def speed_floor(network: RoadNetwork) -> float:
     return worst
 
 
-def random_layered_network(seed: int, layers: int | None = None,
-                           max_width: int = 3, widths=None) -> RoadNetwork:
+def random_layered_network(seed: int, widths=None) -> RoadNetwork:
     """Random layered DAG: single entry in layer 0, goals in the last layer,
     edges between adjacent layers only, edge times a 1.1x-2.0x stretch of
     the straight-line distance (so every standing assumption holds by
-    construction)."""
+    construction). ``widths`` fixes the node count per layer; by default
+    there are 3-6 layers of 1-3 nodes after the entry's."""
     rng = random.Random(seed)
     if widths is None:
-        if layers is None:
-            layers = rng.randint(3, 6)
-        widths = [1] + [rng.randint(1, max_width) for _ in range(layers - 1)]
+        widths = [1] + [rng.randint(1, 3) for _ in range(rng.randint(3, 6) - 1)]
     else:
         widths = list(widths)
         if widths[0] != 1:
@@ -123,16 +123,11 @@ def random_layered_network(seed: int, layers: int | None = None,
     return validate_network(raw)
 
 
-def random_instance(seed: int, n_max: int = 4, m_max: int = 8, n_min: int = 2,
-                    speed_margin: float = 1.1):
-    """(network, paths, schedule) with the path/node counts inside the given
-    caps, found by deterministic rejection sampling from ``seed``.
-
-    Pair with ``euclidean_metric(network, speed_margin * speed_floor(network))``
-    for a metric that is valid by construction.
+def random_instance(seed: int, n_max: int = 4, m_max: int = 8):
+    """(network, paths, schedule) with 2..``n_max`` paths and at most
+    ``m_max`` nodes, found by deterministic rejection sampling from ``seed``.
+    Any speed above ``speed_floor(network)`` gives a valid euclidean metric.
     """
-    from .errors import PathExplosion
-
     for attempt in range(10_000):
         network = random_layered_network(seed * 10_000 + attempt)
         if network.m > m_max:
@@ -141,7 +136,7 @@ def random_instance(seed: int, n_max: int = 4, m_max: int = 8, n_min: int = 2,
             paths = enumerate_paths(network, max_paths=n_max)
         except PathExplosion:
             continue
-        if not (n_min <= len(paths) <= n_max):
+        if len(paths) < 2:
             continue
         return network, paths, build_schedule(paths, network.m)
     raise RuntimeError(f"no instance within caps from seed {seed}")

@@ -118,15 +118,7 @@ class RealizableFamily:
     log: tuple[FamilyEvent, ...]
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self._lookup()
-
-    def _lookup(self) -> frozenset:
-        # tiny cache; frozen dataclass so stash via object.__setattr__
-        cached = getattr(self, "_members", None)
-        if cached is None:
-            cached = frozenset(self.sets)
-            object.__setattr__(self, "_members", cached)
-        return cached
+        return mask in self.sets
 
     def to_json(self) -> dict:
         return {

@@ -15,7 +15,9 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -33,6 +35,8 @@ from .errors import (
     UnreachableNode,
 )
 from .util import TIME_EPS, group_times, tlt
+
+VIOLATION_LIMIT = 5
 
 
 @dataclass(frozen=True)
@@ -145,20 +149,24 @@ def validate_network(raw: dict) -> RoadNetwork:
     childless set.
 
     Raises NetworkError subclasses on rejection: CycleDetected, EntryIsGoal,
-    UnreachableNode, NonPositiveEdgeTime, GoalMismatch.
+    UnreachableNode, NonPositiveEdgeTime, GoalMismatch; NetworkError itself
+    for a malformed description (not an object, or a node or edge record
+    with a missing or non-numeric field).
     """
+    if not isinstance(raw, dict):
+        raise NetworkError(f"a network description is a JSON object, not a {type(raw).__name__}")
     nodes = raw.get("nodes")
     if not nodes:
         raise NetworkError("network needs a non-empty 'nodes' list")
-    ids = sorted(node["id"] for node in nodes)
+    ids = [_field(node, "id", operator.index) for node in nodes]
     m = len(ids)
-    if ids != list(range(1, m + 1)):
-        raise NetworkError(f"node ids must be contiguous 1..{m}, got {ids}")
+    if sorted(ids) != list(range(1, m + 1)):
+        raise NetworkError(f"node ids must be contiguous 1..{m}, got {sorted(ids)}")
 
     coords: list[tuple[float, float] | None] = [None] * (m + 1)
-    for node in nodes:
-        if "x" in node and node.get("x") is not None:
-            coords[node["id"]] = (float(node["x"]), float(node["y"]))
+    for j, node in zip(ids, nodes):
+        if node.get("x") is not None:
+            coords[j] = (_field(node, "x", float), _field(node, "y", float))
 
     entry = int(raw.get("entry", 1))
     if entry != 1:
@@ -167,11 +175,11 @@ def validate_network(raw: dict) -> RoadNetwork:
     children: list[list[int]] = [[] for _ in range(m + 1)]
     edge_time: dict[tuple[int, int], float] = {}
     for edge in raw.get("edges", ()):
-        j, c = int(edge["from"]), int(edge["to"])
+        j, c = _field(edge, "from", int), _field(edge, "to", int)
         if not (1 <= j <= m and 1 <= c <= m):
             raise NetworkError(f"edge ({j},{c}) references an unknown node")
-        t = float(edge["time"])
-        if t <= 0.0:
+        t = _field(edge, "time", float)
+        if not t > 0.0:  # also rejects NaN
             raise NonPositiveEdgeTime(f"edge ({j},{c}) has travel time {t} <= 0")
         if (j, c) in edge_time:
             raise NetworkError(f"duplicate edge ({j},{c})")
@@ -180,7 +188,7 @@ def validate_network(raw: dict) -> RoadNetwork:
     for j in range(1, m + 1):
         children[j].sort()
 
-    _reject_cycles(m, children)
+    order = _topological_order(m, children)
 
     goals = frozenset(j for j in range(1, m + 1) if not children[j])
     if entry in goals:
@@ -191,10 +199,14 @@ def validate_network(raw: dict) -> RoadNetwork:
             f"declared goals {sorted(int(g) for g in declared)} != childless nodes {sorted(goals)}"
         )
 
-    reachable = _forward_reachable(entry, children)
-    reaches_goal = _reaches_goal(m, children, goals)
+    # Every node of an acyclic graph leads to a childless node, that is to a
+    # goal, so a node lies on an entry-to-goal path iff the entry reaches it.
+    reachable = {entry}
+    for j in order:
+        if j in reachable:
+            reachable.update(children[j])
     for j in range(1, m + 1):
-        if j not in reachable or j not in reaches_goal:
+        if j not in reachable:
             raise UnreachableNode(f"node {j} lies on no entry-to-goal path")
 
     return RoadNetwork(
@@ -207,48 +219,33 @@ def validate_network(raw: dict) -> RoadNetwork:
     )
 
 
-def _reject_cycles(m: int, children) -> None:
+def _field(record, key: str, kind):
+    """``kind(record[key])`` for a node or edge record of the input."""
+    try:
+        return kind(record[key])
+    except (KeyError, TypeError, ValueError):
+        raise NetworkError(f"{record!r}: {key!r} is missing or of the wrong type") from None
+
+
+def _topological_order(m: int, children) -> list[int]:
     # Kahn's algorithm; leftover nodes sit on a cycle.
     indeg = [0] * (m + 1)
     for j in range(1, m + 1):
         for c in children[j]:
             indeg[c] += 1
     queue = [j for j in range(1, m + 1) if indeg[j] == 0]
-    seen = 0
+    order = []
     while queue:
         j = queue.pop()
-        seen += 1
+        order.append(j)
         for c in children[j]:
             indeg[c] -= 1
             if indeg[c] == 0:
                 queue.append(c)
-    if seen != m:
+    if len(order) != m:
         cyclic = sorted(j for j in range(1, m + 1) if indeg[j] > 0)
         raise CycleDetected(f"edge relation is cyclic (nodes {cyclic})")
-
-
-def _forward_reachable(entry: int, children) -> set[int]:
-    seen = {entry}
-    stack = [entry]
-    while stack:
-        j = stack.pop()
-        for c in children[j]:
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return seen
-
-
-def _reaches_goal(m: int, children, goals) -> set[int]:
-    good = set(goals)
-    changed = True
-    while changed:
-        changed = False
-        for j in range(1, m + 1):
-            if j not in good and any(c in good for c in children[j]):
-                good.add(j)
-                changed = True
-    return good
+    return order
 
 
 def enumerate_paths(network: RoadNetwork, max_paths: int | None = None) -> tuple[EvaderPath, ...]:
@@ -338,42 +335,35 @@ def euclidean_metric(network: RoadNetwork, speed: float) -> PursuerMetric:
     return metric
 
 
-def metric_violations(metric: PursuerMetric, network: RoadNetwork, check_triangle: bool = True, limit: int = 5):
-    """Collect up to ``limit`` violations of the metric requirements.
+def metric_violations(metric: PursuerMetric, network: RoadNetwork, check_triangle: bool = True):
+    """The first ``VIOLATION_LIMIT`` violations of the metric requirements.
 
     Each entry is ``(kind, indices, detail)`` with kind one of
     ``diagonal``, ``triangle``, ``speed``.
     """
-    out = []
-    m = network.m
-    if metric.m != m:
-        raise MetricError(f"metric is {metric.m}x{metric.m} but the network has {m} nodes")
-    d = metric.d
-    for j in range(1, m + 1):
+    if metric.m != network.m:
+        raise MetricError(f"metric is {metric.m}x{metric.m} but the network has {network.m} nodes")
+    return list(itertools.islice(_violations(metric.d, network, check_triangle), VIOLATION_LIMIT))
+
+
+def _violations(d, network: RoadNetwork, check_triangle: bool):
+    nodes = range(1, network.m + 1)
+    for j in nodes:
         if d[j][j] != 0.0:
-            out.append(("diagonal", (j,), d[j][j]))
-            if len(out) >= limit:
-                return out
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
+            yield "diagonal", (j,), d[j][j]
+    for i in nodes:
+        for j in nodes:
             if d[i][j] < 0.0:
-                out.append(("diagonal", (i, j), d[i][j]))
-                if len(out) >= limit:
-                    return out
+                yield "diagonal", (i, j), d[i][j]
     if check_triangle:
-        for i in range(1, m + 1):
-            for s in range(1, m + 1):
-                for j in range(1, m + 1):
+        for i in nodes:
+            for s in nodes:
+                for j in nodes:
                     if d[i][j] > d[i][s] + d[s][j] + TIME_EPS:
-                        out.append(("triangle", (i, s, j), d[i][j] - d[i][s] - d[s][j]))
-                        if len(out) >= limit:
-                            return out
+                        yield "triangle", (i, s, j), d[i][j] - d[i][s] - d[s][j]
     for j, c, t in network.edges():
         if not tlt(d[j][c], t):
-            out.append(("speed", (j, c), d[j][c] - t))
-            if len(out) >= limit:
-                return out
-    return out
+            yield "speed", (j, c), d[j][c] - t
 
 
 def validate_metric(metric: PursuerMetric, network: RoadNetwork, check_triangle: bool = True) -> None:
@@ -398,9 +388,7 @@ def table_metric(rows, network: RoadNetwork) -> PursuerMetric:
     m = network.m
     if len(rows) != m or any(len(r) != m for r in rows):
         raise MetricError(f"metric table must be {m}x{m}")
-    d = [[0.0] * (m + 1)]
-    for r in rows:
-        d.append(tuple([0.0] + [float(v) for v in r]))
-    metric = PursuerMetric(d=tuple(tuple(row) if not isinstance(row, tuple) else row for row in d))
+    d = [(0.0,) * (m + 1)] + [(0.0, *(float(v) for v in r)) for r in rows]
+    metric = PursuerMetric(d=tuple(d))
     validate_metric(metric, network)
     return metric

@@ -68,11 +68,14 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
     """Play the solved policy from entry delay ``t0`` against evader path
     ``k`` and report capture or escape with a full observation transcript.
 
-    Raises PolicyHole when the walk reaches a (node, set) pair absent from
-    the tables and NonTermination if the decision-epoch budget is exceeded.
+    Raises SimulationError when ``k`` is outside ``1..n``, PolicyHole when
+    the walk reaches a (node, set) pair absent from the tables and
+    NonTermination if the decision-epoch budget is exceeded.
     """
     if t0 <= 0:
         raise SimulationError(f"initial delay must be positive, got {t0}")
+    if not 1 <= k <= schedule.n:
+        raise SimulationError(f"no evader path {k}: paths are numbered 1..{schedule.n}")
     strict = result.strict_resolution
     full = (1 << schedule.n) - 1
     exit_node, exit_time = _exit_of(network, schedule, k)
@@ -81,11 +84,11 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
     def my_visit(j: int) -> float:
         return schedule.times[j][k]
 
-    # First reading at the entry: the evader passed at time 0.
-    p, t = network.entry, t0
+    # First reading at the entry: every path passed it at time 0, so the
+    # red report keeps the whole set under either convention.
+    p, t, info = network.entry, t0, full
     if teq(t0, 0.0):
         return SimOutcome(True, t0, p, (TranscriptRow(t0, p, Observation.red(0.0), full),))
-    info = update_red(full, p, t, t0, schedule) if strict else (full & schedule.through[p])
     rows.append(TranscriptRow(t, p, Observation.red(t0), info))
 
     budget = max(schedule.n + schedule.m, 3 * schedule.n + 2)

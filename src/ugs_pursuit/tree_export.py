@@ -1,16 +1,17 @@
 """Materialized pursuer decision trees with DOT and JSON renderings.
 
 A tree expands the solved policy from a root (node, uncertainty set):
-capture moves and known-path states end in capture leaves; split moves
+capture moves end in capture leaves, one per red report; split moves
 branch once per red report (``information.red_reports``: one under the
 membership convention, one per visit-time class under strict resolution)
-and once on the green report. Every child set is a strict subset of its
-parent's, so depth never exceeds the path count.
+and once on the green report. A known path needs no case of its own: the
+solver stores every singleton row as a capture move at the path's exit,
+so it ends in the capture leaf there. Every child set is a strict subset
+of its parent's, so depth never exceeds the path count.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import PolicyHole
@@ -46,28 +47,19 @@ class TreeNode:
             yield from child.walk()
 
 
-def build_tree(result: SolveResult, schedule: VisitSchedule,
-               metric: PursuerMetric | None = None, root=None) -> TreeNode:
+def build_tree(result: SolveResult, schedule: VisitSchedule, metric: PursuerMetric,
+               root=None) -> TreeNode:
     """Expand the policy into a decision tree from ``root`` (default: the
     entry node with full uncertainty).
 
     ``metric`` is only used to confirm the tables were solved for it.
     Raises PolicyHole when the tables lack a reached (node, set) pair.
     """
-    if metric is not None and metric_digest(metric) != result.metric_digest:
+    if metric_digest(metric) != result.metric_digest:
         raise ValueError("metric does not match the one the tables were solved with")
     full = (1 << result.n) - 1
     if root is None:
         root = (1, full)
-
-    exits = {}
-    for k in range(1, schedule.n + 1):
-        best = None
-        for j in range(1, schedule.m + 1):
-            t = schedule.times[j][k]
-            if t < math.inf and (best is None or t > best[1]):
-                best = (j, t)
-        exits[k] = best
 
     def lookup(j, mask):
         try:
@@ -80,13 +72,6 @@ def build_tree(result: SolveResult, schedule: VisitSchedule,
         move = result.policy[(j, mask)]
         if move is None:
             raise PolicyHole(f"no guaranteed move for node {j}, set {indices_of(mask)}")
-        if mask & (mask - 1) == 0:  # known path: meet it at its exit
-            (k,) = indices_of(mask)
-            exit_node, exit_t = exits[k]
-            leaf = TreeNode(ugs=exit_node, mask=mask, latest=exit_t, kind="capture",
-                            resolve_t=exit_t)
-            return TreeNode(ugs=j, mask=mask, latest=latest, kind="decision",
-                            resolve_t=resolve_t, children={"red": leaf})
         reports = red_reports(mask, move, schedule, result.strict_resolution)
         if len(reports) == 1:
             labels = ("red",)

@@ -171,6 +171,36 @@ class TestErrors:
         assert code == EXIT_INVALID
         assert "cyclic" in err.lower()
 
+    @pytest.mark.parametrize("argv,named", [
+        (["paths", "--network", "net.json"], "'time'"),
+        (["paths", "--network", "no_id.json"], "'id'"),
+        (["paths", "--network", "slow.json"], "'time'"),
+        (["paths", "--network", "list.json"], "not a list"),
+        (["solve", "--network", "demo", "--metric", "no_speed.json"], "no_speed.json"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy", "net.json"],
+         "net.json"),
+        (["sweep", "--network", "demo", "--grid", "1.2,abc"], "1.2,abc"),
+        (["simulate", "--network", "demo", "--speed", "1.62", "--path", "9", "--t0", "1"], "1..4"),
+        (["simulate", "--network", "demo", "--speed", "1.62", "--path", "0", "--t0", "1"], "1..4"),
+    ], ids=["edge-without-time", "node-without-id", "non-numeric-time", "top-level-list",
+            "metric-without-speed", "policy-not-from-solve", "non-numeric-grid",
+            "path-above-range", "path-zero"])
+    def test_malformed_input_exit_code(self, capsys, tmp_path, monkeypatch, argv, named):
+        edge = {"from": 1, "to": 2, "time": 1.0}
+        files = {
+            "net.json": {"nodes": [{"id": 1}, {"id": 2}], "edges": [{"from": 1, "to": 2}]},
+            "no_id.json": {"nodes": [{"id": 1}, {"x": 0.0}], "edges": [edge]},
+            "slow.json": {"nodes": [{"id": 1}, {"id": 2}], "edges": [{**edge, "time": "slow"}]},
+            "list.json": [edge],
+            "no_speed.json": {"kind": "euclidean"},
+        }
+        for name, data in files.items():
+            (tmp_path / name).write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, argv)
+        assert code == EXIT_INVALID
+        assert err.startswith("error: ") and named in err
+
     def test_random_network_smoke(self, capsys):
         code, out, _ = run(capsys, ["paths", "--network", "random", "--seed", "3"])
         assert code == EXIT_OK

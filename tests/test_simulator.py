@@ -5,6 +5,7 @@ from ugs_pursuit import (
     InconsistentObservation,
     PolicyHole,
     PursuitError,
+    SimulationError,
     SolveResult,
     build_schedule,
     enumerate_paths,
@@ -99,6 +100,12 @@ class TestSimulate:
         network, _, schedule = demo
         with pytest.raises(Exception):
             simulate(network, schedule, demo_metric, demo_solved, 1, -1.0)
+
+    @pytest.mark.parametrize("k", [0, 9])
+    def test_rejects_path_outside_range(self, demo, demo_metric, demo_solved, k):
+        network, _, schedule = demo
+        with pytest.raises(SimulationError, match=r"numbered 1\.\.4"):
+            simulate(network, schedule, demo_metric, demo_solved, k, 1.0)
 
     def test_transcript_jsonl_shape(self, demo, demo_metric, demo_solved):
         network, _, schedule = demo

@@ -275,6 +275,27 @@ def relabelled(network, seed):
     })
 
 
+class TestKnownPathRows:
+    """Decision trees draw a known path through the general capture branch,
+    so every singleton row must be a capture move at the path's exit."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_singleton_rows_capture_at_exit(self, strict):
+        network = random_layered_network(85, widths=[1, 3, 3, 3, 3, 2])
+        paths = enumerate_paths(network)
+        schedule = build_schedule(paths, network.m)
+        layered = (network, paths, schedule, euclidean_metric(network, 1.1 * speed_floor(network)))
+        for network, paths, schedule, metric in [*corpus(), layered]:
+            result = solve(network, schedule, metric, paths, strict_resolution=strict)
+            for tables in (result, SolveResult.from_json(result.to_json())):
+                for p in paths:
+                    mask = 1 << (p.index - 1)
+                    for j in range(1, network.m + 1):
+                        assert tables.policy[(j, mask)] == p.exit
+                        assert tables.capture_move[(j, mask)] is True
+                        assert tables.latest[(j, mask)] == base_case(j, p.index, schedule, metric, paths)
+
+
 class TestScoringKernel:
     @pytest.mark.parametrize("strict", [False, True])
     def test_rows_match_reference_on_corpus(self, strict):

@@ -145,8 +145,8 @@ class TestStrictRedReports:
         _, schedule, _, result, tree = strict_tree(seed, widths)
         several = 0
         for node in tree.walk():
-            if node.kind == "capture" or node.mask & (node.mask - 1) == 0:
-                continue  # leaves, and known paths met at their exit
+            if node.kind == "capture":
+                continue
             move = result.policy[(node.ugs, node.mask)]
             reports = red_reports(node.mask, move, schedule, True)
             reds = [(label, child) for label, child in node.children.items() if label != "green"]
