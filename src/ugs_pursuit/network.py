@@ -150,13 +150,15 @@ def validate_network(raw: dict) -> RoadNetwork:
 
     Raises NetworkError subclasses on rejection: CycleDetected, EntryIsGoal,
     UnreachableNode, NonPositiveEdgeTime, GoalMismatch; NetworkError itself
-    for a malformed description (not an object, or a node or edge record
-    with a missing or non-numeric field).
+    for a malformed description: not an object, ``nodes``, ``edges`` or
+    ``goals`` not a list, a node or edge record with a missing or
+    non-numeric field, or an entry, goal, node id or edge endpoint that is
+    not an integer.
     """
     if not isinstance(raw, dict):
         raise NetworkError(f"a network description is a JSON object, not a {type(raw).__name__}")
     nodes = raw.get("nodes")
-    if not nodes:
+    if not nodes or not isinstance(nodes, list):
         raise NetworkError("network needs a non-empty 'nodes' list")
     ids = [_field(node, "id", operator.index) for node in nodes]
     m = len(ids)
@@ -168,14 +170,17 @@ def validate_network(raw: dict) -> RoadNetwork:
         if node.get("x") is not None:
             coords[j] = (_field(node, "x", float), _field(node, "y", float))
 
-    entry = int(raw.get("entry", 1))
+    entry = _field({"entry": raw.get("entry", 1)}, "entry", operator.index)
     if entry != 1:
         raise NetworkError("the entry node must be node 1 (relabel the input)")
 
     children: list[list[int]] = [[] for _ in range(m + 1)]
     edge_time: dict[tuple[int, int], float] = {}
-    for edge in raw.get("edges", ()):
-        j, c = _field(edge, "from", int), _field(edge, "to", int)
+    edges = raw.get("edges", [])
+    if not isinstance(edges, list):
+        raise NetworkError(f"'edges' must be a list of edge records, not a {type(edges).__name__}")
+    for edge in edges:
+        j, c = _field(edge, "from", operator.index), _field(edge, "to", operator.index)
         if not (1 <= j <= m and 1 <= c <= m):
             raise NetworkError(f"edge ({j},{c}) references an unknown node")
         t = _field(edge, "time", float)
@@ -194,10 +199,12 @@ def validate_network(raw: dict) -> RoadNetwork:
     if entry in goals:
         raise EntryIsGoal("the entry node has no outgoing edge")
     declared = raw.get("goals")
-    if declared is not None and frozenset(int(g) for g in declared) != goals:
-        raise GoalMismatch(
-            f"declared goals {sorted(int(g) for g in declared)} != childless nodes {sorted(goals)}"
-        )
+    if declared is not None:
+        if not isinstance(declared, list):
+            raise NetworkError(f"'goals' must be a list of node ids, not a {type(declared).__name__}")
+        declared = frozenset(_field({"goals": g}, "goals", operator.index) for g in declared)
+        if declared != goals:
+            raise GoalMismatch(f"declared goals {sorted(declared)} != childless nodes {sorted(goals)}")
 
     # Every node of an acyclic graph leads to a childless node, that is to a
     # goal, so a node lies on an entry-to-goal path iff the entry reaches it.

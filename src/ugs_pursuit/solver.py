@@ -22,8 +22,22 @@ is the worst value over the green part and every red report.
 
 Values for a fixed set do not depend on the pursuer's node except through
 the final travel-time subtraction, so candidates are evaluated once per set
-and the rows of every node are filled together. Every recursive call is on
-a strict subset, so the recursion depth is bounded by the path count.
+and the rows of every node are filled together. A split at ``u`` leaves
+parts whose paths all pass ``u`` or none do, so no set below it splits at
+``u`` again: a chain of nested set evaluations splits at distinct nodes,
+and the recursion is at most ``m + 1`` evaluations deep. A solve that still
+runs into Python's recursion limit raises PursuitError naming ``m``.
+
+Knowing the evader's path never hurts the pursuer, so a set's value at
+``u`` is at most the smallest known-path value at ``u`` of its paths:
+D(u|G) <= min over k in G of D(u|{k}), plus ``TIME_EPS`` slack that
+``known_path_margin(m)`` bounds. A split at ``u`` needs D(u|green) to reach
+the last red report, so when some green path's known-path value falls below
+that time by more than the margin, the split is dropped without solving the
+green part. The margin only drops splits the admissibility test would
+reject anyway, so every computed row is the same as with the full
+recursion; only fewer sets are computed. ``candidate_moves`` does not use
+the bound and still reads every split.
 
 Scoring order: a set's candidates are listed capture moves first, then
 split moves, each group by node id; nodes no path in the set passes are
@@ -40,10 +54,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .errors import MissingSubset
+from .errors import MissingSubset, PursuitError
 # bench/tracing.py wraps this name to time the realizable-family sweep
 from .information import partition, realizable_sets, red_reports  # noqa: F401
 from .network import PursuerMetric, VisitSchedule, indices_of, mask_from
@@ -148,13 +164,40 @@ def metric_digest(metric: PursuerMetric) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _candidates(mask: int, value, schedule: VisitSchedule, strict: bool):
+def known_path_margin(m: int) -> float:
+    """How far a set's value may exceed its known-path bound, plus the
+    tolerance of the split admissibility test, on an ``m``-node network."""
+    # The bound D(u|G) <= min_{k in G} D(u|{k}) + s(G), by induction over
+    # the recursion, where s(G) is slack from TIME_EPS comparisons:
+    # * a singleton is its own bound: s = 0;
+    # * a capture at v scores at most t_v(k) - d[u][v] for every k in G.
+    #   Metric validation makes each edge of path k faster for the pursuer
+    #   than for the evader by more than TIME_EPS, which pays for the
+    #   TIME_EPS a triangle-checked table may lose per hop (a euclidean
+    #   table loses none), so d[u][exit_k] <= d[u][v] + L_k - t_v(k) and
+    #   the score is at most D(u|{k}): s = 0;
+    # * a split at v scores at most D(v|part) - d[u][v] for the part that
+    #   holds k, and d[u][exit_k] <= d[u][v] + d[v][exit_k] + TIME_EPS, so
+    #   s grows by at most TIME_EPS per split level;
+    # * the best score near-ties resolve to is some candidate's score.
+    # Nested splits use distinct nodes, so s <= m * TIME_EPS. The parent
+    # split is rejected when D(u|green) < t - TIME_EPS, hence whenever a
+    # green known-path value is below t - (m + 1) * TIME_EPS. Doubling that
+    # leaves TIME_EPS per level for the rounding of the float arithmetic.
+    return 2 * (m + 1) * TIME_EPS
+
+
+def _candidates(mask: int, value, schedule: VisitSchedule, strict: bool, known=None):
     """Admissible moves for a set, as (node, exit-time-at-node, kind),
     ordered capture moves first then by node id (the tie-break order).
 
     ``value(u, sub)`` returns the latest exit time from ``u`` holding the
     strict subset ``sub``. Sets are read green first, then the red reports
-    in time order.
+    in time order. ``known``, when given, holds per node the known-path
+    values plus ``known_path_margin`` in ascending order, beside the
+    prefix-ORs of their path bits (see ``_Solver``); a split whose green
+    part holds a path below the last red report's time is dropped without
+    reading the green part.
     """
     captures, splits = [], []
     through = schedule.through
@@ -166,6 +209,10 @@ def _candidates(mask: int, value, schedule: VisitSchedule, strict: bool):
         if green == 0:
             captures.append((u, reports[0][0], CAPTURE))
             continue
+        if known is not None:
+            ceilings, below = known[u]
+            if below[bisect_left(ceilings, reports[-1][0])] & green:
+                continue
         worst = value(u, green)
         if worst is None or tlt(worst, reports[-1][0]):
             continue
@@ -190,8 +237,19 @@ class _Table(dict):
         j, mask = key
         if not (1 <= j <= self.solver.schedule.m and 0 < mask <= self.solver.full):
             raise KeyError(key)
-        self.solver.ensure(mask)
+        try:
+            self.solver.ensure(mask)
+        except RecursionError:
+            raise _too_deep(self.solver.schedule.m) from None
         return dict.__getitem__(self, key)
+
+
+def _too_deep(m: int) -> PursuitError:
+    return PursuitError(
+        f"solving this network (m = {m} nodes) nests up to m + 1 = {m + 1} set evaluations, "
+        f"too deep for Python's recursion limit of {sys.getrecursionlimit()}; "
+        "raise it with sys.setrecursionlimit"
+    )
 
 
 class _Solver:
@@ -202,6 +260,10 @@ class _Solver:
     Each table holds the solver so that a read can fill it; the solver holds
     the tables only weakly. With no reference cycle, a dropped result is
     freed at once, and a table kept on its own still fills on read.
+
+    ``known[u]`` is the known-path bound at node ``u`` for ``_candidates``:
+    the singleton values at ``u`` plus ``known_path_margin``, ascending, and
+    ``below`` where ``below[i]`` holds the path bits of the first ``i``.
     """
 
     def __init__(self, schedule, metric, paths, strict_resolution, tables):
@@ -218,6 +280,15 @@ class _Solver:
             latest = [base_case(j, k, schedule, metric, paths) for j in self.nodes]
             self.store(1 << (k - 1), latest, [paths[k - 1].exit] * schedule.m,
                        [True] * schedule.m)
+        margin = known_path_margin(schedule.m)
+        singletons = [1 << (k - 1) for k in range(1, schedule.n + 1)]
+        self.known = [None]
+        for j in self.nodes:
+            ceilings, below = [], [0]
+            for value, bit in sorted((self.rows[bit][0][j - 1], bit) for bit in singletons):
+                ceilings.append(value + margin)
+                below.append(below[-1] | bit)
+            self.known.append((ceilings, below))
 
     def store(self, mask: int, *row):
         self.rows[mask] = row
@@ -239,7 +310,7 @@ class _Solver:
         row = self.rows.get(mask)
         if row is not None:
             return row
-        candidates = _candidates(mask, self.value, self.schedule, self.strict)
+        candidates = _candidates(mask, self.value, self.schedule, self.strict, self.known)
         d = self.metric.d
         latest, policy, capture = [], [], []
         for j in self.nodes:
@@ -321,14 +392,17 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
     when the returned tables are read.
     """
     latest, policy, capture_move = _Table(), _Table(), _Table()
-    worker = _Solver(schedule, metric, paths, strict_resolution, (latest, policy, capture_move))
-    if not prune:
-        for mask in full_lattice(schedule.n):
-            worker.ensure(mask)
-    prefilled = len(worker.rows)
-    worker.ensure(worker.full)
-    if close_for_simulation:
-        worker.walk_policy((network.entry, worker.full))
+    try:
+        worker = _Solver(schedule, metric, paths, strict_resolution, (latest, policy, capture_move))
+        if not prune:
+            for mask in full_lattice(schedule.n):
+                worker.ensure(mask)
+        prefilled = len(worker.rows)
+        worker.ensure(worker.full)
+        if close_for_simulation:
+            worker.walk_policy((network.entry, worker.full))
+    except RecursionError:
+        raise _too_deep(schedule.m) from None
 
     return SolveResult(
         n=schedule.n,

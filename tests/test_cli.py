@@ -182,17 +182,29 @@ class TestErrors:
         (["sweep", "--network", "demo", "--grid", "1.2,abc"], "1.2,abc"),
         (["simulate", "--network", "demo", "--speed", "1.62", "--path", "9", "--t0", "1"], "1..4"),
         (["simulate", "--network", "demo", "--speed", "1.62", "--path", "0", "--t0", "1"], "1..4"),
+        (["paths", "--network", "entry.json"], "'entry'"),
+        (["paths", "--network", "goals.json"], "'goals'"),
+        (["paths", "--network", "edges.json"], "'edges'"),
+        (["paths", "--network", "fractional_to.json"], "'to'"),
+        (["paths", "--network", "nodes.json"], "'nodes'"),
     ], ids=["edge-without-time", "node-without-id", "non-numeric-time", "top-level-list",
             "metric-without-speed", "policy-not-from-solve", "non-numeric-grid",
-            "path-above-range", "path-zero"])
+            "path-above-range", "path-zero", "non-integer-entry", "non-integer-goal",
+            "edges-not-a-list", "fractional-endpoint", "nodes-not-a-list"])
     def test_malformed_input_exit_code(self, capsys, tmp_path, monkeypatch, argv, named):
         edge = {"from": 1, "to": 2, "time": 1.0}
+        two = [{"id": 1}, {"id": 2}]
         files = {
-            "net.json": {"nodes": [{"id": 1}, {"id": 2}], "edges": [{"from": 1, "to": 2}]},
+            "net.json": {"nodes": two, "edges": [{"from": 1, "to": 2}]},
             "no_id.json": {"nodes": [{"id": 1}, {"x": 0.0}], "edges": [edge]},
-            "slow.json": {"nodes": [{"id": 1}, {"id": 2}], "edges": [{**edge, "time": "slow"}]},
+            "slow.json": {"nodes": two, "edges": [{**edge, "time": "slow"}]},
             "list.json": [edge],
             "no_speed.json": {"kind": "euclidean"},
+            "entry.json": {"nodes": two, "edges": [edge], "entry": "abc"},
+            "goals.json": {"nodes": two, "edges": [edge], "goals": ["x"]},
+            "edges.json": {"nodes": two, "edges": 5},
+            "fractional_to.json": {"nodes": two, "edges": [{**edge, "to": 2.7}]},
+            "nodes.json": {"nodes": 5, "edges": [edge]},
         }
         for name, data in files.items():
             (tmp_path / name).write_text(json.dumps(data))

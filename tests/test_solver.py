@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from ugs_pursuit import (
     MissingSubset,
+    PursuitError,
     SolveResult,
     base_case,
     build_schedule,
@@ -14,9 +16,11 @@ from ugs_pursuit import (
     realizable_sets,
     solve,
     validate_network,
+    verify_guarantee,
 )
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
-from ugs_pursuit.solver import CAPTURE, SPLIT
+from ugs_pursuit.network import indices_of, iter_indices
+from ugs_pursuit.solver import CAPTURE, SPLIT, _Solver, known_path_margin
 from ugs_pursuit.util import TIME_EPS
 
 from conftest import mask_of
@@ -261,6 +265,20 @@ def corpus():
         yield network, paths, schedule, euclidean_metric(network, 1.1 * speed_floor(network))
 
 
+def layered(seed, factor, **kwargs):
+    """(network, paths, schedule, metric) for a layered instance at
+    ``factor`` times its speed floor."""
+    network = random_layered_network(seed, **kwargs)
+    paths = enumerate_paths(network)
+    schedule = build_schedule(paths, network.m)
+    return network, paths, schedule, euclidean_metric(network, factor * speed_floor(network))
+
+
+L85 = dict(seed=85, widths=[1, 3, 3, 3, 3, 2])  # n=10 paths, m=15 nodes
+L36 = dict(seed=5)  # n=36 paths, m=12 nodes
+L288 = dict(seed=7, widths=[1, 4, 4, 4, 4, 3])  # n=288 paths, m=20 nodes
+
+
 def relabelled(network, seed):
     """The same network with node ids 2..m shuffled; the entry stays 1."""
     others = list(range(2, network.m + 1))
@@ -281,11 +299,7 @@ class TestKnownPathRows:
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_singleton_rows_capture_at_exit(self, strict):
-        network = random_layered_network(85, widths=[1, 3, 3, 3, 3, 2])
-        paths = enumerate_paths(network)
-        schedule = build_schedule(paths, network.m)
-        layered = (network, paths, schedule, euclidean_metric(network, 1.1 * speed_floor(network)))
-        for network, paths, schedule, metric in [*corpus(), layered]:
+        for network, paths, schedule, metric in [*corpus(), layered(factor=1.1, **L85)]:
             result = solve(network, schedule, metric, paths, strict_resolution=strict)
             for tables in (result, SolveResult.from_json(result.to_json())):
                 for p in paths:
@@ -305,10 +319,7 @@ class TestScoringKernel:
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_full_lattice_matches_reference(self, strict):
-        network = random_layered_network(85, widths=[1, 3, 3, 3, 3, 2])
-        paths = enumerate_paths(network)
-        schedule = build_schedule(paths, network.m)
-        metric = euclidean_metric(network, 1.1 * speed_floor(network))
+        network, paths, schedule, metric = layered(factor=1.1, **L85)
         result = solve(network, schedule, metric, paths, prune=False, strict_resolution=strict)
         assert_kernel_matches_reference(result, schedule, metric)
 
@@ -325,3 +336,127 @@ class TestScoringKernel:
                 value = solve(other, other_schedule, other_metric, other_paths,
                               strict_resolution=strict).root_latest
                 assert value == pytest.approx(root, abs=1e-9)
+
+
+def unbounded_lattice(paths, schedule, metric, strict):
+    """Every set's rows, bottom-up over the full lattice, from the exhaustive
+    candidate list: no split is dropped before its green part is solved."""
+    memo, rows = {}, {}
+    for mask in full_lattice(schedule.n):
+        if mask & (mask - 1):
+            row = reference_rows(mask, memo, schedule, metric, strict)
+        else:
+            k = mask.bit_length()
+            row = [(base_case(j, k, schedule, metric, paths), paths[k - 1].exit, True)
+                   for j in range(1, schedule.m + 1)]
+        for j, cell in enumerate(row, start=1):
+            memo[(j, mask)] = cell[0]
+            rows[(j, mask)] = cell
+    return rows
+
+
+class TestKnownPathBound:
+    """A set's value never exceeds its best-informed path's known-path value
+    by more than the margin, so dropping splits by that bound changes no
+    computed row."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_every_cell_within_bound(self, strict):
+        for network, paths, schedule, metric in [*corpus(), layered(factor=1.1, **L85)]:
+            margin = known_path_margin(network.m)
+            lattice = solve(network, schedule, metric, paths, prune=False, strict_resolution=strict)
+            for (j, mask), value in lattice.latest.items():
+                if value is None:
+                    continue
+                bound = min(base_case(j, k, schedule, metric, paths) for k in iter_indices(mask))
+                assert value <= bound + margin, (j, indices_of(mask))
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_computed_rows_equal_unbounded_rows(self, strict):
+        for network, paths, schedule, metric in [*corpus(), layered(factor=1.1, **L85)]:
+            expected = unbounded_lattice(paths, schedule, metric, strict)
+            lattice = solve(network, schedule, metric, paths, prune=False, strict_resolution=strict)
+            lazy = solve(network, schedule, metric, paths, strict_resolution=strict)
+            assert lattice.latest.keys() == expected.keys()
+            for result in (lattice, lazy):
+                for key in list(result.latest):
+                    got = (result.latest[key], result.policy[key], result.capture_move[key])
+                    assert got == expected[key], key
+
+
+class TestScaleLadder:
+    """L288: n=288 paths, m=20 nodes, solved under strict resolution."""
+
+    def test_root_values_and_playback(self):
+        network, paths, schedule, metric = layered(factor=1.1, **L288)
+        assert solve(network, schedule, metric, paths, strict_resolution=True).root_latest == 0.0
+        network, paths, schedule, metric = layered(factor=2.0, **L288)
+        result = solve(network, schedule, metric, paths, strict_resolution=True)
+        assert result.root_latest == pytest.approx(6.946649811879957, abs=1e-9)
+        report = verify_guarantee(network, schedule, metric, result, result.tolerable_delay)
+        assert report.all_captured
+        assert len(report.outcomes) == 288
+
+
+def ensure_depth(monkeypatch):
+    """Patch ``_Solver.ensure`` to record how deeply set evaluations nest;
+    returns the record, whose ``"max"`` holds the deepest level seen."""
+    record = {"now": 0, "max": 0}
+    original = _Solver.ensure
+
+    def counted(self, mask):
+        record["now"] += 1
+        record["max"] = max(record["max"], record["now"])
+        try:
+            return original(self, mask)
+        finally:
+            record["now"] -= 1
+
+    monkeypatch.setattr(_Solver, "ensure", counted)
+    return record
+
+
+def failure_with_few_frames(call):
+    """The message of the PursuitError that ``call()`` raises when only a
+    few more nested calls fit under the recursion limit; None if it returns."""
+    def down(depth):
+        try:
+            return down(depth + 1)
+        except RecursionError:
+            return depth
+
+    limit = sys.getrecursionlimit()
+    try:
+        # room for a few calls, not for nested set evaluations
+        sys.setrecursionlimit(limit - down(0) + 6)
+        call()
+    except PursuitError as exc:
+        return str(exc)
+    finally:
+        sys.setrecursionlimit(limit)
+    return None
+
+
+class TestRecursionDepth:
+    @pytest.mark.parametrize("instance,factor,strict", [
+        (L36, 1.1, False), (L36, 1.1, True), (L36, 2.0, True),
+        (L288, 1.1, False), (L288, 2.0, True),
+    ], ids=["L36x1.1-default", "L36x1.1-strict", "L36x2-strict", "L288x1.1-default",
+            "L288x2-strict"])
+    def test_at_most_m_plus_one_levels(self, monkeypatch, instance, factor, strict):
+        network, paths, schedule, metric = layered(factor=factor, **instance)
+        record = ensure_depth(monkeypatch)
+        solve(network, schedule, metric, paths, strict_resolution=strict)
+        assert 1 < record["max"] <= network.m + 1
+
+    def test_recursion_limit_raises_pursuit_error(self):
+        network, paths, schedule, metric = layered(factor=1.1, **L36)
+        lazy = solve(network, schedule, metric, paths, strict_resolution=True,
+                     close_for_simulation=False)
+        unread = (1, lazy.root_mask & ~1)
+        assert unread not in lazy.latest
+        for call in (lambda: solve(network, schedule, metric, paths, strict_resolution=True),
+                     lambda: lazy.latest[unread]):
+            assert "m = 12 nodes" in (failure_with_few_frames(call) or "")
+        fresh = solve(network, schedule, metric, paths, strict_resolution=True)
+        assert lazy.latest[unread] == fresh.latest[unread]
