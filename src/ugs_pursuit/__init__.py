@@ -36,6 +36,7 @@ from .information import (
     FamilyEvent,
     Observation,
     RealizableFamily,
+    observe,
     partition,
     realizable_sets,
     red_reports,

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InconsistentObservation
-from .network import VisitSchedule, indices_of, iter_indices
-from .util import teq, tlt
+from .network import VisitSchedule, indices_of, iter_indices, mask_from
+from .util import teq, tle, tlt
 
 GREEN = -1.0
 
@@ -46,10 +46,7 @@ def update_red(mask: int, u: int, t_plus: float, delay: float, schedule: VisitSc
     Raises InconsistentObservation when no retained path remains.
     """
     passage = t_plus - delay
-    out = 0
-    for k in iter_indices(mask):
-        if teq(schedule.times[u][k], passage):
-            out |= 1 << (k - 1)
+    out = mask_from(k for k in iter_indices(mask) if teq(schedule.times[u][k], passage))
     if out == 0:
         raise InconsistentObservation(
             f"red at node {u}, passage time {passage:.9g} matches no path in {indices_of(mask)}"
@@ -59,12 +56,8 @@ def update_red(mask: int, u: int, t_plus: float, delay: float, schedule: VisitSc
 
 def update_green(mask: int, u: int, t_plus: float, schedule: VisitSchedule) -> int:
     """Keep the paths that have not yet visited node ``u`` at ``t_plus``
-    (strictly later visit, or no visit at all)."""
-    out = 0
-    for k in iter_indices(mask):
-        # paths avoiding u have an infinite visit time and always stay
-        if tlt(t_plus, schedule.times[u][k]):
-            out |= 1 << (k - 1)
+    (a strictly later visit, or none: a path avoiding ``u`` visits at inf)."""
+    out = mask_from(k for k in iter_indices(mask) if tlt(t_plus, schedule.times[u][k]))
     if out == 0:
         raise InconsistentObservation(
             f"green at node {u}, time {t_plus:.9g} excludes every path in {indices_of(mask)}"
@@ -96,6 +89,46 @@ def red_reports(mask: int, u: int, schedule: VisitSchedule, strict: bool) -> tup
                 return ((t, mask & schedule.through[u]),)
             reports.append((t, cls))
     return tuple(reports)
+
+
+@dataclass(frozen=True)
+class TranscriptRow:
+    t: float
+    node: int
+    obs: Observation
+    info: int
+
+    def to_json(self) -> dict:
+        obs = "green" if not self.obs.is_red else {"red": self.obs.delay}
+        return {"t": self.t, "node": self.node, "obs": obs, "set": list(indices_of(self.info))}
+
+
+def observe(mask: int, u: int, t: float, visit: float, schedule: VisitSchedule, strict: bool,
+            since: float | None = None) -> TranscriptRow | None:
+    """Read sensor ``u`` at time ``t`` holding ``mask``, the evader passing
+    ``u`` at ``visit`` (inf: never); None means a capture at ``visit``.
+    Arriving, catch a passage right then, read red for an earlier one and
+    keep its visit-time class (strict) or all paths through ``u``, else read
+    green and keep the paths still to come; but a membership-convention
+    green on a set ``u`` splits waits for the set's earliest visit, catching
+    a passage meanwhile, and keeps the paths avoiding ``u``. A wait step
+    from the reading at ``since`` catches a passage after it and by ``t``,
+    else reads green. Raises InconsistentObservation if no path is left."""
+    if since is None:
+        if teq(visit, t):
+            return None
+        if tlt(visit, t):
+            kept = update_red(mask, u, t, t - visit, schedule) if strict else mask & schedule.through[u]
+            if kept == 0:
+                raise InconsistentObservation(f"red at node {u} contradicts the tracked set entirely")
+            return TranscriptRow(t, u, Observation.red(t - visit), kept)
+        red, green = partition(mask, u, schedule)
+        if not (strict or red in (0, mask)):
+            end = max(t, red_reports(mask, u, schedule, False)[0][0])
+            return None if tle(visit, end) else TranscriptRow(end, u, Observation.green(), green)
+    elif tlt(since, visit) and tle(visit, t):
+        return None
+    return TranscriptRow(t, u, Observation.green(), update_green(mask, u, t, schedule))
 
 
 @dataclass(frozen=True)

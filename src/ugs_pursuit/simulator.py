@@ -4,8 +4,8 @@ independent exhaustive oracle for small instances.
 The simulator drives the real clock: the pursuer moves between sensors,
 reads them on arrival, waits when the policy says so, and captures when it
 is collocated with the evader at a sensor (synchronous arrival counts; the
-presence interval is closed). Observations update the pursuer's uncertainty
-set under the same resolution convention the policy was solved with.
+presence interval is closed). Every reading after the entry's, on arrival
+or after a wait, is ``information.observe`` under the policy's convention.
 
 The oracle never consults solved tables. It decides, by exhaustive search
 over pursuer strategies with exact outcome enumeration at each visited
@@ -20,26 +20,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import CapExceeded, InconsistentObservation, NonTermination, PolicyHole, SimulationError
-from .information import Observation, partition, red_reports, update_green, update_red
+from .errors import CapExceeded, NonTermination, PolicyHole, SimulationError
+from .information import Observation, TranscriptRow, observe
 from .network import PursuerMetric, RoadNetwork, VisitSchedule, indices_of
 from .solver import SolveResult
 from .util import teq, tle, tlt
 
 ORACLE_PATH_CAP = 6
 ORACLE_NODE_CAP = 10
-
-
-@dataclass(frozen=True)
-class TranscriptRow:
-    t: float
-    node: int
-    obs: Observation
-    info: int
-
-    def to_json(self) -> dict:
-        obs = "green" if not self.obs.is_red else {"red": self.obs.delay}
-        return {"t": self.t, "node": self.node, "obs": obs, "set": list(indices_of(self.info))}
 
 
 @dataclass(frozen=True)
@@ -77,18 +65,14 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
     if not 1 <= k <= schedule.n:
         raise SimulationError(f"no evader path {k}: paths are numbered 1..{schedule.n}")
     strict = result.strict_resolution
-    full = (1 << schedule.n) - 1
     exit_node, exit_time = _exit_of(network, schedule, k)
     rows: list[TranscriptRow] = []
 
-    def my_visit(j: int) -> float:
-        return schedule.times[j][k]
-
     # First reading at the entry: every path passed it at time 0, so the
     # red report keeps the whole set under either convention.
-    p, t, info = network.entry, t0, full
+    p, t, info = network.entry, t0, (1 << schedule.n) - 1
     if teq(t0, 0.0):
-        return SimOutcome(True, t0, p, (TranscriptRow(t0, p, Observation.red(0.0), full),))
+        return SimOutcome(True, t0, p, (TranscriptRow(t0, p, Observation.red(0.0), info),))
     rows.append(TranscriptRow(t, p, Observation.red(t0), info))
 
     budget = max(schedule.n + schedule.m, 3 * schedule.n + 2)
@@ -102,50 +86,18 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
         if move is None:
             raise PolicyHole(f"no guaranteed move recorded for node {p}, set {indices_of(info)}")
 
-        if move == p:
-            upcoming = [
-                tau for tau, group in schedule.groups[p]
-                if group & info and tlt(t, tau)
-            ]
+        if move == p:  # wait for the set's next visit here
+            upcoming = [tau for tau, group in schedule.groups[p] if group & info and tlt(t, tau)]
             if not upcoming:
                 raise SimulationError(f"policy waits at node {p} with no upcoming visits")
-            t_next = min(upcoming)
-            if tlt(t, my_visit(p)) and tle(my_visit(p), t_next):
-                return SimOutcome(True, my_visit(p), p, tuple(rows))
-            info = update_green(info, p, t_next, schedule)
-            t = t_next
-            rows.append(TranscriptRow(t, p, Observation.green(), info))
-            continue
-
-        arrival = t + metric.time(p, move)
-        p, t = move, arrival
-        tau = my_visit(p)
-        if teq(tau, arrival):
-            return SimOutcome(True, tau, p, tuple(rows))
-        if tlt(arrival, tau):  # evader still inbound here, or never comes: green
-            red_part, green_part = partition(info, p, schedule)
-            if not strict and red_part and red_part != info:
-                # membership-only convention: the visit question is treated
-                # as settled at the earliest scheduled visit
-                window_end = max(arrival, red_reports(info, p, schedule, False)[0][0])
-                if tle(tau, window_end):
-                    return SimOutcome(True, tau, p, tuple(rows))
-                info = green_part
-                t = window_end
-            else:
-                info = update_green(info, p, arrival, schedule)
-            rows.append(TranscriptRow(t, p, Observation.green(), info))
-        else:  # the evader already passed: red with a measurable delay
-            delay = arrival - tau
-            if strict:
-                info = update_red(info, p, arrival, delay, schedule)
-            else:
-                info = info & schedule.through[p]
-                if info == 0:
-                    raise InconsistentObservation(
-                        f"red at node {p} contradicts the tracked set entirely"
-                    )
-            rows.append(TranscriptRow(t, p, Observation.red(delay), info))
+            reading = observe(info, p, upcoming[0], schedule.times[p][k], schedule, strict, since=t)
+        else:
+            p, t = move, t + metric.time(p, move)
+            reading = observe(info, p, t, schedule.times[p][k], schedule, strict)
+        if reading is None:
+            return SimOutcome(True, schedule.times[p][k], p, tuple(rows))
+        rows.append(reading)
+        t, info = reading.t, reading.info
 
     raise NonTermination(f"no terminal outcome within {budget} decision epochs")
 

@@ -47,7 +47,8 @@ keeps the first candidate in that order whose score beats the best so far
 by more than ``TIME_EPS``: a near-tie goes to the earlier candidate.
 
 A solved result's tables fill on read: looking up a row of a set the solve
-has not computed yet computes that set first.
+has not computed yet computes that set first. The simulation closure adds
+every set playback (``information.observe``) or the decision tree can read.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .errors import MissingSubset, PursuitError
+from .errors import InconsistentObservation, MissingSubset, PursuitError
 # bench/tracing.py wraps this name to time the realizable-family sweep
-from .information import partition, realizable_sets, red_reports  # noqa: F401
+from .information import observe, realizable_sets, red_reports  # noqa: F401
 from .network import PursuerMetric, VisitSchedule, indices_of, mask_from
 from .util import TIME_EPS, tlt
 
@@ -326,28 +327,38 @@ class _Solver:
         return self.store(mask, latest, policy, capture)
 
     def successors(self, mask: int, u: int):
-        """Every set a pursuer holding ``mask`` can hold at ``u`` after
-        visiting or waiting there, under either report convention: the set
-        itself, its red and green parts, each visit-time class, and what is
-        left once the earliest classes have passed."""
-        red, green = partition(mask, u, self.schedule)
-        out = {mask, red, green}
-        remaining = mask
-        for _, cls in red_reports(mask, u, self.schedule, True):
-            remaining &= ~cls
-            out.update((cls, remaining))
-        out.discard(0)
+        """The sets a pursuer holding ``mask`` can keep after reading ``u``:
+        the image of ``observe`` over arrivals before, at and after the set's
+        visit times at ``u`` (one between two reads as one at the earlier)
+        and evaders of each visit-time class or avoiding ``u``. A green does
+        not depend on when or whether the evader passes later, nor a red on
+        more than its class: only the arrival after the last visit time meets
+        the classes, the others an avoiding evader. A wait reads as an arrival
+        at the next visit time on every set the walk hands to ``u`` (under the
+        membership convention, sets wholly through ``u`` or wholly avoiding it)."""
+        schedule = self.schedule
+        times = [t for t, group in schedule.groups[u] if group & mask]
+        pairs = [(arrival, float("inf")) for arrival in (times[0] - 1.0, *times)]
+        pairs += [(times[-1] + 1.0, visit) for visit in times]
+        out = set()
+        for arrival, visit in pairs:
+            try:
+                reading = observe(mask, u, arrival, visit, schedule, self.strict)
+            except InconsistentObservation:
+                continue
+            if reading is not None:
+                out.add(reading.info)
         return out
 
     def walk_policy(self, root: tuple[int, int]) -> None:
-        """Compute every row that playback of the policy from ``root`` or a
-        decision tree drawn from it can read."""
+        """Compute the rows that playback of the policy from ``root`` and a
+        decision tree drawn from it read: at each move, what ``successors`` lists."""
         seen = {root}
         pending = [root]
         while pending:
             p, mask = pending.pop()
             u = self.ensure(mask)[1][p - 1]
-            if u is None:
+            if u is None or mask & (mask - 1) == 0:  # a known path's rows are all stored
                 continue
             for sub in self.successors(mask, u):
                 if (u, sub) not in seen:

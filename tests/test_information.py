@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from ugs_pursuit import (
     full_lattice,
     indices_of,
     mask_from,
+    observe,
     partition,
     realizable_sets,
     red_reports,
@@ -79,6 +82,90 @@ class TestUpdates:
         full = (1 << 4) - 1
         with pytest.raises(InconsistentObservation):
             update_green(full, 1, 0.0, schedule)
+
+
+class TestObserve:
+    """One case per branch of the observation rule, on the demo's node 7:
+    path (1,2,7) passes it at 14.66 and path (1,3,4,7) at 17.54, while
+    (1,3,4,6) and (1,3,5) avoid it."""
+
+    EARLY, LATE = (1, 2, 7), (1, 3, 4, 7)
+    AVOID = ((1, 3, 4, 6), (1, 3, 5))
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_synchronous_arrival_captures(self, demo, strict):
+        _, _, schedule = demo
+        assert observe(15, 2, 4.83, 4.83, schedule, strict) is None
+
+    def test_strict_red_narrows_to_visit_class(self, demo, demo_index):
+        _, _, schedule = demo
+        pair = mask_of(demo_index, self.EARLY, self.LATE)
+        row = observe(pair, 7, 18.0, 14.66, schedule, True)
+        assert row.info == mask_of(demo_index, self.EARLY)
+        assert row.obs.is_red and row.obs.delay == pytest.approx(18.0 - 14.66)
+        assert (row.t, row.node) == (18.0, 7)
+
+    def test_default_red_keeps_red_part(self, demo, demo_index):
+        _, _, schedule = demo
+        full = (1 << 4) - 1
+        row = observe(full, 7, 18.0, 14.66, schedule, False)
+        assert row.info == mask_of(demo_index, self.EARLY, self.LATE)
+        assert row.obs.is_red and row.t == 18.0
+
+    def test_strict_green_keeps_later_visitors(self, demo, demo_index):
+        _, _, schedule = demo
+        full = (1 << 4) - 1
+        row = observe(full, 7, 15.0, 17.54, schedule, True)
+        assert row.info == mask_of(demo_index, self.LATE, *self.AVOID)
+        assert not row.obs.is_red and row.t == 15.0
+
+    def test_default_green_waits_for_earliest_red_visit(self, demo, demo_index):
+        _, _, schedule = demo
+        full = (1 << 4) - 1
+        # an evader passing inside the window [arrival, 14.66] is caught
+        assert observe(full, 7, 10.0, 14.66, schedule, False) is None
+        # otherwise the green resolves at 14.66 and keeps the avoiding paths,
+        # also when the evader passes later (the convention's overclaim)
+        for visit in (math.inf, 17.54):
+            row = observe(full, 7, 10.0, visit, schedule, False)
+            assert row.info == mask_of(demo_index, *self.AVOID)
+            assert not row.obs.is_red and row.t == 14.66
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_wait_step_captures_passage_during_wait(self, demo, demo_index, strict):
+        _, _, schedule = demo
+        mask = mask_of(demo_index, self.LATE, *self.AVOID)
+        for visit in (17.54, 16.0):
+            assert observe(mask, 7, 17.54, visit, schedule, strict, since=15.0) is None
+        # a passage before the wait began, or as it began, is not read again
+        for visit in (math.inf, 14.66, 15.0):
+            row = observe(mask, 7, 17.54, visit, schedule, strict, since=15.0)
+            assert row.info == mask_of(demo_index, *self.AVOID)
+            assert not row.obs.is_red and row.t == 17.54
+
+    @pytest.mark.parametrize("strict, mask, t, visit, since", [
+        (True, (EARLY,), 18.0, 17.54, None),  # red at a time no path passes
+        (False, AVOID, 18.0, 14.66, None),  # red where no tracked path passes
+        (True, (EARLY,), 15.0, math.inf, None),  # green after every visit
+        (False, (EARLY, LATE), 18.0, math.inf, None),
+        (True, (EARLY,), 16.0, math.inf, 15.0),  # wait-step green, same
+        (False, (EARLY,), 16.0, math.inf, 15.0),
+    ])
+    def test_inconsistent_readings_raise(self, demo, demo_index, strict, mask, t, visit, since):
+        _, _, schedule = demo
+        with pytest.raises(InconsistentObservation):
+            observe(mask_of(demo_index, *mask), 7, t, visit, schedule, strict, since)
+
+    @pytest.mark.parametrize("strict, mask, t, visit, since", [
+        (True, (EARLY,), 16.0, 15.5, 15.0),  # a capture comes before the green
+        (False, (EARLY,), 16.0, 15.5, 15.0),
+        (False, (LATE, *AVOID), 18.0, 14.66, None),  # membership only
+        (False, (EARLY, *AVOID), 15.0, 17.54, None),  # split: the green part
+    ])
+    def test_consistent_or_lenient_readings_do_not_raise(self, demo, demo_index, strict, mask, t,
+                                                         visit, since):
+        _, _, schedule = demo
+        observe(mask_of(demo_index, *mask), 7, t, visit, schedule, strict, since)
 
 
 class TestPartition:

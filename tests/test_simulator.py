@@ -248,8 +248,12 @@ class TestExportedTablesPlayBack:
     """Exported tables hold every row that playback of the policy reads."""
 
     def test_corpus_outcomes_survive_json_round_trip(self):
-        for seed in range(1, 51):
-            network, paths, schedule = random_instance(seed, n_max=4, m_max=8)
+        instances = [random_instance(seed, n_max=4, m_max=8) for seed in range(1, 51)]
+        for network in (random_layered_network(85, widths=[1, 3, 3, 3, 3, 2]),
+                        random_layered_network(5)):
+            paths = enumerate_paths(network)
+            instances.append((network, paths, build_schedule(paths, network.m)))
+        for case, (network, paths, schedule) in enumerate(instances, start=1):
             metric = euclidean_metric(network, 1.1 * speed_floor(network))
             for strict in (False, True):
                 result = solve(network, schedule, metric, paths, strict_resolution=strict)
@@ -261,7 +265,7 @@ class TestExportedTablesPlayBack:
                     for k in range(1, schedule.n + 1):
                         live = _playback(network, schedule, metric, result, k, t0)
                         assert _playback(network, schedule, metric, clone, k, t0) == live, (
-                            seed, strict, t0, k)
+                            case, strict, t0, k)
 
     @pytest.mark.parametrize("seed", [13, 5])
     def test_large_strict_tables_capture_every_path(self, seed):

@@ -1,9 +1,11 @@
+import math
 import random
 import sys
 
 import pytest
 
 from ugs_pursuit import (
+    InconsistentObservation,
     MissingSubset,
     PursuitError,
     SolveResult,
@@ -12,7 +14,9 @@ from ugs_pursuit import (
     candidate_moves,
     enumerate_paths,
     euclidean_metric,
+    build_tree,
     full_lattice,
+    observe,
     realizable_sets,
     solve,
     validate_network,
@@ -397,6 +401,13 @@ class TestScaleLadder:
         assert report.all_captured
         assert len(report.outcomes) == 288
 
+    def test_default_closure_stays_small(self):
+        # the walk once added every visit-time class and remainder here,
+        # sets default playback never reads, and ran out of memory
+        network, paths, schedule, metric = layered(factor=2.0, **L288)
+        result = solve(network, schedule, metric, paths)
+        assert len(result.on_demand_sets) == 15732
+
 
 def ensure_depth(monkeypatch):
     """Patch ``_Solver.ensure`` to record how deeply set evaluations nest;
@@ -460,3 +471,54 @@ class TestRecursionDepth:
             assert "m = 12 nodes" in (failure_with_few_frames(call) or "")
         fresh = solve(network, schedule, metric, paths, strict_resolution=True)
         assert lazy.latest[unread] == fresh.latest[unread]
+
+
+def observed_image(mask, u, schedule, strict):
+    """Brute force: every set ``observe`` hands on when any path of ``mask``
+    is the evader and the pursuer reaches ``u`` at one of the set's visit
+    times there, between two of them, before the first or after the last."""
+    times = sorted({schedule.times[u][k] for k in iter_indices(mask)} - {math.inf})
+    arrivals = [times[0] - 1.0, *times, *((a + b) / 2 for a, b in zip(times, times[1:])),
+                times[-1] + 1.0]
+    image = set()
+    for k in iter_indices(mask):
+        for arrival in arrivals:
+            try:
+                row = observe(mask, u, arrival, schedule.times[u][k], schedule, strict)
+            except InconsistentObservation:
+                continue
+            if row is not None:
+                image.add(row.info)
+    return image
+
+
+class TestWalkImage:
+    """The closure walk hands on exactly the sets ``observe`` can return,
+    and those hold every set a decision tree draws."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_successors_equal_observed_image(self, strict):
+        cases = [(*instance, full_lattice(instance[2].n)) for instance in corpus()]
+        for instance in (L85, L36):
+            network, paths, schedule, metric = layered(factor=1.1, **instance)
+            solved = solve(network, schedule, metric, paths, strict_resolution=strict)
+            cases.append((network, paths, schedule, metric, {mask for _, mask in solved.latest}))
+        for network, paths, schedule, metric, masks in cases:
+            worker = _Solver(schedule, metric, paths, strict, ())
+            for mask in masks:
+                for u in range(1, network.m + 1):
+                    if mask & schedule.through[u]:
+                        expected = observed_image(mask, u, schedule, strict)
+                        assert worker.successors(mask, u) == expected, (indices_of(mask), u)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_tree_children_in_observed_image(self, strict):
+        for network, paths, schedule, metric in [*corpus(), layered(factor=1.1, **L85),
+                                                 layered(factor=1.1, **L36)]:
+            result = solve(network, schedule, metric, paths, strict_resolution=strict)
+            if result.root_policy is None:
+                continue
+            for node in build_tree(result, schedule, metric).walk():
+                for child in node.children.values():
+                    image = observed_image(node.mask, child.ugs, schedule, strict)
+                    assert child.mask in image, (indices_of(node.mask), child.ugs)
