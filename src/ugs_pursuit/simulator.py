@@ -60,7 +60,7 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
     the walk reaches a (node, set) pair absent from the tables and
     NonTermination if the decision-epoch budget is exceeded.
     """
-    if t0 <= 0:
+    if not t0 > 0:
         raise SimulationError(f"initial delay must be positive, got {t0}")
     if not 1 <= k <= schedule.n:
         raise SimulationError(f"no evader path {k}: paths are numbered 1..{schedule.n}")

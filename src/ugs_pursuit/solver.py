@@ -46,9 +46,11 @@ scores its exit time at ``u`` minus the travel time ``d[j][u]``, and ``j``
 keeps the first candidate in that order whose score beats the best so far
 by more than ``TIME_EPS``: a near-tie goes to the earlier candidate.
 
-A solved result's tables fill on read: looking up a row of a set the solve
-has not computed yet computes that set first. The simulation closure adds
-every set playback (``information.observe``) or the decision tree can read.
+Each solved set's rows are stored once, as per-node lists. A result's
+``latest``, ``policy`` and ``capture_move`` tables are read-only views over
+them that fill on read: looking up a row of a set the solve has not computed
+yet computes that set first. The simulation closure adds every set playback
+(``information.observe``) or the decision tree can read.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-import weakref
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import InconsistentObservation, MissingSubset, PursuitError
@@ -81,10 +83,14 @@ def base_case(j: int, k: int, schedule: VisitSchedule, metric: PursuerMetric, pa
 class SolveResult:
     """Solved tables: latest guaranteed-capture exit times and the policy.
 
-    Keys are ``(node, mask)`` pairs. ``latest`` holds the latest exit time
-    or ``None`` when no move guarantees capture; ``policy`` holds the next
-    node to visit; ``capture_move`` flags moves that end in immediate
-    capture. ``strict_resolution`` records which convention produced the
+    ``rows`` maps each computed set's mask to its (latest, policy, capture)
+    lists, indexed by node - 1; it is the only copy of the solved values.
+    ``latest``, ``policy`` and ``capture_move`` are read-only views over it,
+    keyed by ``(node, mask)``: ``latest`` holds the latest exit time or
+    ``None`` when no move guarantees capture; ``policy`` holds the next node
+    to visit; ``capture_move`` flags moves that end in immediate capture.
+    After a solve, ``solver`` computes a set's rows the first time a view
+    reads one. ``strict_resolution`` records which convention produced the
     tables (simulation replays observations under the same convention).
     ``on_demand_sets`` lists the sets the solve computed beyond its
     pre-filled domain (the singletons, or the full lattice without
@@ -96,10 +102,13 @@ class SolveResult:
     strict_resolution: bool
     pruned: bool
     metric_digest: str
-    latest: dict = field(default_factory=dict)
-    policy: dict = field(default_factory=dict)
-    capture_move: dict = field(default_factory=dict)
+    rows: dict = field(default_factory=dict)
     on_demand_sets: tuple = ()
+    solver: _Solver | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.latest, self.policy, self.capture_move = (
+            _RowView(self.rows, self.solver, self.m, column) for column in range(3))
 
     @property
     def root_mask(self) -> int:
@@ -119,17 +128,14 @@ class SolveResult:
         return 0.0 if value is None else max(0.0, value)
 
     def to_json(self) -> dict:
+        masks = sorted(self.rows)
+        members = [list(indices_of(mask)) for mask in masks]
         entries = []
-        for (j, mask), value in sorted(self.latest.items()):
-            entries.append(
-                {
-                    "node": j,
-                    "set": list(indices_of(mask)),
-                    "D": value,
-                    "mu": self.policy.get((j, mask)),
-                    "capture": bool(self.capture_move.get((j, mask), False)),
-                }
-            )
+        for i in range(self.m):
+            for mask, listed in zip(masks, members):
+                latest, policy, capture = self.rows[mask]
+                entries.append({"node": i + 1, "set": listed, "D": latest[i], "mu": policy[i],
+                                "capture": bool(capture[i])})
         return {
             "meta": {
                 "n": self.n,
@@ -144,20 +150,24 @@ class SolveResult:
 
     @classmethod
     def from_json(cls, data: dict) -> "SolveResult":
+        """Rebuild the rows of ``to_json`` output. Raises ValueError on an entry
+        outside nodes ``1..m`` or paths ``1..n`` and on a set listed for only some nodes."""
         meta = data["meta"]
-        result = cls(
-            n=int(meta["n"]),
-            m=int(meta["m"]),
-            strict_resolution=bool(meta["strict_resolution"]),
-            pruned=bool(meta["pruned"]),
-            metric_digest=str(meta["metric_digest"]),
-        )
+        n, m, rows, hole = int(meta["n"]), int(meta["m"]), {}, object()
         for entry in data["entries"]:
-            key = (int(entry["node"]), mask_from(entry["set"]))
-            result.latest[key] = entry["D"]
-            result.policy[key] = entry["mu"]
-            result.capture_move[key] = bool(entry["capture"])
-        return result
+            j, mask = int(entry["node"]), mask_from(entry["set"])
+            if not (1 <= j <= m and 0 < mask < 1 << n):
+                raise ValueError(f"entry for node {j}, set {entry['set']}: nodes are 1..{m}, "
+                                 f"paths 1..{n}")
+            row = rows.setdefault(mask, ([hole] * m, [None] * m, [False] * m))
+            for column, value in zip(row, (entry["D"], entry["mu"], bool(entry["capture"]))):
+                column[j - 1] = value
+        for mask, (latest, _, _) in rows.items():
+            if hole in latest:
+                raise ValueError(f"set {list(indices_of(mask))} is listed for only some nodes")
+        return cls(n=n, m=m, strict_resolution=bool(meta["strict_resolution"]),
+                   pruned=bool(meta["pruned"]), metric_digest=str(meta["metric_digest"]),
+                   rows=rows)
 
 
 def metric_digest(metric: PursuerMetric) -> str:
@@ -228,21 +238,41 @@ def _candidates(mask: int, value, schedule: VisitSchedule, strict: bool, known=N
     return captures + splits
 
 
-class _Table(dict):
-    """A solved table that computes a set's rows the first time one of
-    them is read. Keys outside the solve's nodes and sets raise KeyError."""
+class _RowView(Mapping):
+    """One column of the solved rows as a read-only mapping keyed by
+    ``(node, mask)``. A read of a set not yet computed asks ``solver`` for
+    it; keys outside the solve's nodes and sets raise KeyError. The view
+    holds the rows and the solver, never the result, so a dropped result is
+    freed at once and a view kept on its own still fills on read."""
 
-    solver = None
+    __slots__ = ("rows", "solver", "m", "column")
 
-    def __missing__(self, key):
+    def __init__(self, rows, solver, m, column):
+        self.rows, self.solver, self.m, self.column = rows, solver, m, column
+
+    def __getitem__(self, key):
         j, mask = key
-        if not (1 <= j <= self.solver.schedule.m and 0 < mask <= self.solver.full):
+        if not 1 <= j <= self.m:
             raise KeyError(key)
-        try:
-            self.solver.ensure(mask)
-        except RecursionError:
-            raise _too_deep(self.solver.schedule.m) from None
-        return dict.__getitem__(self, key)
+        row = self.rows.get(mask)
+        if row is None:
+            if self.solver is None or not 0 < mask <= self.solver.full:
+                raise KeyError(key)
+            try:
+                row = self.solver.ensure(mask)
+            except RecursionError:
+                raise _too_deep(self.m) from None
+        return row[self.column][j - 1]
+
+    def __contains__(self, key):
+        j, mask = key
+        return 1 <= j <= self.m and mask in self.rows
+
+    def __iter__(self):
+        return ((j, mask) for mask in self.rows for j in range(1, self.m + 1))
+
+    def __len__(self):
+        return self.m * len(self.rows)
 
 
 def _too_deep(m: int) -> PursuitError:
@@ -257,30 +287,25 @@ class _Solver:
     """Computes the rows of one set at a time, for every node at once.
 
     ``rows`` maps each computed set to its (latest, policy, capture) lists,
-    indexed by node - 1, and each new row is copied into the result tables.
-    Each table holds the solver so that a read can fill it; the solver holds
-    the tables only weakly. With no reference cycle, a dropped result is
-    freed at once, and a table kept on its own still fills on read.
+    indexed by node - 1. A solved result and its table views share this
+    dict; the solver holds neither, so no reference cycle forms.
 
     ``known[u]`` is the known-path bound at node ``u`` for ``_candidates``:
     the singleton values at ``u`` plus ``known_path_margin``, ascending, and
     ``below`` where ``below[i]`` holds the path bits of the first ``i``.
     """
 
-    def __init__(self, schedule, metric, paths, strict_resolution, tables):
+    def __init__(self, schedule, metric, paths, strict_resolution):
         self.schedule = schedule
         self.metric = metric
         self.strict = strict_resolution
         self.full = (1 << schedule.n) - 1
         self.nodes = range(1, schedule.m + 1)
         self.rows: dict[int, tuple[list, list, list]] = {}
-        self.tables = tuple(weakref.ref(table) for table in tables)
-        for table in tables:
-            table.solver = self
         for k in range(1, schedule.n + 1):
             latest = [base_case(j, k, schedule, metric, paths) for j in self.nodes]
-            self.store(1 << (k - 1), latest, [paths[k - 1].exit] * schedule.m,
-                       [True] * schedule.m)
+            self.rows[1 << (k - 1)] = (latest, [paths[k - 1].exit] * schedule.m,
+                                       [True] * schedule.m)
         margin = known_path_margin(schedule.m)
         singletons = [1 << (k - 1) for k in range(1, schedule.n + 1)]
         self.known = [None]
@@ -290,15 +315,6 @@ class _Solver:
                 ceilings.append(value + margin)
                 below.append(below[-1] | bit)
             self.known.append((ceilings, below))
-
-    def store(self, mask: int, *row):
-        self.rows[mask] = row
-        keys = [(j, mask) for j in self.nodes]
-        for ref, values in zip(self.tables, row):
-            table = ref()
-            if table is not None:
-                table.update(zip(keys, values))
-        return row
 
     def value(self, u: int, mask: int):
         row = self.rows.get(mask)
@@ -324,7 +340,8 @@ class _Solver:
             latest.append(best)
             policy.append(best_u)
             capture.append(best_kind == CAPTURE)
-        return self.store(mask, latest, policy, capture)
+        row = self.rows[mask] = (latest, policy, capture)
+        return row
 
     def successors(self, mask: int, u: int):
         """The sets a pursuer holding ``mask`` can keep after reading ``u``:
@@ -402,9 +419,8 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
     tables replay without holes. Rows the solve did not compute are filled
     when the returned tables are read.
     """
-    latest, policy, capture_move = _Table(), _Table(), _Table()
     try:
-        worker = _Solver(schedule, metric, paths, strict_resolution, (latest, policy, capture_move))
+        worker = _Solver(schedule, metric, paths, strict_resolution)
         if not prune:
             for mask in full_lattice(schedule.n):
                 worker.ensure(mask)
@@ -421,8 +437,7 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
         strict_resolution=strict_resolution,
         pruned=prune,
         metric_digest=metric_digest(metric),
-        latest=latest,
-        policy=policy,
-        capture_move=capture_move,
+        rows=worker.rows,
         on_demand_sets=tuple(worker.rows)[prefilled:],
+        solver=worker,
     )

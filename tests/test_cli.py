@@ -187,11 +187,25 @@ class TestErrors:
         (["paths", "--network", "edges.json"], "'edges'"),
         (["paths", "--network", "fractional_to.json"], "'to'"),
         (["paths", "--network", "nodes.json"], "'nodes'"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
+          "node_zero.json"], "node 0"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
+          "partial_set.json"], "only some nodes"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
+          "path_nine.json"], "paths 1..4"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "nan"], "got nan"),
     ], ids=["edge-without-time", "node-without-id", "non-numeric-time", "top-level-list",
             "metric-without-speed", "policy-not-from-solve", "non-numeric-grid",
             "path-above-range", "path-zero", "non-integer-entry", "non-integer-goal",
-            "edges-not-a-list", "fractional-endpoint", "nodes-not-a-list"])
+            "edges-not-a-list", "fractional-endpoint", "nodes-not-a-list",
+            "policy-node-zero", "policy-partial-set", "policy-path-above-range", "nan-delay"])
     def test_malformed_input_exit_code(self, capsys, tmp_path, monkeypatch, argv, named):
+        _, solved, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.62",
+                                    "--format", "json"])
+        node_zero, partial_set, path_nine = (json.loads(solved) for _ in range(3))
+        node_zero["entries"][-1]["node"] = 0
+        del partial_set["entries"][-1]
+        path_nine["entries"][-1]["set"] = [9]
         edge = {"from": 1, "to": 2, "time": 1.0}
         two = [{"id": 1}, {"id": 2}]
         files = {
@@ -205,6 +219,9 @@ class TestErrors:
             "edges.json": {"nodes": two, "edges": 5},
             "fractional_to.json": {"nodes": two, "edges": [{**edge, "to": 2.7}]},
             "nodes.json": {"nodes": 5, "edges": [edge]},
+            "node_zero.json": node_zero,
+            "partial_set.json": partial_set,
+            "path_nine.json": path_nine,
         }
         for name, data in files.items():
             (tmp_path / name).write_text(json.dumps(data))

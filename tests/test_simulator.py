@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ugs_pursuit import (
@@ -98,8 +100,9 @@ class TestSimulate:
 
     def test_rejects_nonpositive_delay(self, demo, demo_metric, demo_solved):
         network, _, schedule = demo
-        with pytest.raises(Exception):
-            simulate(network, schedule, demo_metric, demo_solved, 1, -1.0)
+        for t0 in (-1.0, math.nan):
+            with pytest.raises(SimulationError, match="initial delay must be positive"):
+                simulate(network, schedule, demo_metric, demo_solved, 1, t0)
 
     @pytest.mark.parametrize("k", [0, 9])
     def test_rejects_path_outside_range(self, demo, demo_metric, demo_solved, k):

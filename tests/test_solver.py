@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -225,14 +227,37 @@ class TestSolve:
         assert clone.metric_digest == result.metric_digest
 
     def test_json_null_encodes_no_guarantee(self):
-        result = SolveResult(n=1, m=1, strict_resolution=False, pruned=True, metric_digest="x")
-        result.latest[(1, 1)] = None
-        result.policy[(1, 1)] = None
-        result.capture_move[(1, 1)] = False
-        entry = result.to_json()["entries"][0]
-        assert entry["D"] is None and entry["mu"] is None
-        clone = SolveResult.from_json(result.to_json())
-        assert clone.latest[(1, 1)] is None
+        meta = {"n": 1, "m": 1, "strict_resolution": False, "pruned": True, "metric_digest": "x"}
+        entry = {"node": 1, "set": [1], "D": None, "mu": None, "capture": False}
+        result = SolveResult.from_json({"meta": meta, "entries": [entry]})
+        assert result.latest[(1, 1)] is None and result.policy[(1, 1)] is None
+        assert result.to_json()["entries"] == [entry]
+
+    def test_tables_are_read_only_views(self, demo, demo_metric):
+        network, paths, schedule = demo
+        result = solve(network, schedule, demo_metric, paths)
+        assert len(result.latest) == network.m * len(result.rows)
+        assert list(result.policy) == [(j, mask) for mask in result.rows
+                                       for j in range(1, network.m + 1)]
+        for table in (result.latest, result.policy, result.capture_move):
+            with pytest.raises(TypeError):
+                table[(1, result.root_mask)] = 0.0
+        assert (1, result.root_mask) in result.latest
+        assert (0, result.root_mask) not in result.latest
+
+    def test_dropped_result_freed_without_cycle_collector(self, demo, demo_metric):
+        network, paths, schedule = demo
+        lattice = solve(network, schedule, demo_metric, paths, prune=False)
+        gc.disable()
+        try:
+            result = solve(network, schedule, demo_metric, paths)
+            unread = next(mask for mask in lattice.rows if mask not in result.rows)
+            alone, ref = result.policy, weakref.ref(result)
+            del result
+            assert ref() is None
+            assert alone[(1, unread)] == lattice.policy[(1, unread)]
+        finally:
+            gc.enable()
 
 
 def reference_rows(mask, result, schedule, metric, strict):
@@ -504,7 +529,7 @@ class TestWalkImage:
             solved = solve(network, schedule, metric, paths, strict_resolution=strict)
             cases.append((network, paths, schedule, metric, {mask for _, mask in solved.latest}))
         for network, paths, schedule, metric, masks in cases:
-            worker = _Solver(schedule, metric, paths, strict, ())
+            worker = _Solver(schedule, metric, paths, strict)
             for mask in masks:
                 for u in range(1, network.m + 1):
                     if mask & schedule.through[u]:
