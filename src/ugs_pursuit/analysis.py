@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BracketInvalid, MetricError
+from .errors import BracketInvalid, MetricError, PursuitError
 from .network import euclidean_metric
 from .solver import solve
 from .util import TIME_EPS
@@ -75,8 +75,11 @@ def critical_speed(network, schedule, paths, v_lo: float, v_hi: float,
     The solved delay can jump when the optimal policy restructures, so the
     bisection tracks only whether it is positive. Requires the predicate to
     be false at ``v_lo`` (zero delay, or an invalid metric) and true at
-    ``v_hi``; raises BracketInvalid otherwise.
+    ``v_hi``; raises BracketInvalid otherwise, and PursuitError unless
+    ``tol > 0``.
     """
+    if not tol > 0:  # also rejects NaN
+        raise PursuitError(f"bisection tolerance must be > 0, got {tol}")
 
     def positive(speed: float) -> bool:
         try:

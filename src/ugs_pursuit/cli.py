@@ -238,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--metric", default=None, help="metric JSON file")
     shared.add_argument("--strict-resolution", action="store_true",
                         help="split red reports by delay; green resolves at the last visit")
-    shared.add_argument("--format", choices=("json", "csv", "dot", "text"), default="text")
+    shared.add_argument("--format", choices=("json", "text"), default="text",
+                        help="text (default; DOT for tree, CSV for sweep) or json")
 
     parser = argparse.ArgumentParser(prog="ugs-pursuit",
                                      description="Guaranteed-capture pursuit planning "

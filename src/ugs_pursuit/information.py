@@ -3,7 +3,11 @@ enumeration of the uncertainty sets a guaranteed-capture pursuer can
 actually encounter.
 
 An uncertainty set is a bitmask over path indices (bit ``k - 1`` = path
-``k``). All functions here are pure and safe for concurrent use.
+``k``). A visit-time class at node ``u`` is one entry of
+``schedule.groups[u]``: the paths whose visits to ``u`` lie within
+``TIME_EPS`` of the class's first visit. Every reading keeps whole classes,
+read through ``red_reports``, so every kept set is a union of the classes
+the solver scores. All functions here are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InconsistentObservation
-from .network import VisitSchedule, indices_of, iter_indices, mask_from
+from .network import VisitSchedule, indices_of, iter_indices
 from .util import teq, tle, tlt
 
 GREEN = -1.0
@@ -40,24 +44,29 @@ class Observation:
 
 
 def update_red(mask: int, u: int, t_plus: float, delay: float, schedule: VisitSchedule) -> int:
-    """Keep the paths that put the evader at node ``u`` exactly at
-    ``t_plus - delay``.
+    """Keep the visit-time class of ``mask`` at ``u`` that holds the passage
+    at ``t_plus - delay``: the first whose time is within ``TIME_EPS`` of it.
+    Classes start more than ``TIME_EPS`` apart, so that class is the
+    evader's own.
 
-    Raises InconsistentObservation when no retained path remains.
+    Raises InconsistentObservation when no class matches.
     """
     passage = t_plus - delay
-    out = mask_from(k for k in iter_indices(mask) if teq(schedule.times[u][k], passage))
-    if out == 0:
-        raise InconsistentObservation(
-            f"red at node {u}, passage time {passage:.9g} matches no path in {indices_of(mask)}"
-        )
-    return out
+    for t, cls in red_reports(mask, u, schedule, True):
+        if teq(t, passage):
+            return cls
+    raise InconsistentObservation(
+        f"red at node {u}, passage time {passage:.9g} matches no path in {indices_of(mask)}"
+    )
 
 
 def update_green(mask: int, u: int, t_plus: float, schedule: VisitSchedule) -> int:
-    """Keep the paths that have not yet visited node ``u`` at ``t_plus``
-    (a strictly later visit, or none: a path avoiding ``u`` visits at inf)."""
-    out = mask_from(k for k in iter_indices(mask) if tlt(t_plus, schedule.times[u][k]))
+    """Keep the paths that have not yet visited node ``u`` at ``t_plus``:
+    those avoiding ``u`` and the visit-time classes strictly after ``t_plus``."""
+    out = mask & ~schedule.through[u]
+    for t, cls in red_reports(mask, u, schedule, True):
+        if tlt(t_plus, t):
+            out |= cls
     if out == 0:
         raise InconsistentObservation(
             f"green at node {u}, time {t_plus:.9g} excludes every path in {indices_of(mask)}"

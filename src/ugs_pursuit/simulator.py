@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import CapExceeded, NonTermination, PolicyHole, SimulationError
+from .errors import CapExceeded, NonTermination, PolicyHole, PursuitError, SimulationError
 from .information import Observation, TranscriptRow, observe
 from .network import PursuerMetric, RoadNetwork, VisitSchedule, indices_of
 from .solver import SolveResult
@@ -265,8 +265,11 @@ def oracle_max_delay(network: RoadNetwork, schedule: VisitSchedule, metric: Purs
     win predicate over [0, shortest path length].
 
     Winning at some delay implies winning at any smaller delay, so the
-    predicate is monotone and bisection is sound.
+    predicate is monotone and bisection is sound. Raises PursuitError
+    unless ``tol > 0``.
     """
+    if not tol > 0:  # also rejects NaN
+        raise PursuitError(f"bisection tolerance must be > 0, got {tol}")
     _check_caps(schedule, n_cap, m_cap)
     oracle = _Oracle(schedule, metric, paths, strict_resolution, exact)
     full = (1 << schedule.n) - 1

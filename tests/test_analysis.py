@@ -1,6 +1,16 @@
+import math
+
 import pytest
 
-from ugs_pursuit import BracketInvalid, critical_speed, euclidean_metric, solve, sweep
+from ugs_pursuit import (
+    BracketInvalid,
+    PursuitError,
+    critical_speed,
+    euclidean_metric,
+    oracle_max_delay,
+    solve,
+    sweep,
+)
 from ugs_pursuit.util import TIME_EPS
 
 
@@ -60,6 +70,14 @@ class TestCriticalSpeed:
             critical_speed(network, schedule, paths, 1.62, 2.0)
         with pytest.raises(BracketInvalid):
             critical_speed(network, schedule, paths, 0.5, 0.9)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_bisection_tolerance_must_be_positive(self, demo, demo_metric, tol):
+        network, paths, schedule = demo
+        with pytest.raises(PursuitError, match="tolerance must be > 0"):
+            critical_speed(network, schedule, paths, 1.0, 2.0, tol=tol)
+        with pytest.raises(PursuitError, match="tolerance must be > 0"):
+            oracle_max_delay(network, schedule, demo_metric, paths, tol=tol)
 
     def test_result_straddles_predicate(self, demo):
         network, paths, schedule = demo

@@ -194,11 +194,18 @@ class TestErrors:
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
           "path_nine.json"], "paths 1..4"),
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "nan"], "got nan"),
+        (["critical-speed", "--network", "demo", "--lo", "1", "--hi", "2", "--tol", "0"],
+         "got 0.0"),
+        (["critical-speed", "--network", "demo", "--lo", "1", "--hi", "2", "--tol", "-1"],
+         "got -1.0"),
+        (["critical-speed", "--network", "demo", "--lo", "1", "--hi", "2", "--tol", "nan"],
+         "got nan"),
     ], ids=["edge-without-time", "node-without-id", "non-numeric-time", "top-level-list",
             "metric-without-speed", "policy-not-from-solve", "non-numeric-grid",
             "path-above-range", "path-zero", "non-integer-entry", "non-integer-goal",
             "edges-not-a-list", "fractional-endpoint", "nodes-not-a-list",
-            "policy-node-zero", "policy-partial-set", "policy-path-above-range", "nan-delay"])
+            "policy-node-zero", "policy-partial-set", "policy-path-above-range", "nan-delay",
+            "zero-tolerance", "negative-tolerance", "nan-tolerance"])
     def test_malformed_input_exit_code(self, capsys, tmp_path, monkeypatch, argv, named):
         _, solved, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.62",
                                     "--format", "json"])

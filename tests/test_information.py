@@ -18,6 +18,7 @@ from ugs_pursuit import (
     red_reports,
     update_green,
     update_red,
+    validate_network,
 )
 from ugs_pursuit.fixtures import random_instance, random_layered_network
 
@@ -142,6 +143,36 @@ class TestObserve:
             row = observe(mask, 7, 17.54, visit, schedule, strict, since=15.0)
             assert row.info == mask_of(demo_index, *self.AVOID)
             assert not row.obs.is_red and row.t == 17.54
+
+    def test_near_tie_readings_keep_whole_classes(self):
+        """Node 5 is visited at 1.0, 1.0 + 0.8e-9 and 1.0 + 1.6e-9 by paths
+        1-3, and path 4 avoids it. The classes are {1,2} and {3}: path 2 is
+        within TIME_EPS of both neighbours, path 3 only of path 2."""
+        raw = {
+            "nodes": [{"id": j} for j in range(1, 7)],
+            "edges": [{"from": a, "to": b, "time": t} for a, b, t in (
+                (1, 2, 0.5), (1, 3, 0.5), (1, 4, 0.5), (1, 6, 3.0),
+                (2, 5, 0.5), (3, 5, 0.5 + 0.8e-9), (4, 5, 0.5 + 1.6e-9), (5, 6, 1.0))],
+        }
+        network = validate_network(raw)
+        schedule = build_schedule(enumerate_paths(network), network.m)
+        classes = [cls for _, cls in red_reports(15, 5, schedule, True)]
+        assert classes == [mask_from([1, 2]), mask_from([3])]
+        times = (0.5, 1.0, 1.0 + 0.8e-9, 1.0 + 1.2e-9, 1.0 + 1.6e-9, 2.0)
+        for mask in full_lattice(schedule.n):
+            reports = red_reports(mask, 5, schedule, True)
+            avoiders = mask & ~schedule.through[5]
+            for t in times:
+                for k in indices_of(mask):
+                    row = observe(mask, 5, t, schedule.times[5][k], schedule, True)
+                    if row is None:
+                        continue
+                    if row.obs.is_red:
+                        assert row.info in [cls for _, cls in reports], (mask, t, k)
+                        assert row.info >> (k - 1) & 1, (mask, t, k)
+                    else:
+                        later = [cls for tau, cls in reports if tau > t + 1e-9]
+                        assert row.info == avoiders | sum(later), (mask, t, k)
 
     @pytest.mark.parametrize("strict, mask, t, visit, since", [
         (True, (EARLY,), 18.0, 17.54, None),  # red at a time no path passes
@@ -318,7 +349,8 @@ class TestRealizableFamily:
 
 class TestRedReports:
     """``red_reports`` against the per-path ``min_visit``/``max_visit``
-    scans the oracle uses, on every set of every corpus instance."""
+    scans the oracle uses, and against strict red readings, on every set of
+    every corpus instance."""
 
     def test_matches_per_path_visit_times(self):
         for seed in range(1, 51):
@@ -341,3 +373,8 @@ class TestRedReports:
                     assert times[0] == schedule.min_visit(u, red), (seed, mask, u)
                     assert times[-1] == schedule.max_visit(u, red), (seed, mask, u)
                     assert default == ((schedule.min_visit(u, red), red),), (seed, mask, u)
+                    for k in indices_of(red):  # a strict red reading keeps the evader's class
+                        row = observe(mask, u, times[-1] + 1.0, schedule.times[u][k], schedule,
+                                      True)
+                        assert row.info in [cls for _, cls in strict], (seed, mask, u, k)
+                        assert row.info >> (k - 1) & 1, (seed, mask, u, k)
