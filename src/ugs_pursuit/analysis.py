@@ -96,6 +96,8 @@ def critical_speed(network, schedule, paths, v_lo: float, v_hi: float,
     lo, hi = v_lo, v_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: a tol below their spacing ends here
+            break
         if positive(mid):
             hi = mid
         else:

@@ -46,8 +46,9 @@ class Observation:
 def update_red(mask: int, u: int, t_plus: float, delay: float, schedule: VisitSchedule) -> int:
     """Keep the visit-time class of ``mask`` at ``u`` that holds the passage
     at ``t_plus - delay``: the first whose time is within ``TIME_EPS`` of it.
-    Classes start more than ``TIME_EPS`` apart, so that class is the
-    evader's own.
+    Classes start more than ``TIME_EPS`` apart, so for a passage equal to
+    a visit time that class is the evader's own; ``t_plus - delay`` can
+    round a visit at the edge of its class into the next one.
 
     Raises InconsistentObservation when no class matches.
     """
@@ -116,9 +117,10 @@ def observe(mask: int, u: int, t: float, visit: float, schedule: VisitSchedule, 
             since: float | None = None) -> TranscriptRow | None:
     """Read sensor ``u`` at time ``t`` holding ``mask``, the evader passing
     ``u`` at ``visit`` (inf: never); None means a capture at ``visit``.
-    Arriving, catch a passage right then, read red for an earlier one and
-    keep its visit-time class (strict) or all paths through ``u``, else read
-    green and keep the paths still to come; but a membership-convention
+    Arriving, catch a passage right then or one whose visit-time class
+    starts by then (the green would drop that class), read red for an
+    earlier one and keep its class (strict) or all paths through ``u``, else
+    read green and keep the paths still to come; but a membership-convention
     green on a set ``u`` splits waits for the set's earliest visit, catching
     a passage meanwhile, and keeps the paths avoiding ``u``. A wait step
     from the reading at ``since`` catches a passage after it and by ``t``,
@@ -127,10 +129,16 @@ def observe(mask: int, u: int, t: float, visit: float, schedule: VisitSchedule, 
         if teq(visit, t):
             return None
         if tlt(visit, t):
-            kept = update_red(mask, u, t, t - visit, schedule) if strict else mask & schedule.through[u]
+            # read at the passage itself: t - (t - visit) can round out of its class
+            kept = update_red(mask, u, visit, 0.0, schedule) if strict else mask & schedule.through[u]
             if kept == 0:
                 raise InconsistentObservation(f"red at node {u} contradicts the tracked set entirely")
             return TranscriptRow(t, u, Observation.red(t - visit), kept)
+        for c, _ in schedule.groups[u]:  # caught if its class starts by t: the green drops it
+            if tlt(t, c):
+                break
+            if teq(c, visit):
+                return None
         red, green = partition(mask, u, schedule)
         if not (strict or red in (0, mask)):
             end = max(t, red_reports(mask, u, schedule, False)[0][0])

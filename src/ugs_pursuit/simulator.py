@@ -280,6 +280,8 @@ def oracle_max_delay(network: RoadNetwork, schedule: VisitSchedule, metric: Purs
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: a tol below their spacing ends here
+            break
         if oracle.wins(entry, mid, full, {}):
             lo = mid
         else:

@@ -79,6 +79,15 @@ class TestCriticalSpeed:
         with pytest.raises(PursuitError, match="tolerance must be > 0"):
             oracle_max_delay(network, schedule, demo_metric, paths, tol=tol)
 
+    def test_bisection_below_float_spacing_ends(self, demo, demo_metric):
+        """A tolerance below the spacing of floats near the bracket ends
+        once the bracket's ends are adjacent floats."""
+        network, paths, schedule = demo
+        v = critical_speed(network, schedule, paths, 1.0, 2.0, tol=1e-20)
+        assert abs(v - critical_speed(network, schedule, paths, 1.0, 2.0, tol=1e-12)) <= 1e-12
+        d = oracle_max_delay(network, schedule, demo_metric, paths, tol=1e-20)
+        assert abs(d - oracle_max_delay(network, schedule, demo_metric, paths)) <= 1e-7
+
     def test_result_straddles_predicate(self, demo):
         network, paths, schedule = demo
         tol = 1e-4

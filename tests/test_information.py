@@ -9,6 +9,7 @@ from ugs_pursuit import (
     Observation,
     build_schedule,
     enumerate_paths,
+    euclidean_metric,
     full_lattice,
     indices_of,
     mask_from,
@@ -16,11 +17,14 @@ from ugs_pursuit import (
     partition,
     realizable_sets,
     red_reports,
+    solve,
     update_green,
     update_red,
     validate_network,
+    verify_guarantee,
 )
 from ugs_pursuit.fixtures import random_instance, random_layered_network
+from ugs_pursuit.util import tlt
 
 from conftest import mask_of
 
@@ -144,21 +148,33 @@ class TestObserve:
             assert row.info == mask_of(demo_index, *self.AVOID)
             assert not row.obs.is_red and row.t == 17.54
 
-    def test_near_tie_readings_keep_whole_classes(self):
-        """Node 5 is visited at 1.0, 1.0 + 0.8e-9 and 1.0 + 1.6e-9 by paths
-        1-3, and path 4 avoids it. The classes are {1,2} and {3}: path 2 is
-        within TIME_EPS of both neighbours, path 3 only of path 2."""
+    @pytest.mark.parametrize("second, third", [
+        (1.0 + 0.8e-9, 1.0 + 1.6e-9),
+        (math.nextafter(1.0 + 1e-9, 0.0), 1.0 + 1e-9),
+    ], ids=["within-both-neighbours", "at-window-edge"])
+    def test_near_tie_readings_keep_whole_classes(self, second, third):
+        """Node 5 is visited at 1.0, ``second`` and ``third`` by paths 1-3,
+        and path 4 avoids it; the classes are {1,2} and {3}. Either path 2
+        lies within TIME_EPS of both neighbours, or it sits at the last float
+        of its class's window and path 3 starts the next class one float
+        later, where ``t - (t - visit)`` can round across the boundary. An
+        arrival within TIME_EPS before a class's first visit catches every
+        evader of that class, since the green drops the whole class, and
+        playback at the solved delay captures every evader."""
+        xy = ((0, 0), (1, 1), (1, 0), (1, -1), (2, 0), (3, 0))
         raw = {
-            "nodes": [{"id": j} for j in range(1, 7)],
+            "nodes": [{"id": j, "x": x, "y": y} for j, (x, y) in enumerate(xy, 1)],
             "edges": [{"from": a, "to": b, "time": t} for a, b, t in (
                 (1, 2, 0.5), (1, 3, 0.5), (1, 4, 0.5), (1, 6, 3.0),
-                (2, 5, 0.5), (3, 5, 0.5 + 0.8e-9), (4, 5, 0.5 + 1.6e-9), (5, 6, 1.0))],
+                (2, 5, 0.5), (3, 5, second - 0.5), (4, 5, third - 0.5), (5, 6, 1.0))],
         }
         network = validate_network(raw)
-        schedule = build_schedule(enumerate_paths(network), network.m)
-        classes = [cls for _, cls in red_reports(15, 5, schedule, True)]
-        assert classes == [mask_from([1, 2]), mask_from([3])]
-        times = (0.5, 1.0, 1.0 + 0.8e-9, 1.0 + 1.2e-9, 1.0 + 1.6e-9, 2.0)
+        paths = enumerate_paths(network)
+        schedule = build_schedule(paths, network.m)
+        assert schedule.groups[5] == ((1.0, mask_from([1, 2])), (third, mask_from([3])))
+        times = [0.5, 1.0 - 0.5e-9, 1.0, second, 1.0 + 1.2e-9, third - 0.5e-9, third, 2.0]
+        times += [visit + delay for visit in (1.0, second, third)
+                  for delay in (1.1e-9, 2e-9, 0.3, 7.3, 1e3)]
         for mask in full_lattice(schedule.n):
             reports = red_reports(mask, 5, schedule, True)
             avoiders = mask & ~schedule.through[5]
@@ -167,12 +183,17 @@ class TestObserve:
                     row = observe(mask, 5, t, schedule.times[5][k], schedule, True)
                     if row is None:
                         continue
+                    assert row.info >> (k - 1) & 1, (mask, t, k)
                     if row.obs.is_red:
                         assert row.info in [cls for _, cls in reports], (mask, t, k)
-                        assert row.info >> (k - 1) & 1, (mask, t, k)
                     else:
-                        later = [cls for tau, cls in reports if tau > t + 1e-9]
+                        later = [cls for tau, cls in reports if tlt(t, tau)]
                         assert row.info == avoiders | sum(later), (mask, t, k)
+        metric = euclidean_metric(network, 6.0)
+        for strict in (False, True):
+            result = solve(network, schedule, metric, paths, strict_resolution=strict)
+            report = verify_guarantee(network, schedule, metric, result, result.tolerable_delay)
+            assert report.all_captured, strict
 
     @pytest.mark.parametrize("strict, mask, t, visit, since", [
         (True, (EARLY,), 18.0, 17.54, None),  # red at a time no path passes
