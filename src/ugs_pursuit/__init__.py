@@ -31,7 +31,7 @@ from .errors import (
     TriangleViolation,
     UnreachableNode,
 )
-from .fixtures import demo_bundle, demo_network, demo_raw, random_instance, random_layered_network, speed_floor
+from .fixtures import demo_bundle, demo_raw, random_instance, random_layered_network, speed_floor
 from .information import (
     FamilyEvent,
     Observation,

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BracketInvalid, MetricError, PursuitError
+from .errors import BracketInvalid, MetricError
 from .network import euclidean_metric
 from .solver import solve
-from .util import TIME_EPS
+from .util import TIME_EPS, bisect_bracket, check_bracket
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,10 @@ def critical_speed(network, schedule, paths, v_lo: float, v_hi: float,
     The solved delay can jump when the optimal policy restructures, so the
     bisection tracks only whether it is positive. Requires the predicate to
     be false at ``v_lo`` (zero delay, or an invalid metric) and true at
-    ``v_hi``; raises BracketInvalid otherwise, and PursuitError unless
-    ``tol > 0``.
+    ``v_hi``; raises BracketInvalid otherwise. Raises PursuitError, before
+    any solve, unless ``tol > 0`` and both ends are finite.
     """
-    if not tol > 0:  # also rejects NaN
-        raise PursuitError(f"bisection tolerance must be > 0, got {tol}")
+    check_bracket(v_lo, v_hi, tol)
 
     def positive(speed: float) -> bool:
         try:
@@ -93,13 +92,4 @@ def critical_speed(network, schedule, paths, v_lo: float, v_hi: float,
         raise BracketInvalid(f"delay already positive at the lower speed {v_lo}")
     if not positive(v_hi):
         raise BracketInvalid(f"delay not positive at the upper speed {v_hi}")
-    lo, hi = v_lo, v_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: a tol below their spacing ends here
-            break
-        if positive(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return bisect_bracket(positive, v_lo, v_hi, tol)[1]

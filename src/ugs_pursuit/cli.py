@@ -14,7 +14,7 @@ import sys
 
 from .analysis import critical_speed, sweep
 from .errors import PursuitError
-from .fixtures import demo_raw, random_layered_network
+from .fixtures import demo_bundle, random_layered_network
 from .information import realizable_sets
 from .network import (
     build_schedule,
@@ -54,15 +54,12 @@ def _parsing(source: str, shape: str):
 
 def _load_bundle(args):
     if args.network == "demo":
-        raw = demo_raw()
-    elif args.network == "random":
-        raw = None
+        return demo_bundle()
+    if args.network == "random":
         network = random_layered_network(args.seed)
     else:
-        raw = _load_json_file(args.network)
-    if raw is not None:
-        network = validate_network(raw)
-    paths = enumerate_paths(network, max_paths=args.max_paths)
+        network = validate_network(_load_json_file(args.network))
+    paths = enumerate_paths(network)
     schedule = build_schedule(paths, network.m)
     return network, paths, schedule
 
@@ -231,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="network JSON file, or 'demo' / 'random'")
     shared.add_argument("--seed", type=int, default=0,
                         help="seed for --network random")
-    shared.add_argument("--max-paths", type=int, default=None,
-                        help="refuse networks with more evader paths (default: no cap)")
     shared.add_argument("--speed", type=float, default=None,
                         help="pursuer speed for the euclidean metric")
     shared.add_argument("--metric", default=None, help="metric JSON file")

@@ -47,13 +47,9 @@ def demo_raw() -> dict:
     }
 
 
-def demo_network() -> RoadNetwork:
-    return validate_network(demo_raw())
-
-
 def demo_bundle():
     """(network, paths, schedule) for the demo."""
-    network = demo_network()
+    network = validate_network(demo_raw())
     paths = enumerate_paths(network)
     return network, paths, build_schedule(paths, network.m)
 
@@ -63,9 +59,7 @@ def speed_floor(network: RoadNetwork) -> float:
     with the euclidean metric (exclusive bound)."""
     worst = 0.0
     for j, c, t in network.edges():
-        xa, ya = network.coords[j]
-        xb, yb = network.coords[c]
-        worst = max(worst, math.hypot(xa - xb, ya - yb) / t)
+        worst = max(worst, math.dist(network.coords[j], network.coords[c]) / t)
     return worst
 
 
@@ -105,17 +99,14 @@ def random_layered_network(seed: int, widths=None) -> RoadNetwork:
             if not any(e[0] == parent for e in edges):
                 edges.add((parent, rng.choice(layer_nodes[li])))
 
-    def dist(a, b):
-        (xa, ya), (xb, yb) = coords[a - 1], coords[b - 1]
-        return math.hypot(xa - xb, ya - yb)
-
     raw = {
         "nodes": [
             {"id": j, "x": coords[j - 1][0], "y": coords[j - 1][1]}
             for j in range(1, next_id)
         ],
         "edges": [
-            {"from": a, "to": b, "time": dist(a, b) * rng.uniform(1.1, 2.0)}
+            {"from": a, "to": b,
+             "time": math.dist(coords[a - 1], coords[b - 1]) * rng.uniform(1.1, 2.0)}
             for a, b in sorted(edges)
         ],
         "entry": 1,

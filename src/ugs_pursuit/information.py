@@ -43,16 +43,16 @@ class Observation:
         return cls(delay)
 
 
-def update_red(mask: int, u: int, t_plus: float, delay: float, schedule: VisitSchedule) -> int:
+def update_red(mask: int, u: int, passage: float, schedule: VisitSchedule) -> int:
     """Keep the visit-time class of ``mask`` at ``u`` that holds the passage
-    at ``t_plus - delay``: the first whose time is within ``TIME_EPS`` of it.
+    at ``passage``: the first whose time is within ``TIME_EPS`` of it.
     Classes start more than ``TIME_EPS`` apart, so for a passage equal to
-    a visit time that class is the evader's own; ``t_plus - delay`` can
-    round a visit at the edge of its class into the next one.
+    a visit time that class is the evader's own; a passage rebuilt as a
+    reading time minus a delay can round a visit at the edge of its class
+    into the next one.
 
     Raises InconsistentObservation when no class matches.
     """
-    passage = t_plus - delay
     for t, cls in red_reports(mask, u, schedule, True):
         if teq(t, passage):
             return cls
@@ -130,7 +130,7 @@ def observe(mask: int, u: int, t: float, visit: float, schedule: VisitSchedule, 
             return None
         if tlt(visit, t):
             # read at the passage itself: t - (t - visit) can round out of its class
-            kept = update_red(mask, u, visit, 0.0, schedule) if strict else mask & schedule.through[u]
+            kept = update_red(mask, u, visit, schedule) if strict else mask & schedule.through[u]
             if kept == 0:
                 raise InconsistentObservation(f"red at node {u} contradicts the tracked set entirely")
             return TranscriptRow(t, u, Observation.red(t - visit), kept)

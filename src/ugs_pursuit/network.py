@@ -326,7 +326,7 @@ def euclidean_metric(network: RoadNetwork, speed: float) -> PursuerMetric:
     Requires coordinates on every node and ``speed > 0``; the result is
     checked against the triangle and speed-advantage requirements.
     """
-    if speed <= 0:
+    if not speed > 0:  # also rejects NaN
         raise MetricError(f"pursuer speed must be positive, got {speed}")
     for j in range(1, network.m + 1):
         if network.coords[j] is None:
@@ -340,17 +340,6 @@ def euclidean_metric(network: RoadNetwork, speed: float) -> PursuerMetric:
     metric = PursuerMetric(d=tuple(tuple(row) for row in d))
     validate_metric(metric, network, check_triangle=False)
     return metric
-
-
-def metric_violations(metric: PursuerMetric, network: RoadNetwork, check_triangle: bool = True):
-    """The first ``VIOLATION_LIMIT`` violations of the metric requirements.
-
-    Each entry is ``(kind, indices, detail)`` with kind one of
-    ``diagonal``, ``triangle``, ``speed``.
-    """
-    if metric.m != network.m:
-        raise MetricError(f"metric is {metric.m}x{metric.m} but the network has {network.m} nodes")
-    return list(itertools.islice(_violations(metric.d, network, check_triangle), VIOLATION_LIMIT))
 
 
 def _violations(d, network: RoadNetwork, check_triangle: bool):
@@ -375,8 +364,14 @@ def _violations(d, network: RoadNetwork, check_triangle: bool):
 
 def validate_metric(metric: PursuerMetric, network: RoadNetwork, check_triangle: bool = True) -> None:
     """Raise NonZeroDiagonal / TriangleViolation / SpeedAdvantageViolated on
-    the first problem found; silent when the table is acceptable."""
-    violations = metric_violations(metric, network, check_triangle=check_triangle)
+    the first problem found; silent when the table is acceptable. The error's
+    ``violations`` lists the first ``VIOLATION_LIMIT`` problems as
+    ``(kind, indices, detail)`` with kind one of ``diagonal``, ``triangle``,
+    ``speed``."""
+    if metric.m != network.m:
+        raise MetricError(f"metric is {metric.m}x{metric.m} but the network has {network.m} nodes")
+    found = _violations(metric.d, network, check_triangle)
+    violations = list(itertools.islice(found, VIOLATION_LIMIT))
     if not violations:
         return
     kind, idx, detail = violations[0]

@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import CapExceeded, NonTermination, PolicyHole, PursuitError, SimulationError
-from .information import Observation, TranscriptRow, observe
+from .errors import CapExceeded, NonTermination, PolicyHole, SimulationError
+from .information import Observation, TranscriptRow, observe, red_reports
 from .network import PursuerMetric, RoadNetwork, VisitSchedule, indices_of
 from .solver import SolveResult
-from .util import teq, tle, tlt
+from .util import bisect_bracket, check_bracket, teq, tle, tlt
 
 ORACLE_PATH_CAP = 6
 ORACLE_NODE_CAP = 10
@@ -87,7 +87,7 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
             raise PolicyHole(f"no guaranteed move recorded for node {p}, set {indices_of(info)}")
 
         if move == p:  # wait for the set's next visit here
-            upcoming = [tau for tau, group in schedule.groups[p] if group & info and tlt(t, tau)]
+            upcoming = [tau for tau, _ in red_reports(info, p, schedule, True) if tlt(t, tau)]
             if not upcoming:
                 raise SimulationError(f"policy waits at node {p} with no upcoming visits")
             reading = observe(info, p, upcoming[0], schedule.times[p][k], schedule, strict, since=t)
@@ -237,19 +237,17 @@ class _Oracle:
         return False
 
 
-def _check_caps(schedule: VisitSchedule, n_cap: int, m_cap: int) -> None:
-    if schedule.n > n_cap or schedule.m > m_cap:
-        raise CapExceeded(
-            f"oracle caps exceeded: n={schedule.n} (cap {n_cap}), m={schedule.m} (cap {m_cap})"
-        )
+def _check_caps(schedule: VisitSchedule) -> None:
+    if schedule.n > ORACLE_PATH_CAP or schedule.m > ORACLE_NODE_CAP:
+        raise CapExceeded(f"oracle caps exceeded: n={schedule.n} (cap {ORACLE_PATH_CAP}), "
+                          f"m={schedule.m} (cap {ORACLE_NODE_CAP})")
 
 
 def guarantee_exists(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetric,
-                     paths, t0: float, strict_resolution: bool = False, exact: bool = False,
-                     n_cap: int = ORACLE_PATH_CAP, m_cap: int = ORACLE_NODE_CAP) -> bool:
+                     paths, t0: float, strict_resolution: bool = False, exact: bool = False) -> bool:
     """Exhaustively decide whether some pursuit strategy captures every
     evader path when the chase starts ``t0`` after the evader's entry."""
-    _check_caps(schedule, n_cap, m_cap)
+    _check_caps(schedule)
     if t0 <= 0:
         return True
     oracle = _Oracle(schedule, metric, paths, strict_resolution, exact)
@@ -259,31 +257,21 @@ def guarantee_exists(network: RoadNetwork, schedule: VisitSchedule, metric: Purs
 
 def oracle_max_delay(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetric,
                      paths, strict_resolution: bool = False, exact: bool = False,
-                     n_cap: int = ORACLE_PATH_CAP, m_cap: int = ORACLE_NODE_CAP,
                      tol: float = 1e-7) -> float:
     """Maximum initial delay with a guaranteed capture, by bisection of the
     win predicate over [0, shortest path length].
 
     Winning at some delay implies winning at any smaller delay, so the
-    predicate is monotone and bisection is sound. Raises PursuitError
-    unless ``tol > 0``.
+    predicate is monotone and bisection is sound. Raises PursuitError,
+    before the oracle runs, unless ``tol > 0`` and the shortest path
+    length is finite.
     """
-    if not tol > 0:  # also rejects NaN
-        raise PursuitError(f"bisection tolerance must be > 0, got {tol}")
-    _check_caps(schedule, n_cap, m_cap)
+    _check_caps(schedule)
+    hi = min(p.length for p in paths)
+    check_bracket(0.0, hi, tol)
     oracle = _Oracle(schedule, metric, paths, strict_resolution, exact)
     full = (1 << schedule.n) - 1
     entry = network.entry
-    hi = min(p.length for p in paths)
     if oracle.wins(entry, hi, full, {}):
         return hi
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: a tol below their spacing ends here
-            break
-        if oracle.wins(entry, mid, full, {}):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect_bracket(lambda t0: not oracle.wins(entry, t0, full, {}), 0.0, hi, tol)[0]

@@ -151,7 +151,9 @@ class SolveResult:
     @classmethod
     def from_json(cls, data: dict) -> "SolveResult":
         """Rebuild the rows of ``to_json`` output. Raises ValueError on an entry
-        outside nodes ``1..m`` or paths ``1..n`` and on a set listed for only some nodes."""
+        outside nodes ``1..m`` or paths ``1..n``, a ``mu`` that is not null or a
+        node, a ``D`` that is not null or a number, and a set listed for only
+        some nodes."""
         meta = data["meta"]
         n, m, rows, hole = int(meta["n"]), int(meta["m"]), {}, object()
         for entry in data["entries"]:
@@ -159,8 +161,15 @@ class SolveResult:
             if not (1 <= j <= m and 0 < mask < 1 << n):
                 raise ValueError(f"entry for node {j}, set {entry['set']}: nodes are 1..{m}, "
                                  f"paths 1..{n}")
+            latest, move = entry["D"], entry["mu"]
+            if not (move is None or type(move) is int and 1 <= move <= m):
+                raise ValueError(f"entry for node {j}, set {entry['set']}: mu {move!r} is not "
+                                 f"null or a node 1..{m}")
+            if not (latest is None or type(latest) in (int, float)):
+                raise ValueError(f"entry for node {j}, set {entry['set']}: D {latest!r} is not "
+                                 "null or a number")
             row = rows.setdefault(mask, ([hole] * m, [None] * m, [False] * m))
-            for column, value in zip(row, (entry["D"], entry["mu"], bool(entry["capture"]))):
+            for column, value in zip(row, (latest, move, bool(entry["capture"]))):
                 column[j - 1] = value
         for mask, (latest, _, _) in rows.items():
             if hole in latest:
@@ -354,7 +363,7 @@ class _Solver:
         at the next visit time on every set the walk hands to ``u`` (under the
         membership convention, sets wholly through ``u`` or wholly avoiding it)."""
         schedule = self.schedule
-        times = [t for t, group in schedule.groups[u] if group & mask]
+        times = [t for t, _ in red_reports(mask, u, schedule, True)]
         pairs = [(arrival, float("inf")) for arrival in (times[0] - 1.0, *times)]
         pairs += [(times[-1] + 1.0, visit) for visit in times]
         out = set()

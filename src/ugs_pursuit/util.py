@@ -5,6 +5,10 @@ All times are 64-bit floats compared with a fixed absolute tolerance:
 ``|a - b| <= TIME_EPS``.
 """
 
+import math
+
+from .errors import PursuitError
+
 TIME_EPS = 1e-9
 
 
@@ -33,3 +37,28 @@ def group_times(pairs):
         else:
             out.append((t, [key]))
     return out
+
+
+def check_bracket(lo: float, hi: float, tol: float) -> None:
+    """Raise PursuitError unless ``tol > 0`` and both bracket ends are finite."""
+    if not tol > 0:  # also rejects NaN
+        raise PursuitError(f"bisection tolerance must be > 0, got {tol}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise PursuitError(f"bisection bracket ends must be finite, got [{lo}, {hi}]")
+
+
+def bisect_bracket(flips, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Narrow the bracket of a predicate ``flips`` that is false at ``lo``
+    and true at ``hi`` until it is at most ``tol`` wide or its ends are
+    adjacent floats; returns the final ``(lo, hi)``. Raises PursuitError
+    as ``check_bracket`` does."""
+    check_bracket(lo, hi, tol)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: a tol below their spacing ends here
+            break
+        if flips(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

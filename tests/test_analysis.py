@@ -11,7 +11,8 @@ from ugs_pursuit import (
     solve,
     sweep,
 )
-from ugs_pursuit.util import TIME_EPS
+from ugs_pursuit import analysis, simulator
+from ugs_pursuit.util import TIME_EPS, bisect_bracket
 
 
 class TestSweep:
@@ -56,6 +57,19 @@ class TestSweep:
         assert row.valid and row.delay == 0.0
 
 
+class TestBisectBracket:
+    @pytest.mark.parametrize("lo,hi,tol,named", [
+        (math.nan, 1.0, 1e-3, "must be finite"),
+        (0.0, math.inf, 1e-3, "must be finite"),
+        (0.0, 1.0, 0.0, "tolerance must be > 0"),
+    ], ids=["nan-lo", "inf-hi", "zero-tol"])
+    def test_rejects_before_evaluating(self, lo, hi, tol, named):
+        calls = []
+        with pytest.raises(PursuitError, match=named):
+            bisect_bracket(calls.append, lo, hi, tol)
+        assert calls == []
+
+
 class TestCriticalSpeed:
     def test_single_path_threshold(self, single_edge):
         network, paths, schedule = single_edge
@@ -78,6 +92,29 @@ class TestCriticalSpeed:
             critical_speed(network, schedule, paths, 1.0, 2.0, tol=tol)
         with pytest.raises(PursuitError, match="tolerance must be > 0"):
             oracle_max_delay(network, schedule, demo_metric, paths, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, math.nan])
+    def test_tolerance_rejected_before_solving(self, demo, demo_metric, monkeypatch, tol):
+        """A bad tolerance is refused before any solve or oracle run, so the
+        answer does not depend on the network's endpoint values."""
+        calls = []
+        monkeypatch.setattr(analysis, "_solve_at", lambda *args: calls.append(args))
+        monkeypatch.setattr(simulator._Oracle, "wins", lambda self, *args: calls.append(args))
+        network, paths, schedule = demo
+        with pytest.raises(PursuitError, match="tolerance must be > 0"):
+            critical_speed(network, schedule, paths, 1.0, 2.0, tol=tol)
+        with pytest.raises(PursuitError, match="tolerance must be > 0"):
+            oracle_max_delay(network, schedule, demo_metric, paths, tol=tol)
+        assert calls == []
+
+    @pytest.mark.parametrize("v_lo,v_hi", [(math.nan, 2.0), (-math.inf, 2.0), (1.0, math.inf)],
+                             ids=["nan-lo", "minus-inf-lo", "inf-hi"])
+    def test_non_finite_bracket_end_rejected(self, demo, v_lo, v_hi):
+        """Speeds nan and -inf give no valid metric and inf a positive
+        delay, so the endpoint checks pass and the bisection must refuse."""
+        network, paths, schedule = demo
+        with pytest.raises(PursuitError, match="must be finite"):
+            critical_speed(network, schedule, paths, v_lo, v_hi)
 
     def test_bisection_below_float_spacing_ends(self, demo, demo_metric):
         """A tolerance below the spacing of floats near the bracket ends

@@ -200,19 +200,37 @@ class TestErrors:
          "got -1.0"),
         (["critical-speed", "--network", "demo", "--lo", "1", "--hi", "2", "--tol", "nan"],
          "got nan"),
+        (["critical-speed", "--network", "demo", "--lo", "nan", "--hi", "2"], "must be finite"),
+        (["critical-speed", "--network", "demo", "--lo=-inf", "--hi", "2"], "must be finite"),
+        (["critical-speed", "--network", "demo", "--lo", "1", "--hi", "inf"], "must be finite"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
+          "mu_above_range.json"], "mu 99"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
+          "mu_string.json"], "mu 'x'"),
+        (["simulate", "--network", "demo", "--speed", "1.62", "--path", "1", "--t0", "1",
+          "--policy", "latest_string.json"], "D 'x'"),
+        (["solve", "--network", "demo", "--speed", "nan"], "must be positive, got nan"),
     ], ids=["edge-without-time", "node-without-id", "non-numeric-time", "top-level-list",
             "metric-without-speed", "policy-not-from-solve", "non-numeric-grid",
             "path-above-range", "path-zero", "non-integer-entry", "non-integer-goal",
             "edges-not-a-list", "fractional-endpoint", "nodes-not-a-list",
             "policy-node-zero", "policy-partial-set", "policy-path-above-range", "nan-delay",
-            "zero-tolerance", "negative-tolerance", "nan-tolerance"])
+            "zero-tolerance", "negative-tolerance", "nan-tolerance", "nan-lower-speed",
+            "minus-inf-lower-speed", "inf-upper-speed", "policy-mu-above-range",
+            "policy-mu-not-a-node", "policy-latest-not-a-number", "nan-speed"])
     def test_malformed_input_exit_code(self, capsys, tmp_path, monkeypatch, argv, named):
         _, solved, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.62",
                                     "--format", "json"])
-        node_zero, partial_set, path_nine = (json.loads(solved) for _ in range(3))
+        node_zero, partial_set, path_nine, mu_high, mu_text, latest_text = (
+            json.loads(solved) for _ in range(6))
         node_zero["entries"][-1]["node"] = 0
         del partial_set["entries"][-1]
         path_nine["entries"][-1]["set"] = [9]
+        root = next(i for i, e in enumerate(mu_high["entries"])
+                    if e["node"] == 1 and e["set"] == [1, 2, 3, 4])
+        mu_high["entries"][root]["mu"] = 99
+        mu_text["entries"][root]["mu"] = "x"
+        latest_text["entries"][root]["D"] = "x"
         edge = {"from": 1, "to": 2, "time": 1.0}
         two = [{"id": 1}, {"id": 2}]
         files = {
@@ -229,6 +247,9 @@ class TestErrors:
             "node_zero.json": node_zero,
             "partial_set.json": partial_set,
             "path_nine.json": path_nine,
+            "mu_above_range.json": mu_high,
+            "mu_string.json": mu_text,
+            "latest_string.json": latest_text,
         }
         for name, data in files.items():
             (tmp_path / name).write_text(json.dumps(data))

@@ -45,25 +45,25 @@ class TestUpdates:
     def test_red_at_first_branch_node(self, demo, demo_index):
         _, _, schedule = demo
         full = (1 << 4) - 1
-        got = update_red(full, 2, 4.83, 0.0, schedule)
+        got = update_red(full, 2, 4.83, schedule)
         assert got == mask_of(demo_index, (1, 2, 7))
 
     def test_red_at_exit_six(self, demo, demo_index):
         _, _, schedule = demo
         pair = mask_of(demo_index, (1, 3, 4, 6), (1, 3, 4, 7))
-        got = update_red(pair, 6, 16.30, 0.0, schedule)
+        got = update_red(pair, 6, 16.30, schedule)
         assert got == mask_of(demo_index, (1, 3, 4, 6))
 
     def test_red_with_delay_keeps_consistent_path(self, demo, demo_index):
         _, _, schedule = demo
         only = mask_of(demo_index, (1, 2, 7))
-        assert update_red(only, 2, 6.0, 1.17, schedule) == only
+        assert update_red(only, 2, 6.0 - 1.17, schedule) == only
 
     def test_red_contradiction(self, demo, demo_index):
         _, _, schedule = demo
         only = mask_of(demo_index, (1, 2, 7))
         with pytest.raises(InconsistentObservation):
-            update_red(only, 2, 6.0, 0.5, schedule)
+            update_red(only, 2, 6.0 - 0.5, schedule)
 
     def test_green_at_first_branch_node(self, demo, demo_index):
         _, _, schedule = demo
@@ -261,14 +261,17 @@ def test_updates_only_discard(inst, data):
     t = schedule.times[u][k]
     if t == float("inf"):
         return
-    red = update_red(full, u, t + 1.0, 1.0, schedule)
-    assert red & full == red and red != 0
+    # the passage itself, and one rebuilt from a reading at t + 1.0 with delay 1.0
+    reds = [update_red(full, u, passage, schedule) for passage in (t, (t + 1.0) - 1.0)]
+    for red in reds:
+        assert red & full == red and red != 0
     try:
         green = update_green(full, u, t, schedule)
     except InconsistentObservation:
         return
     assert green & full == green
-    assert red & green == 0  # same node, same instant: reports disagree
+    for red in reds:
+        assert red & green == 0  # same node, same instant: reports disagree
 
 
 @settings(max_examples=30, deadline=None)

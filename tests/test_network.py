@@ -6,6 +6,7 @@ from ugs_pursuit import (
     CycleDetected,
     EntryIsGoal,
     GoalMismatch,
+    MetricError,
     NetworkError,
     NonPositiveEdgeTime,
     NonZeroDiagonal,
@@ -217,6 +218,11 @@ class TestMetrics:
         assert speed_floor(network) == pytest.approx(1.0, abs=1e-9)
         with pytest.raises(SpeedAdvantageViolated):
             euclidean_metric(network, 0.9)
+
+    def test_nan_speed_rejected(self, demo):
+        network, _, _ = demo
+        with pytest.raises(MetricError, match="must be positive, got nan"):
+            euclidean_metric(network, math.nan)
 
     def test_triangle_violation(self):
         network = net([1, 2, 3], [(1, 2, 2.0), (2, 3, 2.0)])

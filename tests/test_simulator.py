@@ -19,6 +19,7 @@ from ugs_pursuit import (
     solve,
     update_green,
     update_red,
+    validate_network,
     verify_guarantee,
 )
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
@@ -75,7 +76,7 @@ class TestSimulate:
             for row in outcome.transcript:
                 assert row.info & previous == row.info  # only ever discards
                 if row.obs.is_red:
-                    replay = update_red(previous, row.node, row.t, row.obs.delay, schedule)
+                    replay = update_red(previous, row.node, row.t - row.obs.delay, schedule)
                 else:
                     replay = update_green(previous, row.node, row.t, schedule)
                 assert replay == row.info
@@ -156,12 +157,26 @@ class TestOracle:
         got = oracle_max_delay(network, schedule, zero_metric, paths)
         assert got == pytest.approx(11.83, abs=1e-6)
 
-    def test_caps_enforced(self, demo, demo_metric):
-        network, paths, schedule = demo
-        with pytest.raises(CapExceeded):
-            oracle_max_delay(network, schedule, demo_metric, paths, n_cap=2)
-        with pytest.raises(CapExceeded):
-            guarantee_exists(network, schedule, demo_metric, paths, 1.0, m_cap=3)
+    def test_caps_enforced(self):
+        # entry -> 7 middle nodes -> one goal: n=7 paths over the cap, m=9 nodes under it
+        fan = ({1: (0.0, 0.0), **{j: (1.0, j - 5.0) for j in range(2, 9)}, 9: (2.0, 0.0)},
+               [(1, j) for j in range(2, 9)] + [(j, 9) for j in range(2, 9)])
+        # an 11-node chain: one path, m=11 nodes over the cap
+        chain = ({j: (float(j), 0.0) for j in range(1, 12)}, [(j, j + 1) for j in range(1, 11)])
+        for coords, edges in (fan, chain):
+            network = validate_network({
+                "nodes": [{"id": j, "x": x, "y": y} for j, (x, y) in coords.items()],
+                "edges": [{"from": a, "to": b, "time": 2.0 * math.dist(coords[a], coords[b])}
+                          for a, b in edges],
+                "entry": 1,
+            })
+            paths = enumerate_paths(network)
+            schedule = build_schedule(paths, network.m)
+            metric = euclidean_metric(network, 1.0)
+            with pytest.raises(CapExceeded):
+                oracle_max_delay(network, schedule, metric, paths)
+            with pytest.raises(CapExceeded):
+                guarantee_exists(network, schedule, metric, paths, 1.0)
 
     def test_monotone_in_speed(self, demo):
         network, paths, schedule = demo
