@@ -27,6 +27,7 @@ from .network import (
 from .simulator import simulate, verify_guarantee
 from .solver import SolveResult, solve
 from .tree_export import build_tree, tree_to_dot, tree_to_json
+from .util import dumps_indented
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -99,7 +100,7 @@ def _cmd_paths(args) -> int:
             ],
             "goals": sorted(network.goals),
         }
-        _emit(json.dumps(payload, indent=2))
+        _emit(dumps_indented(payload))
         return EXIT_OK
     _emit(f"{len(paths)} evader path(s); goals {sorted(network.goals)}")
     for p in paths:
@@ -116,7 +117,7 @@ def _cmd_realizable(args) -> int:
     _, paths, schedule = _load_bundle(args)
     family = realizable_sets(schedule, paths)
     if args.format == "json":
-        _emit(json.dumps(family.to_json(), indent=2))
+        _emit(dumps_indented(family.to_json()))
         return EXIT_OK
     _emit(f"{len(family.sets)} realizable set(s) out of {2 ** schedule.n - 1} subsets")
     for mask in family.sets:
@@ -132,7 +133,7 @@ def _cmd_solve(args) -> int:
     network, paths, schedule = _load_bundle(args)
     _, result = _solve(args, network, paths, schedule)
     if args.format == "json":
-        _emit(json.dumps(result.to_json(), indent=2))
+        _emit(dumps_indented(result.to_json()))
     else:
         _emit(f"tolerable delay at entry: {result.tolerable_delay:.6f}")
         raw = result.root_latest
@@ -149,7 +150,7 @@ def _cmd_tree(args) -> int:
     metric, result = _solve(args, network, paths, schedule)
     tree = build_tree(result, schedule, metric)
     if args.format == "json":
-        _emit(json.dumps(tree_to_json(tree), indent=2))
+        _emit(dumps_indented(tree_to_json(tree)))
     else:
         _emit(tree_to_dot(tree))
     return EXIT_OK
@@ -194,7 +195,7 @@ def _cmd_verify(args) -> int:
                 for k, o in report.outcomes.items()
             },
         }
-        _emit(json.dumps(payload, indent=2))
+        _emit(dumps_indented(payload))
         return EXIT_OK
     for k, o in sorted(report.outcomes.items()):
         word = "captured" if o.captured else "ESCAPED"

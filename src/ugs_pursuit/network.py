@@ -152,8 +152,8 @@ def validate_network(raw: dict) -> RoadNetwork:
     UnreachableNode, NonPositiveEdgeTime, GoalMismatch; NetworkError itself
     for a malformed description: not an object, ``nodes``, ``edges`` or
     ``goals`` not a list, a node or edge record with a missing or
-    non-numeric field, or an entry, goal, node id or edge endpoint that is
-    not an integer.
+    non-numeric field, an infinite edge time, or an entry, goal, node id
+    or edge endpoint that is not an integer.
     """
     if not isinstance(raw, dict):
         raise NetworkError(f"a network description is a JSON object, not a {type(raw).__name__}")
@@ -186,6 +186,8 @@ def validate_network(raw: dict) -> RoadNetwork:
         t = _field(edge, "time", float)
         if not t > 0.0:  # also rejects NaN
             raise NonPositiveEdgeTime(f"edge ({j},{c}) has travel time {t} <= 0")
+        if t == math.inf:
+            raise NetworkError(f"edge ({j},{c}) has an infinite travel time")
         if (j, c) in edge_time:
             raise NetworkError(f"duplicate edge ({j},{c})")
         children[j].append(c)

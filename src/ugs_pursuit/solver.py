@@ -61,6 +61,8 @@ import sys
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from .errors import InconsistentObservation, MissingSubset, PursuitError
 # bench/tracing.py wraps this name to time the realizable-family sweep
@@ -151,26 +153,37 @@ class SolveResult:
     @classmethod
     def from_json(cls, data: dict) -> "SolveResult":
         """Rebuild the rows of ``to_json`` output. Raises ValueError on an entry
-        outside nodes ``1..m`` or paths ``1..n``, a ``mu`` that is not null or a
-        node, a ``D`` that is not null or a number, and a set listed for only
-        some nodes."""
-        meta = data["meta"]
-        n, m, rows, hole = int(meta["n"]), int(meta["m"]), {}, object()
-        for entry in data["entries"]:
-            j, mask = int(entry["node"]), mask_from(entry["set"])
+        outside nodes ``1..m`` or paths ``1..n``, a set member that is not an
+        integer, a ``mu`` that is not null or a node, a ``D`` that is not null
+        or a number, and a set listed for only some nodes."""
+        meta, entries = data["meta"], data["entries"]
+        n, m, hole = int(meta["n"]), int(meta["m"]), object()
+        # member types are checked first: a float 1.0 would reuse the mask cached
+        # for 1, which mask_from would reject (a bool shifts as its int does)
+        members = {*map(type, chain.from_iterable(map(itemgetter("set"), entries)))}
+        if not members <= {int, bool}:
+            kind = next(iter(members - {int, bool})).__name__
+            raise ValueError(f"a set member is a {kind}, not a path index 1..{n}")
+        seen, rows = {}, {}
+        for entry in entries:
+            j, listed = int(entry["node"]), entry["set"]
+            found = seen.get(key := tuple(listed))
+            if found is None:
+                mask = mask_from(listed)
+                row = rows.setdefault(mask, ([hole] * m, [None] * m, [False] * m))
+                found = seen[key] = mask, row
+            mask, (latests, moves, captures) = found
             if not (1 <= j <= m and 0 < mask < 1 << n):
-                raise ValueError(f"entry for node {j}, set {entry['set']}: nodes are 1..{m}, "
+                raise ValueError(f"entry for node {j}, set {listed}: nodes are 1..{m}, "
                                  f"paths 1..{n}")
             latest, move = entry["D"], entry["mu"]
             if not (move is None or type(move) is int and 1 <= move <= m):
-                raise ValueError(f"entry for node {j}, set {entry['set']}: mu {move!r} is not "
+                raise ValueError(f"entry for node {j}, set {listed}: mu {move!r} is not "
                                  f"null or a node 1..{m}")
             if not (latest is None or type(latest) in (int, float)):
-                raise ValueError(f"entry for node {j}, set {entry['set']}: D {latest!r} is not "
+                raise ValueError(f"entry for node {j}, set {listed}: D {latest!r} is not "
                                  "null or a number")
-            row = rows.setdefault(mask, ([hole] * m, [None] * m, [False] * m))
-            for column, value in zip(row, (latest, move, bool(entry["capture"]))):
-                column[j - 1] = value
+            latests[j - 1], moves[j - 1], captures[j - 1] = latest, move, bool(entry["capture"])
         for mask, (latest, _, _) in rows.items():
             if hole in latest:
                 raise ValueError(f"set {list(indices_of(mask))} is listed for only some nodes")

@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
 from ugs_pursuit import demo_raw
 from ugs_pursuit.cli import EXIT_INVALID, EXIT_NO_GUARANTEE, EXIT_OK, main
+from ugs_pursuit.fixtures import random_layered_network, speed_floor
 
 
 @pytest.fixture()
@@ -152,6 +154,26 @@ class TestTree:
         assert payload["set"] == [1, 2, 3, 4]
 
 
+class TestJsonFormat:
+    RANDOM_SPEED = 1.1 * speed_floor(random_layered_network(13))
+
+    @pytest.mark.parametrize("network", [["demo", "--speed", "1.62"],
+                                         ["random", "--seed", "13", "--speed", repr(RANDOM_SPEED)]],
+                             ids=["demo", "random-13"])
+    def test_prints_json_dumps_indent_2(self, capsys, network):
+        # paths and realizable do not depend on the convention
+        commands = [["paths", "--network", *network], ["realizable", "--network", *network]]
+        for convention in ([], ["--strict-resolution"]):
+            shared = ["--network", *network, *convention]
+            _, solved, _ = run(capsys, ["solve", *shared, "--format", "json"])
+            t0 = repr(json.loads(solved)["meta"]["tolerable_delay"])
+            commands += [["solve", *shared], ["tree", *shared], ["verify", *shared, "--t0", t0]]
+        for argv in commands:
+            code, out, _ = run(capsys, [*argv, "--format", "json"])
+            assert code == EXIT_OK
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 class TestErrors:
     def test_bad_json_reports_location(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -210,6 +232,7 @@ class TestErrors:
         (["simulate", "--network", "demo", "--speed", "1.62", "--path", "1", "--t0", "1",
           "--policy", "latest_string.json"], "D 'x'"),
         (["solve", "--network", "demo", "--speed", "nan"], "must be positive, got nan"),
+        (["solve", "--network", "inf_time.json", "--speed", "2"], "infinite travel time"),
     ], ids=["edge-without-time", "node-without-id", "non-numeric-time", "top-level-list",
             "metric-without-speed", "policy-not-from-solve", "non-numeric-grid",
             "path-above-range", "path-zero", "non-integer-entry", "non-integer-goal",
@@ -217,7 +240,8 @@ class TestErrors:
             "policy-node-zero", "policy-partial-set", "policy-path-above-range", "nan-delay",
             "zero-tolerance", "negative-tolerance", "nan-tolerance", "nan-lower-speed",
             "minus-inf-lower-speed", "inf-upper-speed", "policy-mu-above-range",
-            "policy-mu-not-a-node", "policy-latest-not-a-number", "nan-speed"])
+            "policy-mu-not-a-node", "policy-latest-not-a-number", "nan-speed",
+            "infinite-edge-time"])
     def test_malformed_input_exit_code(self, capsys, tmp_path, monkeypatch, argv, named):
         _, solved, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.62",
                                     "--format", "json"])
@@ -253,6 +277,9 @@ class TestErrors:
         }
         for name, data in files.items():
             (tmp_path / name).write_text(json.dumps(data))
+        inf_time = demo_raw()
+        inf_time["edges"][0]["time"] = math.inf
+        (tmp_path / "inf_time.json").write_text(json.dumps(inf_time).replace("Infinity", "1e999"))
         monkeypatch.chdir(tmp_path)
         code, _, err = run(capsys, argv)
         assert code == EXIT_INVALID

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -73,6 +74,11 @@ class TestValidateNetwork:
     def test_nonpositive_edge_time(self):
         with pytest.raises(NonPositiveEdgeTime):
             net([1, 2], [(1, 2, 0.0)])
+
+    def test_infinite_edge_time(self):
+        # "time": 1e999 in a network file loads as inf
+        with pytest.raises(NetworkError, match="infinite"):
+            net([1, 2], [(1, 2, json.loads("1e999"))])
 
     def test_goal_mismatch(self):
         with pytest.raises(GoalMismatch):

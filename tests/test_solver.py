@@ -226,6 +226,35 @@ class TestSolve:
         assert clone.strict_resolution == result.strict_resolution
         assert clone.metric_digest == result.metric_digest
 
+    def test_json_set_spelling_does_not_split_rows(self, demo, demo_metric):
+        network, paths, schedule = demo
+        result = solve(network, schedule, demo_metric, paths)
+        data = result.to_json()
+        for entry in data["entries"]:
+            if entry["node"] % 2:
+                entry["set"] = entry["set"][::-1]
+        clone = SolveResult.from_json(data)
+        assert clone.rows.keys() == result.rows.keys()
+        assert clone.latest == result.latest and clone.policy == result.policy
+
+    @pytest.mark.parametrize("member", [1.0, "1", None, [1]])
+    def test_json_set_member_not_an_int(self, demo, demo_metric, member):
+        network, paths, schedule = demo
+        data = solve(network, schedule, demo_metric, paths).to_json()
+        # the last listing of a set that earlier entries list with ints
+        last = data["entries"][-1]["set"]
+        assert last[0] == 1
+        last[0] = member
+        with pytest.raises(ValueError, match="not a path index"):
+            SolveResult.from_json(data)
+
+    def test_json_set_listed_for_some_nodes(self, demo, demo_metric):
+        network, paths, schedule = demo
+        data = solve(network, schedule, demo_metric, paths).to_json()
+        del data["entries"][-1]
+        with pytest.raises(ValueError, match="only some nodes"):
+            SolveResult.from_json(data)
+
     def test_json_null_encodes_no_guarantee(self):
         meta = {"n": 1, "m": 1, "strict_resolution": False, "pruned": True, "metric_digest": "x"}
         entry = {"node": 1, "set": [1], "D": None, "mu": None, "capture": False}
