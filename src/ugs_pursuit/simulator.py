@@ -12,12 +12,18 @@ over pursuer strategies with exact outcome enumeration at each visited
 sensor, whether a given initial delay admits a guaranteed capture, and
 bisects that predicate for the maximum delay. Known-path states are scored
 with the direct over-all-positions bound, which keeps the oracle
-independent of the solver's closed form.
+independent of the solver's closed form. Under either convention winning
+at a delay implies winning at every smaller one, state by state, so one
+oracle shares per-(node, set) win and loss thresholds across all the
+probes of its bisection. The ``exact=True`` search keeps a memo per probe
+instead, because its synchronous-capture window makes a state winnable at
+some arrival but not at a slightly earlier one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, NonTermination, PolicyHole, SimulationError
@@ -123,91 +129,125 @@ def verify_guarantee(network: RoadNetwork, schedule: VisitSchedule, metric: Purs
 
 
 class _Oracle:
-    """Win-predicate evaluation by exhaustive strategy search.
+    """Win-predicate evaluation by exhaustive strategy search, for one
+    network, metric and convention, probed at any number of entry delays.
 
     ``strict_resolution`` selects the observation convention the search
     assumes, mirroring the two solve conventions. ``exact`` ignores both
     conventions and enumerates raw outcomes (reds split by delay, greens
     taken at the actual arrival instant), which searches a wider strategy
     space than either convention admits.
+
+    Under either convention ``wins(p, t, mask)`` is a down-set in ``t``:
+    every recursive call is on a strict subset, and ``t + d[p][u]``,
+    ``max(arrival, visit)``, ``tle(arrival, visit)`` and the prefix of
+    classes with ``tlt(tau, arrival)`` are all monotone in ``t``, even in
+    floats. So the oracle keeps, per (node, set), the latest time found
+    winning and the earliest found losing, and answers any later call
+    outside that gap, from any probe, without search. ``exact`` keeps a
+    memo per probe instead: its synchronous-capture window (``teq``) lets
+    a class with visit time in (A, A + TIME_EPS] be caught at arrival A
+    but not at a slightly earlier one, so its sub-states are not exactly
+    monotone in ``t``.
     """
 
-    def __init__(self, schedule: VisitSchedule, metric: PursuerMetric, paths,
-                 strict_resolution: bool, exact: bool):
+    def __init__(self, network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetric,
+                 paths, strict_resolution: bool, exact: bool):
         self.schedule = schedule
         self.metric = metric
         self.strict = strict_resolution
         self.exact = exact
-        self.known: dict[tuple[int, int], float] = {}
-        for path in paths:
-            for j in range(1, schedule.m + 1):
-                best = max(
-                    arr - metric.time(j, node)
-                    for node, arr in zip(path.nodes, path.arrival)
-                )
-                self.known[(j, path.index)] = best
-        self.singleton_bit = {1 << (p.index - 1): p.index for p in paths}
+        self.entry = network.entry
+        self.full = (1 << schedule.n) - 1
+        # singleton bit -> known-path value per node (index 0 padding)
+        self.known = {
+            1 << (path.index - 1): [0.0] + [
+                max(arr - metric.d[j][node] for node, arr in zip(path.nodes, path.arrival))
+                for j in range(1, schedule.m + 1)
+            ]
+            for path in paths
+        }
+        # set -> (moves, won, lost), built by _build_set on first use
+        self.sets: dict[int, tuple] = {}
+        self.memo: dict[tuple[int, float, int], bool] = {}
 
-    def wins(self, p: int, t: float, mask: int, memo: dict) -> bool:
-        k = self.singleton_bit.get(mask)
-        if k is not None:
-            return tle(t, self.known[(p, k)])
-        key = (p, t, mask)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached is True  # in-progress sentinel counts as a loss
-        memo[key] = "open"
+    def guarantees(self, t0: float) -> bool:
+        """Whether some strategy captures every path when the chase starts
+        ``t0`` after the evader's entry."""
         if self.exact:
-            result = self._expand_exact(p, t, mask, memo)
-        else:
-            result = self._expand(p, t, mask, memo)
-        memo[key] = result
-        return result
+            self.memo = {}
+        return self.wins(self.entry, t0, self.full)
 
-    def _expand(self, p: int, t: float, mask: int, memo: dict) -> bool:
-        schedule = self.schedule
+    def wins(self, p: int, t: float, mask: int) -> bool:
+        known = self.known.get(mask)
+        if known is not None:
+            return tle(t, known[p])
+        moves, won, lost = self.sets.get(mask) or self._build_set(mask)
+        if self.exact:
+            key = (p, t, mask)
+            result = self.memo.get(key)
+            if result is None:
+                result = self.memo[key] = self._expand_exact(p, t, mask, moves)
+            return result
+        if t <= won[p]:
+            return True
+        if t >= lost[p]:
+            return False
+        if self._expand(p, t, moves):
+            won[p] = t
+            return True
+        lost[p] = t
+        return False
+
+    def _build_set(self, mask: int) -> tuple:
+        """Store and return the set's moves, with a latest winning and an
+        earliest losing time per node that no probe has found yet. A move
+        is ``(u, red, green, visit, classes)`` for each node u the set
+        reaches: ``visit`` is the per-path visit time the convention
+        compares the arrival with, and ``classes`` are the nonempty
+        ``(tau, group & mask)`` in time order."""
+        schedule, moves = self.schedule, []
         for u in range(1, schedule.m + 1):
             red = mask & schedule.through[u]
             if red == 0:
                 continue
-            arrival = t + self.metric.time(p, u)
-            if red == mask:
-                if tle(arrival, schedule.min_visit(u, mask)):
+            green = mask & ~red
+            if self.strict and green:
+                visit = schedule.max_visit(u, red)
+            else:
+                visit = schedule.min_visit(u, red)
+            classes = tuple((tau, group & mask) for tau, group in schedule.groups[u]
+                            if group & mask)
+            moves.append((u, red, green, visit, classes))
+        won, lost = [-math.inf] * (schedule.m + 1), [math.inf] * (schedule.m + 1)
+        self.sets[mask] = found = tuple(moves), won, lost
+        return found
+
+    def _expand(self, p: int, t: float, moves: tuple) -> bool:
+        d, wins = self.metric.d[p], self.wins
+        for u, red, green, visit, classes in moves:
+            arrival = t + d[u]
+            if green == 0:
+                if tle(arrival, visit):
                     return True
                 continue
-            green = mask & ~red
+            resolve = max(arrival, visit)
             if self.strict:
-                resolve = max(arrival, schedule.max_visit(u, red))
-                if not self.wins(u, resolve, green, memo):
-                    continue
-                ok = True
-                for tau, group in schedule.groups[u]:
-                    cls = group & red
-                    if cls == 0 or not tlt(tau, arrival):
-                        continue  # classes at or after arrival are met in person
-                    if not self.wins(u, arrival, cls, memo):
-                        ok = False
-                        break
-                if ok:
+                # classes at or after arrival are met in person
+                if wins(u, resolve, green) and all(
+                        wins(u, arrival, cls) for tau, cls in classes if tlt(tau, arrival)):
                     return True
-            else:
-                resolve = max(arrival, schedule.min_visit(u, red))
-                if self.wins(u, arrival, red, memo) and self.wins(u, resolve, green, memo):
-                    return True
+            elif wins(u, arrival, red) and wins(u, resolve, green):
+                return True
         return False
 
-    def _expand_exact(self, p: int, t: float, mask: int, memo: dict) -> bool:
-        schedule = self.schedule
-        for u in range(1, schedule.m + 1):
-            if mask & schedule.through[u] == 0:
-                continue
-            arrival = t + self.metric.time(p, u)
+    def _expand_exact(self, p: int, t: float, mask: int, moves: tuple) -> bool:
+        d, wins = self.metric.d[p], self.wins
+        for u, _, _, _, classes in moves:
+            arrival = t + d[u]
             passed = 0
             reds = []
-            for tau, group in schedule.groups[u]:
-                cls = group & mask
-                if cls == 0:
-                    continue
+            for tau, cls in classes:
                 if tlt(tau, arrival):
                     reds.append(cls)
                     passed |= cls
@@ -218,20 +258,15 @@ class _Oracle:
             green = mask & ~passed
             if green == mask:
                 # nothing has resolved yet: wait out the first scheduled visit
-                first = next(
-                    (tau, group & mask)
-                    for tau, group in schedule.groups[u]
-                    if group & mask and tlt(arrival, tau)
-                )
-                tau1, cls1 = first
+                tau1, cls1 = next((tau, cls) for tau, cls in classes if tlt(arrival, tau))
                 rest = mask & ~cls1
-                if rest == 0 or self.wins(u, tau1, rest, memo):
+                if rest == 0 or wins(u, tau1, rest):
                     return True
                 continue
             if len(reds) == 1 and reds[0] == mask:
                 continue  # stale information only; the move cannot help
-            if all(self.wins(u, arrival, cls, memo) for cls in reds) and (
-                green == 0 or self.wins(u, arrival, green, memo)
+            if all(wins(u, arrival, cls) for cls in reds) and (
+                green == 0 or wins(u, arrival, green)
             ):
                 return True
         return False
@@ -250,9 +285,7 @@ def guarantee_exists(network: RoadNetwork, schedule: VisitSchedule, metric: Purs
     _check_caps(schedule)
     if t0 <= 0:
         return True
-    oracle = _Oracle(schedule, metric, paths, strict_resolution, exact)
-    full = (1 << schedule.n) - 1
-    return oracle.wins(network.entry, t0, full, {})
+    return _Oracle(network, schedule, metric, paths, strict_resolution, exact).guarantees(t0)
 
 
 def oracle_max_delay(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetric,
@@ -269,9 +302,7 @@ def oracle_max_delay(network: RoadNetwork, schedule: VisitSchedule, metric: Purs
     _check_caps(schedule)
     hi = min(p.length for p in paths)
     check_bracket(0.0, hi, tol)
-    oracle = _Oracle(schedule, metric, paths, strict_resolution, exact)
-    full = (1 << schedule.n) - 1
-    entry = network.entry
-    if oracle.wins(entry, hi, full, {}):
+    oracle = _Oracle(network, schedule, metric, paths, strict_resolution, exact)
+    if oracle.guarantees(hi):
         return hi
-    return bisect_bracket(lambda t0: not oracle.wins(entry, t0, full, {}), 0.0, hi, tol)[0]
+    return bisect_bracket(lambda t0: not oracle.guarantees(t0), 0.0, hi, tol)[0]

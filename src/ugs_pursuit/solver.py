@@ -55,7 +55,6 @@ yet computes that set first. The simulation closure adds every set playback
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from bisect import bisect_left
@@ -69,6 +68,16 @@ from .errors import InconsistentObservation, MissingSubset, PursuitError
 from .information import observe, realizable_sets, red_reports  # noqa: F401
 from .network import PursuerMetric, VisitSchedule, indices_of, mask_from
 from .util import TIME_EPS, tlt
+
+# The interpreter's own SHA-256, as the random module takes its SHA-512:
+# importing hashlib loads OpenSSL, about 3.7 MB of resident memory.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 CAPTURE = "capture"
 SPLIT = "split"
@@ -154,15 +163,16 @@ class SolveResult:
     def from_json(cls, data: dict) -> "SolveResult":
         """Rebuild the rows of ``to_json`` output. Raises ValueError on an entry
         outside nodes ``1..m`` or paths ``1..n``, a set member that is not an
-        integer, a ``mu`` that is not null or a node, a ``D`` that is not null
-        or a number, and a set listed for only some nodes."""
+        integer (a bool included), a ``mu`` that is not null or a node, a ``D``
+        that is not null or a number, a (node, set) listed twice and a set
+        listed for only some nodes."""
         meta, entries = data["meta"], data["entries"]
         n, m, hole = int(meta["n"]), int(meta["m"]), object()
-        # member types are checked first: a float 1.0 would reuse the mask cached
-        # for 1, which mask_from would reject (a bool shifts as its int does)
+        # member types are checked first, and exactly: a float 1.0 or a True
+        # would reuse the mask cached for 1, and mask_from reads True as path 1
         members = {*map(type, chain.from_iterable(map(itemgetter("set"), entries)))}
-        if not members <= {int, bool}:
-            kind = next(iter(members - {int, bool})).__name__
+        if not members <= {int}:
+            kind = next(iter(members - {int})).__name__
             raise ValueError(f"a set member is a {kind}, not a path index 1..{n}")
         seen, rows = {}, {}
         for entry in entries:
@@ -183,6 +193,8 @@ class SolveResult:
             if not (latest is None or type(latest) in (int, float)):
                 raise ValueError(f"entry for node {j}, set {listed}: D {latest!r} is not "
                                  "null or a number")
+            if latests[j - 1] is not hole:
+                raise ValueError(f"entry for node {j}, set {listed}: listed twice")
             latests[j - 1], moves[j - 1], captures[j - 1] = latest, move, bool(entry["capture"])
         for mask, (latest, _, _) in rows.items():
             if hole in latest:
@@ -194,7 +206,7 @@ class SolveResult:
 
 def metric_digest(metric: PursuerMetric) -> str:
     blob = json.dumps([[round(v, 12) for v in row] for row in metric.d]).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return sha256(blob).hexdigest()[:12]
 
 
 def known_path_margin(m: int) -> float:

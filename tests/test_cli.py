@@ -233,6 +233,10 @@ class TestErrors:
           "--policy", "latest_string.json"], "D 'x'"),
         (["solve", "--network", "demo", "--speed", "nan"], "must be positive, got nan"),
         (["solve", "--network", "inf_time.json", "--speed", "2"], "infinite travel time"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
+          "root_twice.json"], "listed twice"),
+        (["simulate", "--network", "demo", "--speed", "1.62", "--path", "1", "--t0", "1",
+          "--policy", "bool_member.json"], "a set member is a bool"),
     ], ids=["edge-without-time", "node-without-id", "non-numeric-time", "top-level-list",
             "metric-without-speed", "policy-not-from-solve", "non-numeric-grid",
             "path-above-range", "path-zero", "non-integer-entry", "non-integer-goal",
@@ -241,12 +245,12 @@ class TestErrors:
             "zero-tolerance", "negative-tolerance", "nan-tolerance", "nan-lower-speed",
             "minus-inf-lower-speed", "inf-upper-speed", "policy-mu-above-range",
             "policy-mu-not-a-node", "policy-latest-not-a-number", "nan-speed",
-            "infinite-edge-time"])
+            "infinite-edge-time", "policy-entry-listed-twice", "policy-bool-member"])
     def test_malformed_input_exit_code(self, capsys, tmp_path, monkeypatch, argv, named):
         _, solved, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.62",
                                     "--format", "json"])
-        node_zero, partial_set, path_nine, mu_high, mu_text, latest_text = (
-            json.loads(solved) for _ in range(6))
+        node_zero, partial_set, path_nine, mu_high, mu_text, latest_text, twice, bool_member = (
+            json.loads(solved) for _ in range(8))
         node_zero["entries"][-1]["node"] = 0
         del partial_set["entries"][-1]
         path_nine["entries"][-1]["set"] = [9]
@@ -255,6 +259,8 @@ class TestErrors:
         mu_high["entries"][root]["mu"] = 99
         mu_text["entries"][root]["mu"] = "x"
         latest_text["entries"][root]["D"] = "x"
+        twice["entries"].append({**twice["entries"][root], "D": 999.0, "mu": None})
+        bool_member["entries"][root]["set"] = [True, 2, 3, 4]
         edge = {"from": 1, "to": 2, "time": 1.0}
         two = [{"id": 1}, {"id": 2}]
         files = {
@@ -274,6 +280,8 @@ class TestErrors:
             "mu_above_range.json": mu_high,
             "mu_string.json": mu_text,
             "latest_string.json": latest_text,
+            "root_twice.json": twice,
+            "bool_member.json": bool_member,
         }
         for name, data in files.items():
             (tmp_path / name).write_text(json.dumps(data))
@@ -284,6 +292,7 @@ class TestErrors:
         code, _, err = run(capsys, argv)
         assert code == EXIT_INVALID
         assert err.startswith("error: ") and named in err
+        assert err.count("\n") == 1
 
     def test_random_network_smoke(self, capsys):
         code, out, _ = run(capsys, ["paths", "--network", "random", "--seed", "3"])

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -22,7 +23,9 @@ from ugs_pursuit import (
     validate_network,
     verify_guarantee,
 )
+from ugs_pursuit import simulator
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
+from ugs_pursuit.util import tle
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +148,33 @@ class TestVerifyGuarantee:
                                     demo_solved.root_latest + 0.01)
 
 
+# (strict_resolution, exact) per oracle mode
+ORACLE_MODES = {"membership": (False, False), "strict": (True, False), "exact": (False, True)}
+
+
+class _Memoized(simulator._Oracle):
+    """The oracle's search with a memo per (node, time, set) and no
+    thresholds, so that it assumes nothing about monotonicity in time."""
+
+    def wins(self, p, t, mask):
+        known = self.known.get(mask)
+        if known is not None:
+            return tle(t, known[p])
+        key = (p, t, mask)
+        if key not in self.memo:
+            moves = (self.sets.get(mask) or self._build_set(mask))[0]
+            self.memo[key] = (self._expand_exact(p, t, mask, moves) if self.exact
+                              else self._expand(p, t, moves))
+        return self.memo[key]
+
+
+def _probe_instances():
+    """The n <= 6, m <= 10 instances of seeds 1-30 at 1.1x the speed floor."""
+    for seed in range(1, 31):
+        network, paths, schedule = random_instance(seed, n_max=6, m_max=10)
+        yield seed, network, paths, schedule, euclidean_metric(network, 1.1 * speed_floor(network))
+
+
 class TestOracle:
     def test_single_path_value(self, single_edge):
         network, paths, schedule = single_edge
@@ -212,6 +242,75 @@ class TestOracle:
             strict = oracle_max_delay(network, schedule, metric, paths, strict_resolution=True)
             exact = oracle_max_delay(network, schedule, metric, paths, exact=True)
             assert exact >= strict - 1e-6
+
+    @pytest.mark.parametrize("mode", ORACLE_MODES)
+    def test_max_delay_matches_fresh_oracle_per_probe(self, mode):
+        strict, exact = ORACLE_MODES[mode]
+        kw = {"strict_resolution": strict, "exact": exact}
+        for seed, network, paths, schedule, metric in _probe_instances():
+            def wins(t0):  # a fresh oracle per probe
+                return guarantee_exists(network, schedule, metric, paths, t0, **kw)
+
+            lo, hi = 0.0, min(p.length for p in paths)
+            want = hi
+            if not wins(hi):
+                while hi - lo > 1e-7 and lo < 0.5 * (lo + hi) < hi:
+                    mid = 0.5 * (lo + hi)
+                    if wins(mid):
+                        lo = mid
+                    else:
+                        hi = mid
+                want = lo
+            got = oracle_max_delay(network, schedule, metric, paths, **kw)
+            assert got.hex() == want.hex(), (seed, mode)
+
+    @pytest.mark.parametrize("mode", ORACLE_MODES)
+    def test_shuffled_probes_match_guarantee_exists(self, mode):
+        strict, exact = ORACLE_MODES[mode]
+        kw = {"strict_resolution": strict, "exact": exact}
+        for seed, network, paths, schedule, metric in _probe_instances():
+            value = oracle_max_delay(network, schedule, metric, paths, **kw)
+            longest = max(p.length for p in paths)
+            delays = [value, math.nextafter(value, 0.0), math.nextafter(value, math.inf),
+                      value - 1e-9, value + 1e-9, value - 1e-6, value + 1e-6]
+            rng = random.Random(seed)
+            delays += [rng.uniform(1e-3, longest) for _ in range(20 - len(delays))]
+            delays = [t0 for t0 in delays if t0 > 0]
+            rng.shuffle(delays)
+            oracle = simulator._Oracle(network, schedule, metric, paths, strict, exact)
+            got = [oracle.guarantees(t0) for t0 in delays]
+            want = [guarantee_exists(network, schedule, metric, paths, t0, **kw) for t0 in delays]
+            assert got == want, (seed, mode)
+
+    @pytest.mark.parametrize("mode", ["membership", "strict"])
+    def test_wins_is_a_down_set_on_corpus_sub_states(self, mode, monkeypatch):
+        """The thresholds rest on this: on every (node, set) the corpus
+        search visits, winning at some time implies winning at every
+        earlier time the search asked about."""
+        strict, _ = ORACLE_MODES[mode]
+        cached_wins = simulator._Oracle.wins
+        for seed in range(1, 51):
+            network, paths, schedule = random_instance(seed)
+            metric = euclidean_metric(network, 1.1 * speed_floor(network))
+            visited = {}
+
+            def recording(self, p, t, mask):
+                result = cached_wins(self, p, t, mask)
+                if mask not in self.known:
+                    visited.setdefault((p, mask), {})[t] = result
+                return result
+
+            with monkeypatch.context() as patch:
+                patch.setattr(simulator._Oracle, "wins", recording)
+                oracle_max_delay(network, schedule, metric, paths, strict_resolution=strict)
+            assert visited, seed
+            memoized = _Memoized(network, schedule, metric, paths, strict, False)
+            for (p, mask), answers in visited.items():
+                times = sorted(answers)
+                searched = [memoized.wins(p, t, mask) for t in times]
+                assert searched == [answers[t] for t in times], (seed, p, mask)
+                # True at every time up to the latest winning one
+                assert searched == sorted(searched, reverse=True), (seed, p, mask)
 
 
 class TestResolutionConventionAdjudication:

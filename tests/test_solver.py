@@ -237,7 +237,7 @@ class TestSolve:
         assert clone.rows.keys() == result.rows.keys()
         assert clone.latest == result.latest and clone.policy == result.policy
 
-    @pytest.mark.parametrize("member", [1.0, "1", None, [1]])
+    @pytest.mark.parametrize("member", [1.0, "1", None, [1], True])
     def test_json_set_member_not_an_int(self, demo, demo_metric, member):
         network, paths, schedule = demo
         data = solve(network, schedule, demo_metric, paths).to_json()
@@ -246,6 +246,14 @@ class TestSolve:
         assert last[0] == 1
         last[0] = member
         with pytest.raises(ValueError, match="not a path index"):
+            SolveResult.from_json(data)
+
+    def test_json_entry_listed_twice(self, demo, demo_metric):
+        network, paths, schedule = demo
+        data = solve(network, schedule, demo_metric, paths).to_json()
+        root = next(e for e in data["entries"] if e["node"] == 1 and e["set"] == [1, 2, 3, 4])
+        data["entries"].append({**root, "D": 999.0, "mu": None})
+        with pytest.raises(ValueError, match="node 1, set \\[1, 2, 3, 4\\]: listed twice"):
             SolveResult.from_json(data)
 
     def test_json_set_listed_for_some_nodes(self, demo, demo_metric):
