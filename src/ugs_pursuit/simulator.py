@@ -62,14 +62,18 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
     """Play the solved policy from entry delay ``t0`` against evader path
     ``k`` and report capture or escape with a full observation transcript.
 
-    Raises SimulationError when ``k`` is outside ``1..n``, PolicyHole when
-    the walk reaches a (node, set) pair absent from the tables and
-    NonTermination if the decision-epoch budget is exceeded.
+    Raises SimulationError when ``k`` is outside ``1..n`` or the tables were
+    solved for a network of other sizes, PolicyHole when the walk reaches a
+    (node, set) pair absent from the tables and NonTermination if the
+    decision-epoch budget is exceeded.
     """
     if not t0 > 0:
         raise SimulationError(f"initial delay must be positive, got {t0}")
     if not 1 <= k <= schedule.n:
         raise SimulationError(f"no evader path {k}: paths are numbered 1..{schedule.n}")
+    if (result.n, result.m) != (schedule.n, schedule.m):
+        raise SimulationError(f"the tables are for n={result.n} paths and m={result.m} nodes, "
+                              f"the network has n={schedule.n} paths and m={schedule.m} nodes")
     strict = result.strict_resolution
     exit_node, exit_time = _exit_of(network, schedule, k)
     rows: list[TranscriptRow] = []

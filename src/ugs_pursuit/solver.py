@@ -60,8 +60,8 @@ import sys
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from itertools import accumulate, chain
+from operator import itemgetter, or_
 
 from .errors import InconsistentObservation, MissingSubset, PursuitError
 # bench/tracing.py wraps this name to time the realizable-family sweep
@@ -81,6 +81,7 @@ except ImportError:
 
 CAPTURE = "capture"
 SPLIT = "split"
+_META_TYPES = {"n": int, "m": int, "strict_resolution": bool, "pruned": bool, "metric_digest": str}
 
 
 def base_case(j: int, k: int, schedule: VisitSchedule, metric: PursuerMetric, paths) -> float:
@@ -105,21 +106,28 @@ class SolveResult:
     tables (simulation replays observations under the same convention).
     ``on_demand_sets`` lists the sets the solve computed beyond its
     pre-filled domain (the singletons, or the full lattice without
-    pruning).
+    pruning). ``metric_digest`` names the solve's metric: computed on first
+    read from ``solver.metric`` (speed studies never read it), or the file's.
     """
 
     n: int
     m: int
     strict_resolution: bool
     pruned: bool
-    metric_digest: str
     rows: dict = field(default_factory=dict)
     on_demand_sets: tuple = ()
     solver: _Solver | None = field(default=None, repr=False, compare=False)
+    _digest: str | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.latest, self.policy, self.capture_move = (
             _RowView(self.rows, self.solver, self.m, column) for column in range(3))
+
+    @property
+    def metric_digest(self) -> str:
+        if self._digest is None:
+            self._digest = metric_digest(self.solver.metric)
+        return self._digest
 
     @property
     def root_mask(self) -> int:
@@ -161,13 +169,17 @@ class SolveResult:
 
     @classmethod
     def from_json(cls, data: dict) -> "SolveResult":
-        """Rebuild the rows of ``to_json`` output. Raises ValueError on an entry
+        """Rebuild the rows of ``to_json`` output. Raises ValueError on a meta
+        field not of its exact type (see ``_META_TYPES``), an entry
         outside nodes ``1..m`` or paths ``1..n``, a set member that is not an
         integer (a bool included), a ``mu`` that is not null or a node, a ``D``
         that is not null or a number, a (node, set) listed twice and a set
         listed for only some nodes."""
         meta, entries = data["meta"], data["entries"]
-        n, m, hole = int(meta["n"]), int(meta["m"]), object()
+        for name, kind in _META_TYPES.items():
+            if type(meta[name]) is not kind:
+                raise ValueError(f"meta {name} is {meta[name]!r}, not of type {kind.__name__}")
+        n, m, hole = meta["n"], meta["m"], object()
         # member types are checked first, and exactly: a float 1.0 or a True
         # would reuse the mask cached for 1, and mask_from reads True as path 1
         members = {*map(type, chain.from_iterable(map(itemgetter("set"), entries)))}
@@ -199,9 +211,8 @@ class SolveResult:
         for mask, (latest, _, _) in rows.items():
             if hole in latest:
                 raise ValueError(f"set {list(indices_of(mask))} is listed for only some nodes")
-        return cls(n=n, m=m, strict_resolution=bool(meta["strict_resolution"]),
-                   pruned=bool(meta["pruned"]), metric_digest=str(meta["metric_digest"]),
-                   rows=rows)
+        return cls(n=n, m=m, strict_resolution=meta["strict_resolution"], pruned=meta["pruned"],
+                   rows=rows, _digest=meta["metric_digest"])
 
 
 def metric_digest(metric: PursuerMetric) -> str:
@@ -324,6 +335,7 @@ class _Solver:
     indexed by node - 1. A solved result and its table views share this
     dict; the solver holds neither, so no reference cycle forms.
 
+    The singleton rows equal ``base_case``, in one pass over the metric.
     ``known[u]`` is the known-path bound at node ``u`` for ``_candidates``:
     the singleton values at ``u`` plus ``known_path_margin``, ascending, and
     ``below`` where ``below[i]`` holds the path bits of the first ``i``.
@@ -336,19 +348,16 @@ class _Solver:
         self.full = (1 << schedule.n) - 1
         self.nodes = range(1, schedule.m + 1)
         self.rows: dict[int, tuple[list, list, list]] = {}
-        for k in range(1, schedule.n + 1):
-            latest = [base_case(j, k, schedule, metric, paths) for j in self.nodes]
-            self.rows[1 << (k - 1)] = (latest, [paths[k - 1].exit] * schedule.m,
-                                       [True] * schedule.m)
-        margin = known_path_margin(schedule.m)
-        singletons = [1 << (k - 1) for k in range(1, schedule.n + 1)]
+        m, bits = schedule.m, [1 << k for k in range(schedule.n)]
+        for bit, path in zip(bits, paths):
+            length, goal = path.length, path.exit
+            self.rows[bit] = ([length - row[goal] for row in metric.d[1:]], [goal] * m, [True] * m)
+        margin = known_path_margin(m)
         self.known = [None]
-        for j in self.nodes:
-            ceilings, below = [], [0]
-            for value, bit in sorted((self.rows[bit][0][j - 1], bit) for bit in singletons):
-                ceilings.append(value + margin)
-                below.append(below[-1] | bit)
-            self.known.append((ceilings, below))
+        for column in zip(*(latest for latest, _, _ in self.rows.values())):
+            pairs = sorted(zip(column, bits))
+            self.known.append(([value + margin for value, _ in pairs],
+                               [0, *accumulate((bit for _, bit in pairs), or_)]))
 
     def value(self, u: int, mask: int):
         row = self.rows.get(mask)
@@ -470,7 +479,6 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
         m=schedule.m,
         strict_resolution=strict_resolution,
         pruned=prune,
-        metric_digest=metric_digest(metric),
         rows=worker.rows,
         on_demand_sets=tuple(worker.rows)[prefilled:],
         solver=worker,

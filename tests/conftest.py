@@ -1,5 +1,6 @@
 import pytest
 
+from ugs_pursuit import solver
 from ugs_pursuit import (
     build_schedule,
     demo_bundle,
@@ -53,3 +54,16 @@ def single_edge():
 def mask_of(demo_index, *sequences):
     """Bitmask for the paths given by node sequences."""
     return mask_from(demo_index[seq] for seq in sequences)
+
+
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """The metrics ``solver.metric_digest`` is called on while the test runs."""
+    calls, digest = [], solver.metric_digest
+
+    def counted(metric):
+        calls.append(metric)
+        return digest(metric)
+
+    monkeypatch.setattr(solver, "metric_digest", counted)
+    return calls

@@ -50,6 +50,12 @@ class TestSweep:
         assert lines[1] == "0.8,,,"
         assert lines[2].startswith("1.62,")
 
+    def test_studies_never_digest(self, demo, digest_calls):
+        network, paths, schedule = demo
+        sweep(network, schedule, paths, [0.8, 1.05, 1.62, 2.0])
+        critical_speed(network, schedule, paths, 1.0, 2.0)
+        assert digest_calls == []
+
     def test_delay_clamped_at_zero(self, demo):
         network, paths, schedule = demo
         table = sweep(network, schedule, paths, [1.05])

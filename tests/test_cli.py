@@ -237,6 +237,11 @@ class TestErrors:
           "root_twice.json"], "listed twice"),
         (["simulate", "--network", "demo", "--speed", "1.62", "--path", "1", "--t0", "1",
           "--policy", "bool_member.json"], "a set member is a bool"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
+          "string_strict.json"], "meta strict_resolution is 'false', not of type bool"),
+        (["verify", "--network", "random", "--seed", "3", "--speed", "3", "--t0", "1",
+          "--policy", "demo_policy.json"],
+         "tables are for n=4 paths and m=7 nodes, the network has n=6 paths and m=8 nodes"),
     ], ids=["edge-without-time", "node-without-id", "non-numeric-time", "top-level-list",
             "metric-without-speed", "policy-not-from-solve", "non-numeric-grid",
             "path-above-range", "path-zero", "non-integer-entry", "non-integer-goal",
@@ -245,12 +250,13 @@ class TestErrors:
             "zero-tolerance", "negative-tolerance", "nan-tolerance", "nan-lower-speed",
             "minus-inf-lower-speed", "inf-upper-speed", "policy-mu-above-range",
             "policy-mu-not-a-node", "policy-latest-not-a-number", "nan-speed",
-            "infinite-edge-time", "policy-entry-listed-twice", "policy-bool-member"])
+            "infinite-edge-time", "policy-entry-listed-twice", "policy-bool-member",
+            "policy-meta-string-boolean", "policy-for-another-network"])
     def test_malformed_input_exit_code(self, capsys, tmp_path, monkeypatch, argv, named):
         _, solved, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.62",
                                     "--format", "json"])
-        node_zero, partial_set, path_nine, mu_high, mu_text, latest_text, twice, bool_member = (
-            json.loads(solved) for _ in range(8))
+        (node_zero, partial_set, path_nine, mu_high, mu_text, latest_text, twice, bool_member,
+         string_strict) = (json.loads(solved) for _ in range(9))
         node_zero["entries"][-1]["node"] = 0
         del partial_set["entries"][-1]
         path_nine["entries"][-1]["set"] = [9]
@@ -261,6 +267,7 @@ class TestErrors:
         latest_text["entries"][root]["D"] = "x"
         twice["entries"].append({**twice["entries"][root], "D": 999.0, "mu": None})
         bool_member["entries"][root]["set"] = [True, 2, 3, 4]
+        string_strict["meta"]["strict_resolution"] = "false"
         edge = {"from": 1, "to": 2, "time": 1.0}
         two = [{"id": 1}, {"id": 2}]
         files = {
@@ -282,6 +289,8 @@ class TestErrors:
             "latest_string.json": latest_text,
             "root_twice.json": twice,
             "bool_member.json": bool_member,
+            "string_strict.json": string_strict,
+            "demo_policy.json": json.loads(solved),
         }
         for name, data in files.items():
             (tmp_path / name).write_text(json.dumps(data))

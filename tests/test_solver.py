@@ -263,6 +263,18 @@ class TestSolve:
         with pytest.raises(ValueError, match="only some nodes"):
             SolveResult.from_json(data)
 
+    @pytest.mark.parametrize("name,value", [
+        ("n", 4.0), ("n", True), ("n", "4"), ("m", 7.0), ("m", False),
+        ("strict_resolution", "false"), ("strict_resolution", 0),
+        ("pruned", "true"), ("pruned", None), ("metric_digest", 12), ("metric_digest", None),
+    ])
+    def test_json_meta_field_type(self, demo, demo_metric, name, value):
+        network, paths, schedule = demo
+        data = solve(network, schedule, demo_metric, paths).to_json()
+        data["meta"][name] = value
+        with pytest.raises(ValueError, match=f"meta {name} is {value!r}, not of type"):
+            SolveResult.from_json(data)
+
     def test_json_null_encodes_no_guarantee(self):
         meta = {"n": 1, "m": 1, "strict_resolution": False, "pruned": True, "metric_digest": "x"}
         entry = {"node": 1, "set": [1], "D": None, "mu": None, "capture": False}
@@ -295,6 +307,45 @@ class TestSolve:
             assert alone[(1, unread)] == lattice.policy[(1, unread)]
         finally:
             gc.enable()
+
+
+class TestMetricDigest:
+    """A solved result computes its metric digest on first read, and only
+    then: a speed study or a playback never pays for it."""
+
+    def test_solve_and_playback_never_digest(self, demo, demo_metric, digest_calls):
+        network, paths, schedule = demo
+        for strict in (False, True):
+            result = solve(network, schedule, demo_metric, paths, strict_resolution=strict)
+            report = verify_guarantee(network, schedule, demo_metric, result,
+                                      result.tolerable_delay)
+            assert report.all_captured
+        assert digest_calls == []
+
+    def test_export_and_tree_digest_once(self, demo, demo_metric, digest_calls):
+        network, paths, schedule = demo
+        for read in (SolveResult.to_json, lambda r: build_tree(r, schedule, demo_metric)):
+            digest_calls.clear()
+            result = solve(network, schedule, demo_metric, paths)
+            read(result)
+            read(result)
+            assert len(digest_calls) == 1 and digest_calls[0] is demo_metric
+
+    def test_demo_digest_unchanged(self, demo, demo_metric):
+        network, paths, schedule = demo
+        result = solve(network, schedule, demo_metric, paths, strict_resolution=True)
+        assert result.to_json()["meta"]["metric_digest"] == "e50bee16cc7c"
+
+    def test_loaded_result_keeps_file_digest(self, demo, demo_metric, digest_calls):
+        network, paths, schedule = demo
+        data = solve(network, schedule, demo_metric, paths).to_json()
+        data["meta"]["metric_digest"] = "0123456789ab"
+        digest_calls.clear()
+        clone = SolveResult.from_json(data)
+        assert clone.solver is None
+        assert clone.metric_digest == "0123456789ab"
+        assert clone.to_json()["meta"] == data["meta"]
+        assert digest_calls == []
 
 
 def reference_rows(mask, result, schedule, metric, strict):

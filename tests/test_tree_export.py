@@ -1,6 +1,7 @@
 import pytest
 
 from ugs_pursuit import (
+    SolveResult,
     build_schedule,
     build_tree,
     enumerate_paths,
@@ -89,9 +90,11 @@ class TestBuildTree:
     def test_metric_mismatch_rejected(self, demo, demo_metric):
         network, paths, schedule = demo
         result = solve(network, schedule, demo_metric, paths)
+        reloaded = SolveResult.from_json(solve(network, schedule, demo_metric, paths).to_json())
         other = euclidean_metric(network, 2.0)
-        with pytest.raises(ValueError):
-            build_tree(result, schedule, other)
+        for tables in (result, reloaded):
+            with pytest.raises(ValueError):
+                build_tree(tables, schedule, other)
 
     def test_random_instances_structure(self):
         for seed in range(5):
