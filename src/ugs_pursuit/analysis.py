@@ -33,16 +33,13 @@ class SpeedSweep:
             if not row.valid:
                 lines.append(f"{row.speed:.10g},,,")
                 continue
-            latest = "" if row.latest is None else f"{row.latest:.10g}"
-            move = "" if row.move is None else str(row.move)
-            lines.append(f"{row.speed:.10g},{latest},{row.delay:.10g},{move}")
+            lines.append(f"{row.speed:.10g},{row.latest:.10g},{row.delay:.10g},{row.move}")
         return "\n".join(lines) + "\n"
 
 
 def _solve_at(network, schedule, paths, speed, strict_resolution):
     metric = euclidean_metric(network, speed)
-    return solve(network, schedule, metric, paths,
-                 strict_resolution=strict_resolution, close_for_simulation=False)
+    return solve(network, schedule, metric, paths, strict_resolution=strict_resolution)
 
 
 def sweep(network, schedule, paths, grid, strict_resolution: bool = False) -> SpeedSweep:
@@ -85,8 +82,7 @@ def critical_speed(network, schedule, paths, v_lo: float, v_hi: float,
             result = _solve_at(network, schedule, paths, speed, strict_resolution)
         except MetricError:
             return False
-        value = result.root_latest
-        return value is not None and value > TIME_EPS
+        return result.root_latest > TIME_EPS
 
     if positive(v_lo):
         raise BracketInvalid(f"delay already positive at the lower speed {v_lo}")

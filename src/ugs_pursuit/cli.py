@@ -136,10 +136,8 @@ def _cmd_solve(args) -> int:
         _emit(dumps_indented(result.to_json()))
     else:
         _emit(f"tolerable delay at entry: {result.tolerable_delay:.6f}")
-        raw = result.root_latest
-        _emit(f"latest guaranteed exit from entry: {'none' if raw is None else f'{raw:.6f}'}")
-        move = result.root_policy
-        _emit(f"first move: {'none' if move is None else move}")
+        _emit(f"latest guaranteed exit from entry: {result.root_latest:.6f}")
+        _emit(f"first move: {result.root_policy}")
     if args.require_positive and result.tolerable_delay <= 0:
         return EXIT_NO_GUARANTEE
     return EXIT_OK

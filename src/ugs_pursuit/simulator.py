@@ -93,8 +93,6 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
             move = result.policy[(p, info)]
         except KeyError:
             raise PolicyHole(f"no policy entry for node {p}, set {indices_of(info)}") from None
-        if move is None:
-            raise PolicyHole(f"no guaranteed move recorded for node {p}, set {indices_of(info)}")
 
         if move == p:  # wait for the set's next visit here
             upcoming = [tau for tau, _ in red_reports(info, p, schedule, True) if tlt(t, tau)]

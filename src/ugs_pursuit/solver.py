@@ -44,13 +44,16 @@ split moves, each group by node id; nodes no path in the set passes are
 skipped before their reports are built. From node ``j`` a candidate ``u``
 scores its exit time at ``u`` minus the travel time ``d[j][u]``, and ``j``
 keeps the first candidate in that order whose score beats the best so far
-by more than ``TIME_EPS``: a near-tie goes to the earlier candidate.
+by more than ``TIME_EPS``: a near-tie goes to the earlier candidate. Every
+path passes the entry at time 0, so every set has the capture move at node
+1, and every row holds a value and a move.
 
 Each solved set's rows are stored once, as per-node lists. A result's
 ``latest``, ``policy`` and ``capture_move`` tables are read-only views over
 them that fill on read: looking up a row of a set the solve has not computed
-yet computes that set first. The simulation closure adds every set playback
-(``information.observe``) or the decision tree can read.
+yet computes that set first. ``SolveResult.to_json`` first computes every
+set playback (``information.observe``) or the decision tree can read.
+``solve`` accepts ``close_for_simulation`` and ignores it.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
+from math import inf
 from operator import itemgetter, or_
 
 from .errors import InconsistentObservation, MissingSubset, PursuitError
@@ -98,16 +102,16 @@ class SolveResult:
     ``rows`` maps each computed set's mask to its (latest, policy, capture)
     lists, indexed by node - 1; it is the only copy of the solved values.
     ``latest``, ``policy`` and ``capture_move`` are read-only views over it,
-    keyed by ``(node, mask)``: ``latest`` holds the latest exit time or
-    ``None`` when no move guarantees capture; ``policy`` holds the next node
-    to visit; ``capture_move`` flags moves that end in immediate capture.
-    After a solve, ``solver`` computes a set's rows the first time a view
-    reads one. ``strict_resolution`` records which convention produced the
-    tables (simulation replays observations under the same convention).
-    ``on_demand_sets`` lists the sets the solve computed beyond its
-    pre-filled domain (the singletons, or the full lattice without
-    pruning). ``metric_digest`` names the solve's metric: computed on first
-    read from ``solver.metric`` (speed studies never read it), or the file's.
+    keyed by ``(node, mask)``: ``latest`` holds the latest exit time,
+    ``policy`` the next node to visit and ``capture_move`` whether the move
+    ends in immediate capture. After a solve, ``solver`` computes a set's
+    rows the first time a view reads one. ``strict_resolution`` records
+    which convention produced the tables (simulation replays observations
+    under the same convention). ``on_demand_sets`` lists the sets computed
+    so far beyond the solve's pre-filled domain (the singletons, or the full
+    lattice without pruning); a loaded result has none. ``metric_digest``
+    names the solve's metric: computed on first read from ``solver.metric``
+    (speed studies never read it), or the file's.
     """
 
     n: int
@@ -115,7 +119,6 @@ class SolveResult:
     strict_resolution: bool
     pruned: bool
     rows: dict = field(default_factory=dict)
-    on_demand_sets: tuple = ()
     solver: _Solver | None = field(default=None, repr=False, compare=False)
     _digest: str | None = field(default=None, repr=False, compare=False)
 
@@ -128,6 +131,11 @@ class SolveResult:
         if self._digest is None:
             self._digest = metric_digest(self.solver.metric)
         return self._digest
+
+    @property
+    def on_demand_sets(self) -> tuple:
+        # rows fill in order: the singletons, then the lattice or the sets read
+        return tuple(self.rows)[self.n:] if self.pruned and self.solver is not None else ()
 
     @property
     def root_mask(self) -> int:
@@ -143,10 +151,14 @@ class SolveResult:
 
     @property
     def tolerable_delay(self) -> float:
-        value = self.root_latest
-        return 0.0 if value is None else max(0.0, value)
+        return max(0.0, self.root_latest)
 
     def to_json(self) -> dict:
+        """The rows as JSON-ready data. A solved result first computes, once,
+        every row that playback of the policy from the entry or its decision
+        tree reads (``_Solver.walk_policy``); a loaded one lists its rows."""
+        if self.solver is not None:
+            self.solver.run(self.solver.walk_policy)
         masks = sorted(self.rows)
         members = [list(indices_of(mask)) for mask in masks]
         entries = []
@@ -154,7 +166,7 @@ class SolveResult:
             for mask, listed in zip(masks, members):
                 latest, policy, capture = self.rows[mask]
                 entries.append({"node": i + 1, "set": listed, "D": latest[i], "mu": policy[i],
-                                "capture": bool(capture[i])})
+                                "capture": capture[i]})
         return {
             "meta": {
                 "n": self.n,
@@ -170,16 +182,16 @@ class SolveResult:
     @classmethod
     def from_json(cls, data: dict) -> "SolveResult":
         """Rebuild the rows of ``to_json`` output. Raises ValueError on a meta
-        field not of its exact type (see ``_META_TYPES``), an entry
-        outside nodes ``1..m`` or paths ``1..n``, a set member that is not an
-        integer (a bool included), a ``mu`` that is not null or a node, a ``D``
-        that is not null or a number, a (node, set) listed twice and a set
-        listed for only some nodes."""
+        field not of its exact type (see ``_META_TYPES``), an empty set or a
+        member other than an int ``1..n`` (a bool included), a node other than
+        an int ``1..m``, a (node, set) listed twice, a ``D`` that is not a
+        number, a ``mu`` that is not a node, a ``capture`` that is not a
+        boolean, and a set listed for only some nodes."""
         meta, entries = data["meta"], data["entries"]
         for name, kind in _META_TYPES.items():
             if type(meta[name]) is not kind:
                 raise ValueError(f"meta {name} is {meta[name]!r}, not of type {kind.__name__}")
-        n, m, hole = meta["n"], meta["m"], object()
+        n, m = meta["n"], meta["m"]
         # member types are checked first, and exactly: a float 1.0 or a True
         # would reuse the mask cached for 1, and mask_from reads True as path 1
         members = {*map(type, chain.from_iterable(map(itemgetter("set"), entries)))}
@@ -187,29 +199,31 @@ class SolveResult:
             kind = next(iter(members - {int})).__name__
             raise ValueError(f"a set member is a {kind}, not a path index 1..{n}")
         seen, rows = {}, {}
+        # a D of None marks a node the file has not listed the set for yet
         for entry in entries:
-            j, listed = int(entry["node"]), entry["set"]
+            j, listed = entry["node"], entry["set"]
             found = seen.get(key := tuple(listed))
             if found is None:
+                if not listed or min(listed) < 1 or max(listed) > n:
+                    raise ValueError(f"entry for node {j!r}, set {listed}: members are "
+                                     f"paths 1..{n}")
                 mask = mask_from(listed)
-                row = rows.setdefault(mask, ([hole] * m, [None] * m, [False] * m))
+                row = rows.setdefault(mask, ([None] * m, [None] * m, [False] * m))
                 found = seen[key] = mask, row
             mask, (latests, moves, captures) = found
-            if not (1 <= j <= m and 0 < mask < 1 << n):
-                raise ValueError(f"entry for node {j}, set {listed}: nodes are 1..{m}, "
-                                 f"paths 1..{n}")
-            latest, move = entry["D"], entry["mu"]
-            if not (move is None or type(move) is int and 1 <= move <= m):
-                raise ValueError(f"entry for node {j}, set {listed}: mu {move!r} is not "
-                                 f"null or a node 1..{m}")
-            if not (latest is None or type(latest) in (int, float)):
-                raise ValueError(f"entry for node {j}, set {listed}: D {latest!r} is not "
-                                 "null or a number")
-            if latests[j - 1] is not hole:
+            if type(j) is not int or not 1 <= j <= m:
+                raise ValueError(f"entry for node {j!r}, set {listed}: nodes are 1..{m}")
+            if latests[j - 1] is not None:
                 raise ValueError(f"entry for node {j}, set {listed}: listed twice")
-            latests[j - 1], moves[j - 1], captures[j - 1] = latest, move, bool(entry["capture"])
+            latest, move, capture = entry["D"], entry["mu"], entry["capture"]
+            if not (type(latest) in (int, float) and type(move) is int and 1 <= move <= m
+                    and type(capture) is bool):
+                raise ValueError(f"entry for node {j}, set {listed}: D {latest!r}, mu {move!r}, "
+                                 f"capture {capture!r}; D must be a number, mu a node 1..{m} "
+                                 "and capture a boolean")
+            latests[j - 1], moves[j - 1], captures[j - 1] = latest, move, capture
         for mask, (latest, _, _) in rows.items():
-            if hole in latest:
+            if None in latest:
                 raise ValueError(f"set {list(indices_of(mask))} is listed for only some nodes")
         return cls(n=n, m=m, strict_resolution=meta["strict_resolution"], pruned=meta["pruned"],
                    rows=rows, _digest=meta["metric_digest"])
@@ -270,16 +284,13 @@ def _candidates(mask: int, value, schedule: VisitSchedule, strict: bool, known=N
             if below[bisect_left(ceilings, reports[-1][0])] & green:
                 continue
         worst = value(u, green)
-        if worst is None or tlt(worst, reports[-1][0]):
+        if tlt(worst, reports[-1][0]):
             continue
         for _, red in reports:
             red_value = value(u, red)
-            if red_value is None:
-                break
             if red_value < worst:
                 worst = red_value
-        else:
-            splits.append((u, worst, SPLIT))
+        splits.append((u, worst, SPLIT))
     return captures + splits
 
 
@@ -303,10 +314,7 @@ class _RowView(Mapping):
         if row is None:
             if self.solver is None or not 0 < mask <= self.solver.full:
                 raise KeyError(key)
-            try:
-                row = self.solver.ensure(mask)
-            except RecursionError:
-                raise _too_deep(self.m) from None
+            row = self.solver.run(self.solver.ensure, mask)
         return row[self.column][j - 1]
 
     def __contains__(self, key):
@@ -320,14 +328,6 @@ class _RowView(Mapping):
         return self.m * len(self.rows)
 
 
-def _too_deep(m: int) -> PursuitError:
-    return PursuitError(
-        f"solving this network (m = {m} nodes) nests up to m + 1 = {m + 1} set evaluations, "
-        f"too deep for Python's recursion limit of {sys.getrecursionlimit()}; "
-        "raise it with sys.setrecursionlimit"
-    )
-
-
 class _Solver:
     """Computes the rows of one set at a time, for every node at once.
 
@@ -339,6 +339,7 @@ class _Solver:
     ``known[u]`` is the known-path bound at node ``u`` for ``_candidates``:
     the singleton values at ``u`` plus ``known_path_margin``, ascending, and
     ``below`` where ``below[i]`` holds the path bits of the first ``i``.
+    ``closed`` tells whether ``walk_policy`` has run.
     """
 
     def __init__(self, schedule, metric, paths, strict_resolution):
@@ -348,6 +349,7 @@ class _Solver:
         self.full = (1 << schedule.n) - 1
         self.nodes = range(1, schedule.m + 1)
         self.rows: dict[int, tuple[list, list, list]] = {}
+        self.closed = False
         m, bits = schedule.m, [1 << k for k in range(schedule.n)]
         for bit, path in zip(bits, paths):
             length, goal = path.length, path.exit
@@ -365,6 +367,18 @@ class _Solver:
             row = self.ensure(mask)
         return row[0][u - 1]
 
+    def run(self, step, *args):
+        """Call ``ensure`` or ``walk_policy`` from outside the recursion,
+        reporting Python's recursion limit as a PursuitError naming ``m``."""
+        try:
+            return step(*args)
+        except RecursionError:
+            m = self.schedule.m
+            raise PursuitError(
+                f"solving this network (m = {m} nodes) nests up to m + 1 = {m + 1} set "
+                f"evaluations, too deep for Python's recursion limit of "
+                f"{sys.getrecursionlimit()}; raise it with sys.setrecursionlimit") from None
+
     def ensure(self, mask: int):
         """The set's (latest, policy, capture) row, computed on first use."""
         row = self.rows.get(mask)
@@ -375,10 +389,10 @@ class _Solver:
         latest, policy, capture = [], [], []
         for j in self.nodes:
             dj = d[j]
-            best = best_u = best_kind = None
+            best, best_u, best_kind = -inf, None, None
             for u, value, kind in candidates:
                 score = value - dj[u]
-                if best is None or score > best + TIME_EPS:
+                if score > best + TIME_EPS:
                     best, best_u, best_kind = score, u, kind
             latest.append(best)
             policy.append(best_u)
@@ -410,20 +424,24 @@ class _Solver:
                 out.add(reading.info)
         return out
 
-    def walk_policy(self, root: tuple[int, int]) -> None:
-        """Compute the rows that playback of the policy from ``root`` and a
-        decision tree drawn from it read: at each move, what ``successors`` lists."""
-        seen = {root}
-        pending = [root]
+    def walk_policy(self) -> None:
+        """Compute, once, the rows that playback of the policy from the entry
+        with every path possible and a decision tree drawn from there read: at
+        each move, what ``successors`` lists."""
+        if self.closed:
+            return
+        seen = {(1, self.full)}
+        pending = list(seen)
         while pending:
             p, mask = pending.pop()
-            u = self.ensure(mask)[1][p - 1]
-            if u is None or mask & (mask - 1) == 0:  # a known path's rows are all stored
+            if mask & (mask - 1) == 0:  # a known path's rows are all stored
                 continue
+            u = self.ensure(mask)[1][p - 1]
             for sub in self.successors(mask, u):
                 if (u, sub) not in seen:
                     seen.add((u, sub))
                     pending.append((u, sub))
+        self.closed = True
 
 
 def candidate_moves(mask: int, memo, schedule: VisitSchedule, strict_resolution: bool = False):
@@ -457,29 +475,14 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
     """Solve the root set top-down, computing only the subsets it reads.
 
     With ``prune`` off, every set of the full subset lattice is computed
-    first. With ``close_for_simulation`` on, the sets that playback of the
-    policy from the entry can reach are computed too, so the exported
-    tables replay without holes. Rows the solve did not compute are filled
-    when the returned tables are read.
+    first. Rows the solve did not compute are filled when the returned
+    tables are read, and ``to_json`` computes the ones playback reads before
+    it lists them. ``close_for_simulation`` is accepted and has no effect.
     """
-    try:
-        worker = _Solver(schedule, metric, paths, strict_resolution)
-        if not prune:
-            for mask in full_lattice(schedule.n):
-                worker.ensure(mask)
-        prefilled = len(worker.rows)
-        worker.ensure(worker.full)
-        if close_for_simulation:
-            worker.walk_policy((network.entry, worker.full))
-    except RecursionError:
-        raise _too_deep(schedule.m) from None
-
-    return SolveResult(
-        n=schedule.n,
-        m=schedule.m,
-        strict_resolution=strict_resolution,
-        pruned=prune,
-        rows=worker.rows,
-        on_demand_sets=tuple(worker.rows)[prefilled:],
-        solver=worker,
-    )
+    worker = _Solver(schedule, metric, paths, strict_resolution)
+    if not prune:
+        for mask in full_lattice(schedule.n):
+            worker.run(worker.ensure, mask)
+    worker.run(worker.ensure, worker.full)
+    return SolveResult(n=schedule.n, m=schedule.m, strict_resolution=strict_resolution,
+                       pruned=prune, rows=worker.rows, solver=worker)

@@ -26,7 +26,7 @@ from .solver import SolveResult, metric_digest
 class TreeNode:
     ugs: int
     mask: int
-    latest: float | None
+    latest: float
     kind: str  # "decision" or "capture"
     resolve_t: float | None = None
     children: dict = field(default_factory=dict)
@@ -72,8 +72,6 @@ def build_tree(result: SolveResult, schedule: VisitSchedule, metric: PursuerMetr
     def expand(j, mask, resolve_t):
         latest = lookup(j, mask)
         move = result.policy[(j, mask)]
-        if move is None:
-            raise PolicyHole(f"no guaranteed move for node {j}, set {indices_of(mask)}")
         reports = red_reports(mask, move, schedule, result.strict_resolution)
         if len(reports) == 1:
             labels = ("red",)
@@ -109,22 +107,19 @@ def tree_to_dot(node: TreeNode) -> str:
     lines = ["digraph pursuit {", '  node [shape=box, fontname="Helvetica"];']
     counter = [0]
 
-    def fmt(value):
-        return "?" if value is None else f"{value:.4g}"
-
     def emit(current: TreeNode) -> int:
         idx = counter[0]
         counter[0] += 1
         if current.kind == "capture":
-            label = f"capture @ UGS {current.ugs}\\nt={fmt(current.latest)}"
+            label = f"capture @ UGS {current.ugs}\\nt={current.latest:.4g}"
             lines.append(f'  n{idx} [label="{label}", shape=oval];')
         else:
             members = ",".join(str(i) for i in indices_of(current.mask))
-            label = f"UGS {current.ugs} | {{{members}}} | D={fmt(current.latest)}"
+            label = f"UGS {current.ugs} | {{{members}}} | D={current.latest:.4g}"
             lines.append(f'  n{idx} [label="{label}"];')
         for obs, child in current.children.items():
             cid = emit(child)
-            lines.append(f'  n{idx} -> n{cid} [label="{obs} t={fmt(child.resolve_t)}"];')
+            lines.append(f'  n{idx} -> n{cid} [label="{obs} t={child.resolve_t:.4g}"];')
         return idx
 
     emit(node)

@@ -242,6 +242,16 @@ class TestErrors:
         (["verify", "--network", "random", "--seed", "3", "--speed", "3", "--t0", "1",
           "--policy", "demo_policy.json"],
          "tables are for n=4 paths and m=7 nodes, the network has n=6 paths and m=8 nodes"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
+          "fractional_node.json"], "node 1.9, set [1, 2, 3, 4]: nodes are 1..7"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
+          "string_capture.json"], "capture 'false'"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
+          "member_zero.json"], "set [0, 2, 3, 4]: members are paths 1..4"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
+          "null_mu.json"], "mu None"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
+          "null_latest.json"], "D None"),
     ], ids=["edge-without-time", "node-without-id", "non-numeric-time", "top-level-list",
             "metric-without-speed", "policy-not-from-solve", "non-numeric-grid",
             "path-above-range", "path-zero", "non-integer-entry", "non-integer-goal",
@@ -251,12 +261,15 @@ class TestErrors:
             "minus-inf-lower-speed", "inf-upper-speed", "policy-mu-above-range",
             "policy-mu-not-a-node", "policy-latest-not-a-number", "nan-speed",
             "infinite-edge-time", "policy-entry-listed-twice", "policy-bool-member",
-            "policy-meta-string-boolean", "policy-for-another-network"])
+            "policy-meta-string-boolean", "policy-for-another-network",
+            "policy-fractional-node", "policy-string-capture", "policy-member-zero",
+            "policy-null-mu", "policy-null-latest"])
     def test_malformed_input_exit_code(self, capsys, tmp_path, monkeypatch, argv, named):
         _, solved, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.62",
                                     "--format", "json"])
         (node_zero, partial_set, path_nine, mu_high, mu_text, latest_text, twice, bool_member,
-         string_strict) = (json.loads(solved) for _ in range(9))
+         string_strict, fractional_node, string_capture, member_zero, null_mu,
+         null_latest) = (json.loads(solved) for _ in range(14))
         node_zero["entries"][-1]["node"] = 0
         del partial_set["entries"][-1]
         path_nine["entries"][-1]["set"] = [9]
@@ -268,6 +281,11 @@ class TestErrors:
         twice["entries"].append({**twice["entries"][root], "D": 999.0, "mu": None})
         bool_member["entries"][root]["set"] = [True, 2, 3, 4]
         string_strict["meta"]["strict_resolution"] = "false"
+        fractional_node["entries"][root]["node"] = 1.9
+        string_capture["entries"][root]["capture"] = "false"
+        member_zero["entries"][root]["set"] = [0, 2, 3, 4]
+        null_mu["entries"][root]["mu"] = None
+        null_latest["entries"][root]["D"] = None
         edge = {"from": 1, "to": 2, "time": 1.0}
         two = [{"id": 1}, {"id": 2}]
         files = {
@@ -290,6 +308,11 @@ class TestErrors:
             "root_twice.json": twice,
             "bool_member.json": bool_member,
             "string_strict.json": string_strict,
+            "fractional_node.json": fractional_node,
+            "string_capture.json": string_capture,
+            "member_zero.json": member_zero,
+            "null_mu.json": null_mu,
+            "null_latest.json": null_latest,
             "demo_policy.json": json.loads(solved),
         }
         for name, data in files.items():

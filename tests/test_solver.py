@@ -1,8 +1,11 @@
 import gc
+import json
 import math
 import random
+import re
 import sys
 import weakref
+from itertools import chain
 
 import pytest
 
@@ -25,7 +28,7 @@ from ugs_pursuit import (
     verify_guarantee,
 )
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
-from ugs_pursuit.network import indices_of, iter_indices
+from ugs_pursuit.network import indices_of, iter_indices, mask_from
 from ugs_pursuit.solver import CAPTURE, SPLIT, _Solver, known_path_margin
 from ugs_pursuit.util import TIME_EPS
 
@@ -275,12 +278,28 @@ class TestSolve:
         with pytest.raises(ValueError, match=f"meta {name} is {value!r}, not of type"):
             SolveResult.from_json(data)
 
-    def test_json_null_encodes_no_guarantee(self):
+    @pytest.mark.parametrize("name", ["D", "mu"])
+    def test_json_null_rejected(self, name):
+        # every set has the capture move at the entry, so no writer leaves a cell null
         meta = {"n": 1, "m": 1, "strict_resolution": False, "pruned": True, "metric_digest": "x"}
-        entry = {"node": 1, "set": [1], "D": None, "mu": None, "capture": False}
-        result = SolveResult.from_json({"meta": meta, "entries": [entry]})
-        assert result.latest[(1, 1)] is None and result.policy[(1, 1)] is None
-        assert result.to_json()["entries"] == [entry]
+        entry = {"node": 1, "set": [1], "D": 3.0, "mu": 1, "capture": True, name: None}
+        with pytest.raises(ValueError, match=f"{name} None"):
+            SolveResult.from_json({"meta": meta, "entries": [entry]})
+
+    @pytest.mark.parametrize("name,value,named", [
+        ("node", 1.9, "node 1.9, set"), ("node", "1", "node '1', set"),
+        ("node", True, "node True, set"), ("capture", "false", "capture 'false'"),
+        ("capture", 1, "capture 1"), ("set", [0], "paths 1..4"), ("set", [-1], "paths 1..4"),
+        ("set", [], "paths 1..4"), ("D", None, "D None"), ("mu", None, "mu None"),
+    ], ids=["fractional-node", "string-node", "bool-node", "string-capture", "int-capture",
+            "member-zero", "negative-member", "empty-set", "null-D", "null-mu"])
+    def test_json_entry_field_rejected(self, demo, demo_metric, name, value, named):
+        network, paths, schedule = demo
+        data = solve(network, schedule, demo_metric, paths).to_json()
+        root = next(e for e in data["entries"] if e["node"] == 1 and e["set"] == [1, 2, 3, 4])
+        root[name] = value
+        with pytest.raises(ValueError, match=re.escape(named)):
+            SolveResult.from_json(data)
 
     def test_tables_are_read_only_views(self, demo, demo_metric):
         network, paths, schedule = demo
@@ -501,6 +520,67 @@ class TestKnownPathBound:
                     assert got == expected[key], key
 
 
+class TestOneSolvePath:
+    """``solve`` computes what the root reads; ``to_json`` computes, once,
+    what playback and the tree read before it lists rows; and every set has
+    the capture move at the entry, so no solved cell is None."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_export_closes_tables_of_any_solve(self, strict):
+        network, paths, schedule, metric = layered(factor=1.1, seed=13)
+        unclosed = solve(network, schedule, metric, paths, strict_resolution=strict,
+                         close_for_simulation=False)
+        text = json.dumps(unclosed.to_json())
+        assert text == json.dumps(solve(network, schedule, metric, paths,
+                                        strict_resolution=strict).to_json())
+        reloaded = SolveResult.from_json(json.loads(text))
+        report = verify_guarantee(network, schedule, metric, reloaded, reloaded.tolerable_delay)
+        assert report.all_captured and len(report.outcomes) == schedule.n
+
+    def test_only_export_walks_and_only_once(self, monkeypatch):
+        network, paths, schedule, metric = layered(factor=1.1, seed=13)
+        steps, successors = [], _Solver.successors
+        monkeypatch.setattr(_Solver, "successors",
+                            lambda self, mask, u: steps.append(mask) or successors(self, mask, u))
+        result = solve(network, schedule, metric, paths)
+        solved = result.on_demand_sets
+        assert verify_guarantee(network, schedule, metric, result,
+                                result.tolerable_delay).all_captured
+        build_tree(result, schedule, metric)
+        assert steps == []
+        data = result.to_json()
+        walked = len(steps)
+        assert walked and result.to_json() == data and len(steps) == walked
+        assert result.on_demand_sets[:len(solved)] == solved
+        assert len(result.on_demand_sets) > len(solved)
+        reloaded = SolveResult.from_json(data)
+        assert reloaded.on_demand_sets == () and reloaded.to_json() == data
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_exported_rows_equal_the_lattice(self, strict):
+        for network, paths, schedule, metric in [*corpus(), layered(factor=1.1, **L85)]:
+            lattice = solve(network, schedule, metric, paths, prune=False, strict_resolution=strict)
+            data = solve(network, schedule, metric, paths, strict_resolution=strict).to_json()
+            assert data["meta"]["tolerable_delay"] == lattice.tolerable_delay
+            for entry in data["entries"]:
+                key = (entry["node"], mask_from(entry["set"]))
+                expected = (lattice.latest[key], lattice.policy[key], lattice.capture_move[key])
+                assert (entry["D"], entry["mu"], entry["capture"]) == expected, key
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_every_set_captures_at_the_entry(self, strict):
+        for network, paths, schedule, metric in corpus():
+            lattice = solve(network, schedule, metric, paths, prune=False, strict_resolution=strict)
+            lazy = solve(network, schedule, metric, paths, strict_resolution=strict)
+            lazy.to_json()
+            for mask in full_lattice(schedule.n):
+                moves = candidate_moves(mask, lattice, schedule, strict)
+                assert moves[0] == (1, 0.0, CAPTURE), indices_of(mask)
+            for result in (lattice, lazy):
+                for row in result.rows.values():
+                    assert None not in chain.from_iterable(row)
+
+
 class TestScaleLadder:
     """L288: n=288 paths, m=20 nodes, solved under strict resolution."""
 
@@ -519,6 +599,7 @@ class TestScaleLadder:
         # sets default playback never reads, and ran out of memory
         network, paths, schedule, metric = layered(factor=2.0, **L288)
         result = solve(network, schedule, metric, paths)
+        result.to_json()  # the walk runs when the tables are exported
         assert len(result.on_demand_sets) == 15732
 
 
@@ -580,7 +661,7 @@ class TestRecursionDepth:
         unread = (1, lazy.root_mask & ~1)
         assert unread not in lazy.latest
         for call in (lambda: solve(network, schedule, metric, paths, strict_resolution=True),
-                     lambda: lazy.latest[unread]):
+                     lambda: lazy.latest[unread], lambda: lazy.to_json()):
             assert "m = 12 nodes" in (failure_with_few_frames(call) or "")
         fresh = solve(network, schedule, metric, paths, strict_resolution=True)
         assert lazy.latest[unread] == fresh.latest[unread]
