@@ -1,7 +1,13 @@
 """Parameter studies over pursuer speed: sweeps and the critical-speed
 threshold below which no positive entry delay can be tolerated.
 
-Solves at distinct speeds are independent; rows are produced in grid order.
+The solved values at distinct speeds are independent; rows are produced in
+grid order. Which nodes a set reaches, its green part and its red reports do
+not depend on the speed, so under the strict convention each ``sweep`` or
+``critical_speed`` call keeps one ``MoveTable`` for its schedule and passes
+it to every solve it makes: each set's moves are built once per study. The
+table is dropped when the call returns. Under the membership convention
+each solve builds its own moves (see ``_study_moves``).
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import BracketInvalid, MetricError
 from .network import euclidean_metric
-from .solver import solve
+from .solver import MoveTable, solve
 from .util import TIME_EPS, bisect_bracket, check_bracket
 
 
@@ -37,18 +43,30 @@ class SpeedSweep:
         return "\n".join(lines) + "\n"
 
 
-def _solve_at(network, schedule, paths, speed, strict_resolution):
+def _study_moves(schedule, strict_resolution):
+    """The move table a study's solves share, or None: strict convention
+    only. The table holds every set any solve of the study computed. Under
+    the membership convention that union is large: a 10-point sweep of
+    ``random_layered_network(7, widths=[1,4,4,4,4,3])`` reads 39,866 sets
+    (1,091 strict), whose table raised peak memory from 119 to 212 MB for
+    no time saved."""
+    return MoveTable(schedule, True) if strict_resolution else None
+
+
+def _solve_at(network, schedule, paths, speed, strict_resolution, moves):
     metric = euclidean_metric(network, speed)
-    return solve(network, schedule, metric, paths, strict_resolution=strict_resolution)
+    return solve(network, schedule, metric, paths, strict_resolution=strict_resolution,
+                 moves=moves)
 
 
 def sweep(network, schedule, paths, grid, strict_resolution: bool = False) -> SpeedSweep:
     """One solve per speed in the (ascending) grid. Speeds that violate the
     pursuer-faster-than-evader requirement yield rows flagged invalid."""
     rows = []
+    moves = _study_moves(schedule, strict_resolution)
     for speed in grid:
         try:
-            result = _solve_at(network, schedule, paths, speed, strict_resolution)
+            result = _solve_at(network, schedule, paths, speed, strict_resolution, moves)
         except MetricError:
             rows.append(SweepRow(speed=speed, latest=None, delay=None, move=None, valid=False))
             continue
@@ -76,10 +94,11 @@ def critical_speed(network, schedule, paths, v_lo: float, v_hi: float,
     any solve, unless ``tol > 0`` and both ends are finite.
     """
     check_bracket(v_lo, v_hi, tol)
+    moves = _study_moves(schedule, strict_resolution)
 
     def positive(speed: float) -> bool:
         try:
-            result = _solve_at(network, schedule, paths, speed, strict_resolution)
+            result = _solve_at(network, schedule, paths, speed, strict_resolution, moves)
         except MetricError:
             return False
         return result.root_latest > TIME_EPS

@@ -28,6 +28,17 @@ parts whose paths all pass ``u`` or none do, so no set below it splits at
 and the recursion is at most ``m + 1`` evaluations deep. A solve that still
 runs into Python's recursion limit raises PursuitError naming ``m``.
 
+A set's candidates come in two parts. ``set_moves`` gives what does not
+depend on the pursuer's speed: the nodes the set reaches, each one's green
+part, the time its scoring compares and its red reports. ``_candidates``
+scores them with the solve's values; it is the one candidate routine, and
+``candidate_moves`` reads it too. A ``MoveTable`` keeps ``set_moves`` for
+one schedule and convention. A strict-convention speed study passes one to
+each of its solves (``solve(..., moves=)``), so each set's moves are built
+once per study. A solve without one builds a set's moves when it computes
+the set, applying the known-path bound below as it builds them so that a
+dropped split gets no record, and keeps none.
+
 Knowing the evader's path never hurts the pursuer, so a set's value at
 ``u`` is at most the smallest known-path value at ``u`` of its paths:
 D(u|G) <= min over k in G of D(u|{k}), plus ``TIME_EPS`` slack that
@@ -36,12 +47,13 @@ the last red report, so when some green path's known-path value falls below
 that time by more than the margin, the split is dropped without solving the
 green part. The margin only drops splits the admissibility test would
 reject anyway, so every computed row is the same as with the full
-recursion; only fewer sets are computed. ``candidate_moves`` does not use
-the bound and still reads every split.
+recursion; only fewer sets are computed. The bound is tested in
+``_candidates`` for moves read from a table and in ``set_moves`` otherwise.
+``candidate_moves`` does not use the bound and still reads every split.
 
 Scoring order: a set's candidates are listed capture moves first, then
 split moves, each group by node id; nodes no path in the set passes are
-skipped before their reports are built. From node ``j`` a candidate ``u``
+skipped (``set_moves`` lists none for them). From node ``j`` a candidate ``u``
 scores its exit time at ``u`` minus the travel time ``d[j][u]``, and ``j``
 keeps the first candidate in that order whose score beats the best so far
 by more than ``TIME_EPS``: a near-tie goes to the earlier candidate. Every
@@ -185,7 +197,7 @@ class SolveResult:
         field not of its exact type (see ``_META_TYPES``), an empty set or a
         member other than an int ``1..n`` (a bool included), a node other than
         an int ``1..m``, a (node, set) listed twice, a ``D`` that is not a
-        number, a ``mu`` that is not a node, a ``capture`` that is not a
+        finite number, a ``mu`` that is not a node, a ``capture`` that is not a
         boolean, and a set listed for only some nodes."""
         meta, entries = data["meta"], data["entries"]
         for name, kind in _META_TYPES.items():
@@ -216,11 +228,12 @@ class SolveResult:
             if latests[j - 1] is not None:
                 raise ValueError(f"entry for node {j}, set {listed}: listed twice")
             latest, move, capture = entry["D"], entry["mu"], entry["capture"]
-            if not (type(latest) in (int, float) and type(move) is int and 1 <= move <= m
-                    and type(capture) is bool):
+            # no solve writes a D that is not finite: every set captures at the entry
+            if not (type(latest) in (int, float) and -inf < latest < inf
+                    and type(move) is int and 1 <= move <= m and type(capture) is bool):
                 raise ValueError(f"entry for node {j}, set {listed}: D {latest!r}, mu {move!r}, "
-                                 f"capture {capture!r}; D must be a number, mu a node 1..{m} "
-                                 "and capture a boolean")
+                                 f"capture {capture!r}; D must be a finite number, mu a node "
+                                 f"1..{m} and capture a boolean")
             latests[j - 1], moves[j - 1], captures[j - 1] = latest, move, capture
         for mask, (latest, _, _) in rows.items():
             if None in latest:
@@ -257,18 +270,20 @@ def known_path_margin(m: int) -> float:
     return 2 * (m + 1) * TIME_EPS
 
 
-def _candidates(mask: int, value, schedule: VisitSchedule, strict: bool, known=None):
-    """Admissible moves for a set, as (node, exit-time-at-node, kind),
-    ordered capture moves first then by node id (the tie-break order).
+def set_moves(mask: int, schedule: VisitSchedule, strict: bool,
+              known=None) -> tuple[tuple, tuple]:
+    """The part of a set's candidate moves that does not depend on the
+    pursuer's speed, as ``(captures, splits)``, each in node-id order over
+    the nodes some path in ``mask`` passes. A capture is already the
+    candidate it scores as, ``(u, first visit, CAPTURE)``; a split is
+    ``(u, green, time, reds)``: the part avoiding ``u``, the last red
+    report's time (which the green part must reach) and the red reports'
+    sets in time order, as ``information.red_reports`` lists them.
 
-    ``value(u, sub)`` returns the latest exit time from ``u`` holding the
-    strict subset ``sub``. Sets are read green first, then the red reports
-    in time order. ``known``, when given, holds per node the known-path
-    values plus ``known_path_margin`` in ascending order, beside the
-    prefix-ORs of their path bits (see ``_Solver``); a split whose green
-    part holds a path below the last red report's time is dropped without
-    reading the green part.
-    """
+    ``known``, when given, is a solve's known-path bound (see
+    ``_candidates``): a split it drops gets no record, so a solve that
+    scores the moves once pays nothing for the splits it would drop. The
+    moves are then no longer speed-independent."""
     captures, splits = [], []
     through = schedule.through
     for u in range(1, schedule.m + 1):
@@ -276,22 +291,64 @@ def _candidates(mask: int, value, schedule: VisitSchedule, strict: bool, known=N
             continue
         reports = red_reports(mask, u, schedule, strict)
         green = mask & ~through[u]
-        if green == 0:
+        if green:
+            time = reports[-1][0]
+            if known is not None:
+                ceilings, below = known[u]
+                if below[bisect_left(ceilings, time)] & green:
+                    continue
+            # one report (always so under the membership convention) needs no map
+            reds = (reports[0][1],) if len(reports) == 1 else tuple(map(itemgetter(1), reports))
+            splits.append((u, green, time, reds))
+        else:
             captures.append((u, reports[0][0], CAPTURE))
-            continue
+    return tuple(captures), tuple(splits)
+
+
+class MoveTable(dict):
+    """``set_moves`` of every set read, for one schedule and convention:
+    ``table[mask]`` computes a set's moves on first read and keeps them.
+    A strict-convention speed study passes one table to each of its
+    solves, so every set's moves are built once per study."""
+
+    def __init__(self, schedule: VisitSchedule, strict_resolution: bool):
+        super().__init__()
+        self.schedule, self.strict = schedule, strict_resolution
+
+    def __missing__(self, mask: int) -> tuple[tuple, tuple]:
+        found = self[mask] = set_moves(mask, self.schedule, self.strict)
+        return found
+
+
+def _candidates(moves: tuple[tuple, tuple], value, known=None) -> list:
+    """Admissible moves for a set, as (node, exit-time-at-node, kind),
+    ordered capture moves first then by node id (the tie-break order).
+
+    ``moves`` is the set's ``set_moves``; ``value(u, sub)`` returns the
+    latest exit time from ``u`` holding the strict subset ``sub``. Sets are
+    read green first, then the red reports in time order. ``known``, when
+    given, holds per node the known-path values plus ``known_path_margin``
+    in ascending order, beside the prefix-ORs of their path bits (see
+    ``_Solver``); a split whose green part holds a path below the last red
+    report's time is dropped without reading the green part. A solve
+    without a ``MoveTable`` passes ``known`` to ``set_moves`` instead.
+    """
+    captures, splits = moves
+    out = list(captures)
+    for u, green, time, reds in splits:
         if known is not None:
             ceilings, below = known[u]
-            if below[bisect_left(ceilings, reports[-1][0])] & green:
+            if below[bisect_left(ceilings, time)] & green:
                 continue
         worst = value(u, green)
-        if tlt(worst, reports[-1][0]):
+        if tlt(worst, time):
             continue
-        for _, red in reports:
+        for red in reds:
             red_value = value(u, red)
             if red_value < worst:
                 worst = red_value
-        splits.append((u, worst, SPLIT))
-    return captures + splits
+        out.append((u, worst, SPLIT))
+    return out
 
 
 class _RowView(Mapping):
@@ -339,13 +396,16 @@ class _Solver:
     ``known[u]`` is the known-path bound at node ``u`` for ``_candidates``:
     the singleton values at ``u`` plus ``known_path_margin``, ascending, and
     ``below`` where ``below[i]`` holds the path bits of the first ``i``.
-    ``closed`` tells whether ``walk_policy`` has run.
+    ``moves`` is the ``MoveTable`` the solve was given, or None to build
+    each set's moves as it is computed. ``closed`` tells whether
+    ``walk_policy`` has run.
     """
 
-    def __init__(self, schedule, metric, paths, strict_resolution):
+    def __init__(self, schedule, metric, paths, strict_resolution, moves=None):
         self.schedule = schedule
         self.metric = metric
         self.strict = strict_resolution
+        self.moves = moves
         self.full = (1 << schedule.n) - 1
         self.nodes = range(1, schedule.m + 1)
         self.rows: dict[int, tuple[list, list, list]] = {}
@@ -384,7 +444,11 @@ class _Solver:
         row = self.rows.get(mask)
         if row is not None:
             return row
-        candidates = _candidates(mask, self.value, self.schedule, self.strict, self.known)
+        if self.moves is None:
+            candidates = _candidates(set_moves(mask, self.schedule, self.strict, self.known),
+                                     self.value)
+        else:
+            candidates = _candidates(self.moves[mask], self.value, self.known)
         d = self.metric.d
         latest, policy, capture = [], [], []
         for j in self.nodes:
@@ -460,7 +524,7 @@ def candidate_moves(mask: int, memo, schedule: VisitSchedule, strict_resolution:
         except KeyError:
             raise MissingSubset(f"memo lacks set {indices_of(sub)} at node {u}") from None
 
-    return _candidates(mask, value, schedule, strict_resolution)
+    return _candidates(set_moves(mask, schedule, strict_resolution), value)
 
 
 def full_lattice(n: int) -> tuple[int, ...]:
@@ -471,15 +535,25 @@ def full_lattice(n: int) -> tuple[int, ...]:
 
 def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
           prune: bool = True, strict_resolution: bool = False,
-          close_for_simulation: bool = True) -> SolveResult:
+          close_for_simulation: bool = True, *, moves: MoveTable | None = None) -> SolveResult:
     """Solve the root set top-down, computing only the subsets it reads.
 
     With ``prune`` off, every set of the full subset lattice is computed
     first. Rows the solve did not compute are filled when the returned
     tables are read, and ``to_json`` computes the ones playback reads before
     it lists them. ``close_for_simulation`` is accepted and has no effect.
+
+    ``moves`` is a ``MoveTable`` shared by the solves of one speed study
+    (``analysis`` passes one under the strict convention): the solve reads
+    each set's moves from it, and so do later reads of the result's tables.
+    Without it the solve builds each set's moves when it computes the set
+    and keeps none. Raises ValueError for a table made for another schedule
+    or convention.
     """
-    worker = _Solver(schedule, metric, paths, strict_resolution)
+    if moves is not None and (moves.schedule != schedule or moves.strict != strict_resolution):
+        raise ValueError(f"the move table is for another schedule or convention: table "
+                         f"strict_resolution={moves.strict}, solve {strict_resolution}")
+    worker = _Solver(schedule, metric, paths, strict_resolution, moves)
     if not prune:
         for mask in full_lattice(schedule.n):
             worker.run(worker.ensure, mask)

@@ -1,18 +1,66 @@
+import gc
 import math
+import weakref
+from collections import Counter
 
 import pytest
 
 from ugs_pursuit import (
     BracketInvalid,
+    MetricError,
     PursuitError,
+    SweepRow,
+    build_schedule,
+    build_tree,
     critical_speed,
+    demo_bundle,
     euclidean_metric,
     oracle_max_delay,
     solve,
     sweep,
+    verify_guarantee,
 )
-from ugs_pursuit import analysis, simulator
+from ugs_pursuit import analysis, simulator, solver
+from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
+from ugs_pursuit.network import enumerate_paths
+from ugs_pursuit.solver import MoveTable
 from ugs_pursuit.util import TIME_EPS, bisect_bracket
+
+
+def parity_set():
+    """(name, network, paths, schedule): the corpus, the demo, L17 and L36."""
+    for seed in range(1, 51):
+        yield (f"corpus {seed}", *random_instance(seed, n_max=4, m_max=8))
+    yield ("demo", *demo_bundle())
+    for name, seed in (("L17", 17), ("L36", 5)):
+        network = random_layered_network(seed)
+        paths = enumerate_paths(network)
+        yield name, network, paths, build_schedule(paths, network.m)
+
+
+def study_grid(network):
+    """12 speeds from 0.9x to 2.55x the floor; the first is invalid."""
+    floor = speed_floor(network)
+    return [floor * (0.9 + 0.15 * i) for i in range(12)]
+
+
+def fresh_solve(network, schedule, paths, speed, strict):
+    return solve(network, schedule, euclidean_metric(network, speed), paths,
+                 strict_resolution=strict)
+
+
+@pytest.fixture
+def study_solves(monkeypatch):
+    """(metric, moves, result) of every solve the analysis module makes."""
+    calls, original = [], analysis.solve
+
+    def recorded(network, schedule, metric, paths, **kwargs):
+        result = original(network, schedule, metric, paths, **kwargs)
+        calls.append((metric, kwargs.get("moves"), result))
+        return result
+
+    monkeypatch.setattr(analysis, "solve", recorded)
+    return calls
 
 
 class TestSweep:
@@ -142,3 +190,121 @@ class TestCriticalSpeed:
         if below_speed > 1.0:
             below = solve(network, schedule, euclidean_metric(network, below_speed), paths)
             assert below.root_latest <= TIME_EPS
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+class TestStudyParity:
+    """A study's solves share one move table; each value still equals the
+    one a fresh solve at that speed gives."""
+
+    def test_sweep_rows_equal_fresh_solves(self, strict):
+        for name, network, paths, schedule in parity_set():
+            grid = study_grid(network)
+            want = []
+            for speed in grid:
+                try:
+                    result = fresh_solve(network, schedule, paths, speed, strict)
+                except MetricError:
+                    want.append(SweepRow(speed, None, None, None, False))
+                    continue
+                want.append(SweepRow(speed, result.root_latest, result.tolerable_delay,
+                                     result.root_policy, True))
+            got = sweep(network, schedule, paths, grid, strict_resolution=strict).rows
+            assert not got[0].valid, name
+            assert repr(got) == repr(tuple(want)), name
+
+    def test_critical_speed_equals_fresh_bisection(self, strict):
+        for name, network, paths, schedule in parity_set():
+            grid = study_grid(network)
+            lo, hi = grid[0], grid[-1]
+
+            def positive(speed):  # critical_speed's predicate, one fresh solve per probe
+                try:
+                    result = fresh_solve(network, schedule, paths, speed, strict)
+                except MetricError:
+                    return False
+                return result.root_latest > TIME_EPS
+
+            if not positive(hi):
+                with pytest.raises(BracketInvalid):
+                    critical_speed(network, schedule, paths, lo, hi, strict_resolution=strict)
+                continue
+            want = bisect_bracket(positive, lo, hi, 1e-4)[1]
+            got = critical_speed(network, schedule, paths, lo, hi, strict_resolution=strict)
+            assert got.hex() == want.hex(), name
+
+    def test_study_solve_exports_as_a_fresh_solve(self, strict, study_solves):
+        for name, network, paths, schedule in parity_set():
+            sweep(network, schedule, paths, study_grid(network)[1::5], strict_resolution=strict)
+            for metric, moves, result in study_solves:
+                assert (moves is not None) == strict
+                fresh = solve(network, schedule, metric, paths, strict_resolution=strict)
+                assert result.to_json() == fresh.to_json(), name
+            study_solves.clear()
+
+
+class TestStudyMoveTable:
+    """Where a move table lives: one per strict study call, none elsewhere."""
+
+    def test_each_set_built_once_per_strict_study(self, monkeypatch):
+        built, original = Counter(), solver.set_moves
+
+        def counted(mask, *args):
+            built[mask] += 1
+            return original(mask, *args)
+
+        monkeypatch.setattr(solver, "set_moves", counted)
+        network = random_layered_network(17)
+        paths = enumerate_paths(network)
+        schedule = build_schedule(paths, network.m)
+        grid = study_grid(network)
+        sweep(network, schedule, paths, grid, strict_resolution=True)
+        assert built and max(built.values()) == 1
+        built.clear()
+        critical_speed(network, schedule, paths, grid[0], grid[-1], strict_resolution=True)
+        assert built and max(built.values()) == 1
+
+    def test_one_shot_calls_build_no_table(self, demo, demo_metric, monkeypatch):
+        tables, original = [], MoveTable.__init__
+
+        def counted(self, *args):
+            tables.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(MoveTable, "__init__", counted)
+        network, paths, schedule = demo
+        for strict in (False, True):
+            result = solve(network, schedule, demo_metric, paths, strict_resolution=strict)
+            result.to_json()
+            verify_guarantee(network, schedule, demo_metric, result, result.tolerable_delay)
+            build_tree(result, schedule, demo_metric)
+        # a membership-convention study builds each solve's moves in that solve
+        sweep(network, schedule, paths, [1.2, 1.62])
+        critical_speed(network, schedule, paths, 1.0, 2.0)
+        assert tables == []
+        sweep(network, schedule, paths, [1.2, 1.62], strict_resolution=True)
+        assert tables == [(schedule, True)]
+
+    def test_table_for_another_schedule_or_convention_rejected(self, demo, demo_metric):
+        network, paths, schedule = demo
+        other = random_instance(1)[2]
+        for moves in (MoveTable(other, False), MoveTable(schedule, True)):
+            with pytest.raises(ValueError, match="another schedule or convention"):
+                solve(network, schedule, demo_metric, paths, moves=moves)
+        # an equal schedule built again is the same schedule
+        moves = MoveTable(build_schedule(paths, network.m), False)
+        shared = solve(network, schedule, demo_metric, paths, moves=moves)
+        assert shared.rows == solve(network, schedule, demo_metric, paths).rows
+
+    def test_table_freed_when_the_study_returns(self, demo, study_solves):
+        network, paths, schedule = demo
+        gc.disable()
+        try:
+            sweep(network, schedule, paths, [0.8, 1.2, 1.62, 2.0], strict_resolution=True)
+            critical_speed(network, schedule, paths, 1.0, 2.0, strict_resolution=True)
+            tables = {id(moves): weakref.ref(moves) for _, moves, _ in study_solves}
+            study_solves.clear()
+            assert len(tables) == 2
+            assert all(ref() is None for ref in tables.values())
+        finally:
+            gc.enable()

@@ -252,6 +252,8 @@ class TestErrors:
           "null_mu.json"], "mu None"),
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
           "null_latest.json"], "D None"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
+          "nan_latest.json"], "D nan"),
     ], ids=["edge-without-time", "node-without-id", "non-numeric-time", "top-level-list",
             "metric-without-speed", "policy-not-from-solve", "non-numeric-grid",
             "path-above-range", "path-zero", "non-integer-entry", "non-integer-goal",
@@ -263,13 +265,13 @@ class TestErrors:
             "infinite-edge-time", "policy-entry-listed-twice", "policy-bool-member",
             "policy-meta-string-boolean", "policy-for-another-network",
             "policy-fractional-node", "policy-string-capture", "policy-member-zero",
-            "policy-null-mu", "policy-null-latest"])
+            "policy-null-mu", "policy-null-latest", "policy-nan-latest"])
     def test_malformed_input_exit_code(self, capsys, tmp_path, monkeypatch, argv, named):
         _, solved, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.62",
                                     "--format", "json"])
         (node_zero, partial_set, path_nine, mu_high, mu_text, latest_text, twice, bool_member,
          string_strict, fractional_node, string_capture, member_zero, null_mu,
-         null_latest) = (json.loads(solved) for _ in range(14))
+         null_latest, nan_latest) = (json.loads(solved) for _ in range(15))
         node_zero["entries"][-1]["node"] = 0
         del partial_set["entries"][-1]
         path_nine["entries"][-1]["set"] = [9]
@@ -286,6 +288,7 @@ class TestErrors:
         member_zero["entries"][root]["set"] = [0, 2, 3, 4]
         null_mu["entries"][root]["mu"] = None
         null_latest["entries"][root]["D"] = None
+        nan_latest["entries"][root]["D"] = math.nan
         edge = {"from": 1, "to": 2, "time": 1.0}
         two = [{"id": 1}, {"id": 2}]
         files = {
@@ -313,6 +316,7 @@ class TestErrors:
             "member_zero.json": member_zero,
             "null_mu.json": null_mu,
             "null_latest.json": null_latest,
+            "nan_latest.json": nan_latest,
             "demo_policy.json": json.loads(solved),
         }
         for name, data in files.items():

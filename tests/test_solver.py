@@ -291,8 +291,10 @@ class TestSolve:
         ("node", True, "node True, set"), ("capture", "false", "capture 'false'"),
         ("capture", 1, "capture 1"), ("set", [0], "paths 1..4"), ("set", [-1], "paths 1..4"),
         ("set", [], "paths 1..4"), ("D", None, "D None"), ("mu", None, "mu None"),
+        ("D", math.nan, "D nan"), ("D", math.inf, "D inf"), ("D", -math.inf, "D -inf"),
     ], ids=["fractional-node", "string-node", "bool-node", "string-capture", "int-capture",
-            "member-zero", "negative-member", "empty-set", "null-D", "null-mu"])
+            "member-zero", "negative-member", "empty-set", "null-D", "null-mu", "nan-D",
+            "infinite-D", "minus-infinite-D"])
     def test_json_entry_field_rejected(self, demo, demo_metric, name, value, named):
         network, paths, schedule = demo
         data = solve(network, schedule, demo_metric, paths).to_json()
