@@ -8,16 +8,24 @@ not depend on the speed, so under the strict convention each ``sweep`` or
 it to every solve it makes: each set's moves are built once per study. The
 table is dropped when the call returns. Under the membership convention
 each solve builds its own moves (see ``_study_moves``).
+
+``critical_speed`` bisects the sign of the solved root but solves only a
+handful of speeds: it predicts each midpoint from the line in 1 / speed
+through the nearest solved roots and confirms the final bracket's ends with
+solves. The answer equals plain bisection's whenever the sign is monotone in
+speed; when a confirmation fails, plain bisection reruns on the solved
+speeds.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .errors import BracketInvalid, MetricError
 from .network import euclidean_metric
 from .solver import MoveTable, solve
-from .util import TIME_EPS, bisect_bracket, check_bracket
+from .util import TIME_EPS, bisect_predicted, check_bracket
 
 
 @dataclass(frozen=True)
@@ -92,19 +100,52 @@ def critical_speed(network, schedule, paths, v_lo: float, v_hi: float,
     be false at ``v_lo`` (zero delay, or an invalid metric) and true at
     ``v_hi``; raises BracketInvalid otherwise. Raises PursuitError, before
     any solve, unless ``tol > 0`` and both ends are finite.
+
+    Most midpoints are predicted, not solved (``bisect_predicted``). A
+    midpoint whose metric build fails is false. Otherwise its sign is read
+    from the line in w = 1 / speed through the two nearest solved roots,
+    interpolated between them or extrapolated when one side has none:
+    euclidean travel times are distance times w, so the root is piecewise
+    linear in w. With fewer than two roots solved, the midpoint is solved.
+    The ends of the final bracket that were only predicted are then solved.
+    If the predicate is monotone in speed, they confirm every prediction and
+    the answer is plain bisection's bit for bit. If one does not (the root
+    jumped across a predicted midpoint), plain bisection reruns over the
+    memo of solved speeds, so no speed is solved twice.
     """
     check_bracket(v_lo, v_hi, tol)
     moves = _study_moves(schedule, strict_resolution)
+    roots = {}  # speed -> solved root, None where the metric is invalid
 
     def positive(speed: float) -> bool:
+        if speed not in roots:
+            try:
+                result = _solve_at(network, schedule, paths, speed, strict_resolution, moves)
+            except MetricError:
+                roots[speed] = None
+            else:
+                roots[speed] = result.root_latest
+        root = roots[speed]
+        return root is not None and root > TIME_EPS
+
+    def predicted(speed: float) -> bool:
         try:
-            result = _solve_at(network, schedule, paths, speed, strict_resolution, moves)
+            euclidean_metric(network, speed)
         except MetricError:
+            roots[speed] = None
             return False
-        return result.root_latest > TIME_EPS
+        solved = sorted((s, root) for s, root in roots.items() if root is not None)
+        if len(solved) < 2:
+            return positive(speed)
+        i = min(max(bisect.bisect(solved, (speed,)) - 1, 0), len(solved) - 2)
+        (s1, r1), (s2, r2) = solved[i], solved[i + 1]
+        w1, w2 = 1.0 / s1, 1.0 / s2
+        if w1 == w2:  # speeds a few ulps apart: no line to draw
+            return positive(speed)
+        return r1 + (r2 - r1) * (1.0 / speed - w1) / (w2 - w1) > TIME_EPS
 
     if positive(v_lo):
         raise BracketInvalid(f"delay already positive at the lower speed {v_lo}")
     if not positive(v_hi):
         raise BracketInvalid(f"delay not positive at the upper speed {v_hi}")
-    return bisect_bracket(positive, v_lo, v_hi, tol)[1]
+    return bisect_predicted(positive, predicted, v_lo, v_hi, tol)[1]

@@ -67,6 +67,21 @@ def bisect_bracket(flips, lo: float, hi: float, tol: float) -> tuple[float, floa
     return lo, hi
 
 
+def bisect_predicted(flips, guess, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """``bisect_bracket(flips, lo, hi, tol)``, walked with the cheaper
+    ``guess`` in place of ``flips``; each end of the final bracket that the
+    walk moved is then confirmed by ``flips``. If ``flips`` is monotone,
+    confirmed ends prove every guess right, so the bracket is plain
+    bisection's bit for bit. If a confirmation fails, plain bisection of
+    ``flips`` runs instead (a memoising ``flips`` pays nothing twice).
+    Either way ``flips`` is false at the returned ``lo`` and true at ``hi``.
+    Raises PursuitError as ``check_bracket`` does, before any call."""
+    new_lo, new_hi = bisect_bracket(guess, lo, hi, tol)
+    if (new_lo == lo or not flips(new_lo)) and (new_hi == hi or flips(new_hi)):
+        return new_lo, new_hi
+    return bisect_bracket(flips, lo, hi, tol)
+
+
 # An encoder never writes a raw control character (ensure_ascii escapes
 # them), so "\x00" and "\x01" can only be separators the writer put there.
 _CONTAINERS = (list, tuple, dict)

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import math
+import random
 import weakref
 from collections import Counter
 
@@ -20,11 +22,11 @@ from ugs_pursuit import (
     sweep,
     verify_guarantee,
 )
-from ugs_pursuit import analysis, simulator, solver
+from ugs_pursuit import analysis, simulator, solver, util
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
 from ugs_pursuit.network import enumerate_paths
 from ugs_pursuit.solver import MoveTable
-from ugs_pursuit.util import TIME_EPS, bisect_bracket
+from ugs_pursuit.util import TIME_EPS, bisect_bracket, bisect_predicted
 
 
 def parity_set():
@@ -124,6 +126,69 @@ class TestBisectBracket:
         assert calls == []
 
 
+def memoised(flips):
+    """``flips`` with a record of the points it was called at, each once."""
+    seen = {}
+
+    def recorded(x):
+        if x not in seen:
+            seen[x] = flips(x)
+        return seen[x]
+
+    recorded.seen = seen
+    return recorded
+
+
+class TestBisectPredicted:
+    """The walk-confirm-fallback bisection that critical_speed runs."""
+
+    GUESSES = {
+        "true": lambda x: True,
+        "false": lambda x: False,
+        "random": lambda x: random.Random(x).random() < 0.5,
+    }
+
+    @pytest.mark.parametrize("guess", GUESSES.values(), ids=GUESSES.keys())
+    @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-20])
+    def test_monotone_predicate_gives_plain_bisection(self, guess, tol):
+        rng = random.Random(5)
+        for _ in range(50):
+            lo, threshold = sorted(rng.uniform(0.0, 10.0) for _ in range(2))
+            hi = threshold + rng.uniform(0.0, 10.0)
+
+            def flips(x):
+                return x >= threshold
+
+            want = bisect_bracket(flips, lo, hi, tol)
+            got = bisect_predicted(memoised(flips), guess, lo, hi, tol)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("guess", GUESSES.values(), ids=GUESSES.keys())
+    @pytest.mark.parametrize("tol", [1e-3, 1e-20])
+    def test_non_monotone_predicate_gives_confirmed_ends(self, guess, tol):
+        for seed in range(50):
+            def flips(x):  # false at 0, true at 1, a coin toss in between
+                return x == 1.0 or (x != 0.0 and random.Random(x + seed).random() < 0.5)
+
+            called = memoised(flips)
+            lo, hi = bisect_predicted(called, guess, 0.0, 1.0, tol)
+            assert not flips(lo) and flips(hi)
+            assert lo in (0.0, *called.seen) and hi in (1.0, *called.seen)
+            assert hi - lo <= tol or math.nextafter(lo, math.inf) == hi
+
+    @pytest.mark.parametrize("lo,hi,tol,named", [
+        (math.nan, 1.0, 1e-3, "must be finite"),
+        (0.0, math.inf, 1e-3, "must be finite"),
+        (0.0, 1.0, 0.0, "tolerance must be > 0"),
+        (0.0, 1.0, math.nan, "tolerance must be > 0"),
+    ], ids=["nan-lo", "inf-hi", "zero-tol", "nan-tol"])
+    def test_rejects_before_evaluating(self, lo, hi, tol, named):
+        calls = []
+        with pytest.raises(PursuitError, match=named):
+            bisect_predicted(calls.append, calls.append, lo, hi, tol)
+        assert calls == []
+
+
 class TestCriticalSpeed:
     def test_single_path_threshold(self, single_edge):
         network, paths, schedule = single_edge
@@ -179,6 +244,30 @@ class TestCriticalSpeed:
         d = oracle_max_delay(network, schedule, demo_metric, paths, tol=1e-20)
         assert abs(d - oracle_max_delay(network, schedule, demo_metric, paths)) <= 1e-7
 
+    def test_solved_speeds_with_one_reciprocal(self):
+        """Two solved speeds a float apart can share 1 / speed, so no line
+        in w runs through them: the midpoint is solved instead. Here L17 is
+        scaled so that its first valid speed lies just below 2."""
+        base = random_layered_network(17)
+        scale = 1.9999 / 0.822
+        network = dataclasses.replace(base, coords=tuple(
+            None if xy is None else (xy[0] * scale, xy[1] * scale) for xy in base.coords))
+        paths = enumerate_paths(network)
+        schedule = build_schedule(paths, network.m)
+
+        def valid(speed):
+            try:
+                euclidean_metric(network, speed)
+            except MetricError:
+                return False
+            return True
+
+        floor = speed_floor(network)
+        lo, first_valid = bisect_bracket(valid, floor, 2 * floor, 1e-30)
+        hi = math.nextafter(math.nextafter(first_valid, math.inf), math.inf)
+        assert 1 / hi == 1 / math.nextafter(first_valid, math.inf)
+        assert critical_speed(network, schedule, paths, lo, hi, tol=1e-20) == first_valid
+
     def test_result_straddles_predicate(self, demo):
         network, paths, schedule = demo
         tol = 1e-4
@@ -190,6 +279,73 @@ class TestCriticalSpeed:
         if below_speed > 1.0:
             below = solve(network, schedule, euclidean_metric(network, below_speed), paths)
             assert below.root_latest <= TIME_EPS
+
+
+@pytest.fixture
+def solved_speeds(monkeypatch):
+    """How often each speed reached ``analysis._solve_at``."""
+    calls, original = Counter(), analysis._solve_at
+
+    def counted(network, schedule, paths, speed, *args):
+        calls[speed] += 1
+        return original(network, schedule, paths, speed, *args)
+
+    monkeypatch.setattr(analysis, "_solve_at", counted)
+    return calls
+
+
+def layered(seed, widths=None):
+    network = random_layered_network(seed, widths)
+    paths = enumerate_paths(network)
+    return network, paths, build_schedule(paths, network.m)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+class TestCriticalSpeedSolves:
+    """critical_speed predicts the bisection's midpoints and solves few."""
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-9])
+    def test_layered_networks_in_four_solves(self, strict, tol, solved_speeds):
+        """The floor (an invalid metric), the top speed, one midpoint to
+        draw the line, and the confirmed upper end of the final bracket."""
+        for seed in (13, 17, 5):
+            network, paths, schedule = layered(seed)
+            floor = speed_floor(network)
+            critical_speed(network, schedule, paths, floor, 4.82 * floor, tol=tol,
+                           strict_resolution=strict)
+            assert sum(solved_speeds.values()) <= 4, seed
+            solved_speeds.clear()
+
+    def test_no_speed_solved_twice(self, strict, solved_speeds, monkeypatch):
+        """Also where a confirmation fails and plain bisection reruns: it
+        reuses the solved speeds."""
+        walks, original = [], util.bisect_bracket
+
+        def counted(*args):
+            walks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(util, "bisect_bracket", counted)
+        networks = [*parity_set(), ("L13", *layered(13)),
+                    ("L85", *layered(85, [1, 3, 3, 3, 3, 2]))]
+        cases = [("demo 1-2", *demo_bundle(), 1.0, 2.0)]
+        for name, network, paths, schedule in networks:
+            floor, grid = speed_floor(network), study_grid(network)
+            cases += [(name, network, paths, schedule, grid[0], grid[-1]),
+                      (name, network, paths, schedule, floor, 4.82 * floor)]
+        fallbacks = []
+        for name, network, paths, schedule, lo, hi in cases:
+            walks.clear()
+            try:
+                critical_speed(network, schedule, paths, lo, hi, strict_resolution=strict)
+            except BracketInvalid:
+                pass
+            assert max(solved_speeds.values()) == 1, name
+            solved_speeds.clear()
+            if len(walks) == 2:
+                fallbacks.append(name)
+        # the demo's root jumps from 0 to 1.45 between speeds 1.26 and 1.27
+        assert "demo 1-2" in fallbacks
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
