@@ -23,7 +23,7 @@ import bisect
 from dataclasses import dataclass
 
 from .errors import BracketInvalid, MetricError
-from .network import euclidean_metric
+from .network import euclidean_admissible, euclidean_metric
 from .solver import MoveTable, solve
 from .util import TIME_EPS, bisect_predicted, check_bracket
 
@@ -102,7 +102,8 @@ def critical_speed(network, schedule, paths, v_lo: float, v_hi: float,
     any solve, unless ``tol > 0`` and both ends are finite.
 
     Most midpoints are predicted, not solved (``bisect_predicted``). A
-    midpoint whose metric build fails is false. Otherwise its sign is read
+    midpoint whose metric is not valid (``euclidean_admissible``, a test
+    over the network's edges) is false. Otherwise its sign is read
     from the line in w = 1 / speed through the two nearest solved roots,
     interpolated between them or extrapolated when one side has none:
     euclidean travel times are distance times w, so the root is piecewise
@@ -129,9 +130,7 @@ def critical_speed(network, schedule, paths, v_lo: float, v_hi: float,
         return root is not None and root > TIME_EPS
 
     def predicted(speed: float) -> bool:
-        try:
-            euclidean_metric(network, speed)
-        except MetricError:
+        if not euclidean_admissible(network, speed):
             roots[speed] = None
             return False
         solved = sorted((s, root) for s, root in roots.items() if root is not None)

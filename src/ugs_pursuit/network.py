@@ -325,8 +325,9 @@ def build_schedule(paths, m: int) -> VisitSchedule:
 def euclidean_metric(network: RoadNetwork, speed: float) -> PursuerMetric:
     """Straight-line-distance-over-speed travel table.
 
-    Requires coordinates on every node and ``speed > 0``; the result is
-    checked against the triangle and speed-advantage requirements.
+    Requires coordinates on every node and ``speed > 0``; the result must
+    pass ``euclidean_admissible``, and when it does not, ``validate_metric``
+    names the fault (a non-finite coordinate gives a NaN diagonal entry).
     """
     if not speed > 0:  # also rejects NaN
         raise MetricError(f"pursuer speed must be positive, got {speed}")
@@ -340,8 +341,28 @@ def euclidean_metric(network: RoadNetwork, speed: float) -> PursuerMetric:
             xj, yj = network.coords[j]
             d[i][j] = math.hypot(xi - xj, yi - yj) / speed
     metric = PursuerMetric(d=tuple(tuple(row) for row in d))
-    validate_metric(metric, network, check_triangle=False)
+    if not euclidean_admissible(network, speed):
+        validate_metric(metric, network, check_triangle=False)
     return metric
+
+
+def euclidean_admissible(network: RoadNetwork, speed: float) -> bool:
+    """Whether ``euclidean_metric(network, speed)`` returns a table, tested
+    over the network's edges without building one: ``speed > 0``, every node
+    has coordinates, and every edge takes the pursuer less time than the
+    evader by more than TIME_EPS (``tlt``). ``euclidean_metric`` raises
+    exactly when this is false. Every node lies on an edge, so a non-finite
+    coordinate makes some edge time NaN or infinite and fails the edge test,
+    as it gives the table a NaN diagonal entry."""
+    coords = network.coords
+    if not speed > 0 or None in coords[1:]:
+        return False
+
+    def pursuer_time(j, c):  # the table's entry d[j][c], computed the same way
+        (xj, yj), (xc, yc) = coords[j], coords[c]
+        return math.hypot(xj - xc, yj - yc) / speed
+
+    return all(tlt(pursuer_time(j, c), t) for j, c, t in network.edges())
 
 
 def _violations(d, network: RoadNetwork, check_triangle: bool):

@@ -76,7 +76,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from math import inf
+from math import inf, isfinite
 from operator import itemgetter, or_
 
 from .errors import InconsistentObservation, MissingSubset, PursuitError
@@ -97,6 +97,8 @@ except ImportError:
 
 CAPTURE = "capture"
 SPLIT = "split"
+_COLUMNS = ("D", "mu", "capture")
+_columns_of = itemgetter(*_COLUMNS)
 _META_TYPES = {"n": int, "m": int, "strict_resolution": bool, "pruned": bool, "metric_digest": str}
 
 
@@ -166,19 +168,19 @@ class SolveResult:
         return max(0.0, self.root_latest)
 
     def to_json(self) -> dict:
-        """The rows as JSON-ready data. A solved result first computes, once,
-        every row that playback of the policy from the entry or its decision
-        tree reads (``_Solver.walk_policy``); a loaded one lists its rows."""
+        """The rows as JSON-ready data: ``meta``, then ``sets``, one record
+        per computed set in mask order, ``{"set": [members], "D": [...],
+        "mu": [...], "capture": [...]}``, where index ``i`` of each list
+        holds node ``i + 1``. A solved result first computes, once, every
+        row that playback of the policy from the entry or its decision tree
+        reads (``_Solver.walk_policy``); a loaded one lists its rows."""
         if self.solver is not None:
             self.solver.run(self.solver.walk_policy)
-        masks = sorted(self.rows)
-        members = [list(indices_of(mask)) for mask in masks]
-        entries = []
-        for i in range(self.m):
-            for mask, listed in zip(masks, members):
-                latest, policy, capture = self.rows[mask]
-                entries.append({"node": i + 1, "set": listed, "D": latest[i], "mu": policy[i],
-                                "capture": capture[i]})
+        sets = []
+        for mask in sorted(self.rows):
+            latest, policy, capture = self.rows[mask]
+            sets.append({"set": list(indices_of(mask)), "D": latest[:], "mu": policy[:],
+                         "capture": capture[:]})
         return {
             "meta": {
                 "n": self.n,
@@ -188,58 +190,97 @@ class SolveResult:
                 "metric_digest": self.metric_digest,
                 "tolerable_delay": self.tolerable_delay,
             },
-            "entries": entries,
+            "sets": sets,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "SolveResult":
-        """Rebuild the rows of ``to_json`` output. Raises ValueError on a meta
-        field not of its exact type (see ``_META_TYPES``), an empty set or a
-        member other than an int ``1..n`` (a bool included), a node other than
-        an int ``1..m``, a (node, set) listed twice, a ``D`` that is not a
-        finite number, a ``mu`` that is not a node, a ``capture`` that is not a
-        boolean, and a set listed for only some nodes."""
-        meta, entries = data["meta"], data["entries"]
+        """Rebuild the rows of ``to_json`` output; each set's row keeps the
+        ``D``, ``mu`` and ``capture`` lists of its record. Raises ValueError
+        on tables in the per-(node, set) ``entries`` layout of earlier
+        versions, and on
+        - a meta field not of its exact type (see ``_META_TYPES``);
+        - an empty set, or a member other than an int ``1..n`` (a bool
+          included);
+        - a set listed twice, in any member order;
+        - a ``D``, ``mu`` or ``capture`` that is not a list of exactly ``m``
+          values;
+        - a ``D`` that is not a finite number, a ``mu`` that is not a node
+          ``1..m`` or a ``capture`` that is not a boolean.
+        A fault is named by its set and, for a value, its node."""
+        if "entries" in data and "sets" not in data:
+            raise ValueError("the tables use the per-(node, set) 'entries' layout of earlier "
+                             "versions; solve the network again to write one record per set")
+        meta, records = data["meta"], data["sets"]
         for name, kind in _META_TYPES.items():
             if type(meta[name]) is not kind:
                 raise ValueError(f"meta {name} is {meta[name]!r}, not of type {kind.__name__}")
         n, m = meta["n"], meta["m"]
-        # member types are checked first, and exactly: a float 1.0 or a True
-        # would reuse the mask cached for 1, and mask_from reads True as path 1
-        members = {*map(type, chain.from_iterable(map(itemgetter("set"), entries)))}
-        if not members <= {int}:
-            kind = next(iter(members - {int})).__name__
+        # member types are checked first, and exactly: a float 1.0 would pass
+        # the range test, and mask_from reads True as path 1
+        sets = [*map(itemgetter("set"), records)]
+        members = [*chain.from_iterable(sets)]
+        kinds = {*map(type, members)}
+        if not kinds <= {int}:
+            kind = next(iter(kinds - {int})).__name__
             raise ValueError(f"a set member is a {kind}, not a path index 1..{n}")
-        seen, rows = {}, {}
-        # a D of None marks a node the file has not listed the set for yet
-        for entry in entries:
-            j, listed = entry["node"], entry["set"]
-            found = seen.get(key := tuple(listed))
-            if found is None:
-                if not listed or min(listed) < 1 or max(listed) > n:
-                    raise ValueError(f"entry for node {j!r}, set {listed}: members are "
-                                     f"paths 1..{n}")
-                mask = mask_from(listed)
-                row = rows.setdefault(mask, ([None] * m, [None] * m, [False] * m))
-                found = seen[key] = mask, row
-            mask, (latests, moves, captures) = found
-            if type(j) is not int or not 1 <= j <= m:
-                raise ValueError(f"entry for node {j!r}, set {listed}: nodes are 1..{m}")
-            if latests[j - 1] is not None:
-                raise ValueError(f"entry for node {j}, set {listed}: listed twice")
-            latest, move, capture = entry["D"], entry["mu"], entry["capture"]
+        # whole-column checks; the per-record rule runs only to name a fault
+        if not (all(sets) and 1 <= min(members, default=1) and max(members, default=1) <= n):
+            _check_records(records, n, m)
+        rows = dict(zip(map(mask_from, sets), map(_columns_of, records)))
+        columns = [*chain.from_iterable(rows.values())]
+        if not (len(rows) == len(records) and {*map(type, columns)} <= {list}
+                and {*map(len, columns)} <= {m} and _cells_valid(columns, m)):
+            _check_records(records, n, m)
+        return cls(n=n, m=m, strict_resolution=meta["strict_resolution"], pruned=meta["pruned"],
+                   rows=rows, _digest=meta["metric_digest"])
+
+
+def _cells_valid(columns: list, m: int) -> bool:
+    """Whether the ``D``, ``mu`` and ``capture`` lists, in turn, hold only
+    finite numbers, nodes ``1..m`` and booleans."""
+    latest, moves, captures = (columns[i::3] for i in range(3))
+    flat = chain.from_iterable
+    if not ({*map(type, flat(latest))} <= {int, float} and {*map(type, flat(moves))} <= {int}
+            and {*map(type, flat(captures))} <= {bool}):
+        return False
+    try:
+        if not all(map(isfinite, flat(latest))):
+            return False
+    except OverflowError:  # an int too large for a float, yet finite
+        return False
+    return 1 <= min(flat(moves), default=1) and max(flat(moves), default=1) <= m
+
+
+def _check_records(records, n: int, m: int) -> None:
+    """Raise ValueError naming the first record of ``from_json`` input whose
+    set is empty, names a path outside ``1..n`` or repeats an earlier set,
+    whose ``D``, ``mu`` or ``capture`` is not a list of ``m`` values, or
+    that holds a cell whose ``D`` is not a finite number, whose ``mu`` is
+    not a node or whose ``capture`` is not a boolean."""
+    seen = set()
+    for record in records:
+        listed = record["set"]
+        if not listed or min(listed) < 1 or max(listed) > n:
+            raise ValueError(f"set {listed}: members are paths 1..{n}")
+        mask = mask_from(listed)
+        if mask in seen:
+            raise ValueError(f"set {listed}: listed twice")
+        seen.add(mask)
+        columns = _columns_of(record)
+        for name, column in zip(_COLUMNS, columns):
+            if type(column) is not list or len(column) != m:
+                shape = (f"a list of {len(column)} values" if type(column) is list
+                         else f"a {type(column).__name__}")
+                raise ValueError(f"set {listed}: {name} is {shape}, not a list of {m} values, "
+                                 f"one per node")
+        for j, (latest, move, capture) in enumerate(zip(*columns), 1):
             # no solve writes a D that is not finite: every set captures at the entry
             if not (type(latest) in (int, float) and -inf < latest < inf
                     and type(move) is int and 1 <= move <= m and type(capture) is bool):
-                raise ValueError(f"entry for node {j}, set {listed}: D {latest!r}, mu {move!r}, "
+                raise ValueError(f"set {listed}, node {j}: D {latest!r}, mu {move!r}, "
                                  f"capture {capture!r}; D must be a finite number, mu a node "
                                  f"1..{m} and capture a boolean")
-            latests[j - 1], moves[j - 1], captures[j - 1] = latest, move, capture
-        for mask, (latest, _, _) in rows.items():
-            if None in latest:
-                raise ValueError(f"set {list(indices_of(mask))} is listed for only some nodes")
-        return cls(n=n, m=m, strict_resolution=meta["strict_resolution"], pruned=meta["pruned"],
-                   rows=rows, _digest=meta["metric_digest"])
 
 
 def metric_digest(metric: PursuerMetric) -> str:

@@ -210,9 +210,9 @@ class TestErrors:
         (["paths", "--network", "fractional_to.json"], "'to'"),
         (["paths", "--network", "nodes.json"], "'nodes'"),
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
-          "node_zero.json"], "node 0"),
+          "node_zero.json"], "set [1, 2, 3, 4]: mu is a list of 8 values, not a list of 7"),
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
-          "partial_set.json"], "only some nodes"),
+          "partial_set.json"], "D is a list of 6 values, not a list of 7"),
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
           "path_nine.json"], "paths 1..4"),
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "nan"], "got nan"),
@@ -243,7 +243,7 @@ class TestErrors:
           "--policy", "demo_policy.json"],
          "tables are for n=4 paths and m=7 nodes, the network has n=6 paths and m=8 nodes"),
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
-          "fractional_node.json"], "node 1.9, set [1, 2, 3, 4]: nodes are 1..7"),
+          "fractional_node.json"], "set [1, 2, 3, 4]: capture is a float, not a list of 7"),
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
           "string_capture.json"], "capture 'false'"),
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
@@ -254,6 +254,8 @@ class TestErrors:
           "null_latest.json"], "D None"),
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
           "nan_latest.json"], "D nan"),
+        (["simulate", "--network", "demo", "--speed", "1.62", "--path", "1", "--t0", "1",
+          "--policy", "old_layout.json"], "per-(node, set) 'entries' layout of earlier versions"),
     ], ids=["edge-without-time", "node-without-id", "non-numeric-time", "top-level-list",
             "metric-without-speed", "policy-not-from-solve", "non-numeric-grid",
             "path-above-range", "path-zero", "non-integer-entry", "non-integer-goal",
@@ -265,30 +267,36 @@ class TestErrors:
             "infinite-edge-time", "policy-entry-listed-twice", "policy-bool-member",
             "policy-meta-string-boolean", "policy-for-another-network",
             "policy-fractional-node", "policy-string-capture", "policy-member-zero",
-            "policy-null-mu", "policy-null-latest", "policy-nan-latest"])
+            "policy-null-mu", "policy-null-latest", "policy-nan-latest", "policy-old-layout"])
     def test_malformed_input_exit_code(self, capsys, tmp_path, monkeypatch, argv, named):
         _, solved, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.62",
                                     "--format", "json"])
         (node_zero, partial_set, path_nine, mu_high, mu_text, latest_text, twice, bool_member,
          string_strict, fractional_node, string_capture, member_zero, null_mu,
          null_latest, nan_latest) = (json.loads(solved) for _ in range(15))
-        node_zero["entries"][-1]["node"] = 0
-        del partial_set["entries"][-1]
-        path_nine["entries"][-1]["set"] = [9]
-        root = next(i for i, e in enumerate(mu_high["entries"])
-                    if e["node"] == 1 and e["set"] == [1, 2, 3, 4])
-        mu_high["entries"][root]["mu"] = 99
-        mu_text["entries"][root]["mu"] = "x"
-        latest_text["entries"][root]["D"] = "x"
-        twice["entries"].append({**twice["entries"][root], "D": 999.0, "mu": None})
-        bool_member["entries"][root]["set"] = [True, 2, 3, 4]
+        root = next(i for i, r in enumerate(mu_high["sets"]) if r["set"] == [1, 2, 3, 4])
+        node_zero["sets"][root]["mu"].append(1)
+        del partial_set["sets"][-1]["D"][-1]
+        path_nine["sets"][-1]["set"] = [9]
+        mu_high["sets"][root]["mu"][0] = 99
+        mu_text["sets"][root]["mu"][0] = "x"
+        latest_text["sets"][root]["D"][0] = "x"
+        twice["sets"].append({**twice["sets"][root], "set": [4, 3, 2, 1], "D": [999.0] * 7})
+        bool_member["sets"][root]["set"] = [True, 2, 3, 4]
         string_strict["meta"]["strict_resolution"] = "false"
-        fractional_node["entries"][root]["node"] = 1.9
-        string_capture["entries"][root]["capture"] = "false"
-        member_zero["entries"][root]["set"] = [0, 2, 3, 4]
-        null_mu["entries"][root]["mu"] = None
-        null_latest["entries"][root]["D"] = None
-        nan_latest["entries"][root]["D"] = math.nan
+        fractional_node["sets"][root]["capture"] = 1.9
+        string_capture["sets"][root]["capture"][0] = "false"
+        member_zero["sets"][root]["set"] = [0, 2, 3, 4]
+        null_mu["sets"][root]["mu"][0] = None
+        null_latest["sets"][root]["D"][0] = None
+        nan_latest["sets"][root]["D"][0] = math.nan
+        # the same tables as one entry per (node, set), the layout of earlier versions
+        old_layout = json.loads(solved)
+        records = old_layout.pop("sets")
+        old_layout["entries"] = [
+            {"node": j, "set": r["set"], "D": r["D"][j - 1], "mu": r["mu"][j - 1],
+             "capture": r["capture"][j - 1]}
+            for j in range(1, 8) for r in records]
         edge = {"from": 1, "to": 2, "time": 1.0}
         two = [{"id": 1}, {"id": 2}]
         files = {
@@ -317,6 +325,7 @@ class TestErrors:
             "null_mu.json": null_mu,
             "null_latest.json": null_latest,
             "nan_latest.json": nan_latest,
+            "old_layout.json": old_layout,
             "demo_policy.json": json.loads(solved),
         }
         for name, data in files.items():

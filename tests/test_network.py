@@ -24,8 +24,8 @@ from ugs_pursuit import (
     validate_metric,
     validate_network,
 )
-from ugs_pursuit.fixtures import demo_raw, random_layered_network, speed_floor
-from ugs_pursuit.network import PursuerMetric
+from ugs_pursuit.fixtures import demo_raw, random_instance, random_layered_network, speed_floor
+from ugs_pursuit.network import PursuerMetric, euclidean_admissible
 
 
 def net(nodes, edges, **extra):
@@ -229,6 +229,31 @@ class TestMetrics:
         network, _, _ = demo
         with pytest.raises(MetricError, match="must be positive, got nan"):
             euclidean_metric(network, math.nan)
+
+    def test_admissible_exactly_when_the_metric_builds(self):
+        networks = [validate_network(demo_raw()), random_layered_network(13),
+                    random_layered_network(17)]
+        networks += [random_instance(seed)[0] for seed in range(1, 21)]
+        floors = [*map(speed_floor, networks)]
+        for coordinate in (None, math.nan, math.inf):  # node 3 without finite coordinates
+            raw = demo_raw()
+            raw["nodes"][2]["x"] = coordinate
+            if coordinate is None:
+                del raw["nodes"][2]["y"]
+            networks.append(validate_network(raw))
+            floors.append(floors[0])
+        for network, floor in zip(networks, floors):
+            speeds = [0.0, -1.0, math.nan, math.inf, 1e-300, floor, 2 * floor]
+            speeds += [floor * (1 + k * 1e-10) for k in range(-20, 21)]
+            speeds += [math.nextafter(floor, 0.0), math.nextafter(floor, math.inf)]
+            for speed in speeds:
+                try:
+                    euclidean_metric(network, speed)
+                except MetricError:
+                    builds = False
+                else:
+                    builds = True
+                assert euclidean_admissible(network, speed) is builds, (network.m, speed)
 
     def test_triangle_violation(self):
         network = net([1, 2, 3], [(1, 2, 2.0), (2, 3, 2.0)])

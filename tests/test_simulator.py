@@ -97,7 +97,7 @@ class TestSimulate:
     def test_policy_hole_is_loud(self, demo, demo_metric, demo_solved):
         network, _, schedule = demo
         data = demo_solved.to_json()
-        data["entries"] = [e for e in data["entries"] if len(e["set"]) != 3]
+        data["sets"] = [r for r in data["sets"] if len(r["set"]) != 3]
         holed = SolveResult.from_json(data)
         with pytest.raises(PolicyHole):
             simulate(network, schedule, demo_metric, holed, 2, demo_solved.root_latest)

@@ -30,7 +30,7 @@ from ugs_pursuit import (
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
 from ugs_pursuit.network import indices_of, iter_indices, mask_from
 from ugs_pursuit.solver import CAPTURE, SPLIT, _Solver, known_path_margin
-from ugs_pursuit.util import TIME_EPS
+from ugs_pursuit.util import TIME_EPS, dumps_indented
 
 from conftest import mask_of
 
@@ -233,9 +233,8 @@ class TestSolve:
         network, paths, schedule = demo
         result = solve(network, schedule, demo_metric, paths)
         data = result.to_json()
-        for entry in data["entries"]:
-            if entry["node"] % 2:
-                entry["set"] = entry["set"][::-1]
+        for record in data["sets"][::2]:
+            record["set"] = record["set"][::-1]
         clone = SolveResult.from_json(data)
         assert clone.rows.keys() == result.rows.keys()
         assert clone.latest == result.latest and clone.policy == result.policy
@@ -244,8 +243,7 @@ class TestSolve:
     def test_json_set_member_not_an_int(self, demo, demo_metric, member):
         network, paths, schedule = demo
         data = solve(network, schedule, demo_metric, paths).to_json()
-        # the last listing of a set that earlier entries list with ints
-        last = data["entries"][-1]["set"]
+        last = data["sets"][-1]["set"]
         assert last[0] == 1
         last[0] = member
         with pytest.raises(ValueError, match="not a path index"):
@@ -254,16 +252,17 @@ class TestSolve:
     def test_json_entry_listed_twice(self, demo, demo_metric):
         network, paths, schedule = demo
         data = solve(network, schedule, demo_metric, paths).to_json()
-        root = next(e for e in data["entries"] if e["node"] == 1 and e["set"] == [1, 2, 3, 4])
-        data["entries"].append({**root, "D": 999.0, "mu": None})
-        with pytest.raises(ValueError, match="node 1, set \\[1, 2, 3, 4\\]: listed twice"):
+        root = next(r for r in data["sets"] if r["set"] == [1, 2, 3, 4])
+        # the same set in another member order, with other values
+        data["sets"].append({**root, "set": [4, 3, 2, 1], "D": [999.0] * 7})
+        with pytest.raises(ValueError, match="set \\[4, 3, 2, 1\\]: listed twice"):
             SolveResult.from_json(data)
 
     def test_json_set_listed_for_some_nodes(self, demo, demo_metric):
         network, paths, schedule = demo
         data = solve(network, schedule, demo_metric, paths).to_json()
-        del data["entries"][-1]
-        with pytest.raises(ValueError, match="only some nodes"):
+        del data["sets"][-1]["D"][-1]
+        with pytest.raises(ValueError, match="D is a list of 6 values, not a list of 7 values"):
             SolveResult.from_json(data)
 
     @pytest.mark.parametrize("name,value", [
@@ -282,26 +281,40 @@ class TestSolve:
     def test_json_null_rejected(self, name):
         # every set has the capture move at the entry, so no writer leaves a cell null
         meta = {"n": 1, "m": 1, "strict_resolution": False, "pruned": True, "metric_digest": "x"}
-        entry = {"node": 1, "set": [1], "D": 3.0, "mu": 1, "capture": True, name: None}
-        with pytest.raises(ValueError, match=f"{name} None"):
-            SolveResult.from_json({"meta": meta, "entries": [entry]})
+        record = {"set": [1], "D": [3.0], "mu": [1], "capture": [True], name: [None]}
+        with pytest.raises(ValueError, match=f"set \\[1\\], node 1: .*{name} None"):
+            SolveResult.from_json({"meta": meta, "sets": [record]})
 
-    @pytest.mark.parametrize("name,value,named", [
-        ("node", 1.9, "node 1.9, set"), ("node", "1", "node '1', set"),
-        ("node", True, "node True, set"), ("capture", "false", "capture 'false'"),
-        ("capture", 1, "capture 1"), ("set", [0], "paths 1..4"), ("set", [-1], "paths 1..4"),
-        ("set", [], "paths 1..4"), ("D", None, "D None"), ("mu", None, "mu None"),
-        ("D", math.nan, "D nan"), ("D", math.inf, "D inf"), ("D", -math.inf, "D -inf"),
+    # a column (or the set) is replaced whole; a cell is node 3's value in the column
+    @pytest.mark.parametrize("name,value,cell,named", [
+        ("D", 1.9, False, ": D is a float, not a list of 7 values"),
+        ("mu", "1", False, ": mu is a str, not a list of 7 values"),
+        ("capture", True, False, ": capture is a bool, not a list of 7 values"),
+        ("capture", "false", True, "capture 'false'"), ("capture", 1, True, "capture 1"),
+        ("set", [0], False, "paths 1..4"), ("set", [-1], False, "paths 1..4"),
+        ("set", [], False, "paths 1..4"), ("D", None, True, "D None"),
+        ("mu", None, True, "mu None"), ("D", math.nan, True, "D nan"),
+        ("D", math.inf, True, "D inf"), ("D", -math.inf, True, "D -inf"),
+        ("mu", [1] * 8, False, ": mu is a list of 8 values, not a list of 7 values"),
+        ("mu", 0, True, "mu 0"), ("mu", 8, True, "mu 8"), ("mu", 1.0, True, "mu 1.0"),
+        ("mu", True, True, "mu True"), ("D", "1", True, "D '1'"), ("D", False, True, "D False"),
     ], ids=["fractional-node", "string-node", "bool-node", "string-capture", "int-capture",
             "member-zero", "negative-member", "empty-set", "null-D", "null-mu", "nan-D",
-            "infinite-D", "minus-infinite-D"])
-    def test_json_entry_field_rejected(self, demo, demo_metric, name, value, named):
+            "infinite-D", "minus-infinite-D", "long-column", "mu-zero", "mu-above-m",
+            "float-mu", "bool-mu", "string-D", "bool-D"])
+    def test_json_entry_field_rejected(self, demo, demo_metric, name, value, cell, named):
         network, paths, schedule = demo
         data = solve(network, schedule, demo_metric, paths).to_json()
-        root = next(e for e in data["entries"] if e["node"] == 1 and e["set"] == [1, 2, 3, 4])
-        root[name] = value
-        with pytest.raises(ValueError, match=re.escape(named)):
+        root = next(r for r in data["sets"] if r["set"] == [1, 2, 3, 4])
+        if cell:
+            root[name][2] = value
+        else:
+            root[name] = value
+        with pytest.raises(ValueError, match=re.escape(named)) as raised:
             SolveResult.from_json(data)
+        if name != "set":
+            where = "set [1, 2, 3, 4], node 3: " if cell else "set [1, 2, 3, 4]: "
+            assert str(raised.value).startswith(where)
 
     def test_tables_are_read_only_views(self, demo, demo_metric):
         network, paths, schedule = demo
@@ -564,10 +577,13 @@ class TestOneSolvePath:
             lattice = solve(network, schedule, metric, paths, prune=False, strict_resolution=strict)
             data = solve(network, schedule, metric, paths, strict_resolution=strict).to_json()
             assert data["meta"]["tolerable_delay"] == lattice.tolerable_delay
-            for entry in data["entries"]:
-                key = (entry["node"], mask_from(entry["set"]))
-                expected = (lattice.latest[key], lattice.policy[key], lattice.capture_move[key])
-                assert (entry["D"], entry["mu"], entry["capture"]) == expected, key
+            for record in data["sets"]:
+                columns = record["D"], record["mu"], record["capture"]
+                assert [*map(len, columns)] == [network.m] * 3
+                for j, cell in enumerate(zip(*columns), 1):
+                    key = (j, mask_from(record["set"]))
+                    expected = (lattice.latest[key], lattice.policy[key], lattice.capture_move[key])
+                    assert cell == expected, key
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_every_set_captures_at_the_entry(self, strict):
@@ -581,6 +597,50 @@ class TestOneSolvePath:
             for result in (lattice, lazy):
                 for row in result.rows.values():
                     assert None not in chain.from_iterable(row)
+
+
+class TestJsonRoundTrip:
+    """Solved tables survive ``to_json``, the JSON text and ``from_json``
+    unchanged, and the CLI's writer prints the per-set layout exactly as
+    ``json.dumps`` does."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_reload_equals_the_solve(self, prune, strict):
+        instances = [*corpus(), layered(factor=1.1, **L85)]
+        if prune:  # L13's full lattice is 65,535 sets, too slow here
+            instances.append(layered(factor=1.1, seed=13))
+        for network, paths, schedule, metric in instances:
+            result = solve(network, schedule, metric, paths, prune=prune, strict_resolution=strict)
+            data = result.to_json()
+            loaded = SolveResult.from_json(json.loads(json.dumps(data)))
+            assert loaded.rows == result.rows and list(loaded.rows) == sorted(result.rows)
+            assert loaded.latest == result.latest and loaded.policy == result.policy
+            assert loaded.capture_move == result.capture_move
+            assert loaded.metric_digest == result.metric_digest
+            assert loaded.root_latest == result.root_latest
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_writer_matches_json_dumps(self, strict):
+        network, paths, schedule, metric = layered(factor=1.1, seed=13)
+        data = solve(network, schedule, metric, paths, strict_resolution=strict).to_json()
+        assert dumps_indented(data) == json.dumps(data, indent=2)
+
+    def test_export_does_not_share_the_rows(self, demo, demo_metric):
+        network, paths, schedule = demo
+        result = solve(network, schedule, demo_metric, paths)
+        data = result.to_json()
+        root = result.root_latest
+        next(r for r in data["sets"] if r["set"] == [1, 2, 3, 4])["D"][0] = root + 1.0
+        assert result.root_latest == root
+
+    def test_cell_rule_decides_what_the_column_checks_cannot(self, demo, demo_metric):
+        # an int too large for a float is still finite: the column check
+        # cannot tell, so the per-cell rule decides, as it did per entry
+        network, paths, schedule = demo
+        data = solve(network, schedule, demo_metric, paths).to_json()
+        next(r for r in data["sets"] if r["set"] == [1, 2, 3, 4])["D"][2] = 10 ** 400
+        assert SolveResult.from_json(data).latest[(3, 0b1111)] == 10 ** 400
 
 
 class TestScaleLadder:
