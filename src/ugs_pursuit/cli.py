@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -24,7 +25,7 @@ from .network import (
     table_metric,
     validate_network,
 )
-from .simulator import simulate, verify_guarantee
+from .simulator import check_table_sizes, simulate, verify_guarantee
 from .solver import SolveResult, solve
 from .tree_export import build_tree, tree_to_dot, tree_to_json
 from .util import dumps_indented
@@ -159,6 +160,8 @@ def _policy_or_solve(args, network, paths, schedule):
         return _solve(args, network, paths, schedule)
     metric, data = _load_metric(args, network), _load_json_file(args.policy)
     with _parsing(args.policy, "solved tables from 'solve --format json'"):
+        # before from_json builds a mask as wide as the file's own n
+        check_table_sizes(data["meta"]["n"], data["meta"]["m"], schedule)
         return metric, SolveResult.from_json(data)
 
 
@@ -275,9 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept: ``main`` may run many
+    times in one process, and building the parser costs more than parsing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PursuitError as exc:

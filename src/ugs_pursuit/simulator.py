@@ -57,6 +57,14 @@ def _exit_of(network: RoadNetwork, schedule: VisitSchedule, k: int) -> tuple[int
     raise SimulationError(f"path {k} has no goal node")
 
 
+def check_table_sizes(n, m, schedule: VisitSchedule) -> None:
+    """Raise SimulationError unless tables for ``n`` paths and ``m`` nodes
+    fit the network of ``schedule``."""
+    if (n, m) != (schedule.n, schedule.m):
+        raise SimulationError(f"the tables are for n={n!r} paths and m={m!r} nodes, "
+                              f"the network has n={schedule.n} paths and m={schedule.m} nodes")
+
+
 def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetric,
              result: SolveResult, k: int, t0: float) -> SimOutcome:
     """Play the solved policy from entry delay ``t0`` against evader path
@@ -71,9 +79,7 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
         raise SimulationError(f"initial delay must be positive, got {t0}")
     if not 1 <= k <= schedule.n:
         raise SimulationError(f"no evader path {k}: paths are numbered 1..{schedule.n}")
-    if (result.n, result.m) != (schedule.n, schedule.m):
-        raise SimulationError(f"the tables are for n={result.n} paths and m={result.m} nodes, "
-                              f"the network has n={schedule.n} paths and m={schedule.m} nodes")
+    check_table_sizes(result.n, result.m, schedule)
     strict = result.strict_resolution
     exit_node, exit_time = _exit_of(network, schedule, k)
     rows: list[TranscriptRow] = []

@@ -21,12 +21,14 @@ continuation must survive until the last red report, and the move's worth
 is the worst value over the green part and every red report.
 
 Values for a fixed set do not depend on the pursuer's node except through
-the final travel-time subtraction, so candidates are evaluated once per set
-and the rows of every node are filled together. A split at ``u`` leaves
-parts whose paths all pass ``u`` or none do, so no set below it splits at
-``u`` again: a chain of nested set evaluations splits at distinct nodes,
-and the recursion is at most ``m + 1`` evaluations deep. A solve that still
-runs into Python's recursion limit raises PursuitError naming ``m``.
+the final travel-time subtraction, so a set's candidates are scored once,
+when the set is first read, and each node's cell is then filled from them
+when that cell is first read. Evaluating the set runs the recursion; filling
+a cell is one pass over the candidates. A split at ``u`` leaves parts whose
+paths all pass ``u`` or none do, so no set below it splits at ``u`` again: a
+chain of nested set evaluations splits at distinct nodes, and the recursion
+is at most ``m + 1`` evaluations deep. A solve that still runs into Python's
+recursion limit raises PursuitError naming ``m``.
 
 A set's candidates come in two parts. ``set_moves`` gives what does not
 depend on the pursuer's speed: the nodes the set reaches, each one's green
@@ -62,9 +64,12 @@ path passes the entry at time 0, so every set has the capture move at node
 
 Each solved set's rows are stored once, as per-node lists. A result's
 ``latest``, ``policy`` and ``capture_move`` tables are read-only views over
-them that fill on read: looking up a row of a set the solve has not computed
-yet computes that set first. ``SolveResult.to_json`` first computes every
-set playback (``information.observe``) or the decision tree can read.
+them that fill on read: looking up a cell not filled yet fills it, computing
+its set first when the solve has not. Speed studies read only a solve's
+root cell, so most cells of the sets it computes are never filled.
+``SolveResult.to_json`` first computes every set playback
+(``information.observe``) or the decision tree can read, then fills every
+cell of every computed set. Without pruning the solve fills whole rows.
 ``solve`` accepts ``close_for_simulation`` and ignores it.
 """
 
@@ -118,14 +123,16 @@ class SolveResult:
     ``latest``, ``policy`` and ``capture_move`` are read-only views over it,
     keyed by ``(node, mask)``: ``latest`` holds the latest exit time,
     ``policy`` the next node to visit and ``capture_move`` whether the move
-    ends in immediate capture. After a solve, ``solver`` computes a set's
-    rows the first time a view reads one. ``strict_resolution`` records
-    which convention produced the tables (simulation replays observations
-    under the same convention). ``on_demand_sets`` lists the sets computed
-    so far beyond the solve's pre-filled domain (the singletons, or the full
-    lattice without pruning); a loaded result has none. ``metric_digest``
-    names the solve's metric: computed on first read from ``solver.metric``
-    (speed studies never read it), or the file's.
+    ends in immediate capture. After a solve, a cell no view has read yet
+    may be None in ``rows``: ``solver`` fills it, computing its set first if
+    needed, the first time a view reads it, and ``to_json`` fills them all.
+    ``strict_resolution`` records which convention produced the tables
+    (simulation replays observations under the same convention).
+    ``on_demand_sets`` lists the sets computed so far beyond the solve's
+    pre-filled domain (the singletons, or the full lattice without pruning);
+    a loaded result has none. ``metric_digest`` names the solve's metric:
+    computed on first read from ``solver.metric`` (speed studies never read
+    it), or the file's.
     """
 
     n: int
@@ -172,10 +179,14 @@ class SolveResult:
         per computed set in mask order, ``{"set": [members], "D": [...],
         "mu": [...], "capture": [...]}``, where index ``i`` of each list
         holds node ``i + 1``. A solved result first computes, once, every
-        row that playback of the policy from the entry or its decision tree
-        reads (``_Solver.walk_policy``); a loaded one lists its rows."""
-        if self.solver is not None:
-            self.solver.run(self.solver.walk_policy)
+        set that playback of the policy from the entry or its decision tree
+        reads (``_Solver.walk_policy``), then fills every cell of every
+        computed set; a loaded one lists its rows."""
+        solver = self.solver
+        if solver is not None:
+            solver.run(solver.walk_policy)
+            for mask in [*solver.pending]:
+                solver.fill(mask)
         sets = []
         for mask in sorted(self.rows):
             latest, policy, capture = self.rows[mask]
@@ -394,7 +405,7 @@ def _candidates(moves: tuple[tuple, tuple], value, known=None) -> list:
 
 class _RowView(Mapping):
     """One column of the solved rows as a read-only mapping keyed by
-    ``(node, mask)``. A read of a set not yet computed asks ``solver`` for
+    ``(node, mask)``. A read of a cell not yet filled asks ``solver`` for
     it; keys outside the solve's nodes and sets raise KeyError. The view
     holds the rows and the solver, never the result, so a dropped result is
     freed at once and a view kept on its own still fills on read."""
@@ -409,10 +420,12 @@ class _RowView(Mapping):
         if not 1 <= j <= self.m:
             raise KeyError(key)
         row = self.rows.get(mask)
-        if row is None:
-            if self.solver is None or not 0 < mask <= self.solver.full:
+        if row is None or row[0][j - 1] is None:
+            solver = self.solver
+            if solver is None or not 0 < mask <= solver.full:
                 raise KeyError(key)
-            row = self.solver.run(self.solver.ensure, mask)
+            solver.run(solver.value, j, mask)
+            row = self.rows[mask]
         return row[self.column][j - 1]
 
     def __contains__(self, key):
@@ -427,11 +440,18 @@ class _RowView(Mapping):
 
 
 class _Solver:
-    """Computes the rows of one set at a time, for every node at once.
+    """Computes the rows of one set at a time, one node's cell at a time.
 
     ``rows`` maps each computed set to its (latest, policy, capture) lists,
     indexed by node - 1. A solved result and its table views share this
-    dict; the solver holds neither, so no reference cycle forms.
+    dict; the solver holds neither, so no reference cycle forms. Evaluating
+    a set (``evaluate``) builds its scored candidate list, which is where
+    the recursion runs, and stores a row whose cells are all None. Scoring a
+    node (``score``) fills that node's cell from the list. ``value`` does
+    each step the first time a cell is read; ``pending`` keeps the lists of
+    sets that may still have cells to score, and ``fill`` scores the rest
+    of a set's row and drops its list. ``cells_scored`` counts the cells
+    scored.
 
     The singleton rows equal ``base_case``, in one pass over the metric.
     ``known[u]`` is the known-path bound at node ``u`` for ``_candidates``:
@@ -448,8 +468,9 @@ class _Solver:
         self.strict = strict_resolution
         self.moves = moves
         self.full = (1 << schedule.n) - 1
-        self.nodes = range(1, schedule.m + 1)
         self.rows: dict[int, tuple[list, list, list]] = {}
+        self.pending: dict[int, list] = {}
+        self.cells_scored = 0
         self.closed = False
         m, bits = schedule.m, [1 << k for k in range(schedule.n)]
         for bit, path in zip(bits, paths):
@@ -463,14 +484,20 @@ class _Solver:
                                [0, *accumulate((bit for _, bit in pairs), or_)]))
 
     def value(self, u: int, mask: int):
+        """The latest exit time from ``u`` holding ``mask``, evaluating the
+        set and scoring the cell on first read."""
         row = self.rows.get(mask)
         if row is None:
-            row = self.ensure(mask)
-        return row[0][u - 1]
+            row = self.evaluate(mask)
+        latest = row[0][u - 1]
+        if latest is None:
+            latest = self.score(mask, (u,))
+        return latest
 
     def run(self, step, *args):
-        """Call ``ensure`` or ``walk_policy`` from outside the recursion,
-        reporting Python's recursion limit as a PursuitError naming ``m``."""
+        """Call ``value``, ``fill`` or ``walk_policy`` from outside the
+        recursion, reporting Python's recursion limit as a PursuitError
+        naming ``m``."""
         try:
             return step(*args)
         except RecursionError:
@@ -480,30 +507,47 @@ class _Solver:
                 f"evaluations, too deep for Python's recursion limit of "
                 f"{sys.getrecursionlimit()}; raise it with sys.setrecursionlimit") from None
 
-    def ensure(self, mask: int):
-        """The set's (latest, policy, capture) row, computed on first use."""
-        row = self.rows.get(mask)
-        if row is not None:
-            return row
+    def evaluate(self, mask: int):
+        """Build the set's candidates, reading the subsets they need, and
+        store its row with no cell scored yet."""
         if self.moves is None:
             candidates = _candidates(set_moves(mask, self.schedule, self.strict, self.known),
                                      self.value)
         else:
             candidates = _candidates(self.moves[mask], self.value, self.known)
-        d = self.metric.d
-        latest, policy, capture = [], [], []
-        for j in self.nodes:
+        self.pending[mask] = candidates
+        unscored = [None] * self.schedule.m
+        row = self.rows[mask] = (unscored, unscored[:], unscored[:])
+        return row
+
+    def score(self, mask: int, nodes) -> float:
+        """Fill the cells at ``nodes`` of an evaluated set and return the
+        last one's value: node ``j`` keeps the first candidate whose score
+        beats the best so far by more than ``TIME_EPS``."""
+        candidates, d = self.pending[mask], self.metric.d
+        latest, policy, capture = self.rows[mask]
+        for j in nodes:
             dj = d[j]
             best, best_u, best_kind = -inf, None, None
             for u, value, kind in candidates:
                 score = value - dj[u]
                 if score > best + TIME_EPS:
                     best, best_u, best_kind = score, u, kind
-            latest.append(best)
-            policy.append(best_u)
-            capture.append(best_kind == CAPTURE)
-        row = self.rows[mask] = (latest, policy, capture)
-        return row
+            latest[j - 1], policy[j - 1], capture[j - 1] = best, best_u, best_kind == CAPTURE
+        self.cells_scored += len(nodes)
+        return best
+
+    def fill(self, mask: int) -> None:
+        """Score every cell of the set's row not scored yet."""
+        row = self.rows.get(mask)
+        if row is None:
+            self.evaluate(mask)
+            unscored = range(1, self.schedule.m + 1)
+        else:
+            unscored = [j for j, cell in enumerate(row[0], 1) if cell is None]
+        if unscored:
+            self.score(mask, unscored)
+        self.pending.pop(mask, None)
 
     def successors(self, mask: int, u: int):
         """The sets a pursuer holding ``mask`` can keep after reading ``u``:
@@ -530,22 +574,23 @@ class _Solver:
         return out
 
     def walk_policy(self) -> None:
-        """Compute, once, the rows that playback of the policy from the entry
+        """Compute, once, the sets that playback of the policy from the entry
         with every path possible and a decision tree drawn from there read: at
         each move, what ``successors`` lists."""
         if self.closed:
             return
         seen = {(1, self.full)}
-        pending = list(seen)
-        while pending:
-            p, mask = pending.pop()
+        stack = list(seen)
+        while stack:
+            p, mask = stack.pop()
             if mask & (mask - 1) == 0:  # a known path's rows are all stored
                 continue
-            u = self.ensure(mask)[1][p - 1]
+            self.value(p, mask)
+            u = self.rows[mask][1][p - 1]
             for sub in self.successors(mask, u):
                 if (u, sub) not in seen:
                     seen.add((u, sub))
-                    pending.append((u, sub))
+                    stack.append((u, sub))
         self.closed = True
 
 
@@ -579,10 +624,12 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
           close_for_simulation: bool = True, *, moves: MoveTable | None = None) -> SolveResult:
     """Solve the root set top-down, computing only the subsets it reads.
 
-    With ``prune`` off, every set of the full subset lattice is computed
-    first. Rows the solve did not compute are filled when the returned
-    tables are read, and ``to_json`` computes the ones playback reads before
-    it lists them. ``close_for_simulation`` is accepted and has no effect.
+    The solve reads the root's cell at the entry. With ``prune`` off, every
+    set of the full subset lattice is computed first, its whole row filled.
+    Cells the solve did not fill are filled when the returned tables read
+    them, and ``to_json`` computes the sets playback reads and fills every
+    cell before it lists them. ``close_for_simulation`` is accepted and has
+    no effect.
 
     ``moves`` is a ``MoveTable`` shared by the solves of one speed study
     (``analysis`` passes one under the strict convention): the solve reads
@@ -597,7 +644,7 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
     worker = _Solver(schedule, metric, paths, strict_resolution, moves)
     if not prune:
         for mask in full_lattice(schedule.n):
-            worker.run(worker.ensure, mask)
-    worker.run(worker.ensure, worker.full)
+            worker.run(worker.fill, mask)
+    worker.run(worker.value, 1, worker.full)
     return SolveResult(n=schedule.n, m=schedule.m, strict_resolution=strict_resolution,
                        pruned=prune, rows=worker.rows, solver=worker)

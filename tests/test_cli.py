@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -338,6 +339,28 @@ class TestErrors:
         assert code == EXIT_INVALID
         assert err.startswith("error: ") and named in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["verify"], ["simulate", "--path", "1"]])
+    def test_policy_for_more_paths_rejected_before_reading_sets(self, capsys, tmp_path, command):
+        _, solved, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.62",
+                                    "--format", "json"])
+        data = json.loads(solved)
+        data["meta"]["n"] = 10 ** 8
+        data["sets"].append({**data["sets"][-1], "set": [10 ** 8]})
+        policy = tmp_path / "wide.json"
+        policy.write_text(json.dumps(data))
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, [*command, "--network", "demo", "--speed", "1.62",
+                                        "--t0", "1", "--policy", str(policy)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_INVALID
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "tables are for n=100000000 paths and m=7 nodes" in err
+        # the mask of path 10**8 alone would take 12.5 MB
+        assert peak < 4_000_000
 
     def test_random_network_smoke(self, capsys):
         code, out, _ = run(capsys, ["paths", "--network", "random", "--seed", "3"])

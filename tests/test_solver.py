@@ -538,7 +538,7 @@ class TestKnownPathBound:
 class TestOneSolvePath:
     """``solve`` computes what the root reads; ``to_json`` computes, once,
     what playback and the tree read before it lists rows; and every set has
-    the capture move at the entry, so no solved cell is None."""
+    the capture move at the entry, so no exported cell is None."""
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_export_closes_tables_of_any_solve(self, strict):
@@ -597,6 +597,40 @@ class TestOneSolvePath:
             for result in (lattice, lazy):
                 for row in result.rows.values():
                     assert None not in chain.from_iterable(row)
+
+
+class TestCellsFillOnRead:
+    """A set's candidates are scored when the set is first read, and a node's
+    cell when that cell is first read: reads in any order give the cells an
+    export of a fresh solve lists, and a solve that reads only its root
+    scores few of them."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_any_read_order_equals_the_export(self, strict):
+        rng = random.Random(18)
+        instances = [*corpus(), *(layered(factor=1.1, **instance)
+                                  for instance in (dict(seed=13), dict(seed=17), L36, L85))]
+        for network, paths, schedule, metric in instances:
+            data = solve(network, schedule, metric, paths, strict_resolution=strict).to_json()
+            exported = {mask_from(record["set"]): record for record in data["sets"]}
+            keys = [(j, mask) for mask in exported for j in range(1, network.m + 1)]
+            rng.shuffle(keys)
+            lazy = solve(network, schedule, metric, paths, strict_resolution=strict)
+            for j, mask in keys:
+                record = exported[mask]
+                assert lazy.latest[(j, mask)].hex() == record["D"][j - 1].hex(), (j, mask)
+                assert lazy.policy[(j, mask)] == record["mu"][j - 1], (j, mask)
+                assert lazy.capture_move[(j, mask)] is record["capture"][j - 1], (j, mask)
+            assert lazy.rows.keys() == exported.keys()
+
+    def test_root_read_scores_few_cells(self):
+        network, paths, schedule, metric = layered(factor=1.1, seed=17)
+        result = solve(network, schedule, metric, paths, strict_resolution=True)
+        assert result.root_latest > 0
+        computed = len(result.rows) - schedule.n  # singleton rows are stored whole
+        assert 0 < result.solver.cells_scored < network.m * computed
+        result.to_json()  # scores every other cell of every computed set, each once
+        assert result.solver.cells_scored == network.m * (len(result.rows) - schedule.n)
 
 
 class TestJsonRoundTrip:
@@ -666,10 +700,10 @@ class TestScaleLadder:
 
 
 def ensure_depth(monkeypatch):
-    """Patch ``_Solver.ensure`` to record how deeply set evaluations nest;
+    """Patch ``_Solver.evaluate`` to record how deeply set evaluations nest;
     returns the record, whose ``"max"`` holds the deepest level seen."""
     record = {"now": 0, "max": 0}
-    original = _Solver.ensure
+    original = _Solver.evaluate
 
     def counted(self, mask):
         record["now"] += 1
@@ -679,7 +713,7 @@ def ensure_depth(monkeypatch):
         finally:
             record["now"] -= 1
 
-    monkeypatch.setattr(_Solver, "ensure", counted)
+    monkeypatch.setattr(_Solver, "evaluate", counted)
     return record
 
 
