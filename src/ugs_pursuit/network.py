@@ -10,7 +10,7 @@ Path subsets are represented as integer bitmasks with bit ``k - 1`` standing
 for path ``k``.
 
 All objects are immutable after construction and safe to share across
-threads.
+threads; a network computes its straight-line distances once, on first read.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     CycleDetected,
@@ -60,6 +61,18 @@ class RoadNetwork:
         for j in range(1, self.m + 1):
             for c in self.children[j]:
                 yield j, c, self.edge_time[(j, c)]
+
+    @cached_property
+    def distances(self) -> tuple[tuple[float, ...], ...]:
+        """Straight-line distances ``distances[i][j]`` between nodes (index 0
+        padding), computed on first read and kept. Raises MetricError when a
+        node has no coordinates."""
+        points = self.coords[1:]
+        if None in points:
+            raise MetricError(f"node {points.index(None) + 1} has no coordinates; "
+                              f"euclidean metric unavailable")
+        rows = [(0.0, *(math.hypot(xi - xj, yi - yj) for xj, yj in points)) for xi, yi in points]
+        return ((0.0,) * (self.m + 1), *rows)
 
 
 @dataclass(frozen=True)
@@ -323,7 +336,8 @@ def build_schedule(paths, m: int) -> VisitSchedule:
 
 
 def euclidean_metric(network: RoadNetwork, speed: float) -> PursuerMetric:
-    """Straight-line-distance-over-speed travel table.
+    """Straight-line-distance-over-speed travel table: the network's
+    ``distances``, each divided by ``speed``.
 
     Requires coordinates on every node and ``speed > 0``; the result must
     pass ``euclidean_admissible``, and when it does not, ``validate_metric``
@@ -331,16 +345,8 @@ def euclidean_metric(network: RoadNetwork, speed: float) -> PursuerMetric:
     """
     if not speed > 0:  # also rejects NaN
         raise MetricError(f"pursuer speed must be positive, got {speed}")
-    for j in range(1, network.m + 1):
-        if network.coords[j] is None:
-            raise MetricError(f"node {j} has no coordinates; euclidean metric unavailable")
-    d = [[0.0] * (network.m + 1) for _ in range(network.m + 1)]
-    for i in range(1, network.m + 1):
-        xi, yi = network.coords[i]
-        for j in range(1, network.m + 1):
-            xj, yj = network.coords[j]
-            d[i][j] = math.hypot(xi - xj, yi - yj) / speed
-    metric = PursuerMetric(d=tuple(tuple(row) for row in d))
+    metric = PursuerMetric(d=tuple(tuple(map(operator.truediv, row, itertools.repeat(speed)))
+                                   for row in network.distances))
     if not euclidean_admissible(network, speed):
         validate_metric(metric, network, check_triangle=False)
     return metric
@@ -354,15 +360,10 @@ def euclidean_admissible(network: RoadNetwork, speed: float) -> bool:
     exactly when this is false. Every node lies on an edge, so a non-finite
     coordinate makes some edge time NaN or infinite and fails the edge test,
     as it gives the table a NaN diagonal entry."""
-    coords = network.coords
-    if not speed > 0 or None in coords[1:]:
+    if not speed > 0 or None in network.coords[1:]:
         return False
-
-    def pursuer_time(j, c):  # the table's entry d[j][c], computed the same way
-        (xj, yj), (xc, yc) = coords[j], coords[c]
-        return math.hypot(xj - xc, yj - yc) / speed
-
-    return all(tlt(pursuer_time(j, c), t) for j, c, t in network.edges())
+    distances = network.distances
+    return all(tlt(distances[j][c] / speed, t) for j, c, t in network.edges())
 
 
 def _violations(d, network: RoadNetwork, check_triangle: bool):

@@ -49,9 +49,9 @@ the last red report, so when some green path's known-path value falls below
 that time by more than the margin, the split is dropped without solving the
 green part. The margin only drops splits the admissibility test would
 reject anyway, so every computed row is the same as with the full
-recursion; only fewer sets are computed. The bound is tested in
-``_candidates`` for moves read from a table and in ``set_moves`` otherwise.
-``candidate_moves`` does not use the bound and still reads every split.
+recursion; only fewer sets are computed. A node's bound is built on first
+read and tested in ``_candidates`` for moves read from a table, in
+``set_moves`` otherwise; ``candidate_moves`` still reads every split.
 
 Scoring order: a set's candidates are listed capture moves first, then
 split moves, each group by node id; nodes no path in the set passes are
@@ -62,15 +62,16 @@ by more than ``TIME_EPS``: a near-tie goes to the earlier candidate. Every
 path passes the entry at time 0, so every set has the capture move at node
 1, and every row holds a value and a move.
 
-Each solved set's rows are stored once, as per-node lists. A result's
-``latest``, ``policy`` and ``capture_move`` tables are read-only views over
-them that fill on read: looking up a cell not filled yet fills it, computing
-its set first when the solve has not. Speed studies read only a solve's
-root cell, so most cells of the sets it computes are never filled.
-``SolveResult.to_json`` first computes every set playback
-(``information.observe``) or the decision tree can read, then fills every
-cell of every computed set. Without pruning the solve fills whole rows.
-``solve`` accepts ``close_for_simulation`` and ignores it.
+Each solved set's rows are stored once, as per-node lists; a singleton's
+are its path's ``base_case`` values, built on first read. A result's ``latest``,
+``policy`` and ``capture_move`` tables are read-only views over them that
+fill on read: looking up a cell not filled yet fills it, computing its set
+first when the solve has not. Speed studies read only a solve's root cell,
+so most cells of the sets it computes are never filled. ``to_json`` first
+computes every set playback (``information.observe``) or the decision tree
+can read, then fills every cell of every computed set and every singleton.
+Without pruning the solve fills whole rows. ``solve`` accepts
+``close_for_simulation`` and ignores it.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from math import inf, isfinite
-from operator import itemgetter, or_
+from operator import attrgetter, itemgetter, or_
 
 from .errors import InconsistentObservation, MissingSubset, PursuitError
 # bench/tracing.py wraps this name to time the realizable-family sweep
@@ -128,9 +129,9 @@ class SolveResult:
     needed, the first time a view reads it, and ``to_json`` fills them all.
     ``strict_resolution`` records which convention produced the tables
     (simulation replays observations under the same convention).
-    ``on_demand_sets`` lists the sets computed so far beyond the solve's
-    pre-filled domain (the singletons, or the full lattice without pruning);
-    a loaded result has none. ``metric_digest`` names the solve's metric:
+    ``on_demand_sets`` lists the non-singleton sets a pruned solve has
+    computed so far, in the order computed; a loaded result, or one solved
+    without pruning, has none. ``metric_digest`` names the solve's metric:
     computed on first read from ``solver.metric`` (speed studies never read
     it), or the file's.
     """
@@ -155,8 +156,7 @@ class SolveResult:
 
     @property
     def on_demand_sets(self) -> tuple:
-        # rows fill in order: the singletons, then the lattice or the sets read
-        return tuple(self.rows)[self.n:] if self.pruned and self.solver is not None else ()
+        return tuple(k for k in self.rows if k & (k - 1)) if self.pruned and self.solver else ()
 
     @property
     def root_mask(self) -> int:
@@ -185,7 +185,7 @@ class SolveResult:
         solver = self.solver
         if solver is not None:
             solver.run(solver.walk_policy)
-            for mask in [*solver.pending]:
+            for mask in [*solver.pending, *(1 << k for k in range(self.n))]:
                 solver.fill(mask)
         sets = []
         for mask in sorted(self.rows):
@@ -211,6 +211,8 @@ class SolveResult:
         on tables in the per-(node, set) ``entries`` layout of earlier
         versions, and on
         - a meta field not of its exact type (see ``_META_TYPES``);
+        - a meta ``n`` larger than the number of records (``to_json`` lists
+          every singleton set), checked before any set is read;
         - an empty set, or a member other than an int ``1..n`` (a bool
           included);
         - a set listed twice, in any member order;
@@ -227,6 +229,8 @@ class SolveResult:
             if type(meta[name]) is not kind:
                 raise ValueError(f"meta {name} is {meta[name]!r}, not of type {kind.__name__}")
         n, m = meta["n"], meta["m"]
+        if n > len(records):  # checked before any mask: members are bounded by n
+            raise ValueError(f"meta n is {n}, but the tables list only {len(records)} sets")
         # member types are checked first, and exactly: a float 1.0 would pass
         # the range test, and mask_from reads True as path 1
         sets = [*map(itemgetter("set"), records)]
@@ -346,7 +350,7 @@ def set_moves(mask: int, schedule: VisitSchedule, strict: bool,
         if green:
             time = reports[-1][0]
             if known is not None:
-                ceilings, below = known[u]
+                ceilings, below = known[u] or _known_bound(known, u)
                 if below[bisect_left(ceilings, time)] & green:
                     continue
             # one report (always so under the membership convention) needs no map
@@ -372,6 +376,21 @@ class MoveTable(dict):
         return found
 
 
+def _known_bound(known: list, u: int) -> tuple[list, list]:
+    """Build ``known[u]``, the known-path bound at node ``u``: the values
+    ``L_k - d[u][exit_k]`` plus the margin, ascending (ties by path bit),
+    beside ``below``, where ``below[i]`` holds the first ``i``'s path bits.
+    ``known[0]`` holds the metric's ``d``, each path's ``(L_k, exit_k)`` and
+    the margin."""
+    d, ends, margin = known[0]
+    du = d[u]
+    values = [length - du[goal] for length, goal in ends]
+    order = sorted(range(len(values)), key=values.__getitem__)  # stable
+    found = known[u] = ([values[k] + margin for k in order],
+                        [0, *accumulate(map((1).__lshift__, order), or_)])
+    return found
+
+
 def _candidates(moves: tuple[tuple, tuple], value, known=None) -> list:
     """Admissible moves for a set, as (node, exit-time-at-node, kind),
     ordered capture moves first then by node id (the tie-break order).
@@ -380,16 +399,17 @@ def _candidates(moves: tuple[tuple, tuple], value, known=None) -> list:
     latest exit time from ``u`` holding the strict subset ``sub``. Sets are
     read green first, then the red reports in time order. ``known``, when
     given, holds per node the known-path values plus ``known_path_margin``
-    in ascending order, beside the prefix-ORs of their path bits (see
-    ``_Solver``); a split whose green part holds a path below the last red
-    report's time is dropped without reading the green part. A solve
-    without a ``MoveTable`` passes ``known`` to ``set_moves`` instead.
+    in ascending order, beside the prefix-ORs of their path bits, or None
+    until ``_known_bound`` builds them; a split whose green part holds a
+    path below the last red report's time is dropped without reading the
+    green part. A solve without a ``MoveTable`` passes ``known`` to
+    ``set_moves`` instead.
     """
     captures, splits = moves
     out = list(captures)
     for u, green, time, reds in splits:
         if known is not None:
-            ceilings, below = known[u]
+            ceilings, below = known[u] or _known_bound(known, u)
             if below[bisect_left(ceilings, time)] & green:
                 continue
         worst = value(u, green)
@@ -453,16 +473,16 @@ class _Solver:
     of a set's row and drops its list. ``cells_scored`` counts the cells
     scored.
 
-    The singleton rows equal ``base_case``, in one pass over the metric.
-    ``known[u]`` is the known-path bound at node ``u`` for ``_candidates``:
-    the singleton values at ``u`` plus ``known_path_margin``, ascending, and
-    ``below`` where ``below[i]`` holds the path bits of the first ``i``.
-    ``moves`` is the ``MoveTable`` the solve was given, or None to build
-    each set's moves as it is computed. ``closed`` tells whether
-    ``walk_policy`` has run.
+    A singleton's row is its path's ``base_case`` row, built whole when the
+    set is first read; ``ends`` lists each path's length and exit. ``known``
+    holds the known-path bounds for ``_candidates``, a node's built when it
+    is first read (``_known_bound``). ``moves`` is the ``MoveTable`` the
+    solve was given, or None to build each set's moves as it is computed.
+    ``closed`` tells whether ``walk_policy`` has run.
     """
 
     def __init__(self, schedule, metric, paths, strict_resolution, moves=None):
+        # nothing is built here: every lazy build runs under ``run``
         self.schedule = schedule
         self.metric = metric
         self.strict = strict_resolution
@@ -472,16 +492,8 @@ class _Solver:
         self.pending: dict[int, list] = {}
         self.cells_scored = 0
         self.closed = False
-        m, bits = schedule.m, [1 << k for k in range(schedule.n)]
-        for bit, path in zip(bits, paths):
-            length, goal = path.length, path.exit
-            self.rows[bit] = ([length - row[goal] for row in metric.d[1:]], [goal] * m, [True] * m)
-        margin = known_path_margin(m)
-        self.known = [None]
-        for column in zip(*(latest for latest, _, _ in self.rows.values())):
-            pairs = sorted(zip(column, bits))
-            self.known.append(([value + margin for value, _ in pairs],
-                               [0, *accumulate((bit for _, bit in pairs), or_)]))
+        self.ends = [*map(attrgetter("length", "exit"), paths)]
+        self.known = [(metric.d, self.ends, known_path_margin(schedule.m))] + [None] * schedule.m
 
     def value(self, u: int, mask: int):
         """The latest exit time from ``u`` holding ``mask``, evaluating the
@@ -509,14 +521,21 @@ class _Solver:
 
     def evaluate(self, mask: int):
         """Build the set's candidates, reading the subsets they need, and
-        store its row with no cell scored yet."""
+        store its row with no cell scored yet. A singleton's row is its
+        path's ``base_case`` row, stored whole."""
+        m = self.schedule.m
+        if not mask & (mask - 1):
+            length, goal = self.ends[mask.bit_length() - 1]
+            row = self.rows[mask] = ([length - dj[goal] for dj in self.metric.d[1:]],
+                                     [goal] * m, [True] * m)
+            return row
         if self.moves is None:
             candidates = _candidates(set_moves(mask, self.schedule, self.strict, self.known),
                                      self.value)
         else:
             candidates = _candidates(self.moves[mask], self.value, self.known)
         self.pending[mask] = candidates
-        unscored = [None] * self.schedule.m
+        unscored = [None] * m
         row = self.rows[mask] = (unscored, unscored[:], unscored[:])
         return row
 
@@ -542,7 +561,7 @@ class _Solver:
         row = self.rows.get(mask)
         if row is None:
             self.evaluate(mask)
-            unscored = range(1, self.schedule.m + 1)
+            unscored = range(1, self.schedule.m + 1) if mask & (mask - 1) else ()
         else:
             unscored = [j for j, cell in enumerate(row[0], 1) if cell is None]
         if unscored:
@@ -583,7 +602,7 @@ class _Solver:
         stack = list(seen)
         while stack:
             p, mask = stack.pop()
-            if mask & (mask - 1) == 0:  # a known path's rows are all stored
+            if mask & (mask - 1) == 0:  # a known path's row reads no other set
                 continue
             self.value(p, mask)
             u = self.rows[mask][1][p - 1]

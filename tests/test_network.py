@@ -255,6 +255,48 @@ class TestMetrics:
                     builds = True
                 assert euclidean_admissible(network, speed) is builds, (network.m, speed)
 
+    def test_distance_table_changes_no_metric(self):
+        # each entry is the straight-line distance over the speed, as computed
+        # per entry; where that table is invalid, euclidean_metric raises what
+        # validating it raises and euclidean_admissible is false
+        networks = [random_instance(seed)[0] for seed in range(1, 51)]
+        networks += [random_layered_network(seed) for seed in (13, 17, 5)]
+        networks.append(random_layered_network(85, widths=[1, 3, 3, 3, 3, 2]))
+        for network in networks:
+            floor = speed_floor(network)
+            for speed in (0.5 * floor, floor, 1.02 * floor, 4.82 * floor):
+                nodes = range(1, network.m + 1)
+                expected = [[0.0] * (network.m + 1)] + [
+                    [0.0, *(math.hypot(network.coords[i][0] - network.coords[j][0],
+                                       network.coords[i][1] - network.coords[j][1]) / speed
+                            for j in nodes)] for i in nodes]
+                try:
+                    validate_metric(PursuerMetric(d=expected), network, check_triangle=False)
+                except MetricError as exc:
+                    fault = exc
+                else:
+                    fault = None
+                assert euclidean_admissible(network, speed) is (fault is None), (network, speed)
+                if fault is not None:
+                    with pytest.raises(type(fault)) as raised:
+                        euclidean_metric(network, speed)
+                    assert type(raised.value) is type(fault) and str(raised.value) == str(fault)
+                    continue
+                got = euclidean_metric(network, speed).d
+                assert [[x.hex() for x in row] for row in got] == \
+                    [[x.hex() for x in row] for row in expected], (network, speed)
+
+    def test_distance_table_needs_every_coordinate(self):
+        raw = demo_raw()
+        del raw["nodes"][2]["x"], raw["nodes"][2]["y"]
+        network = validate_network(raw)
+        message = "node 3 has no coordinates; euclidean metric unavailable"
+        for build in (lambda: network.distances, lambda: euclidean_metric(network, 2.0)):
+            with pytest.raises(MetricError) as raised:
+                build()
+            assert str(raised.value) == message
+        assert euclidean_admissible(network, 2.0) is False
+
     def test_triangle_violation(self):
         network = net([1, 2, 3], [(1, 2, 2.0), (2, 3, 2.0)])
         rows = [

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 import weakref
 from itertools import chain
 
@@ -29,7 +30,7 @@ from ugs_pursuit import (
 )
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
 from ugs_pursuit.network import indices_of, iter_indices, mask_from
-from ugs_pursuit.solver import CAPTURE, SPLIT, _Solver, known_path_margin
+from ugs_pursuit.solver import CAPTURE, SPLIT, _known_bound, _Solver, known_path_margin
 from ugs_pursuit.util import TIME_EPS, dumps_indented
 
 from conftest import mask_of
@@ -276,6 +277,23 @@ class TestSolve:
         data["meta"][name] = value
         with pytest.raises(ValueError, match=f"meta {name} is {value!r}, not of type"):
             SolveResult.from_json(data)
+
+    def test_json_more_paths_than_records_rejected_before_reading_sets(self, demo, demo_metric):
+        network, paths, schedule = demo
+        data = solve(network, schedule, demo_metric, paths).to_json()
+        data["meta"]["n"] = 10 ** 8
+        data["sets"].append({**data["sets"][-1], "set": [10 ** 8]})
+        records = len(data["sets"])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as raised:
+                SolveResult.from_json(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"meta n is {10 ** 8}, but the tables list only {records} sets" in str(raised.value)
+        # the mask of path 10**8 alone would take 12.5 MB
+        assert peak < 4_000_000
 
     @pytest.mark.parametrize("name", ["D", "mu"])
     def test_json_null_rejected(self, name):
@@ -627,10 +645,86 @@ class TestCellsFillOnRead:
         network, paths, schedule, metric = layered(factor=1.1, seed=17)
         result = solve(network, schedule, metric, paths, strict_resolution=True)
         assert result.root_latest > 0
-        computed = len(result.rows) - schedule.n  # singleton rows are stored whole
+        computed = sum(1 for mask in result.rows if mask & (mask - 1))  # non-singleton rows
         assert 0 < result.solver.cells_scored < network.m * computed
         result.to_json()  # scores every other cell of every computed set, each once
         assert result.solver.cells_scored == network.m * (len(result.rows) - schedule.n)
+
+
+class TestBuiltOnFirstRead:
+    """A solve builds a singleton's row and a node's known-path bound only
+    when they are first read; the export lists every singleton all the same."""
+
+    def test_root_read_stores_no_singleton(self):
+        network, paths, schedule, metric = layered(factor=1.1, seed=17)
+        result = solve(network, schedule, metric, paths, strict_resolution=True)
+        assert result.root_latest > 0
+        assert all(mask & (mask - 1) for mask in result.rows)
+        computed = result.on_demand_sets
+        assert computed == tuple(result.rows)
+        data = result.to_json()
+        assert result.on_demand_sets[:len(computed)] == computed
+        singletons = [record for record in data["sets"] if len(record["set"]) == 1]
+        assert [record["set"] for record in singletons] == [[k] for k in range(1, schedule.n + 1)]
+        # the rows a solve without pruning builds for them (n = 18 is too many
+        # paths for its whole lattice here): ``fill`` of each singleton
+        lattice = _Solver(schedule, metric, paths, True)
+        for record in singletons:
+            mask = mask_from(record["set"])
+            lattice.fill(mask)
+            assert (record["D"], record["mu"], record["capture"]) == lattice.rows[mask]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_export_equals_the_lattice_rows(self, strict):
+        network, paths, schedule, metric = layered(factor=1.1, **L85)
+        lattice = solve(network, schedule, metric, paths, prune=False, strict_resolution=strict)
+        result = solve(network, schedule, metric, paths, strict_resolution=strict)
+        data = result.to_json()
+        assert [record["set"] for record in data["sets"] if len(record["set"]) == 1] == \
+            [[k] for k in range(1, schedule.n + 1)]
+        for record in data["sets"]:
+            row = (record["D"], record["mu"], record["capture"])
+            assert row == lattice.rows[mask_from(record["set"])], record["set"]
+
+    def test_singleton_rows_equal_base_case(self):
+        instances = [*corpus(), *(layered(factor=1.1, **instance) for instance in
+                                  (dict(seed=13), dict(seed=17), L36, L85))]
+        for network, paths, schedule, metric in instances:
+            result = solve(network, schedule, metric, paths)
+            for p in paths:
+                mask = 1 << (p.index - 1)
+                for j in range(1, network.m + 1):
+                    expected = base_case(j, p.index, schedule, metric, paths)
+                    assert result.latest[(j, mask)].hex() == expected.hex(), (j, p.index)
+                    assert result.policy[(j, mask)] == p.exit
+                    assert result.capture_move[(j, mask)] is True
+
+    def test_known_bounds_sorted_as_the_singleton_columns(self):
+        # ascending known-path values plus the margin, ties by path bit: the
+        # diamond's two paths tie at every node
+        diamond = validate_network({
+            "nodes": [{"id": j, "x": x, "y": y} for j, x, y in
+                      [(1, 0.0, 0.0), (2, 1.0, 1.0), (3, 1.0, -1.0), (4, 2.0, 0.0)]],
+            "edges": [{"from": a, "to": b, "time": 2.0} for a, b in [(1, 2), (1, 3), (2, 4), (3, 4)]],
+        })
+        diamond_paths = enumerate_paths(diamond)
+        instances = [*corpus(), *(layered(factor=1.1, **instance) for instance in
+                                  (dict(seed=13), dict(seed=17), L36, L85)),
+                     (diamond, diamond_paths, build_schedule(diamond_paths, diamond.m),
+                      euclidean_metric(diamond, 1.1 * speed_floor(diamond)))]
+        for network, paths, schedule, metric in instances:
+            worker = _Solver(schedule, metric, paths, False)
+            margin = known_path_margin(network.m)
+            for u in range(1, network.m + 1):
+                pairs = sorted((base_case(u, p.index, schedule, metric, paths), 1 << (p.index - 1))
+                               for p in paths)
+                assert worker.known[u] is None
+                ceilings, below = _known_bound(worker.known, u)
+                assert worker.known[u] == (ceilings, below)
+                assert [c.hex() for c in ceilings] == [(v + margin).hex() for v, _ in pairs]
+                bits = [bit for _, bit in pairs]
+                assert below == [0, *(sum(bits[:i + 1]) for i in range(len(bits)))]
+            assert not worker.rows
 
 
 class TestJsonRoundTrip:
