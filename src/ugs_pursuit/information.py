@@ -6,12 +6,16 @@ An uncertainty set is a bitmask over path indices (bit ``k - 1`` = path
 ``k``). A visit-time class at node ``u`` is one entry of
 ``schedule.groups[u]``: the paths whose visits to ``u`` lie within
 ``TIME_EPS`` of the class's first visit. Every reading keeps whole classes,
-read through ``red_reports``, so every kept set is a union of the classes
-the solver scores. All functions here are pure and safe for concurrent use.
+read through ``red_reports`` or, for the classes after a time, bisected
+from ``schedule.later_classes``, so every kept set is a union of the classes
+the solver scores. ``observed_sets`` lists every set a reading at one node
+can keep, in closed form. All functions here are pure and safe for
+concurrent use.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import InconsistentObservation
@@ -63,16 +67,28 @@ def update_red(mask: int, u: int, passage: float, schedule: VisitSchedule) -> in
 
 def update_green(mask: int, u: int, t_plus: float, schedule: VisitSchedule) -> int:
     """Keep the paths that have not yet visited node ``u`` at ``t_plus``:
-    those avoiding ``u`` and the visit-time classes strictly after ``t_plus``."""
-    out = mask & ~schedule.through[u]
-    for t, cls in red_reports(mask, u, schedule, True):
-        if tlt(t_plus, t):
-            out |= cls
+    those avoiding ``u`` and the visit-time classes strictly after ``t_plus``
+    (``tlt``), found by one bisection of ``schedule.later_classes``."""
+    cutoffs, later = schedule.later_classes[u]
+    out = mask & ~schedule.through[u] | later[bisect_right(cutoffs, t_plus)] & mask
     if out == 0:
         raise InconsistentObservation(
             f"green at node {u}, time {t_plus:.9g} excludes every path in {indices_of(mask)}"
         )
     return out
+
+
+def next_visit(mask: int, u: int, t: float, schedule: VisitSchedule) -> float | None:
+    """The time of the first visit-time class of ``mask`` at ``u`` strictly
+    after ``t`` (``tlt``), or None when there is none."""
+    cutoffs, later = schedule.later_classes[u]
+    i = bisect_right(cutoffs, t)
+    if not later[i] & mask:
+        return None
+    groups = schedule.groups[u]
+    while not groups[i][1] & mask:
+        i += 1
+    return groups[i][0]
 
 
 def partition(mask: int, u: int, schedule: VisitSchedule) -> tuple[int, int]:
@@ -146,6 +162,31 @@ def observe(mask: int, u: int, t: float, visit: float, schedule: VisitSchedule, 
     elif tlt(since, visit) and tle(visit, t):
         return None
     return TranscriptRow(t, u, Observation.green(), update_green(mask, u, t, schedule))
+
+
+def observed_sets(mask: int, u: int, schedule: VisitSchedule, strict: bool) -> set[int]:
+    """The sets ``observe`` can keep when a pursuer holding ``mask`` reads
+    ``u``, over every arrival and wait time and every evader in ``mask``,
+    from one ``red_reports`` pass. A membership-convention reading of a set
+    that ``u`` splits keeps the paths avoiding ``u`` (green) or passing it
+    (red). Otherwise a red keeps its class (strict) or every path through
+    ``u``, which is then ``mask``; an arrival before the first class keeps
+    ``mask``; and an arrival at class ``i``, or a wait to it, keeps the paths
+    avoiding ``u`` and the classes after ``i``, unless that is no path.
+    ``mask`` must hold a path through ``u``."""
+    through = mask & schedule.through[u]
+    avoid = mask ^ through
+    if not strict and avoid:
+        return {avoid, through}
+    cutoffs, later = schedule.later_classes[u]
+    image = {mask}
+    for t, cls in red_reports(mask, u, schedule, True):
+        if strict:
+            image.add(cls)
+        after = avoid | later[bisect_right(cutoffs, t)] & mask
+        if after:
+            image.add(after)
+    return image
 
 
 @dataclass(frozen=True)

@@ -71,8 +71,15 @@ class RoadNetwork:
         if None in points:
             raise MetricError(f"node {points.index(None) + 1} has no coordinates; "
                               f"euclidean metric unavailable")
-        rows = [(0.0, *(math.hypot(xi - xj, yi - yj) for xj, yj in points)) for xi, yi in points]
-        return ((0.0,) * (self.m + 1), *rows)
+        # hypot ignores sign and xi - xj is exactly -(xj - xi): mirror the upper half
+        m, hypot = self.m, math.hypot
+        rows = [[0.0] * (m + 1) for _ in range(m + 1)]
+        for i, (xi, yi) in enumerate(points, 1):
+            row = rows[i]
+            for j in range(i, m + 1):
+                xj, yj = points[j - 1]
+                row[j] = rows[j][i] = hypot(xi - xj, yi - yj)
+        return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -108,6 +115,22 @@ class VisitSchedule:
     times: tuple[tuple[float, ...], ...]
     through: tuple[int, ...]
     groups: tuple[tuple[tuple[float, int], ...], ...]
+
+    @cached_property
+    def later_classes(self) -> tuple[tuple[list, list], ...]:
+        """Per node ``j``, ``(cutoffs, later)``, computed on first read and
+        kept: ``cutoffs[i]`` is class ``i``'s time minus TIME_EPS, as ``tlt``
+        computes it, and ``later[i]`` the union of classes ``i`` onward
+        (``later[-1]`` is 0). The classes strictly after a time ``t``
+        (``tlt(t, time)``) are ``later[bisect_right(cutoffs, t)]``."""
+        found = [([], [0])]
+        for groups in self.groups[1:]:
+            later = [0]
+            for _, group in reversed(groups):
+                later.append(later[-1] | group)
+            later.reverse()
+            found.append(([t - TIME_EPS for t, _ in groups], later))
+        return tuple(found)
 
     def min_visit(self, j: int, mask: int) -> float:
         return min(self.times[j][k] for k in iter_indices(mask))
@@ -345,8 +368,8 @@ def euclidean_metric(network: RoadNetwork, speed: float) -> PursuerMetric:
     """
     if not speed > 0:  # also rejects NaN
         raise MetricError(f"pursuer speed must be positive, got {speed}")
-    metric = PursuerMetric(d=tuple(tuple(map(operator.truediv, row, itertools.repeat(speed)))
-                                   for row in network.distances))
+    metric = PursuerMetric(d=tuple([tuple(map(operator.truediv, row, itertools.repeat(speed)))
+                                    for row in network.distances]))
     if not euclidean_admissible(network, speed):
         validate_metric(metric, network, check_triangle=False)
     return metric
@@ -363,7 +386,7 @@ def euclidean_admissible(network: RoadNetwork, speed: float) -> bool:
     if not speed > 0 or None in network.coords[1:]:
         return False
     distances = network.distances
-    return all(tlt(distances[j][c] / speed, t) for j, c, t in network.edges())
+    return all(tlt(distances[j][c] / speed, t) for (j, c), t in network.edge_time.items())
 
 
 def _violations(d, network: RoadNetwork, check_triangle: bool):

@@ -5,7 +5,8 @@ The simulator drives the real clock: the pursuer moves between sensors,
 reads them on arrival, waits when the policy says so, and captures when it
 is collocated with the evader at a sensor (synchronous arrival counts; the
 presence interval is closed). Every reading after the entry's, on arrival
-or after a wait, is ``information.observe`` under the policy's convention.
+or after a wait, is ``information.observe`` under the policy's convention;
+a wait lasts until the tracked set's next visit (``information.next_visit``).
 
 The oracle never consults solved tables. It decides, by exhaustive search
 over pursuer strategies with exact outcome enumeration at each visited
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, NonTermination, PolicyHole, SimulationError
-from .information import Observation, TranscriptRow, observe, red_reports
+from .information import Observation, TranscriptRow, next_visit, observe
 from .network import PursuerMetric, RoadNetwork, VisitSchedule, indices_of
 from .solver import SolveResult
 from .util import bisect_bracket, check_bracket, teq, tle, tlt
@@ -101,10 +102,10 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
             raise PolicyHole(f"no policy entry for node {p}, set {indices_of(info)}") from None
 
         if move == p:  # wait for the set's next visit here
-            upcoming = [tau for tau, _ in red_reports(info, p, schedule, True) if tlt(t, tau)]
-            if not upcoming:
+            upcoming = next_visit(info, p, t, schedule)
+            if upcoming is None:
                 raise SimulationError(f"policy waits at node {p} with no upcoming visits")
-            reading = observe(info, p, upcoming[0], schedule.times[p][k], schedule, strict, since=t)
+            reading = observe(info, p, upcoming, schedule.times[p][k], schedule, strict, since=t)
         else:
             p, t = move, t + metric.time(p, move)
             reading = observe(info, p, t, schedule.times[p][k], schedule, strict)

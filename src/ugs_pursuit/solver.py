@@ -69,7 +69,9 @@ fill on read: looking up a cell not filled yet fills it, computing its set
 first when the solve has not. Speed studies read only a solve's root cell,
 so most cells of the sets it computes are never filled. ``to_json`` first
 computes every set playback (``information.observe``) or the decision tree
-can read, then fills every cell of every computed set and every singleton.
+can read, walking the policy through the closed-form image of ``observe``
+(``information.observed_sets``), then fills every cell of every computed
+set and every singleton.
 Without pruning the solve fills whole rows. ``solve`` accepts
 ``close_for_simulation`` and ignores it.
 """
@@ -85,9 +87,9 @@ from itertools import accumulate, chain
 from math import inf, isfinite
 from operator import attrgetter, itemgetter, or_
 
-from .errors import InconsistentObservation, MissingSubset, PursuitError
+from .errors import MissingSubset, PursuitError
 # bench/tracing.py wraps this name to time the realizable-family sweep
-from .information import observe, realizable_sets, red_reports  # noqa: F401
+from .information import observed_sets, realizable_sets, red_reports  # noqa: F401
 from .network import PursuerMetric, VisitSchedule, indices_of, mask_from
 from .util import TIME_EPS, tlt
 
@@ -570,32 +572,16 @@ class _Solver:
 
     def successors(self, mask: int, u: int):
         """The sets a pursuer holding ``mask`` can keep after reading ``u``:
-        the image of ``observe`` over arrivals before, at and after the set's
-        visit times at ``u`` (one between two reads as one at the earlier)
-        and evaders of each visit-time class or avoiding ``u``. A green does
-        not depend on when or whether the evader passes later, nor a red on
-        more than its class: only the arrival after the last visit time meets
-        the classes, the others an avoiding evader. A wait reads as an arrival
-        at the next visit time on every set the walk hands to ``u`` (under the
-        membership convention, sets wholly through ``u`` or wholly avoiding it)."""
-        schedule = self.schedule
-        times = [t for t, _ in red_reports(mask, u, schedule, True)]
-        pairs = [(arrival, float("inf")) for arrival in (times[0] - 1.0, *times)]
-        pairs += [(times[-1] + 1.0, visit) for visit in times]
-        out = set()
-        for arrival, visit in pairs:
-            try:
-                reading = observe(mask, u, arrival, visit, schedule, self.strict)
-            except InconsistentObservation:
-                continue
-            if reading is not None:
-                out.add(reading.info)
-        return out
+        the image of ``observe`` over every arrival or wait time and every
+        evader, read in closed form from ``u``'s visit-time classes
+        (``information.observed_sets``)."""
+        return observed_sets(mask, u, self.schedule, self.strict)
 
     def walk_policy(self) -> None:
         """Compute, once, the sets that playback of the policy from the entry
         with every path possible and a decision tree drawn from there read: at
-        each move, what ``successors`` lists."""
+        each move, what ``successors`` lists, the image of ``observe`` at that
+        move's node."""
         if self.closed:
             return
         seen = {(1, self.full)}

@@ -150,15 +150,28 @@ def _items(values, level: int) -> list[str]:
 
 def _flat_lists(lists, level: int) -> list[str] | None:
     """The texts of ``lists`` if none is empty or holds a container, from
-    one encoder call; else None."""
-    if not (all(lists) and _all_scalars(chain.from_iterable(lists))):
+    one encoder call, or from one ``float.__repr__`` per distinct value when
+    all are floats; else None."""
+    if not all(lists):
         return None
+    kinds = {*map(type, chain.from_iterable(lists))}
+    if any(issubclass(kind, _CONTAINERS) for kind in kinds):
+        return None
+    opening, closing = "[\n" + "  " * (level + 1), "\n" + "  " * level + "]"
+    separator = "," + opening[1:]
+    if kinds == {float}:
+        texts = dict.fromkeys(chain.from_iterable(lists))
+        # 0.0 and -0.0 are one key but two texts; the encoder writes NaN and
+        # Infinity where repr writes nan and inf
+        if 0.0 not in texts and all(map(math.isfinite, texts)):
+            texts = dict(zip(texts, map(float.__repr__, texts)))
+            return [opening + separator.join(map(texts.__getitem__, values)) + closing
+                    for values in lists]
     # "]\x00[" occurs only between two lists: no scalar's text starts with
     # "[" or ends with "]"
-    opening, closing = "[\n" + "  " * (level + 1), "\n" + "  " * level + "]"
     body = (_encoder("\x00")(lists)[2:-2]
             .replace("]\x00[", closing + "\x01" + opening)
-            .replace("\x00", "," + opening[1:]))
+            .replace("\x00", separator))
     return (opening + body + closing).split("\x01")
 
 

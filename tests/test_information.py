@@ -23,10 +23,29 @@ from ugs_pursuit import (
     validate_network,
     verify_guarantee,
 )
-from ugs_pursuit.fixtures import random_instance, random_layered_network
-from ugs_pursuit.util import tlt
+from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
+from ugs_pursuit.information import next_visit
+from ugs_pursuit.util import TIME_EPS, tlt
 
 from conftest import mask_of
+
+
+NEAR_TIES = [(1.0 + 0.8e-9, 1.0 + 1.6e-9), (math.nextafter(1.0 + 1e-9, 0.0), 1.0 + 1e-9)]
+
+
+def near_tie_network(second, third):
+    """(network, paths, schedule) where paths 1-3 visit node 5 at 1.0,
+    ``second`` and ``third`` and path 4 avoids it."""
+    xy = ((0, 0), (1, 1), (1, 0), (1, -1), (2, 0), (3, 0))
+    raw = {
+        "nodes": [{"id": j, "x": x, "y": y} for j, (x, y) in enumerate(xy, 1)],
+        "edges": [{"from": a, "to": b, "time": t} for a, b, t in (
+            (1, 2, 0.5), (1, 3, 0.5), (1, 4, 0.5), (1, 6, 3.0),
+            (2, 5, 0.5), (3, 5, second - 0.5), (4, 5, third - 0.5), (5, 6, 1.0))],
+    }
+    network = validate_network(raw)
+    paths = enumerate_paths(network)
+    return network, paths, build_schedule(paths, network.m)
 
 
 class TestObservation:
@@ -148,10 +167,8 @@ class TestObserve:
             assert row.info == mask_of(demo_index, *self.AVOID)
             assert not row.obs.is_red and row.t == 17.54
 
-    @pytest.mark.parametrize("second, third", [
-        (1.0 + 0.8e-9, 1.0 + 1.6e-9),
-        (math.nextafter(1.0 + 1e-9, 0.0), 1.0 + 1e-9),
-    ], ids=["within-both-neighbours", "at-window-edge"])
+    @pytest.mark.parametrize("second, third", NEAR_TIES,
+                             ids=["within-both-neighbours", "at-window-edge"])
     def test_near_tie_readings_keep_whole_classes(self, second, third):
         """Node 5 is visited at 1.0, ``second`` and ``third`` by paths 1-3,
         and path 4 avoids it; the classes are {1,2} and {3}. Either path 2
@@ -161,16 +178,7 @@ class TestObserve:
         arrival within TIME_EPS before a class's first visit catches every
         evader of that class, since the green drops the whole class, and
         playback at the solved delay captures every evader."""
-        xy = ((0, 0), (1, 1), (1, 0), (1, -1), (2, 0), (3, 0))
-        raw = {
-            "nodes": [{"id": j, "x": x, "y": y} for j, (x, y) in enumerate(xy, 1)],
-            "edges": [{"from": a, "to": b, "time": t} for a, b, t in (
-                (1, 2, 0.5), (1, 3, 0.5), (1, 4, 0.5), (1, 6, 3.0),
-                (2, 5, 0.5), (3, 5, second - 0.5), (4, 5, third - 0.5), (5, 6, 1.0))],
-        }
-        network = validate_network(raw)
-        paths = enumerate_paths(network)
-        schedule = build_schedule(paths, network.m)
+        network, paths, schedule = near_tie_network(second, third)
         assert schedule.groups[5] == ((1.0, mask_from([1, 2])), (third, mask_from([3])))
         times = [0.5, 1.0 - 0.5e-9, 1.0, second, 1.0 + 1.2e-9, third - 0.5e-9, third, 2.0]
         times += [visit + delay for visit in (1.0, second, third)
@@ -240,6 +248,72 @@ class TestPartition:
         only = mask_of(demo_index, (1, 2, 7))
         red, green = partition(only, 4, schedule)
         assert red == 0 and green == only
+
+
+def linear_update_green(mask, u, t_plus, schedule):
+    """``update_green`` as one test per class, without raising on no path."""
+    out = mask & ~schedule.through[u]
+    for t, cls in red_reports(mask, u, schedule, True):
+        if tlt(t_plus, t):
+            out |= cls
+    return out
+
+
+def linear_next_visit(mask, u, t, schedule):
+    """The wait step's next visit as one test per class."""
+    upcoming = [tau for tau, _ in red_reports(mask, u, schedule, True) if tlt(t, tau)]
+    return upcoming[0] if upcoming else None
+
+
+class TestBisectedClasses:
+    """``update_green`` and ``next_visit`` bisect ``later_classes`` and
+    agree with a test of every class: at every class time, TIME_EPS either
+    side of it, and one float either side of each of those."""
+
+    @staticmethod
+    def probes(schedule, u):
+        times = [-math.inf, 0.0, math.inf, math.nan]
+        for c, _ in schedule.groups[u]:
+            for t in (c - TIME_EPS, c, c + TIME_EPS):
+                times += [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+        return times
+
+    def check(self, schedule, masks):
+        for u in range(1, schedule.m + 1):
+            probes = self.probes(schedule, u)
+            for mask in masks:
+                for t in probes:
+                    expected = linear_update_green(mask, u, t, schedule)
+                    if expected:
+                        assert update_green(mask, u, t, schedule) == expected, (mask, u, t)
+                    else:
+                        with pytest.raises(InconsistentObservation):
+                            update_green(mask, u, t, schedule)
+                    assert next_visit(mask, u, t, schedule) == \
+                        linear_next_visit(mask, u, t, schedule), (mask, u, t)
+
+    def test_corpus(self):
+        for seed in range(1, 51):
+            _, _, schedule = random_instance(seed)
+            self.check(schedule, full_lattice(schedule.n))
+
+    @pytest.mark.parametrize("second, third", NEAR_TIES,
+                             ids=["within-both-neighbours", "at-window-edge"])
+    def test_near_ties(self, second, third):
+        _, _, schedule = near_tie_network(second, third)
+        self.check(schedule, full_lattice(schedule.n))
+
+    def test_layered_13(self):
+        network = random_layered_network(13)
+        paths = enumerate_paths(network)
+        schedule = build_schedule(paths, network.m)
+        metric = euclidean_metric(network, 1.1 * speed_floor(network))
+        masks = {1 << k for k in range(schedule.n)}
+        for strict in (False, True):
+            solved = solve(network, schedule, metric, paths, strict_resolution=strict)
+            solved.to_json()
+            masks.update(solved.rows)
+        self.check(schedule, sorted(masks))
 
 
 @st.composite

@@ -443,6 +443,8 @@ def layered(seed, factor, **kwargs):
     return network, paths, schedule, euclidean_metric(network, factor * speed_floor(network))
 
 
+L13 = dict(seed=13)  # n=16 paths, m=10 nodes
+L17 = dict(seed=17)  # n=18 paths, m=11 nodes
 L85 = dict(seed=85, widths=[1, 3, 3, 3, 3, 2])  # n=10 paths, m=15 nodes
 L36 = dict(seed=5)  # n=36 paths, m=12 nodes
 L288 = dict(seed=7, widths=[1, 4, 4, 4, 4, 3])  # n=288 paths, m=20 nodes
@@ -627,7 +629,7 @@ class TestCellsFillOnRead:
     def test_any_read_order_equals_the_export(self, strict):
         rng = random.Random(18)
         instances = [*corpus(), *(layered(factor=1.1, **instance)
-                                  for instance in (dict(seed=13), dict(seed=17), L36, L85))]
+                                  for instance in (L13, L17, L36, L85))]
         for network, paths, schedule, metric in instances:
             data = solve(network, schedule, metric, paths, strict_resolution=strict).to_json()
             exported = {mask_from(record["set"]): record for record in data["sets"]}
@@ -688,7 +690,7 @@ class TestBuiltOnFirstRead:
 
     def test_singleton_rows_equal_base_case(self):
         instances = [*corpus(), *(layered(factor=1.1, **instance) for instance in
-                                  (dict(seed=13), dict(seed=17), L36, L85))]
+                                  (L13, L17, L36, L85))]
         for network, paths, schedule, metric in instances:
             result = solve(network, schedule, metric, paths)
             for p in paths:
@@ -709,7 +711,7 @@ class TestBuiltOnFirstRead:
         })
         diamond_paths = enumerate_paths(diamond)
         instances = [*corpus(), *(layered(factor=1.1, **instance) for instance in
-                                  (dict(seed=13), dict(seed=17), L36, L85)),
+                                  (L13, L17, L36, L85)),
                      (diamond, diamond_paths, build_schedule(diamond_paths, diamond.m),
                       euclidean_metric(diamond, 1.1 * speed_floor(diamond)))]
         for network, paths, schedule, metric in instances:
@@ -883,7 +885,7 @@ class TestWalkImage:
     @pytest.mark.parametrize("strict", [False, True])
     def test_successors_equal_observed_image(self, strict):
         cases = [(*instance, full_lattice(instance[2].n)) for instance in corpus()]
-        for instance in (L85, L36):
+        for instance in (L85, L36, L13, L17):
             network, paths, schedule, metric = layered(factor=1.1, **instance)
             solved = solve(network, schedule, metric, paths, strict_resolution=strict)
             cases.append((network, paths, schedule, metric, {mask for _, mask in solved.latest}))

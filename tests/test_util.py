@@ -41,6 +41,11 @@ def containers(children):
 json_values = st.recursive(scalars, containers, max_leaves=40)
 
 
+class Float(float):
+    def __repr__(self):
+        return f"Float({float.__repr__(self)})"
+
+
 @settings(max_examples=150, deadline=None)
 @given(json_values)
 @example([])
@@ -51,5 +56,15 @@ json_values = st.recursive(scalars, containers, max_leaves=40)
 @example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])
 @example([{1: "x"}, {True: "y"}, {1.0: "z"}])
 @example([["]", "["], ["\x00"], [math.nan, -0.0, 10 ** 30, True]])
+# lists of floats: equal keys with two texts, texts that differ from repr,
+# values that are not exact floats, and repeated values
+@example([[0.0, -0.0, 1.5], [-0.0]])
+@example([[-0.0, 2.5], [0.0]])
+@example([[1.0, 1], [True]])
+@example([[math.nan, 1.5], [2.5, math.nan]])
+@example([[math.inf, 1.5], [-math.inf]])
+@example([[Float(1.5), 1.5], [Float(2.0)]])
+@example([{"D": [0.1, 1e308, 0.1]}, {"D": [5e-324, -2.5, 0.1]}])
 def test_dumps_indented_matches_json_dumps(value):
     assert dumps_indented(value) == json.dumps(value, indent=2)
+
