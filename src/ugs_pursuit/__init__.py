@@ -17,7 +17,6 @@ from .errors import (
     GoalMismatch,
     InconsistentObservation,
     MetricError,
-    MissingSubset,
     NetworkError,
     NonPositiveEdgeTime,
     NonTermination,
@@ -66,7 +65,7 @@ from .simulator import (
     simulate,
     verify_guarantee,
 )
-from .solver import SolveResult, base_case, candidate_moves, full_lattice, solve
+from .solver import SolveResult, base_case, full_lattice, solve
 from .tree_export import TreeNode, build_tree, tree_to_dot, tree_to_json
 from .util import TIME_EPS
 

@@ -61,10 +61,6 @@ class InconsistentObservation(PursuitError):
     """A sensor reading contradicts the current uncertainty set."""
 
 
-class MissingSubset(PursuitError):
-    """A lookup table lacks a set that candidate evaluation needs."""
-
-
 class SimulationError(PursuitError):
     pass
 

@@ -302,20 +302,17 @@ def enumerate_paths(network: RoadNetwork, max_paths: int | None = None) -> tuple
     default there is no cap.
     """
     sequences: list[tuple[int, ...]] = []
-
-    def walk(prefix: list[int]) -> None:
-        j = prefix[-1]
-        if not network.children[j]:
-            if max_paths is not None and len(sequences) >= max_paths:
-                raise PathExplosion(f"more than {max_paths} evader paths")
-            sequences.append(tuple(prefix))
-            return
-        for c in network.children[j]:
-            prefix.append(c)
-            walk(prefix)
-            prefix.pop()
-
-    walk([network.entry])
+    # an explicit stack, not recursion: a path may be longer than Python's recursion limit
+    stack = [(network.entry,)]
+    while stack:
+        prefix = stack.pop()
+        children = network.children[prefix[-1]]
+        if children:
+            stack.extend(prefix + (c,) for c in reversed(children))
+            continue
+        if max_paths is not None and len(sequences) >= max_paths:
+            raise PathExplosion(f"more than {max_paths} evader paths")
+        sequences.append(prefix)
     sequences.sort()
 
     paths = []
@@ -396,7 +393,7 @@ def _violations(d, network: RoadNetwork, check_triangle: bool):
             yield "diagonal", (j,), d[j][j]
     for i in nodes:
         for j in nodes:
-            if d[i][j] < 0.0:
+            if not 0.0 <= d[i][j] < math.inf:  # a NaN fails every comparison, so it fails here too
                 yield "diagonal", (i, j), d[i][j]
     if check_triangle:
         for i in nodes:
@@ -423,7 +420,7 @@ def validate_metric(metric: PursuerMetric, network: RoadNetwork, check_triangle:
         return
     kind, idx, detail = violations[0]
     if kind == "diagonal":
-        raise NonZeroDiagonal(f"nonzero or negative entry at {idx}: {detail}", violations)
+        raise NonZeroDiagonal(f"nonzero, negative or non-finite entry at {idx}: {detail}", violations)
     if kind == "triangle":
         raise TriangleViolation(f"d{idx[0], idx[2]} exceeds the detour via {idx[1]} by {detail}", violations)
     raise SpeedAdvantageViolated(

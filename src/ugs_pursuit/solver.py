@@ -32,14 +32,13 @@ recursion limit raises PursuitError naming ``m``.
 
 A set's candidates come in two parts. ``set_moves`` gives what does not
 depend on the pursuer's speed: the nodes the set reaches, each one's green
-part, the time its scoring compares and its red reports. ``_candidates``
-scores them with the solve's values; it is the one candidate routine, and
-``candidate_moves`` reads it too. A ``MoveTable`` keeps ``set_moves`` for
-one schedule and convention. A strict-convention speed study passes one to
-each of its solves (``solve(..., moves=)``), so each set's moves are built
-once per study. A solve without one builds a set's moves when it computes
-the set, applying the known-path bound below as it builds them so that a
-dropped split gets no record, and keeps none.
+part, the time its scoring compares and its red reports. ``_candidates``,
+the one candidate routine, scores them with the solve's values. A
+``MoveTable`` keeps ``set_moves`` for one schedule and convention. A
+strict-convention speed study passes one to each of its solves
+(``solve(..., moves=)``), so each set's moves are built once per study. A
+solve without one builds a set's moves when it computes the set and keeps
+none.
 
 Knowing the evader's path never hurts the pursuer, so a set's value at
 ``u`` is at most the smallest known-path value at ``u`` of its paths:
@@ -50,8 +49,7 @@ that time by more than the margin, the split is dropped without solving the
 green part. The margin only drops splits the admissibility test would
 reject anyway, so every computed row is the same as with the full
 recursion; only fewer sets are computed. A node's bound is built on first
-read and tested in ``_candidates`` for moves read from a table, in
-``set_moves`` otherwise; ``candidate_moves`` still reads every split.
+read and tested in ``_candidates`` alone, wherever the moves came from.
 
 Scoring order: a set's candidates are listed capture moves first, then
 split moves, each group by node id; nodes no path in the set passes are
@@ -87,7 +85,7 @@ from itertools import accumulate, chain
 from math import inf, isfinite
 from operator import attrgetter, itemgetter, or_
 
-from .errors import MissingSubset, PursuitError
+from .errors import PursuitError
 # bench/tracing.py wraps this name to time the realizable-family sweep
 from .information import observed_sets, realizable_sets, red_reports  # noqa: F401
 from .network import PursuerMetric, VisitSchedule, indices_of, mask_from
@@ -328,20 +326,14 @@ def known_path_margin(m: int) -> float:
     return 2 * (m + 1) * TIME_EPS
 
 
-def set_moves(mask: int, schedule: VisitSchedule, strict: bool,
-              known=None) -> tuple[tuple, tuple]:
+def set_moves(mask: int, schedule: VisitSchedule, strict: bool) -> tuple[tuple, tuple]:
     """The part of a set's candidate moves that does not depend on the
     pursuer's speed, as ``(captures, splits)``, each in node-id order over
     the nodes some path in ``mask`` passes. A capture is already the
     candidate it scores as, ``(u, first visit, CAPTURE)``; a split is
     ``(u, green, time, reds)``: the part avoiding ``u``, the last red
     report's time (which the green part must reach) and the red reports'
-    sets in time order, as ``information.red_reports`` lists them.
-
-    ``known``, when given, is a solve's known-path bound (see
-    ``_candidates``): a split it drops gets no record, so a solve that
-    scores the moves once pays nothing for the splits it would drop. The
-    moves are then no longer speed-independent."""
+    sets in time order, as ``information.red_reports`` lists them."""
     captures, splits = [], []
     through = schedule.through
     for u in range(1, schedule.m + 1):
@@ -350,14 +342,9 @@ def set_moves(mask: int, schedule: VisitSchedule, strict: bool,
         reports = red_reports(mask, u, schedule, strict)
         green = mask & ~through[u]
         if green:
-            time = reports[-1][0]
-            if known is not None:
-                ceilings, below = known[u] or _known_bound(known, u)
-                if below[bisect_left(ceilings, time)] & green:
-                    continue
             # one report (always so under the membership convention) needs no map
             reds = (reports[0][1],) if len(reports) == 1 else tuple(map(itemgetter(1), reports))
-            splits.append((u, green, time, reds))
+            splits.append((u, green, reports[-1][0], reds))
         else:
             captures.append((u, reports[0][0], CAPTURE))
     return tuple(captures), tuple(splits)
@@ -404,8 +391,8 @@ def _candidates(moves: tuple[tuple, tuple], value, known=None) -> list:
     in ascending order, beside the prefix-ORs of their path bits, or None
     until ``_known_bound`` builds them; a split whose green part holds a
     path below the last red report's time is dropped without reading the
-    green part. A solve without a ``MoveTable`` passes ``known`` to
-    ``set_moves`` instead.
+    green part. Every solve passes its bound; without one, every split is
+    read.
     """
     captures, splits = moves
     out = list(captures)
@@ -522,21 +509,20 @@ class _Solver:
                 f"{sys.getrecursionlimit()}; raise it with sys.setrecursionlimit") from None
 
     def evaluate(self, mask: int):
-        """Build the set's candidates, reading the subsets they need, and
-        store its row with no cell scored yet. A singleton's row is its
-        path's ``base_case`` row, stored whole."""
+        """Build the set's candidates and store its row with no cell scored
+        yet. The moves come from the ``MoveTable`` when the solve has one and
+        from ``set_moves`` otherwise; ``_candidates`` scores them under the
+        known-path bound, reading the subsets they need. A singleton's row
+        is its path's ``base_case`` row, stored whole."""
         m = self.schedule.m
         if not mask & (mask - 1):
             length, goal = self.ends[mask.bit_length() - 1]
             row = self.rows[mask] = ([length - dj[goal] for dj in self.metric.d[1:]],
                                      [goal] * m, [True] * m)
             return row
-        if self.moves is None:
-            candidates = _candidates(set_moves(mask, self.schedule, self.strict, self.known),
-                                     self.value)
-        else:
-            candidates = _candidates(self.moves[mask], self.value, self.known)
-        self.pending[mask] = candidates
+        moves = (set_moves(mask, self.schedule, self.strict) if self.moves is None
+                 else self.moves[mask])
+        self.pending[mask] = _candidates(moves, self.value, self.known)
         unscored = [None] * m
         row = self.rows[mask] = (unscored, unscored[:], unscored[:])
         return row
@@ -570,18 +556,11 @@ class _Solver:
             self.score(mask, unscored)
         self.pending.pop(mask, None)
 
-    def successors(self, mask: int, u: int):
-        """The sets a pursuer holding ``mask`` can keep after reading ``u``:
-        the image of ``observe`` over every arrival or wait time and every
-        evader, read in closed form from ``u``'s visit-time classes
-        (``information.observed_sets``)."""
-        return observed_sets(mask, u, self.schedule, self.strict)
-
     def walk_policy(self) -> None:
         """Compute, once, the sets that playback of the policy from the entry
         with every path possible and a decision tree drawn from there read: at
-        each move, what ``successors`` lists, the image of ``observe`` at that
-        move's node."""
+        each move, the image of ``observe`` at that move's node, read in closed
+        form from its visit-time classes (``information.observed_sets``)."""
         if self.closed:
             return
         seen = {(1, self.full)}
@@ -592,30 +571,11 @@ class _Solver:
                 continue
             self.value(p, mask)
             u = self.rows[mask][1][p - 1]
-            for sub in self.successors(mask, u):
+            for sub in observed_sets(mask, u, self.schedule, self.strict):
                 if (u, sub) not in seen:
                     seen.add((u, sub))
                     stack.append((u, sub))
         self.closed = True
-
-
-def candidate_moves(mask: int, memo, schedule: VisitSchedule, strict_resolution: bool = False):
-    """Admissible moves for a pursuer holding set ``mask``.
-
-    ``memo`` maps ``(node, mask)`` to latest exit times for every strictly
-    smaller set the evaluation touches (raises MissingSubset otherwise).
-    Returns (node, exit-time-at-node, kind) triples; subtract the travel
-    time from a node to rank them from there.
-    """
-    lookup = memo.latest if isinstance(memo, SolveResult) else memo
-
-    def value(u, sub):
-        try:
-            return lookup[(u, sub)]
-        except KeyError:
-            raise MissingSubset(f"memo lacks set {indices_of(sub)} at node {u}") from None
-
-    return _candidates(set_moves(mask, schedule, strict_resolution), value)
 
 
 def full_lattice(n: int) -> tuple[int, ...]:
@@ -640,8 +600,9 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
     (``analysis`` passes one under the strict convention): the solve reads
     each set's moves from it, and so do later reads of the result's tables.
     Without it the solve builds each set's moves when it computes the set
-    and keeps none. Raises ValueError for a table made for another schedule
-    or convention.
+    and keeps none. Either way the moves are scored the same way, so both
+    compute the same sets and rows. Raises ValueError for a table made for
+    another schedule or convention.
     """
     if moves is not None and (moves.schedule != schedule or moves.strict != strict_resolution):
         raise ValueError(f"the move table is for another schedule or convention: table "

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from ugs_pursuit import demo_raw
+from ugs_pursuit import demo_bundle, demo_raw, euclidean_metric
 from ugs_pursuit.cli import EXIT_INVALID, EXIT_NO_GUARANTEE, EXIT_OK, main
 from ugs_pursuit.fixtures import random_layered_network, speed_floor
 
@@ -49,6 +49,23 @@ class TestPaths:
         assert "1 evader path(s)" in out
         assert "length 5.0000" in out
 
+    def test_path_longer_than_the_recursion_limit(self, capsys, tmp_path):
+        # one path through 1,100 nodes, more than Python's default recursion limit
+        m = 1100
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({
+            "nodes": [{"id": j, "x": float(j), "y": 0.0} for j in range(1, m + 1)],
+            "edges": [{"from": j, "to": j + 1, "time": 2.0} for j in range(1, m)],
+            "entry": 1,
+        }))
+        code, out, _ = run(capsys, ["paths", "--network", str(chain), "--format", "json"])
+        assert code == EXIT_OK
+        assert [path["nodes"] for path in json.loads(out)["paths"]] == [[*range(1, m + 1)]]
+        for argv in (["solve"], ["verify", "--t0", "1465"]):
+            code, out, _ = run(capsys, [*argv, "--network", str(chain), "--speed", "1.5"])
+            assert code == EXIT_OK, argv
+        assert out.splitlines()[-1] == "all captured"
+
 
 class TestRealizable:
     def test_text_set_count(self, capsys):
@@ -70,6 +87,16 @@ class TestSolve:
         code, out, _ = run(capsys, ["solve", "--network", "demo", "--metric", str(metric_file)])
         assert code == EXIT_OK
         assert "tolerable delay at entry: 11.830000" in out
+
+    def test_nan_metric_entry_exits_2(self, capsys, tmp_path):
+        network = demo_bundle()[0]
+        rows = [[*row[1:]] for row in euclidean_metric(network, 1.62).d[1:]]
+        rows[0][5] = math.nan
+        metric_file = tmp_path / "nan.json"
+        metric_file.write_text(json.dumps({"kind": "table", "d": rows}))
+        code, out, err = run(capsys, ["solve", "--network", "demo", "--metric", str(metric_file)])
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("error: ") and "non-finite" in err
 
     def test_requires_metric(self, capsys):
         code, _, err = run(capsys, ["solve", "--network", "demo"])

@@ -313,6 +313,25 @@ class TestMetrics:
         with pytest.raises(NonZeroDiagonal):
             table_metric([[0.5, 1.0], [1.0, 0.0]], network)
 
+    def test_nan_entry_rejected(self, demo, demo_metric):
+        # a NaN fails every comparison; only a test that the entry is >= 0 catches it
+        network, _, _ = demo
+        rows = [[*row[1:]] for row in demo_metric.d[1:]]
+        rows[0][5] = math.nan
+        with pytest.raises(NonZeroDiagonal, match="non-finite") as exc:
+            table_metric(rows, network)
+        assert exc.value.violations[0][:2] == ("diagonal", (1, 6))
+
+    def test_infinite_goal_row_rejected(self, demo, demo_metric):
+        # goal 5 has no edge for the speed test, and every triangle test through
+        # its row compares inf with inf: only a finiteness test catches it
+        network, _, _ = demo
+        rows = [[*row[1:]] for row in demo_metric.d[1:]]
+        rows[4] = [0.0 if j == 4 else math.inf for j in range(network.m)]
+        with pytest.raises(NonZeroDiagonal, match="non-finite") as exc:
+            table_metric(rows, network)
+        assert exc.value.violations[0][:2] == ("diagonal", (5, 1))
+
     def test_all_zero_table_is_valid(self, demo, zero_metric):
         network, _, _ = demo
         validate_metric(zero_metric, network)

@@ -12,12 +12,10 @@ import pytest
 
 from ugs_pursuit import (
     InconsistentObservation,
-    MissingSubset,
     PursuitError,
     SolveResult,
     base_case,
     build_schedule,
-    candidate_moves,
     enumerate_paths,
     euclidean_metric,
     build_tree,
@@ -28,9 +26,12 @@ from ugs_pursuit import (
     validate_network,
     verify_guarantee,
 )
+from ugs_pursuit import solver
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
+from ugs_pursuit.information import observed_sets
 from ugs_pursuit.network import indices_of, iter_indices, mask_from
-from ugs_pursuit.solver import CAPTURE, SPLIT, _known_bound, _Solver, known_path_margin
+from ugs_pursuit.solver import (CAPTURE, SPLIT, MoveTable, _candidates, _known_bound, _Solver,
+                                known_path_margin, set_moves)
 from ugs_pursuit.util import TIME_EPS, dumps_indented
 
 from conftest import mask_of
@@ -40,6 +41,12 @@ def positions_value(j, path, metric):
     """Best over the path's positions: reach that sensor when the evader
     does. The independent form of the known-path bound."""
     return max(arr - metric.time(j, node) for node, arr in zip(path.nodes, path.arrival))
+
+
+def unbounded_candidates(mask, latest, schedule, strict=False):
+    """A set's admissible moves with no known-path bound, so every split is
+    read, each subset's value looked up in ``latest`` by ``(node, mask)``."""
+    return _candidates(set_moves(mask, schedule, strict), lambda u, sub: latest[(u, sub)])
 
 
 class TestBaseCase:
@@ -85,7 +92,7 @@ class TestCandidateMoves:
         _, paths, schedule = demo
         result = solve(demo[0], schedule, demo_metric, paths)
         pair = mask_of(demo_index, (1, 3, 4, 6), (1, 3, 4, 7))
-        moves = candidate_moves(pair, result, schedule)
+        moves = unbounded_candidates(pair, result.latest, schedule)
         by_node = {u: (value, kind) for u, value, kind in moves}
         assert by_node[6][1] == SPLIT
         assert by_node[6][0] == pytest.approx(16.30, abs=1e-9)
@@ -95,7 +102,7 @@ class TestCandidateMoves:
         _, paths, schedule = demo
         result = solve(demo[0], schedule, demo_metric, paths)
         only = mask_of(demo_index, (1, 2, 7))
-        moves = candidate_moves(only, result, schedule)
+        moves = unbounded_candidates(only, result.latest, schedule)
         by_node = {u: (value, kind) for u, value, kind in moves}
         assert by_node[7] == (pytest.approx(14.66, abs=1e-9), CAPTURE)
 
@@ -103,15 +110,9 @@ class TestCandidateMoves:
         _, paths, schedule = demo
         result = solve(demo[0], schedule, demo_metric, paths)
         pair = mask_of(demo_index, (1, 3, 4, 6), (1, 3, 4, 7))
-        moves = candidate_moves(pair, result, schedule)
+        moves = unbounded_candidates(pair, result.latest, schedule)
         kinds = [kind for _, _, kind in moves]
         assert kinds == sorted(kinds, key=lambda k: k != CAPTURE)
-
-    def test_missing_memo_raises(self, demo, demo_index):
-        _, _, schedule = demo
-        pair = mask_of(demo_index, (1, 3, 4, 6), (1, 3, 4, 7))
-        with pytest.raises(MissingSubset):
-            candidate_moves(pair, {}, schedule)
 
 
 class TestSolve:
@@ -400,12 +401,12 @@ class TestMetricDigest:
         assert digest_calls == []
 
 
-def reference_rows(mask, result, schedule, metric, strict):
-    """Per-node (latest, policy, capture) rows of a set, scored the plain
-    way: candidates sorted capture moves first then by node, one
-    ``metric.time`` call per (node, candidate), first strictly better
-    score wins."""
-    moves = sorted(candidate_moves(mask, result, schedule, strict),
+def reference_rows(mask, latest, schedule, metric, strict):
+    """Per-node (latest, policy, capture) rows of a set, its subsets' values
+    looked up in ``latest``, scored the plain way: candidates sorted capture
+    moves first then by node, one ``metric.time`` call per (node,
+    candidate), first strictly better score wins."""
+    moves = sorted(unbounded_candidates(mask, latest, schedule, strict),
                    key=lambda move: (move[2] != CAPTURE, move[0]))
     rows = []
     for j in range(1, schedule.m + 1):
@@ -422,16 +423,16 @@ def assert_kernel_matches_reference(result, schedule, metric):
     computed = sorted({mask for _, mask in list(result.latest) if mask & (mask - 1)})
     assert computed
     for mask in computed:
-        expected = reference_rows(mask, result, schedule, metric, result.strict_resolution)
+        expected = reference_rows(mask, result.latest, schedule, metric, result.strict_resolution)
         got = [(result.latest[(j, mask)], result.policy[(j, mask)], result.capture_move[(j, mask)])
                for j in range(1, schedule.m + 1)]
         assert got == expected, mask
 
 
-def corpus():
+def corpus(factor=1.1):
     for seed in range(1, 51):
         network, paths, schedule = random_instance(seed, n_max=4, m_max=8)
-        yield network, paths, schedule, euclidean_metric(network, 1.1 * speed_floor(network))
+        yield network, paths, schedule, euclidean_metric(network, factor * speed_floor(network))
 
 
 def layered(seed, factor, **kwargs):
@@ -572,11 +573,28 @@ class TestOneSolvePath:
         report = verify_guarantee(network, schedule, metric, reloaded, reloaded.tolerable_delay)
         assert report.all_captured and len(report.outcomes) == schedule.n
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_table_and_one_shot_solves_compute_the_same_sets(self, strict):
+        # a one-shot solve builds each set's moves, a table solve reads them from
+        # a MoveTable; both score them in _candidates under the known-path bound
+        for factor in (1.1, 2.0):
+            for network, paths, schedule, metric in [
+                    *corpus(factor),
+                    *(layered(factor=factor, **instance) for instance in (L13, L17, L36, L85))]:
+                one_shot = solve(network, schedule, metric, paths, strict_resolution=strict)
+                shared = solve(network, schedule, metric, paths, strict_resolution=strict,
+                               moves=MoveTable(schedule, strict))
+                assert shared.on_demand_sets == one_shot.on_demand_sets
+                assert shared.rows == one_shot.rows
+                assert shared.to_json() == one_shot.to_json()
+                assert shared.on_demand_sets == one_shot.on_demand_sets
+                assert shared.rows == one_shot.rows
+
     def test_only_export_walks_and_only_once(self, monkeypatch):
         network, paths, schedule, metric = layered(factor=1.1, seed=13)
-        steps, successors = [], _Solver.successors
-        monkeypatch.setattr(_Solver, "successors",
-                            lambda self, mask, u: steps.append(mask) or successors(self, mask, u))
+        steps = []
+        monkeypatch.setattr(solver, "observed_sets",
+                            lambda mask, *args: steps.append(mask) or observed_sets(mask, *args))
         result = solve(network, schedule, metric, paths)
         solved = result.on_demand_sets
         assert verify_guarantee(network, schedule, metric, result,
@@ -612,7 +630,7 @@ class TestOneSolvePath:
             lazy = solve(network, schedule, metric, paths, strict_resolution=strict)
             lazy.to_json()
             for mask in full_lattice(schedule.n):
-                moves = candidate_moves(mask, lattice, schedule, strict)
+                moves = unbounded_candidates(mask, lattice.latest, schedule, strict)
                 assert moves[0] == (1, 0.0, CAPTURE), indices_of(mask)
             for result in (lattice, lazy):
                 for row in result.rows.values():
@@ -890,12 +908,12 @@ class TestWalkImage:
             solved = solve(network, schedule, metric, paths, strict_resolution=strict)
             cases.append((network, paths, schedule, metric, {mask for _, mask in solved.latest}))
         for network, paths, schedule, metric, masks in cases:
-            worker = _Solver(schedule, metric, paths, strict)
             for mask in masks:
                 for u in range(1, network.m + 1):
                     if mask & schedule.through[u]:
                         expected = observed_image(mask, u, schedule, strict)
-                        assert worker.successors(mask, u) == expected, (indices_of(mask), u)
+                        assert observed_sets(mask, u, schedule, strict) == expected, (
+                            indices_of(mask), u)
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_tree_children_in_observed_image(self, strict):
