@@ -65,13 +65,13 @@ are its path's ``base_case`` values, built on first read. A result's ``latest``,
 ``policy`` and ``capture_move`` tables are read-only views over them that
 fill on read: looking up a cell not filled yet fills it, computing its set
 first when the solve has not. Speed studies read only a solve's root cell,
-so most cells of the sets it computes are never filled. ``to_json`` first
-computes every set playback (``information.observe``) or the decision tree
-can read, walking the policy through the closed-form image of ``observe``
-(``information.observed_sets``), then fills every cell of every computed
-set and every singleton.
-Without pruning the solve fills whole rows. ``solve`` accepts
-``close_for_simulation`` and ignores it.
+so most cells of the sets it computes are never filled. A pruned export is
+the policy: ``to_json`` walks it from the entry through the closed-form image
+of ``observe`` (``information.observed_sets``), computing every set playback
+or the decision tree reads, and lists those sets and every singleton, rows
+filled; reading a set it left out of loaded tables raises ``PolicyHole``.
+Without pruning the solve fills whole rows and the export lists them all.
+``solve`` accepts ``close_for_simulation`` and ignores it.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ class SolveResult:
     ``policy`` the next node to visit and ``capture_move`` whether the move
     ends in immediate capture. After a solve, a cell no view has read yet
     may be None in ``rows``: ``solver`` fills it, computing its set first if
-    needed, the first time a view reads it, and ``to_json`` fills them all.
+    needed, the first time a view reads it, and ``to_json`` fills the sets
+    it lists: a pruned solve's policy, or the whole lattice without pruning.
     ``strict_resolution`` records which convention produced the tables
     (simulation replays observations under the same convention).
     ``on_demand_sets`` lists the non-singleton sets a pruned solve has
@@ -176,19 +177,20 @@ class SolveResult:
 
     def to_json(self) -> dict:
         """The rows as JSON-ready data: ``meta``, then ``sets``, one record
-        per computed set in mask order, ``{"set": [members], "D": [...],
+        per listed set in mask order, ``{"set": [members], "D": [...],
         "mu": [...], "capture": [...]}``, where index ``i`` of each list
-        holds node ``i + 1``. A solved result first computes, once, every
-        set that playback of the policy from the entry or its decision tree
-        reads (``_Solver.walk_policy``), then fills every cell of every
-        computed set; a loaded one lists its rows."""
-        solver = self.solver
-        if solver is not None:
-            solver.run(solver.walk_policy)
-            for mask in [*solver.pending, *(1 << k for k in range(self.n))]:
+        holds node ``i + 1``. A pruned solve lists its policy, rows filled:
+        the sets that playback from the entry or the decision tree reads
+        (``_Solver.walk_policy``, run once) and every singleton. A set left
+        out raises ``PolicyHole`` when read back. A solve without pruning
+        lists the whole lattice, a loaded result its rows."""
+        solver, masks = self.solver, self.rows
+        if solver is not None and self.pruned:
+            masks = {*solver.run(solver.walk_policy), *(1 << k for k in range(self.n))}
+            for mask in masks:
                 solver.fill(mask)
         sets = []
-        for mask in sorted(self.rows):
+        for mask in sorted(masks):
             latest, policy, capture = self.rows[mask]
             sets.append({"set": list(indices_of(mask)), "D": latest[:], "mu": policy[:],
                          "capture": capture[:]})
@@ -467,7 +469,7 @@ class _Solver:
     holds the known-path bounds for ``_candidates``, a node's built when it
     is first read (``_known_bound``). ``moves`` is the ``MoveTable`` the
     solve was given, or None to build each set's moves as it is computed.
-    ``closed`` tells whether ``walk_policy`` has run.
+    ``walked`` holds the sets ``walk_policy`` read, or None until it runs.
     """
 
     def __init__(self, schedule, metric, paths, strict_resolution, moves=None):
@@ -480,7 +482,7 @@ class _Solver:
         self.rows: dict[int, tuple[list, list, list]] = {}
         self.pending: dict[int, list] = {}
         self.cells_scored = 0
-        self.closed = False
+        self.walked = None
         self.ends = [*map(attrgetter("length", "exit"), paths)]
         self.known = [(metric.d, self.ends, known_path_margin(schedule.m))] + [None] * schedule.m
 
@@ -556,13 +558,13 @@ class _Solver:
             self.score(mask, unscored)
         self.pending.pop(mask, None)
 
-    def walk_policy(self) -> None:
-        """Compute, once, the sets that playback of the policy from the entry
-        with every path possible and a decision tree drawn from there read: at
-        each move, the image of ``observe`` at that move's node, read in closed
-        form from its visit-time classes (``information.observed_sets``)."""
-        if self.closed:
-            return
+    def walk_policy(self) -> set:
+        """Compute, once, and return the sets that playback of the policy from
+        the entry with every path possible and a decision tree drawn from there
+        read: at each move, the image of ``observe`` at that move's node, read
+        in closed form from its visit-time classes (``observed_sets``)."""
+        if self.walked is not None:
+            return self.walked
         seen = {(1, self.full)}
         stack = list(seen)
         while stack:
@@ -575,7 +577,8 @@ class _Solver:
                 if (u, sub) not in seen:
                     seen.add((u, sub))
                     stack.append((u, sub))
-        self.closed = True
+        self.walked = {mask for _, mask in seen}
+        return self.walked
 
 
 def full_lattice(n: int) -> tuple[int, ...]:
@@ -592,9 +595,9 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
     The solve reads the root's cell at the entry. With ``prune`` off, every
     set of the full subset lattice is computed first, its whole row filled.
     Cells the solve did not fill are filled when the returned tables read
-    them, and ``to_json`` computes the sets playback reads and fills every
-    cell before it lists them. ``close_for_simulation`` is accepted and has
-    no effect.
+    them, and ``to_json`` computes the sets playback reads, then fills and
+    lists only those and the singletons. ``close_for_simulation`` is
+    accepted and has no effect.
 
     ``moves`` is a ``MoveTable`` shared by the solves of one speed study
     (``analysis`` passes one under the strict convention): the solve reads

@@ -54,10 +54,13 @@ def build_tree(result: SolveResult, schedule: VisitSchedule, metric: PursuerMetr
     """Expand the policy into a decision tree from ``root`` (default: the
     entry node with full uncertainty).
 
-    ``metric`` is only used to confirm the tables were solved for it.
+    ``metric`` is only used to confirm the tables were solved for it: no
+    check when the result's solver holds this very metric, digests otherwise.
     Raises PolicyHole when the tables lack a reached (node, set) pair.
     """
-    if metric_digest(metric) != result.metric_digest:
+    solver = result.solver
+    if (solver is None or solver.metric is not metric) \
+            and metric_digest(metric) != result.metric_digest:
         raise ValueError("metric does not match the one the tables were solved with")
     full = (1 << result.n) - 1
     if root is None:

@@ -61,7 +61,7 @@ class TestPaths:
         code, out, _ = run(capsys, ["paths", "--network", str(chain), "--format", "json"])
         assert code == EXIT_OK
         assert [path["nodes"] for path in json.loads(out)["paths"]] == [[*range(1, m + 1)]]
-        for argv in (["solve"], ["verify", "--t0", "1465"]):
+        for argv in (["solve"], ["tree"], ["verify", "--t0", "1465"]):
             code, out, _ = run(capsys, [*argv, "--network", str(chain), "--speed", "1.5"])
             assert code == EXIT_OK, argv
         assert out.splitlines()[-1] == "all captured"

@@ -23,6 +23,7 @@ from ugs_pursuit import (
     observe,
     realizable_sets,
     solve,
+    tree_to_json,
     validate_network,
     verify_guarantee,
 )
@@ -41,6 +42,11 @@ def positions_value(j, path, metric):
     """Best over the path's positions: reach that sensor when the evader
     does. The independent form of the known-path bound."""
     return max(arr - metric.time(j, node) for node, arr in zip(path.nodes, path.arrival))
+
+
+def record_row(record):
+    """An exported record's ``(D, mu, capture)`` lists, as ``rows`` holds them."""
+    return record["D"], record["mu"], record["capture"]
 
 
 def unbounded_candidates(mask, latest, schedule, strict=False):
@@ -376,13 +382,18 @@ class TestMetricDigest:
         assert digest_calls == []
 
     def test_export_and_tree_digest_once(self, demo, demo_metric, digest_calls):
+        # a tree drawn with the solve's own metric compares nothing; one drawn
+        # with an equal metric object compares digests, the solve's once
         network, paths, schedule = demo
-        for read in (SolveResult.to_json, lambda r: build_tree(r, schedule, demo_metric)):
+        copy = euclidean_metric(network, 1.62)
+        for read, calls in ((SolveResult.to_json, 1),
+                            (lambda r: build_tree(r, schedule, demo_metric), 0),
+                            (lambda r: build_tree(r, schedule, copy), 1)):
             digest_calls.clear()
             result = solve(network, schedule, demo_metric, paths)
             read(result)
             read(result)
-            assert len(digest_calls) == 1 and digest_calls[0] is demo_metric
+            assert len(digest_calls) == calls and all(m is demo_metric for m in digest_calls)
 
     def test_demo_digest_unchanged(self, demo, demo_metric):
         network, paths, schedule = demo
@@ -558,8 +569,8 @@ class TestKnownPathBound:
 
 class TestOneSolvePath:
     """``solve`` computes what the root reads; ``to_json`` computes, once,
-    what playback and the tree read before it lists rows; and every set has
-    the capture move at the entry, so no exported cell is None."""
+    what playback and the tree read before it lists their rows; and every
+    set has the capture move at the entry, so no exported cell is None."""
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_export_closes_tables_of_any_solve(self, strict):
@@ -628,20 +639,20 @@ class TestOneSolvePath:
         for network, paths, schedule, metric in corpus():
             lattice = solve(network, schedule, metric, paths, prune=False, strict_resolution=strict)
             lazy = solve(network, schedule, metric, paths, strict_resolution=strict)
-            lazy.to_json()
             for mask in full_lattice(schedule.n):
                 moves = unbounded_candidates(mask, lattice.latest, schedule, strict)
                 assert moves[0] == (1, 0.0, CAPTURE), indices_of(mask)
             for result in (lattice, lazy):
-                for row in result.rows.values():
-                    assert None not in chain.from_iterable(row)
+                for record in result.to_json()["sets"]:
+                    assert None not in chain(*record_row(record))
+                    assert result.rows[mask_from(record["set"])] == record_row(record)
 
 
 class TestCellsFillOnRead:
     """A set's candidates are scored when the set is first read, and a node's
     cell when that cell is first read: reads in any order give the cells an
-    export of a fresh solve lists, and a solve that reads only its root
-    scores few of them."""
+    export of a fresh solve lists and compute the sets that export computed,
+    and a solve that reads only its root scores few of them."""
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_any_read_order_equals_the_export(self, strict):
@@ -649,7 +660,8 @@ class TestCellsFillOnRead:
         instances = [*corpus(), *(layered(factor=1.1, **instance)
                                   for instance in (L13, L17, L36, L85))]
         for network, paths, schedule, metric in instances:
-            data = solve(network, schedule, metric, paths, strict_resolution=strict).to_json()
+            result = solve(network, schedule, metric, paths, strict_resolution=strict)
+            data = result.to_json()
             exported = {mask_from(record["set"]): record for record in data["sets"]}
             keys = [(j, mask) for mask in exported for j in range(1, network.m + 1)]
             rng.shuffle(keys)
@@ -659,7 +671,9 @@ class TestCellsFillOnRead:
                 assert lazy.latest[(j, mask)].hex() == record["D"][j - 1].hex(), (j, mask)
                 assert lazy.policy[(j, mask)] == record["mu"][j - 1], (j, mask)
                 assert lazy.capture_move[(j, mask)] is record["capture"][j - 1], (j, mask)
-            assert lazy.rows.keys() == exported.keys()
+            assert lazy.rows.keys() == result.rows.keys()
+            assert {mask: lazy.rows[mask] for mask in exported} == \
+                {mask: record_row(record) for mask, record in exported.items()}
 
     def test_root_read_scores_few_cells(self):
         network, paths, schedule, metric = layered(factor=1.1, seed=17)
@@ -667,8 +681,13 @@ class TestCellsFillOnRead:
         assert result.root_latest > 0
         computed = sum(1 for mask in result.rows if mask & (mask - 1))  # non-singleton rows
         assert 0 < result.solver.cells_scored < network.m * computed
-        result.to_json()  # scores every other cell of every computed set, each once
-        assert result.solver.cells_scored == network.m * (len(result.rows) - schedule.n)
+        result.to_json()  # scores every other cell of each set the walk reads, each once
+        walked = {mask for mask in result.solver.walked if mask & (mask - 1)}
+        unwalked = [row for mask, row in result.rows.items()
+                    if mask & (mask - 1) and mask not in walked]
+        read = sum(cell is not None for latest, _, _ in unwalked for cell in latest)
+        assert 0 < read < network.m * len(unwalked)  # the export fills no unwalked set
+        assert result.solver.cells_scored == network.m * len(walked) + read
 
 
 class TestBuiltOnFirstRead:
@@ -747,6 +766,65 @@ class TestBuiltOnFirstRead:
             assert not worker.rows
 
 
+def policy_masks(result, schedule):
+    """The sets playback of ``result``'s policy from the entry reads, walked
+    through the closed-form image of ``observe``, every singleton reached
+    included."""
+    seen = {(1, result.root_mask)}
+    stack = list(seen)
+    while stack:
+        p, mask = stack.pop()
+        if mask & (mask - 1):
+            u = result.policy[(p, mask)]
+            for sub in observed_sets(mask, u, schedule, result.strict_resolution):
+                if (u, sub) not in seen:
+                    seen.add((u, sub))
+                    stack.append((u, sub))
+    return {mask for _, mask in seen}
+
+
+def playback(network, schedule, metric, result, delay):
+    """``verify_guarantee``'s report, or the type and message of what it raised."""
+    try:
+        return verify_guarantee(network, schedule, metric, result, delay)
+    except PursuitError as exc:
+        return type(exc), str(exc)
+
+
+class TestPolicyExport:
+    """A pruned export is the policy: the sets its walk from the entry reads
+    plus every singleton. Reloaded, it plays back and draws its tree as the
+    live tables do. Without pruning the export lists the whole lattice."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("factor", [1.1, 2.0])
+    def test_export_is_the_policy(self, factor, strict):
+        for network, paths, schedule, metric in [
+                *corpus(factor),
+                *(layered(factor=factor, **instance) for instance in (L13, L17, L36, L85))]:
+            result = solve(network, schedule, metric, paths, strict_resolution=strict)
+            data = result.to_json()
+            singletons = {1 << k for k in range(schedule.n)}
+            exported = [mask_from(record["set"]) for record in data["sets"]]
+            assert exported == sorted(policy_masks(result, schedule) | singletons)
+            reloaded = SolveResult.from_json(json.loads(json.dumps(data)))
+            for delay in (result.tolerable_delay, result.tolerable_delay / 2):
+                assert playback(network, schedule, metric, reloaded, delay) == \
+                    playback(network, schedule, metric, result, delay), delay
+            assert tree_to_json(build_tree(reloaded, schedule, metric)) == \
+                tree_to_json(build_tree(result, schedule, metric))
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_lattice_export_lists_every_set(self, strict):
+        for factor in (1.1, 2.0):
+            for network, paths, schedule, metric in [*corpus(factor),
+                                                     layered(factor=factor, **L85)]:
+                lattice = solve(network, schedule, metric, paths, prune=False,
+                                strict_resolution=strict)
+                sets = [mask_from(record["set"]) for record in lattice.to_json()["sets"]]
+                assert sets == [*range(1, 1 << schedule.n)]
+
+
 class TestJsonRoundTrip:
     """Solved tables survive ``to_json``, the JSON text and ``from_json``
     unchanged, and the CLI's writer prints the per-set layout exactly as
@@ -762,9 +840,14 @@ class TestJsonRoundTrip:
             result = solve(network, schedule, metric, paths, prune=prune, strict_resolution=strict)
             data = result.to_json()
             loaded = SolveResult.from_json(json.loads(json.dumps(data)))
-            assert loaded.rows == result.rows and list(loaded.rows) == sorted(result.rows)
-            assert loaded.latest == result.latest and loaded.policy == result.policy
-            assert loaded.capture_move == result.capture_move
+            # a pruned export lists the sets its walk reads and every singleton
+            listed = (sorted(result.solver.walked | {1 << k for k in range(schedule.n)})
+                      if prune else sorted(result.rows))
+            assert list(loaded.rows) == listed
+            assert loaded.rows == {mask: result.rows[mask] for mask in listed}
+            for view in ("latest", "policy", "capture_move"):
+                live = getattr(result, view)
+                assert getattr(loaded, view) == {key: live[key] for key in getattr(loaded, view)}
             assert loaded.metric_digest == result.metric_digest
             assert loaded.root_latest == result.root_latest
 
