@@ -33,7 +33,6 @@ from .errors import (
 from .fixtures import demo_bundle, demo_raw, random_instance, random_layered_network, speed_floor
 from .information import (
     FamilyEvent,
-    Observation,
     RealizableFamily,
     observe,
     partition,

@@ -28,7 +28,6 @@ from .network import (
 from .simulator import check_table_sizes, simulate, verify_guarantee
 from .solver import SolveResult, solve
 from .tree_export import build_tree, tree_to_dot, tree_to_json
-from .util import dumps_indented
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -101,7 +100,7 @@ def _cmd_paths(args) -> int:
             ],
             "goals": sorted(network.goals),
         }
-        _emit(dumps_indented(payload))
+        _emit(json.dumps(payload, indent=2))
         return EXIT_OK
     _emit(f"{len(paths)} evader path(s); goals {sorted(network.goals)}")
     for p in paths:
@@ -118,7 +117,7 @@ def _cmd_realizable(args) -> int:
     _, paths, schedule = _load_bundle(args)
     family = realizable_sets(schedule, paths)
     if args.format == "json":
-        _emit(dumps_indented(family.to_json()))
+        _emit(json.dumps(family.to_json(), indent=2))
         return EXIT_OK
     _emit(f"{len(family.sets)} realizable set(s) out of {2 ** schedule.n - 1} subsets")
     for mask in family.sets:
@@ -134,7 +133,7 @@ def _cmd_solve(args) -> int:
     network, paths, schedule = _load_bundle(args)
     _, result = _solve(args, network, paths, schedule)
     if args.format == "json":
-        _emit(dumps_indented(result.to_json()))
+        _emit(result.dumps())
     else:
         _emit(f"tolerable delay at entry: {result.tolerable_delay:.6f}")
         _emit(f"latest guaranteed exit from entry: {result.root_latest:.6f}")
@@ -149,7 +148,7 @@ def _cmd_tree(args) -> int:
     metric, result = _solve(args, network, paths, schedule)
     tree = build_tree(result, schedule, metric)
     if args.format == "json":
-        _emit(dumps_indented(tree_to_json(tree)))
+        _emit(json.dumps(tree_to_json(tree), indent=2))
     else:
         _emit(tree_to_dot(tree))
     return EXIT_OK
@@ -175,7 +174,7 @@ def _cmd_simulate(args) -> int:
         _emit(json.dumps(verdict))
         return EXIT_OK
     for row in outcome.transcript:
-        obs = "green" if not row.obs.is_red else f"red(delay {row.obs.delay:.4f})"
+        obs = "green" if row.passage is None else f"red(delay {row.t - row.passage:.4f})"
         members = ",".join(str(i) for i in indices_of(row.info))
         _emit(f"  t={row.t:.4f} node {row.node}: {obs} -> {{{members}}}")
     word = "captured" if outcome.captured else "escaped"
@@ -196,7 +195,7 @@ def _cmd_verify(args) -> int:
                 for k, o in report.outcomes.items()
             },
         }
-        _emit(dumps_indented(payload))
+        _emit(json.dumps(payload, indent=2))
         return EXIT_OK
     for k, o in sorted(report.outcomes.items()):
         word = "captured" if o.captured else "ESCAPED"

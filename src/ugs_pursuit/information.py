@@ -22,38 +22,14 @@ from .errors import InconsistentObservation
 from .network import VisitSchedule, indices_of, iter_indices
 from .util import teq, tle, tlt
 
-GREEN = -1.0
-
-
-@dataclass(frozen=True)
-class Observation:
-    """A sensor reading: green, or red with the elapsed delay since the
-    evader's passage."""
-
-    delay: float = GREEN
-
-    @property
-    def is_red(self) -> bool:
-        return self.delay >= 0.0
-
-    @classmethod
-    def green(cls) -> "Observation":
-        return cls(GREEN)
-
-    @classmethod
-    def red(cls, delay: float) -> "Observation":
-        if delay < 0.0:
-            raise ValueError(f"red delay must be >= 0, got {delay}")
-        return cls(delay)
-
 
 def update_red(mask: int, u: int, passage: float, schedule: VisitSchedule) -> int:
     """Keep the visit-time class of ``mask`` at ``u`` that holds the passage
     at ``passage``: the first whose time is within ``TIME_EPS`` of it.
     Classes start more than ``TIME_EPS`` apart, so for a passage equal to
-    a visit time that class is the evader's own; a passage rebuilt as a
-    reading time minus a delay can round a visit at the edge of its class
-    into the next one.
+    a visit time that class is the evader's own. A ``TranscriptRow`` keeps
+    the passage itself: one rebuilt as a reading time minus a delay can
+    round a visit at the edge of its class into the next one.
 
     Raises InconsistentObservation when no class matches.
     """
@@ -119,13 +95,17 @@ def red_reports(mask: int, u: int, schedule: VisitSchedule, strict: bool) -> tup
 
 @dataclass(frozen=True)
 class TranscriptRow:
+    """A sensor reading at node ``node``, time ``t``, and the set it keeps:
+    red with the evader's passage time ``passage`` (the elapsed delay is
+    ``t - passage``), or green when ``passage`` is None."""
+
     t: float
     node: int
-    obs: Observation
+    passage: float | None
     info: int
 
     def to_json(self) -> dict:
-        obs = "green" if not self.obs.is_red else {"red": self.obs.delay}
+        obs = "green" if self.passage is None else {"red": self.t - self.passage}
         return {"t": self.t, "node": self.node, "obs": obs, "set": list(indices_of(self.info))}
 
 
@@ -149,7 +129,7 @@ def observe(mask: int, u: int, t: float, visit: float, schedule: VisitSchedule, 
             kept = update_red(mask, u, visit, schedule) if strict else mask & schedule.through[u]
             if kept == 0:
                 raise InconsistentObservation(f"red at node {u} contradicts the tracked set entirely")
-            return TranscriptRow(t, u, Observation.red(t - visit), kept)
+            return TranscriptRow(t, u, visit, kept)
         for c, _ in schedule.groups[u]:  # caught if its class starts by t: the green drops it
             if tlt(t, c):
                 break
@@ -158,10 +138,10 @@ def observe(mask: int, u: int, t: float, visit: float, schedule: VisitSchedule, 
         red, green = partition(mask, u, schedule)
         if not (strict or red in (0, mask)):
             end = max(t, red_reports(mask, u, schedule, False)[0][0])
-            return None if tle(visit, end) else TranscriptRow(end, u, Observation.green(), green)
+            return None if tle(visit, end) else TranscriptRow(end, u, None, green)
     elif tlt(since, visit) and tle(visit, t):
         return None
-    return TranscriptRow(t, u, Observation.green(), update_green(mask, u, t, schedule))
+    return TranscriptRow(t, u, None, update_green(mask, u, t, schedule))
 
 
 def observed_sets(mask: int, u: int, schedule: VisitSchedule, strict: bool) -> set[int]:

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, NonTermination, PolicyHole, SimulationError
-from .information import Observation, TranscriptRow, next_visit, observe
+from .information import TranscriptRow, next_visit, observe
 from .network import PursuerMetric, RoadNetwork, VisitSchedule, indices_of
 from .solver import SolveResult
 from .util import bisect_bracket, check_bracket, teq, tle, tlt
@@ -88,9 +88,9 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
     # First reading at the entry: every path passed it at time 0, so the
     # red report keeps the whole set under either convention.
     p, t, info = network.entry, t0, (1 << schedule.n) - 1
-    if teq(t0, 0.0):
-        return SimOutcome(True, t0, p, (TranscriptRow(t0, p, Observation.red(0.0), info),))
-    rows.append(TranscriptRow(t, p, Observation.red(t0), info))
+    if teq(t0, 0.0):  # the evader passes the entry now: a red of delay 0.0
+        return SimOutcome(True, t0, p, (TranscriptRow(t0, p, t0, info),))
+    rows.append(TranscriptRow(t, p, 0.0, info))
 
     budget = max(schedule.n + schedule.m, 3 * schedule.n + 2)
     for _ in range(budget):

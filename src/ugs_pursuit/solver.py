@@ -106,6 +106,12 @@ SPLIT = "split"
 _COLUMNS = ("D", "mu", "capture")
 _columns_of = itemgetter(*_COLUMNS)
 _META_TYPES = {"n": int, "m": int, "strict_resolution": bool, "pruned": bool, "metric_digest": str}
+# a record of the export as json.dumps(indent=2) writes it, one %s per field's
+# items; _ITEM is what it writes between two items of a field's list
+_FIELDS = ("set", *_COLUMNS)
+_RECORD = "{\n      " + ",\n      ".join(f'"{key}": [\n        %s\n      ]' for key in _FIELDS) + "\n    }"
+_ITEM = ",\n" + " " * 8
+_encode_items = json.JSONEncoder(separators=(_ITEM, ": ")).encode
 
 
 def base_case(j: int, k: int, schedule: VisitSchedule, metric: PursuerMetric, paths) -> float:
@@ -183,7 +189,8 @@ class SolveResult:
         the sets that playback from the entry or the decision tree reads
         (``_Solver.walk_policy``, run once) and every singleton. A set left
         out raises ``PolicyHole`` when read back. A solve without pruning
-        lists the whole lattice, a loaded result its rows."""
+        lists the whole lattice, a loaded result its rows. ``dumps`` writes
+        this data as the indented JSON text of ``solve --format json``."""
         solver, masks = self.solver, self.rows
         if solver is not None and self.pruned:
             masks = {*solver.run(solver.walk_policy), *(1 << k for k in range(self.n))}
@@ -205,6 +212,23 @@ class SolveResult:
             },
             "sets": sets,
         }
+
+    def dumps(self) -> str:
+        """Exactly ``json.dumps(self.to_json(), indent=2)``, the text of
+        ``solve --format json``. The C encoder writes any separators but no
+        ``indent``, so each record field is written for every record in one
+        C call with the indented item separator, and the records are put
+        together from a fixed template. Only what ``to_json`` writes is
+        handled: a meta of scalars, and records whose four fields are
+        non-empty flat lists of numbers or booleans."""
+        data = self.to_json()
+        records = data["sets"]
+        # no number or boolean is written with a bracket, so only list edges split
+        columns = [_encode_items([record[key] for record in records])[2:-2].split("]" + _ITEM + "[")
+                   for key in _FIELDS]
+        meta = json.dumps(data["meta"], indent=2).replace("\n", "\n  ")
+        body = ",\n    ".join(map(_RECORD.__mod__, zip(*columns)))
+        return '{\n  "meta": ' + meta + ',\n  "sets": [\n    ' + body + "\n  ]\n}"
 
     @classmethod
     def from_json(cls, data: dict) -> "SolveResult":

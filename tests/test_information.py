@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from ugs_pursuit import (
     InconsistentObservation,
-    Observation,
     build_schedule,
     enumerate_paths,
     euclidean_metric,
@@ -46,18 +45,6 @@ def near_tie_network(second, third):
     network = validate_network(raw)
     paths = enumerate_paths(network)
     return network, paths, build_schedule(paths, network.m)
-
-
-class TestObservation:
-    def test_green_tag(self):
-        assert not Observation.green().is_red
-
-    def test_red_delay(self):
-        assert Observation.red(1.5).delay == 1.5
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            Observation.red(-0.1)
 
 
 class TestUpdates:
@@ -126,7 +113,7 @@ class TestObserve:
         pair = mask_of(demo_index, self.EARLY, self.LATE)
         row = observe(pair, 7, 18.0, 14.66, schedule, True)
         assert row.info == mask_of(demo_index, self.EARLY)
-        assert row.obs.is_red and row.obs.delay == pytest.approx(18.0 - 14.66)
+        assert row.passage == 14.66
         assert (row.t, row.node) == (18.0, 7)
 
     def test_default_red_keeps_red_part(self, demo, demo_index):
@@ -134,14 +121,14 @@ class TestObserve:
         full = (1 << 4) - 1
         row = observe(full, 7, 18.0, 14.66, schedule, False)
         assert row.info == mask_of(demo_index, self.EARLY, self.LATE)
-        assert row.obs.is_red and row.t == 18.0
+        assert row.passage == 14.66 and row.t == 18.0
 
     def test_strict_green_keeps_later_visitors(self, demo, demo_index):
         _, _, schedule = demo
         full = (1 << 4) - 1
         row = observe(full, 7, 15.0, 17.54, schedule, True)
         assert row.info == mask_of(demo_index, self.LATE, *self.AVOID)
-        assert not row.obs.is_red and row.t == 15.0
+        assert row.passage is None and row.t == 15.0
 
     def test_default_green_waits_for_earliest_red_visit(self, demo, demo_index):
         _, _, schedule = demo
@@ -153,7 +140,7 @@ class TestObserve:
         for visit in (math.inf, 17.54):
             row = observe(full, 7, 10.0, visit, schedule, False)
             assert row.info == mask_of(demo_index, *self.AVOID)
-            assert not row.obs.is_red and row.t == 14.66
+            assert row.passage is None and row.t == 14.66
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_wait_step_captures_passage_during_wait(self, demo, demo_index, strict):
@@ -165,7 +152,7 @@ class TestObserve:
         for visit in (math.inf, 14.66, 15.0):
             row = observe(mask, 7, 17.54, visit, schedule, strict, since=15.0)
             assert row.info == mask_of(demo_index, *self.AVOID)
-            assert not row.obs.is_red and row.t == 17.54
+            assert row.passage is None and row.t == 17.54
 
     @pytest.mark.parametrize("second, third", NEAR_TIES,
                              ids=["within-both-neighbours", "at-window-edge"])
@@ -192,7 +179,7 @@ class TestObserve:
                     if row is None:
                         continue
                     assert row.info >> (k - 1) & 1, (mask, t, k)
-                    if row.obs.is_red:
+                    if row.passage is not None:
                         assert row.info in [cls for _, cls in reports], (mask, t, k)
                     else:
                         later = [cls for tau, cls in reports if tlt(t, tau)]

@@ -78,8 +78,8 @@ class TestSimulate:
             previous = (1 << schedule.n) - 1
             for row in outcome.transcript:
                 assert row.info & previous == row.info  # only ever discards
-                if row.obs.is_red:
-                    replay = update_red(previous, row.node, row.t - row.obs.delay, schedule)
+                if row.passage is not None:
+                    replay = update_red(previous, row.node, row.passage, schedule)
                 else:
                     replay = update_green(previous, row.node, row.t, schedule)
                 assert replay == row.info

@@ -33,7 +33,7 @@ from ugs_pursuit.information import observed_sets
 from ugs_pursuit.network import indices_of, iter_indices, mask_from
 from ugs_pursuit.solver import (CAPTURE, SPLIT, MoveTable, _candidates, _known_bound, _Solver,
                                 known_path_margin, set_moves)
-from ugs_pursuit.util import TIME_EPS, dumps_indented
+from ugs_pursuit.util import TIME_EPS
 
 from conftest import mask_of
 
@@ -827,8 +827,8 @@ class TestPolicyExport:
 
 class TestJsonRoundTrip:
     """Solved tables survive ``to_json``, the JSON text and ``from_json``
-    unchanged, and the CLI's writer prints the per-set layout exactly as
-    ``json.dumps`` does."""
+    unchanged, and ``SolveResult.dumps`` prints the per-set layout exactly
+    as ``json.dumps`` does."""
 
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("prune", [True, False])
@@ -852,10 +852,22 @@ class TestJsonRoundTrip:
             assert loaded.root_latest == result.root_latest
 
     @pytest.mark.parametrize("strict", [False, True])
-    def test_writer_matches_json_dumps(self, strict):
-        network, paths, schedule, metric = layered(factor=1.1, seed=13)
-        data = solve(network, schedule, metric, paths, strict_resolution=strict).to_json()
-        assert dumps_indented(data) == json.dumps(data, indent=2)
+    def test_writer_matches_json_dumps(self, demo, strict):
+        """``dumps`` on corpus 1-50, the demo, L13, L17, L36 and L85 at
+        ×1.1 and ×2, pruned and, for n <= 10, unpruned, and on each pruned
+        result reloaded from that text."""
+        for factor in (1.1, 2.0):
+            demo_metric = euclidean_metric(demo[0], factor * speed_floor(demo[0]))
+            for network, paths, schedule, metric in [
+                    *corpus(factor), (*demo, demo_metric),
+                    *(layered(factor=factor, **instance) for instance in (L13, L17, L36, L85))]:
+                for prune in (True, False) if schedule.n <= 10 else (True,):
+                    result = solve(network, schedule, metric, paths, prune=prune,
+                                   strict_resolution=strict)
+                    text = result.dumps()
+                    assert text == json.dumps(result.to_json(), indent=2)
+                    if prune:  # a reloaded lattice is written as a reloaded policy is
+                        assert SolveResult.from_json(json.loads(text)).dumps() == text
 
     def test_export_does_not_share_the_rows(self, demo, demo_metric):
         network, paths, schedule = demo

@@ -119,7 +119,7 @@ class TestReplayConsistency:
             node = tree
             # follow the tree using the transcript's post-entry observations
             for row in outcome.transcript[1:]:
-                label = "red" if row.obs.is_red else "green"
+                label = "green" if row.passage is None else "red"
                 if label in node.children and node.children[label].kind != "capture":
                     node = node.children[label]
             leaf_like = [leaf for leaf in node.walk() if leaf.kind == "capture"]
@@ -172,7 +172,7 @@ class TestStrictRedReports:
             for row in outcome.transcript[1:]:
                 reached = [child for child in node.children.values()
                            if child.kind == "decision" and (child.ugs, child.mask) == (row.node, row.info)]
-                if row.obs.is_red:  # every red reading here lands on a drawn red child
+                if row.passage is not None:  # every red reading here lands on a drawn red child
                     assert reached, (k, row)
                 if reached:
                     node = reached[0]
