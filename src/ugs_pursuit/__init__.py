@@ -22,7 +22,6 @@ from .errors import (
     NonTermination,
     NonZeroDiagonal,
     OrphanUgs,
-    PathExplosion,
     PolicyHole,
     PursuitError,
     SimulationError,
@@ -38,7 +37,6 @@ from .information import (
     partition,
     realizable_sets,
     red_reports,
-    update_green,
     update_red,
 )
 from .network import (

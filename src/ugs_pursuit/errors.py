@@ -29,10 +29,6 @@ class GoalMismatch(NetworkError):
     """Declared goal set disagrees with the childless nodes."""
 
 
-class PathExplosion(NetworkError):
-    """More evader paths than the configured cap."""
-
-
 class OrphanUgs(NetworkError):
     """A sensor node appears on no evader path."""
 

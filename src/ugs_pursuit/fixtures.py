@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import PathExplosion
 from .network import RoadNetwork, build_schedule, enumerate_paths, validate_network
 
 DEMO_COORDS = {
@@ -123,11 +122,8 @@ def random_instance(seed: int, n_max: int = 4, m_max: int = 8):
         network = random_layered_network(seed * 10_000 + attempt)
         if network.m > m_max:
             continue
-        try:
-            paths = enumerate_paths(network, max_paths=n_max)
-        except PathExplosion:
-            continue
-        if len(paths) < 2:
+        paths = enumerate_paths(network)
+        if not 2 <= len(paths) <= n_max:
             continue
         return network, paths, build_schedule(paths, network.m)
     raise RuntimeError(f"no instance within caps from seed {seed}")

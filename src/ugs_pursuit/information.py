@@ -5,17 +5,15 @@ actually encounter.
 An uncertainty set is a bitmask over path indices (bit ``k - 1`` = path
 ``k``). A visit-time class at node ``u`` is one entry of
 ``schedule.groups[u]``: the paths whose visits to ``u`` lie within
-``TIME_EPS`` of the class's first visit. Every reading keeps whole classes,
-read through ``red_reports`` or, for the classes after a time, bisected
-from ``schedule.later_classes``, so every kept set is a union of the classes
-the solver scores. ``observed_sets`` lists every set a reading at one node
-can keep, in closed form. All functions here are pure and safe for
-concurrent use.
+``TIME_EPS`` of the class's first visit. A reading keeps one of the sets
+``red_reports`` lists for the move, or the paths avoiding the node, so
+every kept set is one the solver scores the move by. ``observed_sets``
+lists every set a reading at one node can keep, in closed form. All
+functions here are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import InconsistentObservation
@@ -39,32 +37,6 @@ def update_red(mask: int, u: int, passage: float, schedule: VisitSchedule) -> in
     raise InconsistentObservation(
         f"red at node {u}, passage time {passage:.9g} matches no path in {indices_of(mask)}"
     )
-
-
-def update_green(mask: int, u: int, t_plus: float, schedule: VisitSchedule) -> int:
-    """Keep the paths that have not yet visited node ``u`` at ``t_plus``:
-    those avoiding ``u`` and the visit-time classes strictly after ``t_plus``
-    (``tlt``), found by one bisection of ``schedule.later_classes``."""
-    cutoffs, later = schedule.later_classes[u]
-    out = mask & ~schedule.through[u] | later[bisect_right(cutoffs, t_plus)] & mask
-    if out == 0:
-        raise InconsistentObservation(
-            f"green at node {u}, time {t_plus:.9g} excludes every path in {indices_of(mask)}"
-        )
-    return out
-
-
-def next_visit(mask: int, u: int, t: float, schedule: VisitSchedule) -> float | None:
-    """The time of the first visit-time class of ``mask`` at ``u`` strictly
-    after ``t`` (``tlt``), or None when there is none."""
-    cutoffs, later = schedule.later_classes[u]
-    i = bisect_right(cutoffs, t)
-    if not later[i] & mask:
-        return None
-    groups = schedule.groups[u]
-    while not groups[i][1] & mask:
-        i += 1
-    return groups[i][0]
 
 
 def partition(mask: int, u: int, schedule: VisitSchedule) -> tuple[int, int]:
@@ -109,63 +81,45 @@ class TranscriptRow:
         return {"t": self.t, "node": self.node, "obs": obs, "set": list(indices_of(self.info))}
 
 
-def observe(mask: int, u: int, t: float, visit: float, schedule: VisitSchedule, strict: bool,
-            since: float | None = None) -> TranscriptRow | None:
-    """Read sensor ``u`` at time ``t`` holding ``mask``, the evader passing
-    ``u`` at ``visit`` (inf: never); None means a capture at ``visit``.
-    Arriving, catch a passage right then or one whose visit-time class
-    starts by then (the green would drop that class), read red for an
-    earlier one and keep its class (strict) or all paths through ``u``, else
-    read green and keep the paths still to come; but a membership-convention
-    green on a set ``u`` splits waits for the set's earliest visit, catching
-    a passage meanwhile, and keeps the paths avoiding ``u``. A wait step
-    from the reading at ``since`` catches a passage after it and by ``t``,
-    else reads green. Raises InconsistentObservation if no path is left."""
-    if since is None:
-        if teq(visit, t):
-            return None
-        if tlt(visit, t):
-            # read at the passage itself: t - (t - visit) can round out of its class
-            kept = update_red(mask, u, visit, schedule) if strict else mask & schedule.through[u]
-            if kept == 0:
-                raise InconsistentObservation(f"red at node {u} contradicts the tracked set entirely")
-            return TranscriptRow(t, u, visit, kept)
-        for c, _ in schedule.groups[u]:  # caught if its class starts by t: the green drops it
-            if tlt(t, c):
-                break
-            if teq(c, visit):
-                return None
-        red, green = partition(mask, u, schedule)
-        if not (strict or red in (0, mask)):
-            end = max(t, red_reports(mask, u, schedule, False)[0][0])
-            return None if tle(visit, end) else TranscriptRow(end, u, None, green)
-    elif tlt(since, visit) and tle(visit, t):
+def observe(mask: int, u: int, t: float, visit: float, schedule: VisitSchedule,
+            strict: bool) -> TranscriptRow | None:
+    """Read sensor ``u`` on arrival at time ``t`` holding ``mask``, the
+    evader passing ``u`` at ``visit`` (inf: never); None means a capture at
+    ``visit``. A passage before ``t`` reads red and keeps its visit-time
+    class (strict) or every path through ``u``. Otherwise the pursuer waits
+    at ``u`` until the move's last red report (``red_reports``: the last
+    class under strict, the earliest visit under membership, the last class
+    whenever every path in ``mask`` passes ``u``). A passage by then is a
+    capture; else the reading is green then and keeps the paths avoiding
+    ``u``. This is the reading the solver values the move by. Raises
+    InconsistentObservation if no path is left."""
+    if tlt(visit, t):
+        # read at the passage itself: t - (t - visit) can round out of its class
+        kept = update_red(mask, u, visit, schedule) if strict else mask & schedule.through[u]
+        if kept == 0:
+            raise InconsistentObservation(f"red at node {u} contradicts the tracked set entirely")
+        return TranscriptRow(t, u, visit, kept)
+    green = mask & ~schedule.through[u]
+    reports = red_reports(mask, u, schedule, strict or not green)
+    end = max(t, reports[-1][0]) if reports else t
+    if tle(visit, end):
         return None
-    return TranscriptRow(t, u, None, update_green(mask, u, t, schedule))
+    if green == 0:
+        raise InconsistentObservation(
+            f"green at node {u}, time {end:.9g} excludes every path in {indices_of(mask)}")
+    return TranscriptRow(end, u, None, green)
 
 
 def observed_sets(mask: int, u: int, schedule: VisitSchedule, strict: bool) -> set[int]:
     """The sets ``observe`` can keep when a pursuer holding ``mask`` reads
-    ``u``, over every arrival and wait time and every evader in ``mask``,
-    from one ``red_reports`` pass. A membership-convention reading of a set
-    that ``u`` splits keeps the paths avoiding ``u`` (green) or passing it
-    (red). Otherwise a red keeps its class (strict) or every path through
-    ``u``, which is then ``mask``; an arrival before the first class keeps
-    ``mask``; and an arrival at class ``i``, or a wait to it, keeps the paths
-    avoiding ``u`` and the classes after ``i``, unless that is no path.
-    ``mask`` must hold a path through ``u``."""
-    through = mask & schedule.through[u]
-    avoid = mask ^ through
-    if not strict and avoid:
-        return {avoid, through}
-    cutoffs, later = schedule.later_classes[u]
-    image = {mask}
-    for t, cls in red_reports(mask, u, schedule, True):
-        if strict:
-            image.add(cls)
-        after = avoid | later[bisect_right(cutoffs, t)] & mask
-        if after:
-            image.add(after)
+    ``u``, over every arrival time and every evader in ``mask``: the sets of
+    the red reports (``red_reports``) and, when some path avoids ``u``, the
+    paths avoiding it. These are the children ``tree_export.build_tree``
+    draws for the move."""
+    image = {red for _, red in red_reports(mask, u, schedule, strict)}
+    green = mask & ~schedule.through[u]
+    if green:
+        image.add(green)
     return image
 
 
@@ -201,15 +155,15 @@ class RealizableFamily:
         }
 
 
-def realizable_sets(schedule: VisitSchedule, paths, reverse_ties: bool = False) -> RealizableFamily:
+def realizable_sets(schedule: VisitSchedule, paths) -> RealizableFamily:
     """Event-sweep enumeration of the realizable uncertainty sets.
 
     Walk the distinct (node, visit-time) events in increasing time (ties by
-    node id, or reversed when ``reverse_ties``). At each event, split every
-    alive set by the paths visiting right then; after a path's exit event,
-    drop alive sets containing it, since waiting on them past that instant
-    would let the evader escape. Each log row lists the sets alive just
-    before the event plus the children it created.
+    node id). At each event, split every alive set by the paths visiting
+    right then; after a path's exit event, drop alive sets containing it,
+    since waiting on them past that instant would let the evader escape.
+    Each log row lists the sets alive just before the event plus the
+    children it created.
     """
     n = schedule.n
     full = (1 << n) - 1
@@ -220,7 +174,7 @@ def realizable_sets(schedule: VisitSchedule, paths, reverse_ties: bool = False) 
     for j in range(1, schedule.m + 1):
         for t, group_mask in schedule.groups[j]:
             events.append((t, j, group_mask))
-    events.sort(key=lambda ev: (ev[0], -ev[1] if reverse_ties else ev[1]))
+    events.sort()  # (time, node) is unique
 
     alive: list[int] = [full]
     alive_set = {full}

@@ -30,7 +30,6 @@ from .errors import (
     NonPositiveEdgeTime,
     NonZeroDiagonal,
     OrphanUgs,
-    PathExplosion,
     SpeedAdvantageViolated,
     TriangleViolation,
     UnreachableNode,
@@ -115,22 +114,6 @@ class VisitSchedule:
     times: tuple[tuple[float, ...], ...]
     through: tuple[int, ...]
     groups: tuple[tuple[tuple[float, int], ...], ...]
-
-    @cached_property
-    def later_classes(self) -> tuple[tuple[list, list], ...]:
-        """Per node ``j``, ``(cutoffs, later)``, computed on first read and
-        kept: ``cutoffs[i]`` is class ``i``'s time minus TIME_EPS, as ``tlt``
-        computes it, and ``later[i]`` the union of classes ``i`` onward
-        (``later[-1]`` is 0). The classes strictly after a time ``t``
-        (``tlt(t, time)``) are ``later[bisect_right(cutoffs, t)]``."""
-        found = [([], [0])]
-        for groups in self.groups[1:]:
-            later = [0]
-            for _, group in reversed(groups):
-                later.append(later[-1] | group)
-            later.reverse()
-            found.append(([t - TIME_EPS for t, _ in groups], later))
-        return tuple(found)
 
     def min_visit(self, j: int, mask: int) -> float:
         return min(self.times[j][k] for k in iter_indices(mask))
@@ -293,13 +276,11 @@ def _topological_order(m: int, children) -> list[int]:
     return order
 
 
-def enumerate_paths(network: RoadNetwork, max_paths: int | None = None) -> tuple[EvaderPath, ...]:
+def enumerate_paths(network: RoadNetwork) -> tuple[EvaderPath, ...]:
     """All directed entry-to-goal paths with cumulative arrival times.
 
     Paths are ordered lexicographically by node sequence and indexed 1..n in
-    that order, so indices are reproducible across runs. With ``max_paths``
-    set, raises PathExplosion when more than that many paths exist; by
-    default there is no cap.
+    that order, so indices are reproducible across runs.
     """
     sequences: list[tuple[int, ...]] = []
     # an explicit stack, not recursion: a path may be longer than Python's recursion limit
@@ -310,8 +291,6 @@ def enumerate_paths(network: RoadNetwork, max_paths: int | None = None) -> tuple
         if children:
             stack.extend(prefix + (c,) for c in reversed(children))
             continue
-        if max_paths is not None and len(sequences) >= max_paths:
-            raise PathExplosion(f"more than {max_paths} evader paths")
         sequences.append(prefix)
     sequences.sort()
 

@@ -2,11 +2,13 @@
 independent exhaustive oracle for small instances.
 
 The simulator drives the real clock: the pursuer moves between sensors,
-reads them on arrival, waits when the policy says so, and captures when it
-is collocated with the evader at a sensor (synchronous arrival counts; the
-presence interval is closed). Every reading after the entry's, on arrival
-or after a wait, is ``information.observe`` under the policy's convention;
-a wait lasts until the tracked set's next visit (``information.next_visit``).
+reads them on arrival and captures when it is collocated with the evader at
+a sensor (synchronous arrival counts; the presence interval is closed).
+Every reading after the entry's is ``information.observe`` under the
+policy's convention: the pursuer waits at the sensor until the move's last
+red report, as the solver values the move, so playback at the solved delay
+or below walks the decision tree ``tree_export.build_tree`` draws. A move
+to the pursuer's own node is an arrival with zero travel time.
 
 The oracle never consults solved tables. It decides, by exhaustive search
 over pursuer strategies with exact outcome enumeration at each visited
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, NonTermination, PolicyHole, SimulationError
-from .information import TranscriptRow, next_visit, observe
+from .information import TranscriptRow, observe
 from .network import PursuerMetric, RoadNetwork, VisitSchedule, indices_of
 from .solver import SolveResult
 from .util import bisect_bracket, check_bracket, teq, tle, tlt
@@ -101,16 +103,13 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
         except KeyError:
             raise PolicyHole(f"no policy entry for node {p}, set {indices_of(info)}") from None
 
-        if move == p:  # wait for the set's next visit here
-            upcoming = next_visit(info, p, t, schedule)
-            if upcoming is None:
-                raise SimulationError(f"policy waits at node {p} with no upcoming visits")
-            reading = observe(info, p, upcoming, schedule.times[p][k], schedule, strict, since=t)
-        else:
-            p, t = move, t + metric.time(p, move)
-            reading = observe(info, p, t, schedule.times[p][k], schedule, strict)
+        stay = move == p
+        p, t = move, t + metric.time(p, move)
+        reading = observe(info, p, t, schedule.times[p][k], schedule, strict)
         if reading is None:
             return SimOutcome(True, schedule.times[p][k], p, tuple(rows))
+        if stay and reading.passage is not None:  # a red here again keeps the set
+            raise SimulationError(f"policy waits at node {p} with no upcoming visits")
         rows.append(reading)
         t, info = reading.t, reading.info
 

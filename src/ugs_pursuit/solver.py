@@ -67,9 +67,10 @@ fill on read: looking up a cell not filled yet fills it, computing its set
 first when the solve has not. Speed studies read only a solve's root cell,
 so most cells of the sets it computes are never filled. A pruned export is
 the policy: ``to_json`` walks it from the entry through the closed-form image
-of ``observe`` (``information.observed_sets``), computing every set playback
-or the decision tree reads, and lists those sets and every singleton, rows
-filled; reading a set it left out of loaded tables raises ``PolicyHole``.
+of ``observe`` (``information.observed_sets``: a move's red reports and its
+green part, the sets the move was scored by and the decision tree draws),
+and lists the sets playback can read and every singleton, rows filled;
+reading a set it left out of loaded tables raises ``PolicyHole``.
 Without pruning the solve fills whole rows and the export lists them all.
 ``solve`` accepts ``close_for_simulation`` and ignores it.
 """
@@ -584,9 +585,9 @@ class _Solver:
 
     def walk_policy(self) -> set:
         """Compute, once, and return the sets that playback of the policy from
-        the entry with every path possible and a decision tree drawn from there
-        read: at each move, the image of ``observe`` at that move's node, read
-        in closed form from its visit-time classes (``observed_sets``)."""
+        the entry with every path possible reads: at each move, the image of
+        ``observe`` at that move's node (``observed_sets``), which holds the
+        children the decision tree draws for the move."""
         if self.walked is not None:
             return self.walked
         seen = {(1, self.full)}

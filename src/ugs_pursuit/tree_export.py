@@ -7,9 +7,11 @@ membership convention, one per visit-time class under strict resolution)
 and once on the green report. A known path needs no case of its own: the
 solver stores every singleton row as a capture move at the path's exit,
 so it ends in the capture leaf there. Every child set is a strict subset
-of its parent's, so depth never exceeds the path count. The tree draws the
-solver's worst case: strict playback (``information.observe``) keeps the
-paths still to come after an early green, a set the tree does not draw.
+of its parent's, so depth never exceeds the path count. Playback
+(``information.observe``) reads each move the same way: the pursuer waits
+at the move's node until its last red report, so a passage while it waits
+is a capture there, which the tree draws as a red report. A playback at
+the solved delay or below walks the tree from its root.
 """
 
 from __future__ import annotations

@@ -17,14 +17,11 @@ from ugs_pursuit import (
     realizable_sets,
     red_reports,
     solve,
-    update_green,
     update_red,
     validate_network,
     verify_guarantee,
 )
-from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
-from ugs_pursuit.information import next_visit
-from ugs_pursuit.util import TIME_EPS, tlt
+from ugs_pursuit.fixtures import random_instance, random_layered_network
 
 from conftest import mask_of
 
@@ -71,29 +68,6 @@ class TestUpdates:
         with pytest.raises(InconsistentObservation):
             update_red(only, 2, 6.0 - 0.5, schedule)
 
-    def test_green_at_first_branch_node(self, demo, demo_index):
-        _, _, schedule = demo
-        full = (1 << 4) - 1
-        got = update_green(full, 2, 4.83, schedule)
-        assert got == mask_of(demo_index, (1, 3, 4, 6), (1, 3, 4, 7), (1, 3, 5))
-
-    def test_green_at_exit_six(self, demo, demo_index):
-        _, _, schedule = demo
-        pair = mask_of(demo_index, (1, 3, 4, 6), (1, 3, 4, 7))
-        got = update_green(pair, 6, 16.30, schedule)
-        assert got == mask_of(demo_index, (1, 3, 4, 7))
-
-    def test_green_before_any_visit_is_uninformative(self, demo, demo_index):
-        _, _, schedule = demo
-        trio = mask_of(demo_index, (1, 3, 4, 6), (1, 3, 4, 7), (1, 3, 5))
-        assert update_green(trio, 5, 1.0, schedule) == trio
-
-    def test_green_contradiction(self, demo):
-        _, _, schedule = demo
-        full = (1 << 4) - 1
-        with pytest.raises(InconsistentObservation):
-            update_green(full, 1, 0.0, schedule)
-
 
 class TestObserve:
     """One case per branch of the observation rule, on the demo's node 7:
@@ -123,12 +97,18 @@ class TestObserve:
         assert row.info == mask_of(demo_index, self.EARLY, self.LATE)
         assert row.passage == 14.66 and row.t == 18.0
 
-    def test_strict_green_keeps_later_visitors(self, demo, demo_index):
+    def test_strict_green_waits_for_last_red_visit(self, demo, demo_index):
         _, _, schedule = demo
         full = (1 << 4) - 1
-        row = observe(full, 7, 15.0, 17.54, schedule, True)
-        assert row.info == mask_of(demo_index, self.LATE, *self.AVOID)
-        assert row.passage is None and row.t == 15.0
+        # a passage before the arrival reads red at once and keeps its class
+        row = observe(full, 7, 15.0, 14.66, schedule, True)
+        assert row.info == mask_of(demo_index, self.EARLY) and row.t == 15.0
+        # a passage while the pursuer waits for the last class is a capture
+        assert observe(full, 7, 15.0, 17.54, schedule, True) is None
+        # otherwise the green resolves at 17.54 and keeps the avoiding paths
+        row = observe(full, 7, 15.0, math.inf, schedule, True)
+        assert row.info == mask_of(demo_index, *self.AVOID)
+        assert row.passage is None and row.t == 17.54
 
     def test_default_green_waits_for_earliest_red_visit(self, demo, demo_index):
         _, _, schedule = demo
@@ -144,15 +124,20 @@ class TestObserve:
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_wait_step_captures_passage_during_wait(self, demo, demo_index, strict):
+        """Holding a set every path of which passes the node (a capture
+        move), the pursuer waits for the last class under either convention;
+        holding one split by the node, for the set's last red report."""
         _, _, schedule = demo
+        pair = mask_of(demo_index, self.EARLY, self.LATE)
+        assert observe(pair, 7, 15.0, 17.54, schedule, strict) is None
         mask = mask_of(demo_index, self.LATE, *self.AVOID)
-        for visit in (17.54, 16.0):
-            assert observe(mask, 7, 17.54, visit, schedule, strict, since=15.0) is None
-        # a passage before the wait began, or as it began, is not read again
-        for visit in (math.inf, 14.66, 15.0):
-            row = observe(mask, 7, 17.54, visit, schedule, strict, since=15.0)
-            assert row.info == mask_of(demo_index, *self.AVOID)
-            assert row.passage is None and row.t == 17.54
+        assert observe(mask, 7, 15.0, 17.54, schedule, strict) is None
+        row = observe(mask, 7, 15.0, math.inf, schedule, strict)
+        assert row.info == mask_of(demo_index, *self.AVOID)
+        assert row.passage is None and row.t == 17.54
+        # a passage before the arrival is read, not waited for
+        row = observe(pair, 7, 15.0, 14.66, schedule, strict)
+        assert row.passage == 14.66 and row.t == 15.0
 
     @pytest.mark.parametrize("second, third", NEAR_TIES,
                              ids=["within-both-neighbours", "at-window-edge"])
@@ -161,10 +146,10 @@ class TestObserve:
         and path 4 avoids it; the classes are {1,2} and {3}. Either path 2
         lies within TIME_EPS of both neighbours, or it sits at the last float
         of its class's window and path 3 starts the next class one float
-        later, where ``t - (t - visit)`` can round across the boundary. An
-        arrival within TIME_EPS before a class's first visit catches every
-        evader of that class, since the green drops the whole class, and
-        playback at the solved delay captures every evader."""
+        later, where ``t - (t - visit)`` can round across the boundary. A red
+        keeps the evader's whole class, an arrival not after a passage waits
+        for the last class and catches it, and playback at the solved delay
+        captures every evader."""
         network, paths, schedule = near_tie_network(second, third)
         assert schedule.groups[5] == ((1.0, mask_from([1, 2])), (third, mask_from([3])))
         times = [0.5, 1.0 - 0.5e-9, 1.0, second, 1.0 + 1.2e-9, third - 0.5e-9, third, 2.0]
@@ -182,37 +167,35 @@ class TestObserve:
                     if row.passage is not None:
                         assert row.info in [cls for _, cls in reports], (mask, t, k)
                     else:
-                        later = [cls for tau, cls in reports if tlt(t, tau)]
-                        assert row.info == avoiders | sum(later), (mask, t, k)
+                        assert row.info == avoiders, (mask, t, k)
+                        assert row.t == max([t] + [tau for tau, _ in reports]), (mask, t, k)
         metric = euclidean_metric(network, 6.0)
         for strict in (False, True):
             result = solve(network, schedule, metric, paths, strict_resolution=strict)
             report = verify_guarantee(network, schedule, metric, result, result.tolerable_delay)
             assert report.all_captured, strict
 
-    @pytest.mark.parametrize("strict, mask, t, visit, since", [
-        (True, (EARLY,), 18.0, 17.54, None),  # red at a time no path passes
-        (False, AVOID, 18.0, 14.66, None),  # red where no tracked path passes
-        (True, (EARLY,), 15.0, math.inf, None),  # green after every visit
-        (False, (EARLY, LATE), 18.0, math.inf, None),
-        (True, (EARLY,), 16.0, math.inf, 15.0),  # wait-step green, same
-        (False, (EARLY,), 16.0, math.inf, 15.0),
+    @pytest.mark.parametrize("strict, mask, t, visit", [
+        (True, (EARLY,), 18.0, 17.54),  # red at a time no path passes
+        (False, AVOID, 18.0, 14.66),  # red where no tracked path passes
+        (True, (EARLY,), 15.0, math.inf),  # green after every visit
+        (False, (EARLY, LATE), 18.0, math.inf),
     ])
-    def test_inconsistent_readings_raise(self, demo, demo_index, strict, mask, t, visit, since):
+    def test_inconsistent_readings_raise(self, demo, demo_index, strict, mask, t, visit):
         _, _, schedule = demo
         with pytest.raises(InconsistentObservation):
-            observe(mask_of(demo_index, *mask), 7, t, visit, schedule, strict, since)
+            observe(mask_of(demo_index, *mask), 7, t, visit, schedule, strict)
 
-    @pytest.mark.parametrize("strict, mask, t, visit, since", [
-        (True, (EARLY,), 16.0, 15.5, 15.0),  # a capture comes before the green
-        (False, (EARLY,), 16.0, 15.5, 15.0),
-        (False, (LATE, *AVOID), 18.0, 14.66, None),  # membership only
-        (False, (EARLY, *AVOID), 15.0, 17.54, None),  # split: the green part
+    @pytest.mark.parametrize("strict, mask, t, visit", [
+        (True, (EARLY, LATE), 16.0, 17.54),  # a passage while waiting is a capture
+        (False, (EARLY,), 16.0, 15.5),  # membership reds keep every path through 7
+        (False, (LATE, *AVOID), 18.0, 14.66),
+        (False, (EARLY, *AVOID), 15.0, 17.54),  # split: the green part
     ])
     def test_consistent_or_lenient_readings_do_not_raise(self, demo, demo_index, strict, mask, t,
-                                                         visit, since):
+                                                         visit):
         _, _, schedule = demo
-        observe(mask_of(demo_index, *mask), 7, t, visit, schedule, strict, since)
+        observe(mask_of(demo_index, *mask), 7, t, visit, schedule, strict)
 
 
 class TestPartition:
@@ -235,72 +218,6 @@ class TestPartition:
         only = mask_of(demo_index, (1, 2, 7))
         red, green = partition(only, 4, schedule)
         assert red == 0 and green == only
-
-
-def linear_update_green(mask, u, t_plus, schedule):
-    """``update_green`` as one test per class, without raising on no path."""
-    out = mask & ~schedule.through[u]
-    for t, cls in red_reports(mask, u, schedule, True):
-        if tlt(t_plus, t):
-            out |= cls
-    return out
-
-
-def linear_next_visit(mask, u, t, schedule):
-    """The wait step's next visit as one test per class."""
-    upcoming = [tau for tau, _ in red_reports(mask, u, schedule, True) if tlt(t, tau)]
-    return upcoming[0] if upcoming else None
-
-
-class TestBisectedClasses:
-    """``update_green`` and ``next_visit`` bisect ``later_classes`` and
-    agree with a test of every class: at every class time, TIME_EPS either
-    side of it, and one float either side of each of those."""
-
-    @staticmethod
-    def probes(schedule, u):
-        times = [-math.inf, 0.0, math.inf, math.nan]
-        for c, _ in schedule.groups[u]:
-            for t in (c - TIME_EPS, c, c + TIME_EPS):
-                times += [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
-        return times
-
-    def check(self, schedule, masks):
-        for u in range(1, schedule.m + 1):
-            probes = self.probes(schedule, u)
-            for mask in masks:
-                for t in probes:
-                    expected = linear_update_green(mask, u, t, schedule)
-                    if expected:
-                        assert update_green(mask, u, t, schedule) == expected, (mask, u, t)
-                    else:
-                        with pytest.raises(InconsistentObservation):
-                            update_green(mask, u, t, schedule)
-                    assert next_visit(mask, u, t, schedule) == \
-                        linear_next_visit(mask, u, t, schedule), (mask, u, t)
-
-    def test_corpus(self):
-        for seed in range(1, 51):
-            _, _, schedule = random_instance(seed)
-            self.check(schedule, full_lattice(schedule.n))
-
-    @pytest.mark.parametrize("second, third", NEAR_TIES,
-                             ids=["within-both-neighbours", "at-window-edge"])
-    def test_near_ties(self, second, third):
-        _, _, schedule = near_tie_network(second, third)
-        self.check(schedule, full_lattice(schedule.n))
-
-    def test_layered_13(self):
-        network = random_layered_network(13)
-        paths = enumerate_paths(network)
-        schedule = build_schedule(paths, network.m)
-        metric = euclidean_metric(network, 1.1 * speed_floor(network))
-        masks = {1 << k for k in range(schedule.n)}
-        for strict in (False, True):
-            solved = solve(network, schedule, metric, paths, strict_resolution=strict)
-            solved.to_json()
-            masks.update(solved.rows)
-        self.check(schedule, sorted(masks))
 
 
 @st.composite
@@ -326,13 +243,6 @@ def test_updates_only_discard(inst, data):
     reds = [update_red(full, u, passage, schedule) for passage in (t, (t + 1.0) - 1.0)]
     for red in reds:
         assert red & full == red and red != 0
-    try:
-        green = update_green(full, u, t, schedule)
-    except InconsistentObservation:
-        return
-    assert green & full == green
-    for red in reds:
-        assert red & green == 0  # same node, same instant: reports disagree
 
 
 @settings(max_examples=30, deadline=None)
@@ -344,6 +254,27 @@ def test_partition_is_exact(inst):
         red, green = partition(full, u, schedule)
         assert red | green == full
         assert red & green == 0
+
+
+def flip_id(network):
+    """Node id ``j`` of ``network`` with ids 2..m reversed (an involution)."""
+    return lambda j: j if j == network.entry else network.m + 2 - j
+
+
+def reversed_ids(network):
+    """``network`` with its non-entry node ids reversed."""
+    new = flip_id(network)
+    return validate_network({
+        "nodes": [{"id": new(j), "x": x, "y": y} for j, (x, y) in enumerate(network.coords[1:], 1)],
+        "edges": [{"from": new(a), "to": new(b), "time": t} for a, b, t in network.edges()],
+        "entry": network.entry,
+    })
+
+
+def family_of(network):
+    """The realizable family of ``network``, and its paths."""
+    paths = enumerate_paths(network)
+    return realizable_sets(build_schedule(paths, network.m), paths), paths
 
 
 class TestRealizableFamily:
@@ -384,17 +315,17 @@ class TestRealizableFamily:
         assert family.sets == (1,)
 
     def test_tie_order_independent(self, demo):
-        _, paths, schedule = demo
-        forward = realizable_sets(schedule, paths)
-        backward = realizable_sets(schedule, paths, reverse_ties=True)
-        assert set(forward.sets) == set(backward.sets)
-        for seed in range(6):
-            network = random_layered_network(seed)
-            ps = enumerate_paths(network)
-            sched = build_schedule(ps, network.m)
-            assert set(realizable_sets(sched, ps).sets) == set(
-                realizable_sets(sched, ps, reverse_ties=True).sets
-            )
+        """Reversing the non-entry node ids reverses the order of events at
+        equal times and renumbers the paths; matched by node sequence, the
+        family is the same."""
+        for network in [demo[0], *map(random_layered_network, range(6))]:
+            flip = flip_id(network)
+            forward, paths = family_of(network)
+            backward, flipped_paths = family_of(reversed_ids(network))
+            index = {p.nodes: p.index for p in paths}
+            renumber = {q.index: index[tuple(map(flip, q.nodes))] for q in flipped_paths}
+            assert set(forward.sets) == {
+                mask_from(renumber[k] for k in indices_of(s)) for s in backward.sets}
 
     def test_every_member_has_a_split_parent(self, demo):
         _, paths, schedule = demo

@@ -12,7 +12,6 @@ from ugs_pursuit import (
     NonPositiveEdgeTime,
     NonZeroDiagonal,
     OrphanUgs,
-    PathExplosion,
     SpeedAdvantageViolated,
     TriangleViolation,
     UnreachableNode,
@@ -124,13 +123,8 @@ class TestEnumeratePaths:
         assert len(paths) == 1
         assert paths[0].length == pytest.approx(5.0 + 2.0)
 
-    def test_path_cap(self, demo):
-        network, _, _ = demo
-        with pytest.raises(PathExplosion):
-            enumerate_paths(network, max_paths=3)
-
     def test_no_cap_by_default(self):
-        # 288 routes, far past any small cap; bitmasks are Python ints
+        # 288 routes; bitmasks are Python ints
         network = random_layered_network(7, widths=[1, 4, 4, 4, 4, 3])
         paths = enumerate_paths(network)
         assert len(paths) == 288

@@ -16,9 +16,9 @@ from ugs_pursuit import (
     guarantee_exists,
     indices_of,
     oracle_max_delay,
+    partition,
     simulate,
     solve,
-    update_green,
     update_red,
     validate_network,
     verify_guarantee,
@@ -81,9 +81,31 @@ class TestSimulate:
                 if row.passage is not None:
                     replay = update_red(previous, row.node, row.passage, schedule)
                 else:
-                    replay = update_green(previous, row.node, row.t, schedule)
+                    replay = partition(previous, row.node, schedule)[1]
                 assert replay == row.info
                 previous = row.info
+
+    def test_stay_that_reads_red_again_raises(self):
+        """On L36 at 1.1x the floor, membership playback against paths 10-12
+        and 34-36 reads a red and then moves to the node it stands on, whose
+        red reading keeps the set it holds: playback stops there rather than
+        loop."""
+        network = random_layered_network(5)
+        paths = enumerate_paths(network)
+        schedule = build_schedule(paths, network.m)
+        metric = euclidean_metric(network, 1.1 * speed_floor(network))
+        result = solve(network, schedule, metric, paths)
+        for t0 in (result.tolerable_delay, 0.5 * result.tolerable_delay):
+            stuck = []
+            for k in range(1, schedule.n + 1):
+                try:
+                    simulate(network, schedule, metric, result, k, t0)
+                except SimulationError as exc:
+                    assert "with no upcoming visits" in str(exc), k
+                    stuck.append(k)
+                except InconsistentObservation:
+                    pass
+            assert stuck == [10, 11, 12, 34, 35, 36], t0
 
     def test_smaller_delay_keeps_capture(self, demo, demo_metric, demo_solved):
         network, _, schedule = demo

@@ -1,6 +1,7 @@
 import pytest
 
 from ugs_pursuit import (
+    PursuitError,
     SolveResult,
     build_schedule,
     build_tree,
@@ -107,26 +108,65 @@ class TestBuildTree:
             assert tree.depth() <= 2 * schedule.n
 
 
+# both draw red parts that span several visit-time classes
+MULTI_CLASS = [(85, [1, 3, 3, 3, 3, 2]), (5, None)]
+
+
 class TestReplayConsistency:
     def test_simulator_follows_tree_to_matching_leaf(self, demo, demo_metric):
         network, paths, schedule = demo
-        result = solve(network, schedule, demo_metric, paths)
-        tree = build_tree(result, schedule, demo_metric)
-        t0 = result.root_latest
-        for k in range(1, schedule.n + 1):
-            outcome = simulate(network, schedule, demo_metric, result, k, t0)
-            assert outcome.captured
-            node = tree
-            # follow the tree using the transcript's post-entry observations
-            for row in outcome.transcript[1:]:
-                label = "green" if row.passage is None else "red"
-                if label in node.children and node.children[label].kind != "capture":
-                    node = node.children[label]
-            leaf_like = [leaf for leaf in node.walk() if leaf.kind == "capture"]
-            assert any(
-                leaf.ugs == outcome.node and abs(leaf.latest - outcome.time) <= 1e-9
-                for leaf in leaf_like
-            )
+        for strict in (False, True):
+            result = solve(network, schedule, demo_metric, paths, strict_resolution=strict)
+            tree = build_tree(result, schedule, demo_metric)
+            t0 = result.root_latest
+            for k in range(1, schedule.n + 1):
+                outcome = simulate(network, schedule, demo_metric, result, k, t0)
+                assert outcome.captured
+                node = tree
+                # follow the tree using the transcript's post-entry observations
+                for row in outcome.transcript[1:]:
+                    label = "green" if row.passage is None else "red"
+                    if label in node.children and node.children[label].kind != "capture":
+                        node = node.children[label]
+                leaf_like = [leaf for leaf in node.walk() if leaf.kind == "capture"]
+                assert any(
+                    leaf.ugs == outcome.node and abs(leaf.latest - outcome.time) <= 1e-9
+                    for leaf in leaf_like
+                ), (strict, k)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("layered", [None, *MULTI_CLASS], ids=["demo", "L85", "L36"])
+    def test_transcripts_walk_the_tree(self, demo, demo_metric, layered, strict):
+        """Every post-entry reading of a playback that ends in capture, at
+        the solved delay and at half of it, is a decision node of the tree
+        and a child of the reading before it."""
+        if layered is None:
+            network, paths, schedule = demo
+            metric = demo_metric
+        else:
+            network = random_layered_network(*layered)
+            paths = enumerate_paths(network)
+            schedule = build_schedule(paths, network.m)
+            metric = euclidean_metric(network, 1.1 * speed_floor(network))
+        result = solve(network, schedule, metric, paths, strict_resolution=strict)
+        tree = build_tree(result, schedule, metric)
+        walked = 0
+        for t0 in (result.tolerable_delay, 0.5 * result.tolerable_delay):
+            for k in range(1, schedule.n + 1):
+                try:
+                    outcome = simulate(network, schedule, metric, result, k, t0)
+                except PursuitError:  # membership playback can break down (L36)
+                    continue
+                if not outcome.captured:
+                    continue
+                node = tree
+                for row in outcome.transcript[1:]:
+                    node = next((child for child in node.children.values()
+                                 if child.kind == "decision"
+                                 and (child.ugs, child.mask) == (row.node, row.info)), None)
+                    assert node is not None, (t0, k, row)
+                    walked += 1
+        assert walked
 
 
 def strict_tree(seed, widths):
@@ -137,9 +177,6 @@ def strict_tree(seed, widths):
     result = solve(network, schedule, metric, paths, strict_resolution=True)
     return network, schedule, metric, result, build_tree(result, schedule, metric)
 
-
-# both draw red parts that span several visit-time classes
-MULTI_CLASS = [(85, [1, 3, 3, 3, 3, 2]), (5, None)]
 
 
 class TestStrictRedReports:
