@@ -169,7 +169,8 @@ def _cmd_simulate(args) -> int:
     metric, result = _policy_or_solve(args, network, paths, schedule)
     outcome = simulate(network, schedule, metric, result, args.path, args.t0)
     if args.format == "json":
-        _emit(outcome.to_jsonl())
+        if outcome.transcript:  # empty on a capture at the entry
+            _emit(outcome.to_jsonl())
         verdict = {"captured": outcome.captured, "time": outcome.time, "node": outcome.node}
         _emit(json.dumps(verdict))
         return EXIT_OK

@@ -5,7 +5,8 @@ actually encounter.
 An uncertainty set is a bitmask over path indices (bit ``k - 1`` = path
 ``k``). A visit-time class at node ``u`` is one entry of
 ``schedule.groups[u]``: the paths whose visits to ``u`` lie within
-``TIME_EPS`` of the class's first visit. A reading keeps one of the sets
+``TIME_EPS`` of the class's first visit. Every red must match a class of
+the tracked set, under either convention. A reading keeps one of the sets
 ``red_reports`` lists for the move, or the paths avoiding the node, so
 every kept set is one the solver scores the move by. ``observed_sets``
 lists every set a reading at one node can keep, in closed form. All
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InconsistentObservation
-from .network import VisitSchedule, indices_of, iter_indices
+from .network import VisitSchedule, indices_of
 from .util import teq, tle, tlt
 
 
@@ -85,20 +86,19 @@ def observe(mask: int, u: int, t: float, visit: float, schedule: VisitSchedule,
             strict: bool) -> TranscriptRow | None:
     """Read sensor ``u`` on arrival at time ``t`` holding ``mask``, the
     evader passing ``u`` at ``visit`` (inf: never); None means a capture at
-    ``visit``. A passage before ``t`` reads red and keeps its visit-time
-    class (strict) or every path through ``u``. Otherwise the pursuer waits
-    at ``u`` until the move's last red report (``red_reports``: the last
-    class under strict, the earliest visit under membership, the last class
-    whenever every path in ``mask`` passes ``u``). A passage by then is a
-    capture; else the reading is green then and keeps the paths avoiding
-    ``u``. This is the reading the solver values the move by. Raises
-    InconsistentObservation if no path is left."""
+    ``visit``. A passage before ``t`` reads red, and ``update_red`` finds
+    its visit-time class: the reading keeps that class (strict) or every
+    path through ``u``. Otherwise the pursuer waits at ``u`` until the
+    move's last red report (``red_reports``: the last class under strict,
+    the earliest visit under membership, the last class whenever every path
+    in ``mask`` passes ``u``). A passage by then is a capture; else the
+    reading is green then and keeps the paths avoiding ``u``. This is the
+    reading the solver values the move by. Raises InconsistentObservation
+    if a red matches no class or a green keeps no path."""
     if tlt(visit, t):
         # read at the passage itself: t - (t - visit) can round out of its class
-        kept = update_red(mask, u, visit, schedule) if strict else mask & schedule.through[u]
-        if kept == 0:
-            raise InconsistentObservation(f"red at node {u} contradicts the tracked set entirely")
-        return TranscriptRow(t, u, visit, kept)
+        cls = update_red(mask, u, visit, schedule)
+        return TranscriptRow(t, u, visit, cls if strict else mask & schedule.through[u])
     green = mask & ~schedule.through[u]
     reports = red_reports(mask, u, schedule, strict or not green)
     end = max(t, reports[-1][0]) if reports else t
@@ -166,49 +166,29 @@ def realizable_sets(schedule: VisitSchedule, paths) -> RealizableFamily:
     children it created.
     """
     n = schedule.n
+    exits = [0] * (schedule.m + 1)  # the paths ending at each node
+    for p in paths:
+        exits[p.exit] |= 1 << (p.index - 1)
+    events = sorted((t, j, group_mask) for j in range(1, schedule.m + 1)
+                    for t, group_mask in schedule.groups[j])  # (time, node) is unique
+
     full = (1 << n) - 1
-    exit_time = {p.index: p.length for p in paths}
-    exit_node = {p.index: p.exit for p in paths}
-
-    events = []
-    for j in range(1, schedule.m + 1):
-        for t, group_mask in schedule.groups[j]:
-            events.append((t, j, group_mask))
-    events.sort()  # (time, node) is unique
-
-    alive: list[int] = [full]
-    alive_set = {full}
-    family: list[int] = [full]
-    seen = {full}
+    alive = {full: None}  # insertion-ordered
+    family = {full}
     log: list[FamilyEvent] = []
-
     for t, j, group_mask in events:
-        row = list(alive)
         created = []
         for s in alive:
             hit = s & group_mask
-            if hit == 0 or hit == s:
-                continue
-            for child in (hit, s & ~hit):
-                created.append(child)
-                if child not in seen:
-                    seen.add(child)
-                    family.append(child)
-        for a in created:
-            if a not in alive_set:
-                alive_set.add(a)
-                alive.append(a)
-
+            if hit and hit != s:
+                created += (hit, s & ~hit)
+        family.update(created)
+        alive = dict.fromkeys([*alive, *created])
+        log.append(FamilyEvent(node=j, time=t, masks=tuple(alive)))
         # exit event: paths ending here now are out of play
-        gone = 0
-        for k in iter_indices(group_mask):
-            if exit_node[k] == j and teq(exit_time[k], t):
-                gone |= 1 << (k - 1)
+        gone = group_mask & exits[j]
         if gone:
-            alive = [s for s in alive if s & gone == 0]
-            alive_set = set(alive)
+            alive = dict.fromkeys(s for s in alive if s & gone == 0)
 
-        log.append(FamilyEvent(node=j, time=t, masks=tuple(dict.fromkeys(row + created))))
-
-    family.sort(key=lambda s: (bin(s).count("1"), s))
-    return RealizableFamily(n=n, sets=tuple(family), log=tuple(log))
+    return RealizableFamily(n=n, sets=tuple(sorted(family, key=lambda s: (bin(s).count("1"), s))),
+                            log=tuple(log))

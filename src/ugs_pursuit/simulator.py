@@ -4,10 +4,11 @@ independent exhaustive oracle for small instances.
 The simulator drives the real clock: the pursuer moves between sensors,
 reads them on arrival and captures when it is collocated with the evader at
 a sensor (synchronous arrival counts; the presence interval is closed).
-Every reading after the entry's is ``information.observe`` under the
+Every reading, the entry's included, is ``information.observe`` under the
 policy's convention: the pursuer waits at the sensor until the move's last
 red report, as the solver values the move, so playback at the solved delay
-or below walks the decision tree ``tree_export.build_tree`` draws. A move
+or below walks the decision tree ``tree_export.build_tree`` draws. The
+chase starts with an arrival at the entry at the initial delay, and a move
 to the pursuer's own node is an arrival with zero travel time.
 
 The oracle never consults solved tables. It decides, by exhaustive search
@@ -71,12 +72,14 @@ def check_table_sizes(n, m, schedule: VisitSchedule) -> None:
 def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetric,
              result: SolveResult, k: int, t0: float) -> SimOutcome:
     """Play the solved policy from entry delay ``t0`` against evader path
-    ``k`` and report capture or escape with a full observation transcript.
+    ``k`` and report capture or escape with a full observation transcript;
+    a capture at the entry (``t0`` within ``TIME_EPS`` of 0) has no row.
 
-    Raises SimulationError when ``k`` is outside ``1..n`` or the tables were
-    solved for a network of other sizes, PolicyHole when the walk reaches a
-    (node, set) pair absent from the tables and NonTermination if the
-    decision-epoch budget is exceeded.
+    Raises InconsistentObservation when a reading contradicts the tracked
+    set, SimulationError when ``k`` is outside ``1..n``, the tables were
+    solved for a network of other sizes or a stay reads red again,
+    PolicyHole when the walk reaches a (node, set) pair absent from the
+    tables and NonTermination if the decision-epoch budget is exceeded.
     """
     if not t0 > 0:
         raise SimulationError(f"initial delay must be positive, got {t0}")
@@ -87,24 +90,10 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
     exit_node, exit_time = _exit_of(network, schedule, k)
     rows: list[TranscriptRow] = []
 
-    # First reading at the entry: every path passed it at time 0, so the
-    # red report keeps the whole set under either convention.
-    p, t, info = network.entry, t0, (1 << schedule.n) - 1
-    if teq(t0, 0.0):  # the evader passes the entry now: a red of delay 0.0
-        return SimOutcome(True, t0, p, (TranscriptRow(t0, p, t0, info),))
-    rows.append(TranscriptRow(t, p, 0.0, info))
-
+    # the chase starts with a reading at the entry, which every path passed at time 0
+    p, t, info, stay = network.entry, t0, (1 << schedule.n) - 1, False
     budget = max(schedule.n + schedule.m, 3 * schedule.n + 2)
-    for _ in range(budget):
-        if tlt(exit_time, t):
-            return SimOutcome(False, exit_time, exit_node, tuple(rows))
-        try:
-            move = result.policy[(p, info)]
-        except KeyError:
-            raise PolicyHole(f"no policy entry for node {p}, set {indices_of(info)}") from None
-
-        stay = move == p
-        p, t = move, t + metric.time(p, move)
+    for _ in range(budget + 1):  # the entry reading, then one per move
         reading = observe(info, p, t, schedule.times[p][k], schedule, strict)
         if reading is None:
             return SimOutcome(True, schedule.times[p][k], p, tuple(rows))
@@ -112,6 +101,14 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
             raise SimulationError(f"policy waits at node {p} with no upcoming visits")
         rows.append(reading)
         t, info = reading.t, reading.info
+        if tlt(exit_time, t):
+            return SimOutcome(False, exit_time, exit_node, tuple(rows))
+        try:
+            move = result.policy[(p, info)]
+        except KeyError:
+            raise PolicyHole(f"no policy entry for node {p}, set {indices_of(info)}") from None
+        stay = move == p
+        p, t = move, t + metric.time(p, move)
 
     raise NonTermination(f"no terminal outcome within {budget} decision epochs")
 

@@ -180,6 +180,8 @@ class TestObserve:
         (False, AVOID, 18.0, 14.66),  # red where no tracked path passes
         (True, (EARLY,), 15.0, math.inf),  # green after every visit
         (False, (EARLY, LATE), 18.0, math.inf),
+        (False, (EARLY,), 16.0, 15.5),  # every red must match a visit-time class
+        (False, (LATE, *AVOID), 18.0, 14.66),
     ])
     def test_inconsistent_readings_raise(self, demo, demo_index, strict, mask, t, visit):
         _, _, schedule = demo
@@ -188,8 +190,8 @@ class TestObserve:
 
     @pytest.mark.parametrize("strict, mask, t, visit", [
         (True, (EARLY, LATE), 16.0, 17.54),  # a passage while waiting is a capture
-        (False, (EARLY,), 16.0, 15.5),  # membership reds keep every path through 7
-        (False, (LATE, *AVOID), 18.0, 14.66),
+        (False, (EARLY,), 16.0, 14.66),  # membership reds match the passage's class
+        (False, (LATE, *AVOID), 18.0, 17.54),
         (False, (EARLY, *AVOID), 15.0, 17.54),  # split: the green part
     ])
     def test_consistent_or_lenient_readings_do_not_raise(self, demo, demo_index, strict, mask, t,

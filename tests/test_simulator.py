@@ -86,26 +86,44 @@ class TestSimulate:
                 previous = row.info
 
     def test_stay_that_reads_red_again_raises(self):
-        """On L36 at 1.1x the floor, membership playback against paths 10-12
-        and 34-36 reads a red and then moves to the node it stands on, whose
-        red reading keeps the set it holds: playback stops there rather than
-        loop."""
+        """On ``random_instance(2)`` at 1.1x the floor and 1.25x the solved
+        delay, playback against either path under either convention reads a
+        red and then moves to the node it stands on, whose red reading keeps
+        the set it holds: playback stops there rather than loop."""
+        network, paths, schedule = random_instance(2)
+        metric = euclidean_metric(network, 1.1 * speed_floor(network))
+        for strict in (False, True):
+            result = solve(network, schedule, metric, paths, strict_resolution=strict)
+            t0 = 1.25 * result.tolerable_delay
+            for k in range(1, schedule.n + 1):
+                with pytest.raises(SimulationError, match="policy waits at node 2 with"):
+                    simulate(network, schedule, metric, result, k, t0)
+
+    def test_lost_membership_evader_is_inconsistent_where_it_surfaces(self):
+        """On L36 at 1.1x the floor, a membership green drops paths 10-12 and
+        34-36, which pass its node later; at node 9 their passage matches no
+        visit-time class of the tracked set, so the red is inconsistent."""
         network = random_layered_network(5)
         paths = enumerate_paths(network)
         schedule = build_schedule(paths, network.m)
         metric = euclidean_metric(network, 1.1 * speed_floor(network))
         result = solve(network, schedule, metric, paths)
         for t0 in (result.tolerable_delay, 0.5 * result.tolerable_delay):
-            stuck = []
-            for k in range(1, schedule.n + 1):
-                try:
+            for k in (10, 11, 12, 34, 35, 36):
+                with pytest.raises(InconsistentObservation, match="red at node 9,"):
                     simulate(network, schedule, metric, result, k, t0)
-                except SimulationError as exc:
-                    assert "with no upcoming visits" in str(exc), k
-                    stuck.append(k)
-                except InconsistentObservation:
-                    pass
-            assert stuck == [10, 11, 12, 34, 35, 36], t0
+
+    def test_entry_is_read_like_any_sensor(self, demo, demo_metric, demo_solved):
+        """Below TIME_EPS the evader is still at the entry on arrival: a
+        capture at its passage, time 0.0, with no reading; above it the
+        entry reads red and keeps every path."""
+        network, _, schedule = demo
+        for k in range(1, schedule.n + 1):
+            outcome = simulate(network, schedule, demo_metric, demo_solved, k, 1e-10)
+            assert (outcome.captured, outcome.node, outcome.time) == (True, 1, 0.0)
+            assert outcome.transcript == ()
+            first = simulate(network, schedule, demo_metric, demo_solved, k, 2.0).transcript[0]
+            assert (first.t, first.node, first.passage, first.info) == (2.0, 1, 0.0, 15)
 
     def test_smaller_delay_keeps_capture(self, demo, demo_metric, demo_solved):
         network, _, schedule = demo

@@ -460,6 +460,8 @@ L17 = dict(seed=17)  # n=18 paths, m=11 nodes
 L85 = dict(seed=85, widths=[1, 3, 3, 3, 3, 2])  # n=10 paths, m=15 nodes
 L36 = dict(seed=5)  # n=36 paths, m=12 nodes
 L288 = dict(seed=7, widths=[1, 4, 4, 4, 4, 3])  # n=288 paths, m=20 nodes
+L400 = dict(seed=7, widths=[1, 4, 4, 4, 4, 4, 3])  # n=400 paths, m=24 nodes
+L474 = dict(seed=3, widths=[1, 4, 4, 4, 4, 4, 4, 3])  # n=474 paths, m=28 nodes
 
 
 def relabelled(network, seed):
@@ -886,7 +888,7 @@ class TestJsonRoundTrip:
 
 
 class TestScaleLadder:
-    """L288: n=288 paths, m=20 nodes, solved under strict resolution."""
+    """L288, L400 and L474, solved under strict resolution."""
 
     def test_root_values_and_playback(self):
         network, paths, schedule, metric = layered(factor=1.1, **L288)
@@ -897,6 +899,17 @@ class TestScaleLadder:
         report = verify_guarantee(network, schedule, metric, result, result.tolerable_delay)
         assert report.all_captured
         assert len(report.outcomes) == 288
+
+    def test_larger_rungs_at_one_point_one(self):
+        network, paths, schedule, metric = layered(factor=1.1, **L400)
+        assert solve(network, schedule, metric, paths, strict_resolution=True).root_latest == \
+            pytest.approx(0.0, abs=1e-9)
+        network, paths, schedule, metric = layered(factor=1.1, **L474)
+        result = solve(network, schedule, metric, paths, strict_resolution=True)
+        assert result.root_latest == pytest.approx(6.660303587811998, abs=1e-9)
+        report = verify_guarantee(network, schedule, metric, result, result.tolerable_delay)
+        assert report.all_captured
+        assert len(report.outcomes) == 474
 
     def test_default_closure_stays_small(self):
         # the walk once added every visit-time class and remainder here,
