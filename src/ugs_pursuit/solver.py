@@ -21,14 +21,15 @@ continuation must survive until the last red report, and the move's worth
 is the worst value over the green part and every red report.
 
 Values for a fixed set do not depend on the pursuer's node except through
-the final travel-time subtraction, so a set's candidates are scored once,
-when the set is first read, and each node's cell is then filled from them
-when that cell is first read. Evaluating the set runs the recursion; filling
-a cell is one pass over the candidates. A split at ``u`` leaves parts whose
-paths all pass ``u`` or none do, so no set below it splits at ``u`` again: a
-chain of nested set evaluations splits at distinct nodes, and the recursion
-is at most ``m + 1`` evaluations deep. A solve that still runs into Python's
-recursion limit raises PursuitError naming ``m``.
+the final travel-time subtraction, so a set's moves are listed once, when
+the set is first read, and each node's cell is filled by one pass over
+them when that cell is first read. The pass runs the recursion: it values a
+split, reading the subsets the split leads to, the first time a cell of the
+set needs it, and keeps the value for the set's other cells. A split at
+``u`` leaves parts whose paths all pass ``u`` or none do, so no set below
+it splits at ``u`` again: a chain of nested cell passes splits at distinct
+nodes, and the recursion is at most ``m + 1`` passes deep. A solve that
+still runs into Python's recursion limit raises PursuitError naming ``m``.
 
 A set's candidates come in two parts. ``set_moves`` gives what does not
 depend on the pursuer's speed: the nodes the set reaches, each one's green
@@ -43,22 +44,30 @@ none.
 Knowing the evader's path never hurts the pursuer, so a set's value at
 ``u`` is at most the smallest known-path value at ``u`` of its paths:
 D(u|G) <= min over k in G of D(u|{k}), plus ``TIME_EPS`` slack that
-``known_path_margin(m)`` bounds. A split at ``u`` needs D(u|green) to reach
-the last red report, so when some green path's known-path value falls below
-that time by more than the margin, the split is dropped without solving the
-green part. The margin only drops splits the admissibility test would
-reject anyway, so every computed row is the same as with the full
-recursion; only fewer sets are computed. A node's bound is built on first
-read and tested in ``_candidates`` alone, wherever the moves came from.
+``known_path_margin(m)`` bounds. The bound is used twice. A split at ``u``
+needs D(u|green) to reach the last red report, so when some green path's
+known-path value falls below that time by more than the margin, the split
+is dropped when its set is evaluated, without solving the green part. And
+a split is worth at most the bound over its whole set, so from node ``j``
+a cell leaves the split unvalued when that ceiling less ``d[j][u]`` lies
+more than ``tie_slack(m)`` below the best score the cell found before it
+(see the scoring order below). The first test only drops splits the
+admissibility test would reject, the second only candidates that cannot
+change the cell's pick, so every computed row is the same as with the full
+recursion; only fewer sets are computed, and which ones depends on the
+cells read, not on the order they are read in. A node's bound is built on
+first read, wherever the moves came from.
 
 Scoring order: a set's candidates are listed capture moves first, then
 split moves, each group by node id; nodes no path in the set passes are
 skipped (``set_moves`` lists none for them). From node ``j`` a candidate ``u``
 scores its exit time at ``u`` minus the travel time ``d[j][u]``, and ``j``
 keeps the first candidate in that order whose score beats the best so far
-by more than ``TIME_EPS``: a near-tie goes to the earlier candidate. Every
-path passes the entry at time 0, so every set has the capture move at node
-1, and every row holds a value and a move.
+by more than ``TIME_EPS``: a near-tie goes to the earlier candidate. A
+candidate more than ``(K + 1) * TIME_EPS`` below the best of K never
+changes that pick (``tie_slack``), so a cell need not value it. Every path
+passes the entry at time 0, so every set has the capture move at node 1,
+and every row holds a value and a move.
 
 Each solved set's rows are stored once, as per-node lists; a singleton's
 are its path's ``base_case`` values, built on first read. A result's ``latest``,
@@ -353,6 +362,23 @@ def known_path_margin(m: int) -> float:
     return 2 * (m + 1) * TIME_EPS
 
 
+def tie_slack(m: int) -> float:
+    """How far below a cell's best score so far a move may lie and still
+    change the cell's pick, with ``TIME_EPS`` to spare, on an ``m``-node
+    network."""
+    # A cell keeps the first move whose score beats the best so far by more
+    # than TIME_EPS. Take the chains of picks with and without one move. While
+    # they differ, no move clears the higher running best by more than
+    # TIME_EPS, or both chains would take it; so that best rises at most
+    # TIME_EPS per move, and the maximum's move joins the chains again. A move
+    # more than (K + 1) * TIME_EPS below the maximum of K <= m moves (one per
+    # node) therefore never changes the pick, nor do several such moves, one
+    # at a time. The best so far is at most the maximum, so a move whose
+    # bound lies that far below it may go unvalued; the last TIME_EPS is for
+    # the rounding of the float arithmetic.
+    return (m + 2) * TIME_EPS
+
+
 def set_moves(mask: int, schedule: VisitSchedule, strict: bool) -> tuple[tuple, tuple]:
     """The part of a set's candidate moves that does not depend on the
     pursuer's speed, as ``(captures, splits)``, each in node-id order over
@@ -396,9 +422,9 @@ def _known_bound(known: list, u: int) -> tuple[list, list]:
     """Build ``known[u]``, the known-path bound at node ``u``: the values
     ``L_k - d[u][exit_k]`` plus the margin, ascending (ties by path bit),
     beside ``below``, where ``below[i]`` holds the first ``i``'s path bits.
-    ``known[0]`` holds the metric's ``d``, each path's ``(L_k, exit_k)`` and
-    the margin."""
-    d, ends, margin = known[0]
+    ``known[0]`` holds the metric's ``d``, each path's ``(L_k, exit_k)``,
+    the margin and ``tie_slack``."""
+    d, ends, margin, _ = known[0]
     du = d[u]
     values = [length - du[goal] for length, goal in ends]
     order = sorted(range(len(values)), key=values.__getitem__)  # stable
@@ -407,36 +433,56 @@ def _known_bound(known: list, u: int) -> tuple[list, list]:
     return found
 
 
-def _candidates(moves: tuple[tuple, tuple], value, known=None) -> list:
-    """Admissible moves for a set, as (node, exit-time-at-node, kind),
-    ordered capture moves first then by node id (the tie-break order).
+def _candidates(moves: tuple[tuple, list], value, known: list, mask: int, nodes, row) -> float:
+    """Fill the cells at ``nodes`` of the set ``mask`` in ``row``, its
+    (latest, policy, capture) lists, and return the last one's value: node
+    ``j`` keeps the first candidate in tie-break order whose score, its exit
+    time at ``u`` less ``d[j][u]``, beats the best so far by more than
+    ``TIME_EPS``.
 
-    ``moves`` is the set's ``set_moves``; ``value(u, sub)`` returns the
-    latest exit time from ``u`` holding the strict subset ``sub``. Sets are
-    read green first, then the red reports in time order. ``known``, when
-    given, holds per node the known-path values plus ``known_path_margin``
-    in ascending order, beside the prefix-ORs of their path bits, or None
-    until ``_known_bound`` builds them; a split whose green part holds a
-    path below the last red report's time is dropped without reading the
-    green part. Every solve passes its bound; without one, every split is
-    read.
+    ``moves`` holds the set's capture candidates, then its splits as
+    ``[u, None, split]`` lists, ``split`` as ``set_moves`` lists it; a pass
+    that values a split makes its list ``[u, exit time, SPLIT]``, -inf when
+    inadmissible. ``value(u, sub)`` returns the latest exit time from ``u``
+    holding the strict subset ``sub``; a split reads its green part, then
+    its red reports in time order. ``known`` holds the known-path bounds
+    (``_known_bound``) and, in ``known[0]``, ``d`` and ``tie_slack``. From
+    ``j`` a split stays unvalued when its known-path ceiling over ``mask``
+    (its paths' smallest) less ``d[j][u]`` lies more than ``tie_slack``
+    below the best so far; ``mask`` 0 values every split a pass meets.
     """
     captures, splits = moves
-    out = list(captures)
-    for u, green, time, reds in splits:
-        if known is not None:
-            ceilings, below = known[u] or _known_bound(known, u)
-            if below[bisect_left(ceilings, time)] & green:
-                continue
-        worst = value(u, green)
-        if tlt(worst, time):
-            continue
-        for red in reds:
-            red_value = value(u, red)
-            if red_value < worst:
-                worst = red_value
-        out.append((u, worst, SPLIT))
-    return out
+    d, _, _, slack = known[0]
+    latest, policy, capture = row
+    for j in nodes:
+        dj = d[j]
+        best = -inf
+        for u, worth, kind in captures:
+            score = worth - dj[u]
+            if score > best + TIME_EPS:
+                best, move, pick = score, u, kind
+        for split in splits:
+            u, worth, kind = split
+            if worth is None:
+                ceilings, below = known[u] or _known_bound(known, u)
+                if mask and below[bisect_left(ceilings, best + dj[u] - slack)] & mask:
+                    continue
+                _, green, time, reds = kind
+                worth = value(u, green)
+                if tlt(worth, time):
+                    worth = -inf
+                else:
+                    for red in reds:
+                        red_value = value(u, red)
+                        if red_value < worth:
+                            worth = red_value
+                split[1], split[2] = worth, SPLIT
+                kind = SPLIT
+            score = worth - dj[u]
+            if score > best + TIME_EPS:
+                best, move, pick = score, u, kind
+        latest[j - 1], policy[j - 1], capture[j - 1] = best, move, pick == CAPTURE
+    return best
 
 
 class _RowView(Mapping):
@@ -481,12 +527,13 @@ class _Solver:
     ``rows`` maps each computed set to its (latest, policy, capture) lists,
     indexed by node - 1. A solved result and its table views share this
     dict; the solver holds neither, so no reference cycle forms. Evaluating
-    a set (``evaluate``) builds its scored candidate list, which is where
-    the recursion runs, and stores a row whose cells are all None. Scoring a
-    node (``score``) fills that node's cell from the list. ``value`` does
-    each step the first time a cell is read; ``pending`` keeps the lists of
+    a set (``evaluate``) lists its moves and stores a row whose cells are
+    all None. Scoring a node (``score``) fills that node's cell by a
+    ``_candidates`` pass, which values the splits the cell needs and is
+    where the recursion runs. ``value`` does each step the first time a
+    cell is read; ``pending`` keeps the moves, splits valued so far, of the
     sets that may still have cells to score, and ``fill`` scores the rest
-    of a set's row and drops its list. ``cells_scored`` counts the cells
+    of a set's row and drops its moves. ``cells_scored`` counts the cells
     scored.
 
     A singleton's row is its path's ``base_case`` row, built whole when the
@@ -494,22 +541,26 @@ class _Solver:
     holds the known-path bounds for ``_candidates``, a node's built when it
     is first read (``_known_bound``). ``moves`` is the ``MoveTable`` the
     solve was given, or None to build each set's moves as it is computed.
-    ``walked`` holds the sets ``walk_policy`` read, or None until it runs.
+    Without ``prune`` every set is filled after its subsets, so each pass
+    values every split it meets. ``walked`` holds the sets ``walk_policy``
+    read, or None until it runs.
     """
 
-    def __init__(self, schedule, metric, paths, strict_resolution, moves=None):
+    def __init__(self, schedule, metric, paths, strict_resolution, moves=None, prune=True):
         # nothing is built here: every lazy build runs under ``run``
         self.schedule = schedule
         self.metric = metric
         self.strict = strict_resolution
         self.moves = moves
+        self.prune = prune
         self.full = (1 << schedule.n) - 1
         self.rows: dict[int, tuple[list, list, list]] = {}
-        self.pending: dict[int, list] = {}
+        self.pending: dict[int, tuple[tuple, list]] = {}
         self.cells_scored = 0
         self.walked = None
         self.ends = [*map(attrgetter("length", "exit"), paths)]
-        self.known = [(metric.d, self.ends, known_path_margin(schedule.m))] + [None] * schedule.m
+        m = schedule.m
+        self.known = [(metric.d, self.ends, known_path_margin(m), tie_slack(m))] + [None] * m
 
     def value(self, u: int, mask: int):
         """The latest exit time from ``u`` holding ``mask``, evaluating the
@@ -531,16 +582,17 @@ class _Solver:
         except RecursionError:
             m = self.schedule.m
             raise PursuitError(
-                f"solving this network (m = {m} nodes) nests up to m + 1 = {m + 1} set "
-                f"evaluations, too deep for Python's recursion limit of "
+                f"solving this network (m = {m} nodes) nests up to m + 1 = {m + 1} cell "
+                f"passes, too deep for Python's recursion limit of "
                 f"{sys.getrecursionlimit()}; raise it with sys.setrecursionlimit") from None
 
     def evaluate(self, mask: int):
-        """Build the set's candidates and store its row with no cell scored
-        yet. The moves come from the ``MoveTable`` when the solve has one and
-        from ``set_moves`` otherwise; ``_candidates`` scores them under the
-        known-path bound, reading the subsets they need. A singleton's row
-        is its path's ``base_case`` row, stored whole."""
+        """Store the set's row with no cell scored yet, and its moves for
+        ``score``: its captures, and its splits not dropped by the
+        known-path bound, each ``[u, None, split]`` until a pass values it.
+        The moves come from the ``MoveTable`` when the solve has one and
+        from ``set_moves`` otherwise. A singleton's row is its path's
+        ``base_case`` row, stored whole."""
         m = self.schedule.m
         if not mask & (mask - 1):
             length, goal = self.ends[mask.bit_length() - 1]
@@ -549,27 +601,24 @@ class _Solver:
             return row
         moves = (set_moves(mask, self.schedule, self.strict) if self.moves is None
                  else self.moves[mask])
-        self.pending[mask] = _candidates(moves, self.value, self.known)
+        known, splits = self.known, []
+        for split in moves[1]:
+            u, green, time, _ = split
+            ceilings, below = known[u] or _known_bound(known, u)
+            if not below[bisect_left(ceilings, time)] & green:
+                splits.append([u, None, split])
+        self.pending[mask] = (moves[0], splits)
         unscored = [None] * m
         row = self.rows[mask] = (unscored, unscored[:], unscored[:])
         return row
 
     def score(self, mask: int, nodes) -> float:
         """Fill the cells at ``nodes`` of an evaluated set and return the
-        last one's value: node ``j`` keeps the first candidate whose score
-        beats the best so far by more than ``TIME_EPS``."""
-        candidates, d = self.pending[mask], self.metric.d
-        latest, policy, capture = self.rows[mask]
-        for j in nodes:
-            dj = d[j]
-            best, best_u, best_kind = -inf, None, None
-            for u, value, kind in candidates:
-                score = value - dj[u]
-                if score > best + TIME_EPS:
-                    best, best_u, best_kind = score, u, kind
-            latest[j - 1], policy[j - 1], capture[j - 1] = best, best_u, best_kind == CAPTURE
+        last one's value, as ``_candidates`` picks them; without ``prune``,
+        valuing every split the pass meets."""
         self.cells_scored += len(nodes)
-        return best
+        return _candidates(self.pending[mask], self.value, self.known, mask if self.prune else 0,
+                           nodes, self.rows[mask])
 
     def fill(self, mask: int) -> None:
         """Score every cell of the set's row not scored yet."""
@@ -635,7 +684,7 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
     if moves is not None and (moves.schedule != schedule or moves.strict != strict_resolution):
         raise ValueError(f"the move table is for another schedule or convention: table "
                          f"strict_resolution={moves.strict}, solve {strict_resolution}")
-    worker = _Solver(schedule, metric, paths, strict_resolution, moves)
+    worker = _Solver(schedule, metric, paths, strict_resolution, moves, prune)
     if not prune:
         for mask in full_lattice(schedule.n):
             worker.run(worker.fill, mask)

@@ -6,9 +6,11 @@ import re
 import sys
 import tracemalloc
 import weakref
-from itertools import chain
+from itertools import accumulate, chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ugs_pursuit import (
     InconsistentObservation,
@@ -50,9 +52,18 @@ def record_row(record):
 
 
 def unbounded_candidates(mask, latest, schedule, strict=False):
-    """A set's admissible moves with no known-path bound, so every split is
-    read, each subset's value looked up in ``latest`` by ``(node, mask)``."""
-    return _candidates(set_moves(mask, schedule, strict), lambda u, sub: latest[(u, sub)])
+    """A set's admissible moves as (node, exit time at node, kind), capture
+    moves first then splits, each by node, valued with no known-path bound:
+    every split is read, each subset's value looked up in ``latest`` by
+    ``(node, mask)``. A split is admissible when its green part reaches the
+    last red report's time, and worth its worst part."""
+    captures, splits = set_moves(mask, schedule, strict)
+    moves = list(captures)
+    for u, green, time, reds in splits:
+        worth = latest[(u, green)]
+        if worth >= time - TIME_EPS:
+            moves.append((u, min(worth, *(latest[(u, red)] for red in reds)), SPLIT))
+    return moves
 
 
 class TestBaseCase:
@@ -509,6 +520,24 @@ class TestScoringKernel:
         assert_kernel_matches_reference(result, schedule, metric)
 
     @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("factor", [1.1, 2.0])
+    def test_layered_rows_match_reference(self, factor, strict):
+        # each cell values only the splits that can reach its best so far;
+        # the reference scores every candidate of every set the export computed
+        for instance in (L13, L17, L36):
+            network, paths, schedule, metric = layered(factor=factor, **instance)
+            result = solve(network, schedule, metric, paths, strict_resolution=strict)
+            result.to_json()
+            assert_kernel_matches_reference(result, schedule, metric)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_root_solve_values_few_sets(self, strict):
+        # a bound that stops pruning computes 110 (membership) or 28 (strict)
+        network, paths, schedule, metric = layered(factor=1.1, **L13)
+        result = solve(network, schedule, metric, paths, strict_resolution=strict)
+        assert result.on_demand_sets == (result.root_mask,)
+
+    @pytest.mark.parametrize("strict", [False, True])
     def test_root_invariant_under_relabelling(self, strict):
         for network, paths, schedule, metric in corpus():
             speed = 1.1 * speed_floor(network)
@@ -521,6 +550,51 @@ class TestScoringKernel:
                 value = solve(other, other_schedule, other_metric, other_paths,
                               strict_resolution=strict).root_latest
                 assert value == pytest.approx(root, abs=1e-9)
+
+
+def first_pick(scores):
+    """The node ``_candidates`` keeps among capture moves at nodes 1, 2, ...
+    worth ``scores``, scored from a node at no distance from any of them."""
+    m = len(scores)
+    d = [None] + [[0.0] * (m + 1)] * m
+    row = ([None], [None], [None])
+    _candidates((tuple((u, score, CAPTURE) for u, score in enumerate(scores, 1)), []), None,
+                [(d, None, None, solver.tie_slack(m))], 0, (1,), row)
+    return row[1][0]
+
+
+def pick_without(scores, slack):
+    """``first_pick`` once every score more than ``slack`` below the maximum
+    is dropped, as the node of the kept score."""
+    kept = [(u, score) for u, score in enumerate(scores, 1) if score >= max(scores) - slack]
+    return kept[first_pick([score for _, score in kept]) - 1][0]
+
+
+class TestTieRule:
+    """A cell keeps the first move whose score beats the best so far by more
+    than ``TIME_EPS``; a move more than (K + 1) * ``TIME_EPS`` below the
+    maximum of K moves never changes that pick, so a cell need not value it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=12))
+    def test_far_moves_never_change_the_pick(self, steps):
+        # scores on a grid of quarters of TIME_EPS, each a few quarters from
+        # the last, so near-ties chain; with a 2 * TIME_EPS slack in place of
+        # (K + 1) * TIME_EPS this finds failing chains
+        scores = [7.0 + step * TIME_EPS / 4 for step in accumulate(steps)]
+        assert pick_without(scores, (len(scores) + 1) * TIME_EPS) == first_pick(scores)
+
+    def test_a_two_eps_slack_changes_the_pick(self):
+        # dropping the move at node 2, 2.7 TIME_EPS below the maximum, lets
+        # node 3 through and so node 5 in place of node 4
+        scores = [7.0 + step * TIME_EPS for step in (0.0, 1.5, 2.4, 3.3, 4.2)]
+        assert first_pick(scores) == 4
+        assert pick_without(scores, 2 * TIME_EPS) == 5
+        assert pick_without(scores, (len(scores) + 1) * TIME_EPS) == 4
+
+    def test_slack_covers_one_move_per_node(self):
+        for m in (1, 10, 28):
+            assert solver.tie_slack(m) > (m + 1) * TIME_EPS
 
 
 def unbounded_lattice(paths, schedule, metric, strict):
@@ -617,7 +691,9 @@ class TestOneSolvePath:
         data = result.to_json()
         walked = len(steps)
         assert walked and result.to_json() == data and len(steps) == walked
-        assert result.on_demand_sets == solved  # the walk reads only sets the solve read
+        # the root solve values only the root cell's splits; the walk computes
+        # the rest of the policy after them
+        assert result.on_demand_sets[:len(solved)] == solved
         reloaded = SolveResult.from_json(data)
         assert reloaded.on_demand_sets == () and reloaded.to_json() == data
 
@@ -650,10 +726,11 @@ class TestOneSolvePath:
 
 
 class TestCellsFillOnRead:
-    """A set's candidates are scored when the set is first read, and a node's
-    cell when that cell is first read: reads in any order give the cells an
-    export of a fresh solve lists and compute the sets that export computed,
-    and a solve that reads only its root scores few of them."""
+    """A set's moves are listed when the set is first read, and a node's cell
+    is scored, valuing the splits it needs, when that cell is first read:
+    reads in any order give the cells an export of a fresh solve lists and
+    compute the sets that export computed, and a solve that reads only its
+    root scores few of them."""
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_any_read_order_equals_the_export(self, strict):
@@ -914,28 +991,30 @@ class TestScaleLadder:
     def test_default_closure_stays_small(self):
         # the walk once added every visit-time class and remainder here,
         # sets default playback never reads, and ran out of memory; it now
-        # reads only the sets the solve itself read
+        # reads only the policy's sets, each cell valuing only the splits
+        # that can reach its best
         network, paths, schedule, metric = layered(factor=2.0, **L288)
         result = solve(network, schedule, metric, paths)
         result.to_json()  # the walk runs when the tables are exported
-        assert len(result.on_demand_sets) == 11808
+        assert len(result.on_demand_sets) == 10933
 
 
 def ensure_depth(monkeypatch):
-    """Patch ``_Solver.evaluate`` to record how deeply set evaluations nest;
-    returns the record, whose ``"max"`` holds the deepest level seen."""
+    """Patch ``_Solver.score`` to record how deeply cell scorings, which
+    value the splits they read, nest; returns the record, whose ``"max"``
+    holds the deepest level seen."""
     record = {"now": 0, "max": 0}
-    original = _Solver.evaluate
+    original = _Solver.score
 
-    def counted(self, mask):
+    def counted(self, mask, nodes):
         record["now"] += 1
         record["max"] = max(record["max"], record["now"])
         try:
-            return original(self, mask)
+            return original(self, mask, nodes)
         finally:
             record["now"] -= 1
 
-    monkeypatch.setattr(_Solver, "evaluate", counted)
+    monkeypatch.setattr(_Solver, "score", counted)
     return record
 
 
