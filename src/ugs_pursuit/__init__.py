@@ -33,8 +33,8 @@ from .fixtures import demo_bundle, demo_raw, random_instance, random_layered_net
 from .information import (
     FamilyEvent,
     RealizableFamily,
+    move_children,
     observe,
-    partition,
     realizable_sets,
     red_reports,
     update_red,

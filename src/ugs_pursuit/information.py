@@ -1,4 +1,4 @@
-"""Uncertainty-set algebra: observation updates, red/green partitions and
+"""Uncertainty-set algebra: observation updates, the children of a move and
 enumeration of the uncertainty sets a guaranteed-capture pursuer can
 actually encounter.
 
@@ -8,16 +8,17 @@ An uncertainty set is a bitmask over path indices (bit ``k - 1`` = path
 ``TIME_EPS`` of the class's first visit. Every red must match a class of
 the tracked set, under either convention. A reading keeps one of the sets
 ``red_reports`` lists for the move, or the paths avoiding the node, so
-every kept set is one the solver scores the move by. ``observed_sets``
-lists every set a reading at one node can keep, in closed form. All
-functions here are pure and safe for concurrent use.
+every kept set is one the solver scores the move by. ``move_children``
+lists them in order, in closed form: the children the export's policy
+walk follows and the decision tree draws. All functions here are pure and
+safe for concurrent use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InconsistentObservation
+from .errors import InconsistentObservation, PolicyHole
 from .network import VisitSchedule, indices_of
 from .util import teq, tle, tlt
 
@@ -38,12 +39,6 @@ def update_red(mask: int, u: int, passage: float, schedule: VisitSchedule) -> in
     raise InconsistentObservation(
         f"red at node {u}, passage time {passage:.9g} matches no path in {indices_of(mask)}"
     )
-
-
-def partition(mask: int, u: int, schedule: VisitSchedule) -> tuple[int, int]:
-    """Split a set into (paths through ``u``, paths avoiding ``u``)."""
-    red = mask & schedule.through[u]
-    return red, mask & ~red
 
 
 def red_reports(mask: int, u: int, schedule: VisitSchedule, strict: bool) -> tuple[tuple[float, int], ...]:
@@ -110,17 +105,25 @@ def observe(mask: int, u: int, t: float, visit: float, schedule: VisitSchedule,
     return TranscriptRow(end, u, None, green)
 
 
-def observed_sets(mask: int, u: int, schedule: VisitSchedule, strict: bool) -> set[int]:
-    """The sets ``observe`` can keep when a pursuer holding ``mask`` reads
-    ``u``, over every arrival time and every evader in ``mask``: the sets of
-    the red reports (``red_reports``) and, when some path avoids ``u``, the
-    paths avoiding it. These are the children ``tree_export.build_tree``
-    draws for the move."""
-    image = {red for _, red in red_reports(mask, u, schedule, strict)}
+def move_children(mask: int, u: int, schedule: VisitSchedule,
+                  strict: bool) -> list[tuple[str, float, int]]:
+    """The children of a move to ``u`` holding ``mask``, in order, as
+    ``(label, time, set)``: each red report (``red_reports``), labelled
+    ``red`` when it is the only one and ``red i`` otherwise, then, when some
+    path in ``mask`` avoids ``u``, ``green``: those paths, at the last red
+    report's time. These are the sets ``observe`` can keep at ``u``, over
+    every arrival time and every evader in ``mask``. Raises PolicyHole when
+    no path in ``mask`` passes ``u``: such a move reads nothing."""
+    reports = red_reports(mask, u, schedule, strict)
+    if not reports:
+        raise PolicyHole(f"the policy moves to node {u}, which no path of set "
+                         f"{indices_of(mask)} passes")
+    labels = ("red",) if len(reports) == 1 else [f"red {i}" for i in range(1, len(reports) + 1)]
+    children = [(label, t, red) for label, (t, red) in zip(labels, reports)]
     green = mask & ~schedule.through[u]
     if green:
-        image.add(green)
-    return image
+        children.append(("green", reports[-1][0], green))
+    return children
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,6 @@ class RealizableFamily:
     n: int
     sets: tuple[int, ...]
     log: tuple[FamilyEvent, ...]
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.sets
 
     def to_json(self) -> dict:
         return {
@@ -190,5 +190,5 @@ def realizable_sets(schedule: VisitSchedule, paths) -> RealizableFamily:
         if gone:
             alive = dict.fromkeys(s for s in alive if s & gone == 0)
 
-    return RealizableFamily(n=n, sets=tuple(sorted(family, key=lambda s: (bin(s).count("1"), s))),
+    return RealizableFamily(n=n, sets=tuple(sorted(family, key=lambda s: (s.bit_count(), s))),
                             log=tuple(log))

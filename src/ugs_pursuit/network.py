@@ -116,10 +116,10 @@ class VisitSchedule:
     groups: tuple[tuple[tuple[float, int], ...], ...]
 
     def min_visit(self, j: int, mask: int) -> float:
-        return min(self.times[j][k] for k in iter_indices(mask))
+        return min(map(self.times[j].__getitem__, indices_of(mask)))
 
     def max_visit(self, j: int, mask: int) -> float:
-        return max(self.times[j][k] for k in iter_indices(mask))
+        return max(map(self.times[j].__getitem__, indices_of(mask)))
 
 
 @dataclass(frozen=True)
@@ -144,18 +144,15 @@ def mask_from(indices) -> int:
     return mask
 
 
-def iter_indices(mask: int):
-    """Yield the 1-based path indices present in a bitmask."""
-    k = 1
-    while mask:
-        if mask & 1:
-            yield k
-        mask >>= 1
-        k += 1
-
-
 def indices_of(mask: int) -> tuple[int, ...]:
-    return tuple(iter_indices(mask))
+    """The 1-based path indices present in a bitmask, ascending, read one
+    lowest set bit at a time."""
+    indices = []
+    while mask:
+        bit = mask & -mask
+        indices.append(bit.bit_length())
+        mask ^= bit
+    return tuple(indices)
 
 
 def validate_network(raw: dict) -> RoadNetwork:

@@ -75,9 +75,9 @@ are its path's ``base_case`` values, built on first read. A result's ``latest``,
 fill on read: looking up a cell not filled yet fills it, computing its set
 first when the solve has not. Speed studies read only a solve's root cell,
 so most cells of the sets it computes are never filled. A pruned export is
-the policy: ``to_json`` walks it from the entry through the closed-form image
-of ``observe`` (``information.observed_sets``: a move's red reports and its
-green part, the sets the move was scored by and the decision tree draws),
+the policy: ``to_json`` walks it from the entry through each move's children
+(``information.move_children``: its red reports and its green part, the
+sets the move was scored by, playback can keep and the decision tree draws),
 and lists the sets playback can read and every singleton, rows filled;
 reading a set it left out of loaded tables raises ``PolicyHole``.
 Without pruning the solve fills whole rows and the export lists them all.
@@ -97,7 +97,7 @@ from operator import attrgetter, itemgetter, or_
 
 from .errors import PursuitError
 # bench/tracing.py wraps this name to time the realizable-family sweep
-from .information import observed_sets, realizable_sets, red_reports  # noqa: F401
+from .information import move_children, realizable_sets, red_reports  # noqa: F401
 from .network import PursuerMetric, VisitSchedule, indices_of, mask_from
 from .util import TIME_EPS, tlt
 
@@ -205,7 +205,7 @@ class SolveResult:
         if solver is not None and self.pruned:
             masks = {*solver.run(solver.walk_policy), *(1 << k for k in range(self.n))}
             for mask in masks:
-                solver.fill(mask)
+                solver.run(solver.fill, mask)
         sets = []
         for mask in sorted(masks):
             latest, policy, capture = self.rows[mask]
@@ -327,8 +327,7 @@ def _check_records(records, n: int, m: int) -> None:
                                  f"one per node")
         for j, (latest, move, capture) in enumerate(zip(*columns), 1):
             # no solve writes a D that is not finite: every set captures at the entry
-            if not (type(latest) in (int, float) and -inf < latest < inf
-                    and type(move) is int and 1 <= move <= m and type(capture) is bool):
+            if not _cells_valid([[latest], [move], [capture]], m):
                 raise ValueError(f"set {listed}, node {j}: D {latest!r}, mu {move!r}, "
                                  f"capture {capture!r}; D must be a finite number, mu a node "
                                  f"1..{m} and capture a boolean")
@@ -634,9 +633,9 @@ class _Solver:
 
     def walk_policy(self) -> set:
         """Compute, once, and return the sets that playback of the policy from
-        the entry with every path possible reads: at each move, the image of
-        ``observe`` at that move's node (``observed_sets``), which holds the
-        children the decision tree draws for the move."""
+        the entry with every path possible reads: at each move, every child
+        (``move_children``), the sets ``observe`` can keep there and the
+        decision tree draws."""
         if self.walked is not None:
             return self.walked
         seen = {(1, self.full)}
@@ -647,7 +646,7 @@ class _Solver:
                 continue
             self.value(p, mask)
             u = self.rows[mask][1][p - 1]
-            for sub in observed_sets(mask, u, self.schedule, self.strict):
+            for _, _, sub in move_children(mask, u, self.schedule, self.strict):
                 if (u, sub) not in seen:
                     seen.add((u, sub))
                     stack.append((u, sub))
@@ -656,9 +655,8 @@ class _Solver:
 
 
 def full_lattice(n: int) -> tuple[int, ...]:
-    masks = list(range(1, 1 << n))
-    masks.sort(key=lambda s: (bin(s).count("1"), s))
-    return tuple(masks)
+    """Every non-empty set of ``n`` paths, by size, then by mask (a stable sort)."""
+    return tuple(sorted(range(1, 1 << n), key=int.bit_count))
 
 
 def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,

@@ -1,13 +1,15 @@
 """Materialized pursuer decision trees with DOT and JSON renderings.
 
-A tree expands the solved policy from a root (node, uncertainty set):
-capture moves end in capture leaves, one per red report; split moves
-branch once per red report (``information.red_reports``: one under the
-membership convention, one per visit-time class under strict resolution)
-and once on the green report. A known path needs no case of its own: the
-solver stores every singleton row as a capture move at the path's exit,
-so it ends in the capture leaf there. Every child set is a strict subset
-of its parent's, so depth never exceeds the path count. Playback
+A tree expands the solved policy from a root (node, uncertainty set),
+drawing each move's children (``information.move_children``): one per red
+report (one under the membership convention, one per visit-time class
+under strict resolution), then the green report when some path avoids the
+move's node. At a capture move the red reports are capture leaves; every
+other child is expanded in turn. The export's policy walk follows the
+same children. A known path needs no case of its own: the solver stores
+every singleton row as a capture move at the path's exit, so it ends in
+the capture leaf there. Every child set is a strict subset of its
+parent's, so depth never exceeds the path count. Playback
 (``information.observe``) reads each move the same way: the pursuer waits
 at the move's node until its last red report, so a passage while it waits
 is a capture there, which the tree draws as a red report. A playback at
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PolicyHole
-from .information import partition, red_reports
+from .information import move_children
 from .network import PursuerMetric, VisitSchedule, indices_of
 from .solver import SolveResult, metric_digest
 
@@ -58,7 +60,8 @@ def build_tree(result: SolveResult, schedule: VisitSchedule, metric: PursuerMetr
 
     ``metric`` is only used to confirm the tables were solved for it: no
     check when the result's solver holds this very metric, digests otherwise.
-    Raises PolicyHole when the tables lack a reached (node, set) pair.
+    Raises PolicyHole when the tables lack a reached (node, set) pair, or
+    when a move reads no path of the set held (``move_children``).
     """
     solver = result.solver
     if (solver is None or solver.metric is not metric) \
@@ -77,17 +80,11 @@ def build_tree(result: SolveResult, schedule: VisitSchedule, metric: PursuerMetr
     def expand(j, mask, resolve_t):
         latest = lookup(j, mask)
         move = result.policy[(j, mask)]
-        reports = red_reports(mask, move, schedule, result.strict_resolution)
-        if len(reports) == 1:
-            labels = ("red",)
-        else:
-            labels = tuple(f"red {i}" for i in range(1, len(reports) + 1))
-        if result.capture_move[(j, mask)]:  # wait at the move for each report
-            children = {label: TreeNode(ugs=move, mask=red, latest=t, kind="capture", resolve_t=t)
-                        for label, (t, red) in zip(labels, reports)}
-        else:
-            children = {label: expand(move, red, t) for label, (t, red) in zip(labels, reports)}
-            children["green"] = expand(move, partition(mask, move, schedule)[1], reports[-1][0])
+        capture = result.capture_move[(j, mask)]  # wait at the move for each red report
+        children = {label: TreeNode(ugs=move, mask=sub, latest=t, kind="capture", resolve_t=t)
+                    if capture and label != "green" else expand(move, sub, t)
+                    for label, t, sub in move_children(mask, move, schedule,
+                                                       result.strict_resolution)}
         return TreeNode(ugs=j, mask=mask, latest=latest, kind="decision",
                         resolve_t=resolve_t, children=children)
 

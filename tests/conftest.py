@@ -2,11 +2,13 @@ import pytest
 
 from ugs_pursuit import solver
 from ugs_pursuit import (
+    SolveResult,
     build_schedule,
     demo_bundle,
     enumerate_paths,
     euclidean_metric,
     mask_from,
+    solve,
     table_metric,
     validate_network,
 )
@@ -54,6 +56,25 @@ def single_edge():
 def mask_of(demo_index, *sequences):
     """Bitmask for the paths given by node sequences."""
     return mask_from(demo_index[seq] for seq in sequences)
+
+
+def looping_demo_tables(demo, demo_index, prune):
+    """(metric, tables) for the demo solved under the uniform 0.01 table
+    metric, edited and reloaded: the root moves to node 3, and the path
+    avoiding node 3, once known, moves between nodes 3 and 4, passing
+    neither."""
+    network, paths, schedule = demo
+    m = network.m
+    metric = table_metric([[0.0 if i == j else 0.01 for j in range(m)] for i in range(m)],
+                          network)
+    data = solve(network, schedule, metric, paths, prune=prune).to_json()
+    alone = [demo_index[(1, 2, 7)]]
+    for record in data["sets"]:
+        if record["set"] == list(range(1, schedule.n + 1)):
+            record["mu"][0], record["capture"][0] = 3, False
+        elif record["set"] == alone:
+            record["mu"][2:4], record["capture"][2:4] = [4, 3], [False, False]
+    return metric, SolveResult.from_json(data)
 
 
 @pytest.fixture

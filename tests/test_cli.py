@@ -220,6 +220,19 @@ class TestErrors:
         assert code == EXIT_INVALID
         assert "bad.json:1:" in err
 
+    def test_missing_network_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, _, err = run(capsys, ["paths", "--network", str(missing)])
+        assert code == EXIT_INVALID
+        assert "missing.json: No such file or directory" in err
+
+    def test_unknown_metric_kind_exits_2(self, capsys, tmp_path):
+        metric = tmp_path / "metric.json"
+        metric.write_text(json.dumps({"kind": "manhattan", "speed": 2.0}))
+        code, _, err = run(capsys, ["solve", "--network", "demo", "--metric", str(metric)])
+        assert code == EXIT_INVALID
+        assert "unknown metric kind 'manhattan'" in err
+
     def test_invalid_network_exit_code(self, capsys, tmp_path):
         cyclic = tmp_path / "cyclic.json"
         cyclic.write_text(json.dumps({

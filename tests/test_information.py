@@ -1,4 +1,7 @@
 import math
+import re
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -6,14 +9,15 @@ from hypothesis import strategies as st
 
 from ugs_pursuit import (
     InconsistentObservation,
+    PolicyHole,
     build_schedule,
     enumerate_paths,
     euclidean_metric,
     full_lattice,
     indices_of,
     mask_from,
+    move_children,
     observe,
-    partition,
     realizable_sets,
     red_reports,
     solve,
@@ -201,25 +205,49 @@ class TestObserve:
 
 
 class TestPartition:
+    """A move's children (``move_children``) partition the set held: its red
+    reports, then the paths avoiding the move's node."""
+
     def test_exit_six(self, demo, demo_index):
         _, _, schedule = demo
         pair = mask_of(demo_index, (1, 3, 4, 6), (1, 3, 4, 7))
-        red, green = partition(pair, 6, schedule)
-        assert red == mask_of(demo_index, (1, 3, 4, 6))
-        assert green == mask_of(demo_index, (1, 3, 4, 7))
+        red, green = mask_of(demo_index, (1, 3, 4, 6)), mask_of(demo_index, (1, 3, 4, 7))
+        for strict in (False, True):
+            assert move_children(pair, 6, schedule, strict) == [
+                ("red", 16.3, red), ("green", 16.3, green)]
 
     def test_inner_junction(self, demo, demo_index):
         _, _, schedule = demo
         full = (1 << 4) - 1
-        red, green = partition(full, 3, schedule)
-        assert red == mask_of(demo_index, (1, 3, 4, 6), (1, 3, 4, 7), (1, 3, 5))
-        assert green == mask_of(demo_index, (1, 2, 7))
+        red = mask_of(demo_index, (1, 3, 4, 6), (1, 3, 4, 7), (1, 3, 5))
+        for strict in (False, True):  # every red path passes node 3 at once
+            assert move_children(full, 3, schedule, strict) == [
+                ("red", 6.83, red), ("green", 6.83, mask_of(demo_index, (1, 2, 7)))]
+
+    def test_visit_time_classes(self, demo, demo_index):
+        _, _, schedule = demo
+        full = (1 << 4) - 1
+        early, late = mask_of(demo_index, (1, 2, 7)), mask_of(demo_index, (1, 3, 4, 7))
+        green = full & ~early & ~late
+        assert move_children(full, 7, schedule, True) == [
+            ("red 1", 14.66, early), ("red 2", 17.54, late), ("green", 17.54, green)]
+        assert move_children(full, 7, schedule, False) == [
+            ("red", 14.66, early | late), ("green", 14.66, green)]
+
+    def test_capture_move_has_no_green(self, demo):
+        _, _, schedule = demo
+        full = (1 << 4) - 1
+        for strict in (False, True):
+            assert move_children(full, 1, schedule, strict) == [("red", 0.0, full)]
 
     def test_avoided_node(self, demo, demo_index):
         _, _, schedule = demo
         only = mask_of(demo_index, (1, 2, 7))
-        red, green = partition(only, 4, schedule)
-        assert red == 0 and green == only
+        assert only & schedule.through[4] == 0
+        for strict in (False, True):
+            with pytest.raises(PolicyHole, match=re.escape(
+                    f"moves to node 4, which no path of set {indices_of(only)} passes")):
+                move_children(only, 4, schedule, strict)
 
 
 @st.composite
@@ -248,14 +276,14 @@ def test_updates_only_discard(inst, data):
 
 
 @settings(max_examples=30, deadline=None)
-@given(instances())
-def test_partition_is_exact(inst):
+@given(instances(), st.booleans())
+def test_partition_is_exact(inst, strict):
     network, _, schedule = inst
     full = (1 << schedule.n) - 1
     for u in range(1, network.m + 1):
-        red, green = partition(full, u, schedule)
-        assert red | green == full
-        assert red & green == 0
+        sets = [sub for _, _, sub in move_children(full, u, schedule, strict)]
+        assert reduce(or_, sets) == full
+        assert sum(map(int.bit_count, sets)) == full.bit_count()  # no path in two
 
 
 def flip_id(network):
@@ -292,7 +320,7 @@ class TestRealizableFamily:
     def test_unencounterable_pair_absent(self, demo):
         _, paths, schedule = demo
         family = realizable_sets(schedule, paths)
-        assert mask_from([1, 4]) not in family
+        assert mask_from([1, 4]) not in family.sets
 
     def test_family_bound(self, demo):
         _, paths, schedule = demo
@@ -355,7 +383,7 @@ class TestRealizableFamily:
             family = realizable_sets(schedule, paths)
             assert len(family.sets) <= 2 ** schedule.n - 1
             full = (1 << schedule.n) - 1
-            assert full in family
+            assert full in family.sets
             assert all(s != 0 for s in family.sets)
 
     def test_json_export_shape(self, demo):

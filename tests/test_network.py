@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -93,6 +94,18 @@ class TestValidateNetwork:
         with pytest.raises(NetworkError):
             validate_network(raw)
 
+    def test_non_contiguous_ids_rejected(self):
+        with pytest.raises(NetworkError, match=re.escape("contiguous 1..2, got [1, 3]")):
+            net([1, 3], [(1, 3, 1.0)])
+
+    def test_edge_to_unknown_node_rejected(self):
+        with pytest.raises(NetworkError, match=re.escape("edge (1,3) references an unknown node")):
+            net([1, 2], [(1, 2, 1.0), (1, 3, 1.0)])
+
+    def test_goals_not_a_list_rejected(self):
+        with pytest.raises(NetworkError, match="'goals' must be a list of node ids, not a int"):
+            net([1, 2], [(1, 2, 1.0)], goals=2)
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(NetworkError):
             net([1, 2], [(1, 2, 1.0), (1, 2, 2.0)])
@@ -177,6 +190,10 @@ class TestBuildSchedule:
             demo_index[(1, 3, 4, 7)],
             demo_index[(1, 3, 5)],
         }
+
+    def test_no_paths_rejected(self):
+        with pytest.raises(NetworkError, match="no evader paths"):
+            build_schedule((), 2)
 
     def test_orphan_node(self, demo):
         network, paths, _ = demo
@@ -338,6 +355,12 @@ class TestMetrics:
         network, _, _ = demo
         with pytest.raises(Exception):
             table_metric([[0.0] * 3 for _ in range(3)], network)
+
+    def test_wrong_size_table_rejected(self, demo):
+        network, _, _ = demo
+        small = PursuerMetric(d=tuple((0.0,) * 4 for _ in range(4)))
+        with pytest.raises(MetricError, match="metric is 3x3 but the network has 7 nodes"):
+            validate_metric(small, network)
 
     def test_metric_without_coords(self):
         network = net([1, 2], [(1, 2, 1.0)])

@@ -6,6 +6,7 @@ import pytest
 from ugs_pursuit import (
     CapExceeded,
     InconsistentObservation,
+    NonTermination,
     PolicyHole,
     PursuitError,
     SimulationError,
@@ -16,7 +17,6 @@ from ugs_pursuit import (
     guarantee_exists,
     indices_of,
     oracle_max_delay,
-    partition,
     simulate,
     solve,
     update_red,
@@ -26,6 +26,8 @@ from ugs_pursuit import (
 from ugs_pursuit import simulator
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
 from ugs_pursuit.util import tle
+
+from conftest import looping_demo_tables
 
 
 @pytest.fixture(scope="module")
@@ -81,9 +83,16 @@ class TestSimulate:
                 if row.passage is not None:
                     replay = update_red(previous, row.node, row.passage, schedule)
                 else:
-                    replay = partition(previous, row.node, schedule)[1]
+                    replay = previous & ~schedule.through[row.node]
                 assert replay == row.info
                 previous = row.info
+
+    def test_policy_that_loops_exhausts_the_epoch_budget(self, demo, demo_index):
+        # the known path is sent back and forth between two nodes it never passes
+        network, _, schedule = demo
+        metric, tables = looping_demo_tables(demo, demo_index, prune=True)
+        with pytest.raises(NonTermination, match="within 14 decision epochs"):
+            simulate(network, schedule, metric, tables, demo_index[(1, 2, 7)], 1.0)
 
     def test_stay_that_reads_red_again_raises(self):
         """On ``random_instance(2)`` at 1.1x the floor and 1.25x the solved
@@ -261,6 +270,13 @@ class TestOracle:
         d = demo_solved.root_latest
         assert guarantee_exists(network, schedule, demo_metric, paths, d - 1e-4)
         assert not guarantee_exists(network, schedule, demo_metric, paths, d + 1e-3)
+
+    def test_no_delay_is_always_a_guarantee(self, demo, demo_metric):
+        # the pursuer stands at the entry as the evader passes it
+        network, paths, schedule = demo
+        for mode in ORACLE_MODES.values():
+            for t0 in (0.0, -1.0):
+                assert guarantee_exists(network, schedule, demo_metric, paths, t0, *mode) is True
 
     def test_agrees_with_solver_by_mode(self):
         for seed in (3, 7, 11, 15):

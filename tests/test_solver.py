@@ -31,8 +31,8 @@ from ugs_pursuit import (
 )
 from ugs_pursuit import solver
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
-from ugs_pursuit.information import observed_sets
-from ugs_pursuit.network import indices_of, iter_indices, mask_from
+from ugs_pursuit.information import move_children
+from ugs_pursuit.network import indices_of, mask_from
 from ugs_pursuit.solver import (CAPTURE, SPLIT, MoveTable, _candidates, _known_bound, _Solver,
                                 known_path_margin, set_moves)
 from ugs_pursuit.util import TIME_EPS
@@ -627,7 +627,7 @@ class TestKnownPathBound:
             for (j, mask), value in lattice.latest.items():
                 if value is None:
                     continue
-                bound = min(base_case(j, k, schedule, metric, paths) for k in iter_indices(mask))
+                bound = min(base_case(j, k, schedule, metric, paths) for k in indices_of(mask))
                 assert value <= bound + margin, (j, indices_of(mask))
 
     @pytest.mark.parametrize("strict", [False, True])
@@ -680,8 +680,8 @@ class TestOneSolvePath:
     def test_only_export_walks_and_only_once(self, monkeypatch):
         network, paths, schedule, metric = layered(factor=1.1, seed=13)
         steps = []
-        monkeypatch.setattr(solver, "observed_sets",
-                            lambda mask, *args: steps.append(mask) or observed_sets(mask, *args))
+        monkeypatch.setattr(solver, "move_children",
+                            lambda mask, *args: steps.append(mask) or move_children(mask, *args))
         result = solve(network, schedule, metric, paths)
         solved = result.on_demand_sets
         assert verify_guarantee(network, schedule, metric, result,
@@ -854,7 +854,7 @@ def policy_masks(result, schedule):
         p, mask = stack.pop()
         if mask & (mask - 1):
             u = result.policy[(p, mask)]
-            for sub in observed_sets(mask, u, schedule, result.strict_resolution):
+            for _, _, sub in move_children(mask, u, schedule, result.strict_resolution):
                 if (u, sub) not in seen:
                     seen.add((u, sub))
                     stack.append((u, sub))
@@ -956,12 +956,13 @@ class TestJsonRoundTrip:
         assert result.root_latest == root
 
     def test_cell_rule_decides_what_the_column_checks_cannot(self, demo, demo_metric):
-        # an int too large for a float is still finite: the column check
-        # cannot tell, so the per-cell rule decides, as it did per entry
+        # an int too large for a float fails the column check; the per-record
+        # rule judges each cell by the same test, so it names the cell
         network, paths, schedule = demo
         data = solve(network, schedule, demo_metric, paths).to_json()
         next(r for r in data["sets"] if r["set"] == [1, 2, 3, 4])["D"][2] = 10 ** 400
-        assert SolveResult.from_json(data).latest[(3, 0b1111)] == 10 ** 400
+        with pytest.raises(ValueError, match=re.escape("set [1, 2, 3, 4], node 3: D 1000")):
+            SolveResult.from_json(data)
 
 
 class TestScaleLadder:
@@ -1063,16 +1064,27 @@ class TestRecursionDepth:
         fresh = solve(network, schedule, metric, paths, strict_resolution=True)
         assert lazy.latest[unread] == fresh.latest[unread]
 
+    def test_export_fill_reports_the_recursion_limit(self, monkeypatch, demo, demo_metric):
+        network, paths, schedule = demo
+        result = solve(network, schedule, demo_metric, paths)
+
+        def too_deep(self, mask):
+            raise RecursionError
+
+        monkeypatch.setattr(_Solver, "fill", too_deep)
+        with pytest.raises(PursuitError, match="m = 7 nodes"):
+            result.to_json()
+
 
 def observed_image(mask, u, schedule, strict):
     """Brute force: every set ``observe`` hands on when any path of ``mask``
     is the evader and the pursuer reaches ``u`` at one of the set's visit
     times there, between two of them, before the first or after the last."""
-    times = sorted({schedule.times[u][k] for k in iter_indices(mask)} - {math.inf})
+    times = sorted({schedule.times[u][k] for k in indices_of(mask)} - {math.inf})
     arrivals = [times[0] - 1.0, *times, *((a + b) / 2 for a, b in zip(times, times[1:])),
                 times[-1] + 1.0]
     image = set()
-    for k in iter_indices(mask):
+    for k in indices_of(mask):
         for arrival in arrivals:
             try:
                 row = observe(mask, u, arrival, schedule.times[u][k], schedule, strict)
@@ -1099,8 +1111,8 @@ class TestWalkImage:
                 for u in range(1, network.m + 1):
                     if mask & schedule.through[u]:
                         expected = observed_image(mask, u, schedule, strict)
-                        assert observed_sets(mask, u, schedule, strict) == expected, (
-                            indices_of(mask), u)
+                        children = move_children(mask, u, schedule, strict)
+                        assert {sub for _, _, sub in children} == expected, (indices_of(mask), u)
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_tree_children_in_observed_image(self, strict):

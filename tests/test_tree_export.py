@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from ugs_pursuit import (
+    PolicyHole,
     PursuitError,
     SolveResult,
     build_schedule,
@@ -16,7 +19,7 @@ from ugs_pursuit import (
 )
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
 
-from conftest import mask_of
+from conftest import looping_demo_tables, mask_of
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +99,23 @@ class TestBuildTree:
         for tables in (result, reloaded):
             with pytest.raises(ValueError):
                 build_tree(tables, schedule, other)
+
+    def test_move_reading_no_path_is_a_policy_hole(self, demo, demo_index):
+        # edited tables whose known path is sent to a node it never passes
+        _, _, schedule = demo
+        metric, tables = looping_demo_tables(demo, demo_index, prune=False)
+        alone = (demo_index[(1, 2, 7)],)
+        with pytest.raises(PolicyHole, match=re.escape(
+                f"the policy moves to node 4, which no path of set {alone} passes")):
+            build_tree(tables, schedule, metric)
+
+    def test_set_missing_from_the_tables_is_a_policy_hole(self, demo, demo_metric):
+        network, paths, schedule = demo
+        data = solve(network, schedule, demo_metric, paths).to_json()
+        data["sets"] = [r for r in data["sets"] if len(r["set"]) in (1, schedule.n)]
+        with pytest.raises(PolicyHole, match=re.escape(
+                "no table entry for node 2, set (2, 3, 4)")):
+            build_tree(SolveResult.from_json(data), schedule, demo_metric)
 
     def test_random_instances_structure(self):
         for seed in range(5):
