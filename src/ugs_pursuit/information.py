@@ -47,17 +47,22 @@ def red_reports(mask: int, u: int, schedule: VisitSchedule, strict: bool) -> tup
     ``mask`` passes ``u``.
 
     Under strict resolution each visit-time class of the red part is its own
-    report. Under the membership convention there is one report: the whole
-    red part, at its earliest visit. Either way the green report resolves at
-    the time of the last red report.
+    report, and the scan stops at the class that completes the red part.
+    Under the membership convention there is one report: the whole red part,
+    at its earliest visit. Either way the green report resolves at the time
+    of the last red report.
     """
     reports = []
+    left = mask & schedule.through[u]
     for t, group in schedule.groups[u]:
         cls = group & mask
         if cls:
             if not strict:
-                return ((t, mask & schedule.through[u]),)
+                return ((t, left),)
             reports.append((t, cls))
+            left ^= cls
+            if not left:
+                break
     return tuple(reports)
 
 
@@ -89,14 +94,18 @@ def observe(mask: int, u: int, t: float, visit: float, schedule: VisitSchedule,
     in ``mask`` passes ``u``). A passage by then is a capture; else the
     reading is green then and keeps the paths avoiding ``u``. This is the
     reading the solver values the move by. Raises InconsistentObservation
-    if a red matches no class or a green keeps no path."""
+    if a red matches no class or a green keeps no path, and PolicyHole when
+    a green would keep the whole set: no path in ``mask`` passes ``u``, so
+    the move reads nothing."""
     if tlt(visit, t):
         # read at the passage itself: t - (t - visit) can round out of its class
         cls = update_red(mask, u, visit, schedule)
         return TranscriptRow(t, u, visit, cls if strict else mask & schedule.through[u])
     green = mask & ~schedule.through[u]
+    if green == mask:
+        raise _reads_nothing(mask, u)
     reports = red_reports(mask, u, schedule, strict or not green)
-    end = max(t, reports[-1][0]) if reports else t
+    end = max(t, reports[-1][0])
     if tle(visit, end):
         return None
     if green == 0:
@@ -116,14 +125,18 @@ def move_children(mask: int, u: int, schedule: VisitSchedule,
     no path in ``mask`` passes ``u``: such a move reads nothing."""
     reports = red_reports(mask, u, schedule, strict)
     if not reports:
-        raise PolicyHole(f"the policy moves to node {u}, which no path of set "
-                         f"{indices_of(mask)} passes")
+        raise _reads_nothing(mask, u)
     labels = ("red",) if len(reports) == 1 else [f"red {i}" for i in range(1, len(reports) + 1)]
     children = [(label, t, red) for label, (t, red) in zip(labels, reports)]
     green = mask & ~schedule.through[u]
     if green:
         children.append(("green", reports[-1][0], green))
     return children
+
+
+def _reads_nothing(mask: int, u: int) -> PolicyHole:
+    return PolicyHole(f"the policy moves to node {u}, which no path of set "
+                      f"{indices_of(mask)} passes")
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,8 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
     set, SimulationError when ``k`` is outside ``1..n``, the tables were
     solved for a network of other sizes or a stay reads red again,
     PolicyHole when the walk reaches a (node, set) pair absent from the
-    tables and NonTermination if the decision-epoch budget is exceeded.
+    tables or a move that no path of its set passes, and NonTermination if
+    the decision-epoch budget is exceeded.
     """
     if not t0 > 0:
         raise SimulationError(f"initial delay must be positive, got {t0}")

@@ -80,8 +80,12 @@ the policy: ``to_json`` walks it from the entry through each move's children
 sets the move was scored by, playback can keep and the decision tree draws),
 and lists the sets playback can read and every singleton, rows filled;
 reading a set it left out of loaded tables raises ``PolicyHole``.
-Without pruning the solve fills whole rows and the export lists them all.
-``solve`` accepts ``close_for_simulation`` and ignores it.
+
+Without pruning, the solve fills the whole lattice bottom-up instead
+(``_Solver.fill_lattice``), smaller sets first: a split looks its parts'
+values up in rows already filled, with no known-path bound and no
+recursion, and the export lists every row. ``solve`` accepts
+``close_for_simulation`` and ignores it.
 """
 
 from __future__ import annotations
@@ -140,10 +144,10 @@ class SolveResult:
     ``latest``, ``policy`` and ``capture_move`` are read-only views over it,
     keyed by ``(node, mask)``: ``latest`` holds the latest exit time,
     ``policy`` the next node to visit and ``capture_move`` whether the move
-    ends in immediate capture. After a solve, a cell no view has read yet
-    may be None in ``rows``: ``solver`` fills it, computing its set first if
-    needed, the first time a view reads it, and ``to_json`` fills the sets
-    it lists: a pruned solve's policy, or the whole lattice without pruning.
+    ends in immediate capture. After a pruned solve, a cell no view has read
+    yet may be None in ``rows``: ``solver`` fills it, computing its set first
+    if needed, the first time a view reads it, and ``to_json`` fills the sets
+    it lists, the policy's. A solve without pruning fills the whole lattice.
     ``strict_resolution`` records which convention produced the tables
     (simulation replays observations under the same convention).
     ``on_demand_sets`` lists the non-singleton sets a pruned solve has
@@ -432,31 +436,32 @@ def _known_bound(known: list, u: int) -> tuple[list, list]:
     return found
 
 
-def _candidates(moves: tuple[tuple, list], value, known: list, mask: int, nodes, row) -> float:
+def _candidates(moves: tuple, value, known: list, mask: int, nodes, row) -> float:
     """Fill the cells at ``nodes`` of the set ``mask`` in ``row``, its
     (latest, policy, capture) lists, and return the last one's value: node
     ``j`` keeps the first candidate in tie-break order whose score, its exit
     time at ``u`` less ``d[j][u]``, beats the best so far by more than
     ``TIME_EPS``.
 
-    ``moves`` holds the set's capture candidates, then its splits as
-    ``[u, None, split]`` lists, ``split`` as ``set_moves`` lists it; a pass
-    that values a split makes its list ``[u, exit time, SPLIT]``, -inf when
+    ``moves`` holds the set's valued candidates, ``(u, exit time, kind)``
+    in tie-break order, then its splits not valued yet as ``[u, None,
+    split]`` lists, ``split`` as ``set_moves`` lists it; a pass that values
+    a split makes its list ``[u, exit time, SPLIT]``, -inf when
     inadmissible. ``value(u, sub)`` returns the latest exit time from ``u``
     holding the strict subset ``sub``; a split reads its green part, then
     its red reports in time order. ``known`` holds the known-path bounds
     (``_known_bound``) and, in ``known[0]``, ``d`` and ``tie_slack``. From
     ``j`` a split stays unvalued when its known-path ceiling over ``mask``
     (its paths' smallest) less ``d[j][u]`` lies more than ``tie_slack``
-    below the best so far; ``mask`` 0 values every split a pass meets.
+    below the best so far.
     """
-    captures, splits = moves
+    valued, splits = moves
     d, _, _, slack = known[0]
     latest, policy, capture = row
     for j in nodes:
         dj = d[j]
         best = -inf
-        for u, worth, kind in captures:
+        for u, worth, kind in valued:
             score = worth - dj[u]
             if score > best + TIME_EPS:
                 best, move, pick = score, u, kind
@@ -464,7 +469,7 @@ def _candidates(moves: tuple[tuple, list], value, known: list, mask: int, nodes,
             u, worth, kind = split
             if worth is None:
                 ceilings, below = known[u] or _known_bound(known, u)
-                if mask and below[bisect_left(ceilings, best + dj[u] - slack)] & mask:
+                if below[bisect_left(ceilings, best + dj[u] - slack)] & mask:
                     continue
                 _, green, time, reds = kind
                 worth = value(u, green)
@@ -533,25 +538,24 @@ class _Solver:
     cell is read; ``pending`` keeps the moves, splits valued so far, of the
     sets that may still have cells to score, and ``fill`` scores the rest
     of a set's row and drops its moves. ``cells_scored`` counts the cells
-    scored.
+    scored, the lattice fill's included.
 
     A singleton's row is its path's ``base_case`` row, built whole when the
     set is first read; ``ends`` lists each path's length and exit. ``known``
     holds the known-path bounds for ``_candidates``, a node's built when it
     is first read (``_known_bound``). ``moves`` is the ``MoveTable`` the
     solve was given, or None to build each set's moves as it is computed.
-    Without ``prune`` every set is filled after its subsets, so each pass
-    values every split it meets. ``walked`` holds the sets ``walk_policy``
-    read, or None until it runs.
+    A solve without pruning fills every row by ``fill_lattice`` instead,
+    bottom-up, through none of the steps above. ``walked`` holds the sets
+    ``walk_policy`` read, or None until it runs.
     """
 
-    def __init__(self, schedule, metric, paths, strict_resolution, moves=None, prune=True):
+    def __init__(self, schedule, metric, paths, strict_resolution, moves=None):
         # nothing is built here: every lazy build runs under ``run``
         self.schedule = schedule
         self.metric = metric
         self.strict = strict_resolution
         self.moves = moves
-        self.prune = prune
         self.full = (1 << schedule.n) - 1
         self.rows: dict[int, tuple[list, list, list]] = {}
         self.pending: dict[int, tuple[tuple, list]] = {}
@@ -592,11 +596,8 @@ class _Solver:
         The moves come from the ``MoveTable`` when the solve has one and
         from ``set_moves`` otherwise. A singleton's row is its path's
         ``base_case`` row, stored whole."""
-        m = self.schedule.m
         if not mask & (mask - 1):
-            length, goal = self.ends[mask.bit_length() - 1]
-            row = self.rows[mask] = ([length - dj[goal] for dj in self.metric.d[1:]],
-                                     [goal] * m, [True] * m)
+            row = self.rows[mask] = self.base_row(mask)
             return row
         moves = (set_moves(mask, self.schedule, self.strict) if self.moves is None
                  else self.moves[mask])
@@ -607,17 +608,23 @@ class _Solver:
             if not below[bisect_left(ceilings, time)] & green:
                 splits.append([u, None, split])
         self.pending[mask] = (moves[0], splits)
-        unscored = [None] * m
+        unscored = [None] * self.schedule.m
         row = self.rows[mask] = (unscored, unscored[:], unscored[:])
         return row
 
+    def base_row(self, mask: int) -> tuple[list, list, list]:
+        """The row of a singleton set: its path's ``base_case`` values, each
+        node's move its exit, a capture."""
+        m = self.schedule.m
+        length, goal = self.ends[mask.bit_length() - 1]
+        return [length - dj[goal] for dj in self.metric.d[1:]], [goal] * m, [True] * m
+
     def score(self, mask: int, nodes) -> float:
         """Fill the cells at ``nodes`` of an evaluated set and return the
-        last one's value, as ``_candidates`` picks them; without ``prune``,
-        valuing every split the pass meets."""
+        last one's value, as ``_candidates`` picks them."""
         self.cells_scored += len(nodes)
-        return _candidates(self.pending[mask], self.value, self.known, mask if self.prune else 0,
-                           nodes, self.rows[mask])
+        return _candidates(self.pending[mask], self.value, self.known, mask, nodes,
+                           self.rows[mask])
 
     def fill(self, mask: int) -> None:
         """Score every cell of the set's row not scored yet."""
@@ -630,6 +637,46 @@ class _Solver:
         if unscored:
             self.score(mask, unscored)
         self.pending.pop(mask, None)
+
+    def fill_lattice(self) -> None:
+        """Fill every row of the lattice, smaller sets first, so a split
+        reads its parts' values from rows already filled. A split is kept
+        when its green part reaches its last red report, worth its worst
+        part, and one ``_candidates`` call scores each set's captures and
+        kept splits for all its cells. A node's red reports depend on the
+        set only through its red part there, so each (node, red part) is
+        read once, into per-node dicts dropped on return."""
+        schedule, rows, strict = self.schedule, self.rows, self.strict
+        through, nodes = schedule.through, range(1, schedule.m + 1)
+        reads = [{} for _ in range(schedule.m + 1)]
+        for mask in full_lattice(schedule.n):
+            if not mask & (mask - 1):
+                rows[mask] = self.base_row(mask)
+                continue
+            captures, splits = [], []
+            for u in nodes:
+                red = mask & through[u]
+                if not red:
+                    continue
+                reports = reads[u].get(red)
+                if reports is None:
+                    reports = reads[u][red] = red_reports(red, u, schedule, strict)
+                green = mask ^ red
+                if not green:
+                    captures.append((u, reports[0][0], CAPTURE))
+                    continue
+                worth = rows[green][0][u - 1]
+                if tlt(worth, reports[-1][0]):
+                    continue
+                for _, part in reports:
+                    part_value = rows[part][0][u - 1]
+                    if part_value < worth:
+                        worth = part_value
+                splits.append((u, worth, SPLIT))
+            unscored = [None] * schedule.m
+            row = rows[mask] = (unscored, unscored[:], unscored[:])
+            _candidates((captures + splits, ()), None, self.known, mask, nodes, row)
+        self.cells_scored += schedule.m * ((1 << schedule.n) - 1 - schedule.n)
 
     def walk_policy(self) -> set:
         """Compute, once, and return the sets that playback of the policy from
@@ -664,28 +711,29 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
           close_for_simulation: bool = True, *, moves: MoveTable | None = None) -> SolveResult:
     """Solve the root set top-down, computing only the subsets it reads.
 
-    The solve reads the root's cell at the entry. With ``prune`` off, every
-    set of the full subset lattice is computed first, its whole row filled.
-    Cells the solve did not fill are filled when the returned tables read
-    them, and ``to_json`` computes the sets playback reads, then fills and
-    lists only those and the singletons. ``close_for_simulation`` is
-    accepted and has no effect.
+    The solve reads the root's cell at the entry. Cells it did not fill
+    are filled when the returned tables read them, and ``to_json`` computes
+    the sets playback reads, then fills and lists only those and the
+    singletons. With ``prune`` off, the solve fills every row of the full
+    subset lattice bottom-up instead (``_Solver.fill_lattice``).
+    ``close_for_simulation`` is accepted and has no effect.
 
     ``moves`` is a ``MoveTable`` shared by the solves of one speed study
-    (``analysis`` passes one under the strict convention): the solve reads
-    each set's moves from it, and so do later reads of the result's tables.
-    Without it the solve builds each set's moves when it computes the set
-    and keeps none. Either way the moves are scored the same way, so both
-    compute the same sets and rows. Raises ValueError for a table made for
-    another schedule or convention.
+    (``analysis`` passes one under the strict convention): a pruned solve
+    reads each set's moves from it, and so do later reads of the result's
+    tables; the lattice fill lists its own. Without it the solve builds
+    each set's moves when it computes the set and keeps none. Either way
+    the moves are scored the same way, so both compute the same sets and
+    rows. Raises ValueError for a table made for another schedule or
+    convention.
     """
     if moves is not None and (moves.schedule != schedule or moves.strict != strict_resolution):
         raise ValueError(f"the move table is for another schedule or convention: table "
                          f"strict_resolution={moves.strict}, solve {strict_resolution}")
-    worker = _Solver(schedule, metric, paths, strict_resolution, moves, prune)
-    if not prune:
-        for mask in full_lattice(schedule.n):
-            worker.run(worker.fill, mask)
-    worker.run(worker.value, 1, worker.full)
+    worker = _Solver(schedule, metric, paths, strict_resolution, moves)
+    if prune:
+        worker.run(worker.value, 1, worker.full)
+    else:
+        worker.fill_lattice()
     return SolveResult(n=schedule.n, m=schedule.m, strict_resolution=strict_resolution,
                        pruned=prune, rows=worker.rows, solver=worker)

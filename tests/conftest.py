@@ -58,10 +58,11 @@ def mask_of(demo_index, *sequences):
     return mask_from(demo_index[seq] for seq in sequences)
 
 
-def looping_demo_tables(demo, demo_index, prune):
+def looping_demo_tables(demo, demo_index, prune, moves=None):
     """(metric, tables) for the demo solved under the uniform 0.01 table
     metric, edited and reloaded: the root moves to node 3, and the path
-    avoiding node 3, once known, moves between nodes 3 and 4, passing
+    avoiding node 3, once known, moves from node ``j`` to ``moves[j]``, not
+    a capture. By default it moves between nodes 3 and 4, passing
     neither."""
     network, paths, schedule = demo
     m = network.m
@@ -73,7 +74,8 @@ def looping_demo_tables(demo, demo_index, prune):
         if record["set"] == list(range(1, schedule.n + 1)):
             record["mu"][0], record["capture"][0] = 3, False
         elif record["set"] == alone:
-            record["mu"][2:4], record["capture"][2:4] = [4, 3], [False, False]
+            for j, u in (moves or {3: 4, 4: 3}).items():
+                record["mu"][j - 1], record["capture"][j - 1] = u, False
     return metric, SolveResult.from_json(data)
 
 

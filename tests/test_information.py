@@ -152,8 +152,9 @@ class TestObserve:
         of its class's window and path 3 starts the next class one float
         later, where ``t - (t - visit)`` can round across the boundary. A red
         keeps the evader's whole class, an arrival not after a passage waits
-        for the last class and catches it, and playback at the solved delay
-        captures every evader."""
+        for the last class and catches it, a move holding only path 4 reads
+        nothing there, and playback at the solved delay captures every
+        evader."""
         network, paths, schedule = near_tie_network(second, third)
         assert schedule.groups[5] == ((1.0, mask_from([1, 2])), (third, mask_from([3])))
         times = [0.5, 1.0 - 0.5e-9, 1.0, second, 1.0 + 1.2e-9, third - 0.5e-9, third, 2.0]
@@ -164,6 +165,10 @@ class TestObserve:
             avoiders = mask & ~schedule.through[5]
             for t in times:
                 for k in indices_of(mask):
+                    if avoiders == mask:  # no path passes node 5: the move reads nothing
+                        with pytest.raises(PolicyHole, match="node 5, which no path of set"):
+                            observe(mask, 5, t, schedule.times[5][k], schedule, True)
+                        continue
                     row = observe(mask, 5, t, schedule.times[5][k], schedule, True)
                     if row is None:
                         continue

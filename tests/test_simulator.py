@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -88,11 +89,23 @@ class TestSimulate:
                 previous = row.info
 
     def test_policy_that_loops_exhausts_the_epoch_budget(self, demo, demo_index):
-        # the known path is sent back and forth between two nodes it never passes
+        # the known path is sent back and forth along its own route, reading
+        # red at nodes 2 and 1 in turn
         network, _, schedule = demo
-        metric, tables = looping_demo_tables(demo, demo_index, prune=True)
+        metric, tables = looping_demo_tables(demo, demo_index, prune=True,
+                                             moves={3: 2, 2: 1, 1: 2})
         with pytest.raises(NonTermination, match="within 14 decision epochs"):
             simulate(network, schedule, metric, tables, demo_index[(1, 2, 7)], 1.0)
+
+    def test_move_reading_no_path_is_a_policy_hole(self, demo, demo_index):
+        # the known path is sent to node 4, which it never passes: a green
+        # there would keep the set, and playback would loop
+        network, _, schedule = demo
+        metric, tables = looping_demo_tables(demo, demo_index, prune=True)
+        alone = (demo_index[(1, 2, 7)],)
+        with pytest.raises(PolicyHole, match=re.escape(
+                f"the policy moves to node 4, which no path of set {alone} passes")):
+            simulate(network, schedule, metric, tables, alone[0], 1.0)
 
     def test_stay_that_reads_red_again_raises(self):
         """On ``random_instance(2)`` at 1.1x the floor and 1.25x the solved

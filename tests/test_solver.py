@@ -6,6 +6,7 @@ import re
 import sys
 import tracemalloc
 import weakref
+from collections import Counter
 from itertools import accumulate, chain
 
 import pytest
@@ -31,7 +32,7 @@ from ugs_pursuit import (
 )
 from ugs_pursuit import solver
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
-from ugs_pursuit.information import move_children
+from ugs_pursuit.information import move_children, red_reports
 from ugs_pursuit.network import indices_of, mask_from
 from ugs_pursuit.solver import (CAPTURE, SPLIT, MoveTable, _candidates, _known_bound, _Solver,
                                 known_path_margin, set_moves)
@@ -643,6 +644,47 @@ class TestKnownPathBound:
                     assert got == expected[key], key
 
 
+class TestLatticePass:
+    """A solve without pruning fills the lattice bottom-up by lookups: it
+    reads each node's red reports once per red part, and evaluates no set
+    lazily."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_red_reports_read_once_per_red_part(self, monkeypatch, strict):
+        network, paths, schedule, metric = layered(factor=1.1, **L85)
+        reads = Counter()
+
+        def counted(mask, u, *args):
+            reads[(u, mask)] += 1
+            return red_reports(mask, u, *args)
+
+        monkeypatch.setattr(solver, "red_reports", counted)
+        solve(network, schedule, metric, paths, prune=False, strict_resolution=strict)
+        through = schedule.through
+        parts = {(u, mask & through[u]) for mask in full_lattice(schedule.n) if mask & (mask - 1)
+                 for u in range(1, network.m + 1) if mask & through[u]}
+        assert len(parts) == 1623
+        assert reads.keys() == parts and set(reads.values()) == {1}
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_no_set_evaluated_lazily(self, monkeypatch, strict):
+        network, paths, schedule, metric = layered(factor=1.1, **L85)
+        calls = Counter()
+        for name in ("evaluate", "value"):
+            def counted(self, *args, name=name, original=getattr(_Solver, name)):
+                calls[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(_Solver, name, counted)
+        lattice = solve(network, schedule, metric, paths, prune=False, strict_resolution=strict)
+        assert lattice.root_latest == lattice.rows[lattice.root_mask][0][0]
+        lattice.to_json()
+        assert not calls
+        # the lazy solve goes through both
+        solve(network, schedule, metric, paths, strict_resolution=strict)
+        assert calls["evaluate"] and calls["value"]
+
+
 class TestOneSolvePath:
     """``solve`` computes what the root reads; ``to_json`` computes, once,
     what playback and the tree read before it lists their rows; and every
@@ -784,12 +826,11 @@ class TestBuiltOnFirstRead:
         singletons = [record for record in data["sets"] if len(record["set"]) == 1]
         assert [record["set"] for record in singletons] == [[k] for k in range(1, schedule.n + 1)]
         # the rows a solve without pruning builds for them (n = 18 is too many
-        # paths for its whole lattice here): ``fill`` of each singleton
+        # paths for its whole lattice here): ``base_row`` of each singleton
         lattice = _Solver(schedule, metric, paths, True)
         for record in singletons:
-            mask = mask_from(record["set"])
-            lattice.fill(mask)
-            assert (record["D"], record["mu"], record["capture"]) == lattice.rows[mask]
+            row = lattice.base_row(mask_from(record["set"]))
+            assert (record["D"], record["mu"], record["capture"]) == row
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_export_equals_the_lattice_rows(self, strict):
