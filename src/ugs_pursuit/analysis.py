@@ -54,10 +54,12 @@ class SpeedSweep:
 def _study_moves(schedule, strict_resolution):
     """The move table a study's solves share, or None: strict convention
     only. The table holds every set any solve of the study computed. Under
-    the membership convention that union is large: a 10-point sweep of
-    ``random_layered_network(7, widths=[1,4,4,4,4,3])`` reads 39,866 sets
-    (1,091 strict), whose table raised peak memory from 119 to 212 MB for
-    no time saved."""
+    the membership convention that union is large: a 10-point sweep (1.1 to
+    2.0 times the floor) of ``random_layered_network(7, widths=[1,4,4,4,4,3])``
+    reads 10,932 sets (763 strict). A shared table would cut that sweep from
+    7.7-8.7 to 4.6-5.0 s and raise its peak memory from 72 to 85 MB (two
+    runs each, 2-core host); no benchmark workload runs a membership study,
+    so each of its solves builds its own moves."""
     return MoveTable(schedule, True) if strict_resolution else None
 
 

@@ -26,7 +26,7 @@ from .network import (
     validate_network,
 )
 from .simulator import check_table_sizes, simulate, verify_guarantee
-from .solver import SolveResult, solve
+from .solver import SolveResult, metric_digest, solve
 from .tree_export import build_tree, tree_to_dot, tree_to_json
 
 EXIT_OK = 0
@@ -66,18 +66,16 @@ def _load_bundle(args):
 
 
 def _load_metric(args, network):
-    if args.metric is not None:
-        data = _load_json_file(args.metric)
-        with _parsing(args.metric, "a metric description"):
-            kind = data.get("kind", "table")
-            if kind == "euclidean":
-                return euclidean_metric(network, float(data["speed"]))
-            if kind == "table":
-                return table_metric(data["d"], network)
-        raise PursuitError(f"unknown metric kind {kind!r}")
-    if args.speed is not None:
+    if args.metric is None:
         return euclidean_metric(network, args.speed)
-    raise PursuitError("a metric is required: pass --speed V or --metric FILE")
+    data = _load_json_file(args.metric)
+    with _parsing(args.metric, "a metric description"):
+        kind = data.get("kind", "table")
+        if kind == "euclidean":
+            return euclidean_metric(network, float(data["speed"]))
+        if kind == "table":
+            return table_metric(data["d"], network)
+    raise PursuitError(f"unknown metric kind {kind!r}")
 
 
 def _solve(args, network, paths, schedule):
@@ -161,7 +159,15 @@ def _policy_or_solve(args, network, paths, schedule):
     with _parsing(args.policy, "solved tables from 'solve --format json'"):
         # before from_json builds a mask as wide as the file's own n
         check_table_sizes(data["meta"]["n"], data["meta"]["m"], schedule)
-        return metric, SolveResult.from_json(data)
+        result = SolveResult.from_json(data)
+    if result.strict_resolution != args.strict_resolution:
+        solved = "with" if result.strict_resolution else "without"
+        raise PursuitError(f"{args.policy}: the tables were solved {solved} --strict-resolution")
+    digest = metric_digest(metric)
+    if result.metric_digest != digest:
+        raise PursuitError(f"{args.policy}: the tables were solved for another metric "
+                           f"(digest {result.metric_digest}, this metric's {digest})")
+    return metric, result
 
 
 def _cmd_simulate(args) -> int:
@@ -225,53 +231,57 @@ def _cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--network", required=True,
-                        help="network JSON file, or 'demo' / 'random'")
-    shared.add_argument("--seed", type=int, default=0,
-                        help="seed for --network random")
-    shared.add_argument("--speed", type=float, default=None,
-                        help="pursuer speed for the euclidean metric")
-    shared.add_argument("--metric", default=None, help="metric JSON file")
-    shared.add_argument("--strict-resolution", action="store_true",
-                        help="split red reports by delay; green resolves at the last visit")
-    shared.add_argument("--format", choices=("json", "text"), default="text",
-                        help="text (default; DOT for tree, CSV for sweep) or json")
+    # one parent per concern: each subcommand takes only the options it reads
+    network = argparse.ArgumentParser(add_help=False)
+    network.add_argument("--network", required=True,
+                         help="network JSON file, or 'demo' / 'random'")
+    network.add_argument("--seed", type=int, default=0, help="seed for --network random")
+    metric = argparse.ArgumentParser(add_help=False)
+    given = metric.add_mutually_exclusive_group(required=True)
+    given.add_argument("--speed", type=float, help="pursuer speed for the euclidean metric")
+    given.add_argument("--metric", help="metric JSON file")
+    convention = argparse.ArgumentParser(add_help=False)
+    convention.add_argument("--strict-resolution", action="store_true",
+                            help="split red reports by delay; green resolves at the last visit")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "text"), default="text",
+                        help="text (default; DOT for tree) or json")
+    solved = [network, metric, convention, output]
 
     parser = argparse.ArgumentParser(prog="ugs-pursuit",
                                      description="Guaranteed-capture pursuit planning "
                                                  "on sensor-instrumented road networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("paths", parents=[shared]).set_defaults(func=_cmd_paths)
-    sub.add_parser("realizable", parents=[shared]).set_defaults(func=_cmd_realizable)
+    sub.add_parser("paths", parents=[network, output]).set_defaults(func=_cmd_paths)
+    sub.add_parser("realizable", parents=[network, output]).set_defaults(func=_cmd_realizable)
 
-    p_solve = sub.add_parser("solve", parents=[shared])
+    p_solve = sub.add_parser("solve", parents=solved)
     p_solve.add_argument("--require-positive", action="store_true",
                          help="exit 3 unless a positive delay is tolerable")
     p_solve.set_defaults(func=_cmd_solve)
 
-    sub.add_parser("tree", parents=[shared]).set_defaults(func=_cmd_tree)
+    sub.add_parser("tree", parents=solved).set_defaults(func=_cmd_tree)
 
-    p_sim = sub.add_parser("simulate", parents=[shared])
+    p_sim = sub.add_parser("simulate", parents=solved)
     p_sim.add_argument("--path", type=int, required=True, help="evader path index")
     p_sim.add_argument("--t0", type=float, required=True, help="initial delay")
     p_sim.add_argument("--policy", default=None,
                        help="solved tables from 'solve --format json'")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_verify = sub.add_parser("verify", parents=[shared])
+    p_verify = sub.add_parser("verify", parents=solved)
     p_verify.add_argument("--t0", type=float, required=True)
     p_verify.add_argument("--policy", default=None)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_crit = sub.add_parser("critical-speed", parents=[shared])
+    p_crit = sub.add_parser("critical-speed", parents=[network, convention])
     p_crit.add_argument("--lo", type=float, required=True)
     p_crit.add_argument("--hi", type=float, required=True)
     p_crit.add_argument("--tol", type=float, default=1e-4)
     p_crit.set_defaults(func=_cmd_critical_speed)
 
-    p_sweep = sub.add_parser("sweep", parents=[shared])
+    p_sweep = sub.add_parser("sweep", parents=[network, convention])
     p_sweep.add_argument("--grid", required=True, help="comma-separated speeds")
     p_sweep.set_defaults(func=_cmd_sweep)
 

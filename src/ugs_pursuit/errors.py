@@ -70,7 +70,8 @@ class NonTermination(SimulationError):
 
 
 class CapExceeded(PursuitError):
-    """Instance too large for the exhaustive oracle."""
+    """The exhaustive oracle's search outgrew its budget of uncertainty sets
+    (``simulator.ORACLE_SET_BUDGET``)."""
 
 
 class BracketInvalid(PursuitError):

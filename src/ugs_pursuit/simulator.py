@@ -1,5 +1,5 @@
 """Closed-loop playback of a pursuit policy against each evader path, and an
-independent exhaustive oracle for small instances.
+independent exhaustive oracle.
 
 The simulator drives the real clock: the pursuer moves between sensors,
 reads them on arrival and captures when it is collocated with the evader at
@@ -21,7 +21,8 @@ at a delay implies winning at every smaller one, state by state, so one
 oracle shares per-(node, set) win and loss thresholds across all the
 probes of its bisection. The ``exact=True`` search keeps a memo per probe
 instead, because its synchronous-capture window makes a state winnable at
-some arrival but not at a slightly earlier one.
+some arrival but not at a slightly earlier one. Any network is accepted;
+the search raises CapExceeded once it holds ``ORACLE_SET_BUDGET`` sets.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from .network import PursuerMetric, RoadNetwork, VisitSchedule, indices_of
 from .solver import SolveResult
 from .util import bisect_bracket, check_bracket, teq, tle, tlt
 
-ORACLE_PATH_CAP = 6
-ORACLE_NODE_CAP = 10
+ORACLE_SET_BUDGET = 30_000
 
 
 @dataclass(frozen=True)
@@ -211,8 +211,11 @@ class _Oracle:
         is ``(u, red, green, visit, classes)`` for each node u the set
         reaches: ``visit`` is the per-path visit time the convention
         compares the arrival with, and ``classes`` are the nonempty
-        ``(tau, group & mask)`` in time order."""
+        ``(tau, group & mask)`` in time order; CapExceeded past the budget."""
         schedule, moves = self.schedule, []
+        if len(self.sets) >= ORACLE_SET_BUDGET:
+            raise CapExceeded(f"oracle budget of {ORACLE_SET_BUDGET} uncertainty sets exhausted "
+                              f"on n={schedule.n} paths and m={schedule.m} nodes")
         for u in range(1, schedule.m + 1):
             red = mask & schedule.through[u]
             if red == 0:
@@ -278,17 +281,11 @@ class _Oracle:
         return False
 
 
-def _check_caps(schedule: VisitSchedule) -> None:
-    if schedule.n > ORACLE_PATH_CAP or schedule.m > ORACLE_NODE_CAP:
-        raise CapExceeded(f"oracle caps exceeded: n={schedule.n} (cap {ORACLE_PATH_CAP}), "
-                          f"m={schedule.m} (cap {ORACLE_NODE_CAP})")
-
-
 def guarantee_exists(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetric,
                      paths, t0: float, strict_resolution: bool = False, exact: bool = False) -> bool:
     """Exhaustively decide whether some pursuit strategy captures every
-    evader path when the chase starts ``t0`` after the evader's entry."""
-    _check_caps(schedule)
+    evader path when the chase starts ``t0`` after the evader's entry.
+    Raises CapExceeded past ``ORACLE_SET_BUDGET`` sets."""
     if t0 <= 0:
         return True
     return _Oracle(network, schedule, metric, paths, strict_resolution, exact).guarantees(t0)
@@ -303,9 +300,8 @@ def oracle_max_delay(network: RoadNetwork, schedule: VisitSchedule, metric: Purs
     Winning at some delay implies winning at any smaller delay, so the
     predicate is monotone and bisection is sound. Raises PursuitError,
     before the oracle runs, unless ``tol > 0`` and the shortest path
-    length is finite.
+    length is finite, and CapExceeded past ``ORACLE_SET_BUDGET`` sets.
     """
-    _check_caps(schedule)
     hi = min(p.length for p in paths)
     check_bracket(0.0, hi, tol)
     oracle = _Oracle(network, schedule, metric, paths, strict_resolution, exact)

@@ -99,9 +99,10 @@ class TestSolve:
         assert err.startswith("error: ") and "non-finite" in err
 
     def test_requires_metric(self, capsys):
-        code, _, err = run(capsys, ["solve", "--network", "demo"])
-        assert code == EXIT_INVALID
-        assert "metric" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--network", "demo"])
+        assert exc.value.code == EXIT_INVALID
+        assert "--speed --metric is required" in capsys.readouterr().err
 
     def test_require_positive_exit_code(self, capsys):
         code, _, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.2",
@@ -192,17 +193,17 @@ class TestTree:
 class TestJsonFormat:
     RANDOM_SPEED = 1.1 * speed_floor(random_layered_network(13))
 
-    @pytest.mark.parametrize("network", [["demo", "--speed", "1.62"],
-                                         ["random", "--seed", "13", "--speed", repr(RANDOM_SPEED)]],
+    @pytest.mark.parametrize("network,speed", [(["demo"], "1.62"),
+                                               (["random", "--seed", "13"], repr(RANDOM_SPEED))],
                              ids=["demo", "random-13"])
-    def test_prints_json_dumps_indent_2(self, capsys, network):
-        # paths and realizable do not depend on the convention; the demo's family
-        # runs the same writer as L13's, which is 9.6 MB
+    def test_prints_json_dumps_indent_2(self, capsys, network, speed):
+        # paths and realizable read neither the metric nor the convention; the demo's
+        # family runs the same writer as L13's, which is 9.6 MB
         commands = [["paths", "--network", *network]]
         if network[0] == "demo":
             commands.append(["realizable", "--network", *network])
         for convention in ([], ["--strict-resolution"]):
-            shared = ["--network", *network, *convention]
+            shared = ["--network", *network, "--speed", speed, *convention]
             _, solved, _ = run(capsys, ["solve", *shared, "--format", "json"])
             t0 = repr(json.loads(solved)["meta"]["tolerable_delay"])
             commands += [["solve", *shared], ["tree", *shared], ["verify", *shared, "--t0", t0]]
@@ -307,6 +308,10 @@ class TestErrors:
           "nan_latest.json"], "D nan"),
         (["simulate", "--network", "demo", "--speed", "1.62", "--path", "1", "--t0", "1",
           "--policy", "old_layout.json"], "per-(node, set) 'entries' layout of earlier versions"),
+        (["verify", "--network", "demo", "--speed", "3", "--t0", "5.61", "--policy",
+          "demo_policy.json"], "demo_policy.json: the tables were solved for another metric"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--strict-resolution", "--t0", "5.61",
+          "--policy", "demo_policy.json"], "solved without --strict-resolution"),
     ], ids=["edge-without-time", "node-without-id", "non-numeric-time", "top-level-list",
             "metric-without-speed", "policy-not-from-solve", "non-numeric-grid",
             "path-above-range", "path-zero", "non-integer-entry", "non-integer-goal",
@@ -318,7 +323,8 @@ class TestErrors:
             "infinite-edge-time", "policy-entry-listed-twice", "policy-bool-member",
             "policy-meta-string-boolean", "policy-for-another-network",
             "policy-fractional-node", "policy-string-capture", "policy-member-zero",
-            "policy-null-mu", "policy-null-latest", "policy-nan-latest", "policy-old-layout"])
+            "policy-null-mu", "policy-null-latest", "policy-nan-latest", "policy-old-layout",
+            "policy-other-metric", "policy-other-convention"])
     def test_malformed_input_exit_code(self, capsys, tmp_path, monkeypatch, argv, named):
         _, solved, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.62",
                                     "--format", "json"])
@@ -389,6 +395,23 @@ class TestErrors:
         assert code == EXIT_INVALID
         assert err.startswith("error: ") and named in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,named", [
+        (["sweep", "--grid", "1.62", "--format", "json"], "unrecognized arguments: --format"),
+        (["critical-speed", "--lo", "1", "--hi", "2", "--speed", "2"],
+         "unrecognized arguments: --speed"),
+        (["paths", "--speed", "9"], "unrecognized arguments: --speed"),
+        (["paths", "--metric", "missing.json"], "unrecognized arguments: --metric"),
+        (["realizable", "--strict-resolution"], "unrecognized arguments: --strict-resolution"),
+        (["solve", "--speed", "1.62", "--metric", "missing.json"],
+         "argument --metric: not allowed with argument --speed"),
+    ], ids=["sweep-format", "critical-speed-speed", "paths-speed", "paths-metric",
+            "realizable-convention", "speed-and-metric"])
+    def test_option_the_command_does_not_read_exits_2(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--network", "demo"])
+        assert exc.value.code == EXIT_INVALID
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["verify"], ["simulate", "--path", "1"]])
     def test_policy_for_more_paths_rejected_before_reading_sets(self, capsys, tmp_path, command):

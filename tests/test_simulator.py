@@ -249,11 +249,10 @@ class TestOracle:
         got = oracle_max_delay(network, schedule, zero_metric, paths)
         assert got == pytest.approx(11.83, abs=1e-6)
 
-    def test_caps_enforced(self):
-        # entry -> 7 middle nodes -> one goal: n=7 paths over the cap, m=9 nodes under it
+    def test_seven_paths_and_eleven_nodes_match_the_solver(self):
+        # entry -> 7 middle nodes -> one goal (n=7 paths), and an 11-node chain (m=11 nodes)
         fan = ({1: (0.0, 0.0), **{j: (1.0, j - 5.0) for j in range(2, 9)}, 9: (2.0, 0.0)},
                [(1, j) for j in range(2, 9)] + [(j, 9) for j in range(2, 9)])
-        # an 11-node chain: one path, m=11 nodes over the cap
         chain = ({j: (float(j), 0.0) for j in range(1, 12)}, [(j, j + 1) for j in range(1, 11)])
         for coords, edges in (fan, chain):
             network = validate_network({
@@ -265,10 +264,41 @@ class TestOracle:
             paths = enumerate_paths(network)
             schedule = build_schedule(paths, network.m)
             metric = euclidean_metric(network, 1.0)
-            with pytest.raises(CapExceeded):
-                oracle_max_delay(network, schedule, metric, paths)
-            with pytest.raises(CapExceeded):
-                guarantee_exists(network, schedule, metric, paths, 1.0)
+            for strict in (False, True):
+                value = max(0.0, solve(network, schedule, metric, paths,
+                                       strict_resolution=strict).root_latest)
+                got = oracle_max_delay(network, schedule, metric, paths, strict_resolution=strict)
+                assert got == pytest.approx(value, abs=1e-6), (schedule.n, strict)
+                assert guarantee_exists(network, schedule, metric, paths, 0.5 * got, strict)
+
+    @pytest.mark.parametrize("mode", ORACLE_MODES)
+    def test_set_budget_enforced(self, demo, demo_metric, monkeypatch, mode):
+        network, paths, schedule = demo
+        strict, exact = ORACLE_MODES[mode]
+        monkeypatch.setattr(simulator, "ORACLE_SET_BUDGET", 1)
+        with pytest.raises(CapExceeded, match="budget of 1 uncertainty sets"):
+            oracle_max_delay(network, schedule, demo_metric, paths, strict, exact)
+        with pytest.raises(CapExceeded, match="n=4 paths and m=7 nodes"):
+            guarantee_exists(network, schedule, demo_metric, paths, 1.0, strict, exact)
+
+    @pytest.mark.parametrize("factor", [1.1, 2.0])
+    @pytest.mark.parametrize("seed,widths", [(13, None), (17, None), (85, [1, 3, 3, 3, 3, 2])],
+                             ids=["L13", "L17", "L85"])
+    def test_benchmark_networks_match_the_solver(self, seed, widths, factor):
+        # n=16, 18 and 10 paths on m=10, 11 and 15 nodes: the solver equals the oracle
+        # of its convention, and the exact oracle equals the strict one
+        network = random_layered_network(seed, widths=widths)
+        paths = enumerate_paths(network)
+        schedule = build_schedule(paths, network.m)
+        metric = euclidean_metric(network, factor * speed_floor(network))
+        oracle = {}
+        for strict in (False, True):
+            value = max(0.0, solve(network, schedule, metric, paths,
+                                   strict_resolution=strict).root_latest)
+            oracle[strict] = oracle_max_delay(network, schedule, metric, paths, strict)
+            assert oracle[strict] == pytest.approx(value, abs=1e-6), strict
+        exact = oracle_max_delay(network, schedule, metric, paths, exact=True)
+        assert exact == pytest.approx(oracle[True], abs=1e-6)
 
     def test_monotone_in_speed(self, demo):
         network, paths, schedule = demo
