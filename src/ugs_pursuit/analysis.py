@@ -3,11 +3,10 @@ threshold below which no positive entry delay can be tolerated.
 
 The solved values at distinct speeds are independent; rows are produced in
 grid order. Which nodes a set reaches, its green part and its red reports do
-not depend on the speed, so under the strict convention each ``sweep`` or
-``critical_speed`` call keeps one ``MoveTable`` for its schedule and passes
-it to every solve it makes: each set's moves are built once per study. The
-table is dropped when the call returns. Under the membership convention
-each solve builds its own moves (see ``_study_moves``).
+not depend on the speed, so each ``sweep`` or ``critical_speed`` call keeps
+one ``MoveTable`` for its schedule and convention and passes it to every
+solve it makes: each set's moves are built once per study. The table is
+dropped when the call returns.
 
 ``critical_speed`` bisects the sign of the solved root but solves only a
 handful of speeds: it predicts each midpoint from the line in 1 / speed
@@ -51,18 +50,6 @@ class SpeedSweep:
         return "\n".join(lines) + "\n"
 
 
-def _study_moves(schedule, strict_resolution):
-    """The move table a study's solves share, or None: strict convention
-    only. The table holds every set any solve of the study computed. Under
-    the membership convention that union is large: a 10-point sweep (1.1 to
-    2.0 times the floor) of ``random_layered_network(7, widths=[1,4,4,4,4,3])``
-    reads 10,932 sets (763 strict). A shared table would cut that sweep from
-    7.7-8.7 to 4.6-5.0 s and raise its peak memory from 72 to 85 MB (two
-    runs each, 2-core host); no benchmark workload runs a membership study,
-    so each of its solves builds its own moves."""
-    return MoveTable(schedule, True) if strict_resolution else None
-
-
 def _solve_at(network, schedule, paths, speed, strict_resolution, moves):
     metric = euclidean_metric(network, speed)
     return solve(network, schedule, metric, paths, strict_resolution=strict_resolution,
@@ -73,7 +60,7 @@ def sweep(network, schedule, paths, grid, strict_resolution: bool = False) -> Sp
     """One solve per speed in the (ascending) grid. Speeds that violate the
     pursuer-faster-than-evader requirement yield rows flagged invalid."""
     rows = []
-    moves = _study_moves(schedule, strict_resolution)
+    moves = MoveTable(schedule, strict_resolution)
     for speed in grid:
         try:
             result = _solve_at(network, schedule, paths, speed, strict_resolution, moves)
@@ -117,7 +104,7 @@ def critical_speed(network, schedule, paths, v_lo: float, v_hi: float,
     memo of solved speeds, so no speed is solved twice.
     """
     check_bracket(v_lo, v_hi, tol)
-    moves = _study_moves(schedule, strict_resolution)
+    moves = MoveTable(schedule, strict_resolution)
     roots = {}  # speed -> solved root, None where the metric is invalid
 
     def positive(speed: float) -> bool:

@@ -296,7 +296,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors (2) and --help (0)
+        return exc.code
     try:
         return args.func(args)
     except PursuitError as exc:

@@ -76,14 +76,14 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
     a capture at the entry (``t0`` within ``TIME_EPS`` of 0) has no row.
 
     Raises InconsistentObservation when a reading contradicts the tracked
-    set, SimulationError when ``k`` is outside ``1..n``, the tables were
-    solved for a network of other sizes or a stay reads red again,
-    PolicyHole when the walk reaches a (node, set) pair absent from the
-    tables or a move that no path of its set passes, and NonTermination if
-    the decision-epoch budget is exceeded.
+    set, SimulationError unless ``0 < t0 < inf``, when ``k`` is outside
+    ``1..n``, the tables were solved for a network of other sizes or a
+    stay reads red again, PolicyHole when the walk reaches a (node, set)
+    pair absent from the tables or a move that no path of its set passes,
+    and NonTermination if the decision-epoch budget is exceeded.
     """
-    if not t0 > 0:
-        raise SimulationError(f"initial delay must be positive, got {t0}")
+    if not 0 < t0 < math.inf:
+        raise SimulationError(f"initial delay must be positive and finite, got {t0}")
     if not 1 <= k <= schedule.n:
         raise SimulationError(f"no evader path {k}: paths are numbered 1..{schedule.n}")
     check_table_sizes(result.n, result.m, schedule)

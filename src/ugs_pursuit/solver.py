@@ -35,11 +35,10 @@ A set's candidates come in two parts. ``set_moves`` gives what does not
 depend on the pursuer's speed: the nodes the set reaches, each one's green
 part, the time its scoring compares and its red reports. ``_candidates``,
 the one candidate routine, scores them with the solve's values. A
-``MoveTable`` keeps ``set_moves`` for one schedule and convention. A
-strict-convention speed study passes one to each of its solves
-(``solve(..., moves=)``), so each set's moves are built once per study. A
-solve without one builds a set's moves when it computes the set and keeps
-none.
+``MoveTable`` keeps ``set_moves`` for one schedule and convention. A speed
+study passes one to each of its solves (``solve(..., moves=)``), so each
+set's moves are built once per study. A solve without one builds a set's
+moves when it computes the set and keeps none.
 
 Knowing the evader's path never hurts the pursuer, so a set's value at
 ``u`` is at most the smallest known-path value at ``u`` of its paths:
@@ -409,8 +408,8 @@ def set_moves(mask: int, schedule: VisitSchedule, strict: bool) -> tuple[tuple, 
 class MoveTable(dict):
     """``set_moves`` of every set read, for one schedule and convention:
     ``table[mask]`` computes a set's moves on first read and keeps them.
-    A strict-convention speed study passes one table to each of its
-    solves, so every set's moves are built once per study."""
+    A speed study passes one table to each of its solves, so every set's
+    moves are built once per study."""
 
     def __init__(self, schedule: VisitSchedule, strict_resolution: bool):
         super().__init__()
@@ -719,7 +718,7 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
     ``close_for_simulation`` is accepted and has no effect.
 
     ``moves`` is a ``MoveTable`` shared by the solves of one speed study
-    (``analysis`` passes one under the strict convention): a pruned solve
+    (``analysis`` passes one under either convention): a pruned solve
     reads each set's moves from it, and so do later reads of the result's
     tables; the lattice fill lists its own. Without it the solve builds
     each set's moves when it computes the set and keeps none. Either way

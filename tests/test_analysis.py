@@ -393,16 +393,17 @@ class TestStudyParity:
         for name, network, paths, schedule in parity_set():
             sweep(network, schedule, paths, study_grid(network)[1::5], strict_resolution=strict)
             for metric, moves, result in study_solves:
-                assert (moves is not None) == strict
+                assert moves is not None
                 fresh = solve(network, schedule, metric, paths, strict_resolution=strict)
                 assert result.to_json() == fresh.to_json(), name
             study_solves.clear()
 
 
 class TestStudyMoveTable:
-    """Where a move table lives: one per strict study call, none elsewhere."""
+    """Where a move table lives: one per study call, none elsewhere."""
 
-    def test_each_set_built_once_per_strict_study(self, monkeypatch):
+    @pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+    def test_each_set_built_once_per_study(self, monkeypatch, strict):
         built, original = Counter(), solver.set_moves
 
         def counted(mask, *args):
@@ -414,10 +415,10 @@ class TestStudyMoveTable:
         paths = enumerate_paths(network)
         schedule = build_schedule(paths, network.m)
         grid = study_grid(network)
-        sweep(network, schedule, paths, grid, strict_resolution=True)
+        sweep(network, schedule, paths, grid, strict_resolution=strict)
         assert built and max(built.values()) == 1
         built.clear()
-        critical_speed(network, schedule, paths, grid[0], grid[-1], strict_resolution=True)
+        critical_speed(network, schedule, paths, grid[0], grid[-1], strict_resolution=strict)
         assert built and max(built.values()) == 1
 
     def test_one_shot_calls_build_no_table(self, demo, demo_metric, monkeypatch):
@@ -434,33 +435,38 @@ class TestStudyMoveTable:
             result.to_json()
             verify_guarantee(network, schedule, demo_metric, result, result.tolerable_delay)
             build_tree(result, schedule, demo_metric)
-        # a membership-convention study builds each solve's moves in that solve
-        sweep(network, schedule, paths, [1.2, 1.62])
-        critical_speed(network, schedule, paths, 1.0, 2.0)
-        assert tables == []
-        sweep(network, schedule, paths, [1.2, 1.62], strict_resolution=True)
-        assert tables == [(schedule, True)]
+            assert tables == []
+            sweep(network, schedule, paths, [1.2, 1.62], strict_resolution=strict)
+            assert tables == [(schedule, strict)]
+            tables.clear()
+            critical_speed(network, schedule, paths, 1.0, 2.0, strict_resolution=strict)
+            assert tables == [(schedule, strict)]
+            tables.clear()
 
     def test_table_for_another_schedule_or_convention_rejected(self, demo, demo_metric):
         network, paths, schedule = demo
         other = random_instance(1)[2]
         for moves in (MoveTable(other, False), MoveTable(schedule, True)):
             with pytest.raises(ValueError, match="another schedule or convention"):
-                solve(network, schedule, demo_metric, paths, moves=moves)
+                solve(network, schedule, demo_metric, paths, strict_resolution=False,
+                      moves=moves)
         # an equal schedule built again is the same schedule
         moves = MoveTable(build_schedule(paths, network.m), False)
-        shared = solve(network, schedule, demo_metric, paths, moves=moves)
-        assert shared.rows == solve(network, schedule, demo_metric, paths).rows
+        shared = solve(network, schedule, demo_metric, paths, strict_resolution=False,
+                       moves=moves)
+        assert shared.rows == solve(network, schedule, demo_metric, paths,
+                                    strict_resolution=False).rows
 
     def test_table_freed_when_the_study_returns(self, demo, study_solves):
         network, paths, schedule = demo
         gc.disable()
         try:
-            sweep(network, schedule, paths, [0.8, 1.2, 1.62, 2.0], strict_resolution=True)
-            critical_speed(network, schedule, paths, 1.0, 2.0, strict_resolution=True)
-            tables = {id(moves): weakref.ref(moves) for _, moves, _ in study_solves}
-            study_solves.clear()
-            assert len(tables) == 2
-            assert all(ref() is None for ref in tables.values())
+            for strict in (False, True):
+                sweep(network, schedule, paths, [0.8, 1.2, 1.62, 2.0], strict_resolution=strict)
+                critical_speed(network, schedule, paths, 1.0, 2.0, strict_resolution=strict)
+                tables = {id(moves): weakref.ref(moves) for _, moves, _ in study_solves}
+                study_solves.clear()
+                assert len(tables) == 2, strict
+                assert all(ref() is None for ref in tables.values()), strict
         finally:
             gc.enable()

@@ -99,10 +99,9 @@ class TestSolve:
         assert err.startswith("error: ") and "non-finite" in err
 
     def test_requires_metric(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--network", "demo"])
-        assert exc.value.code == EXIT_INVALID
-        assert "--speed --metric is required" in capsys.readouterr().err
+        code, _, err = run(capsys, ["solve", "--network", "demo"])
+        assert code == EXIT_INVALID
+        assert "--speed --metric is required" in err
 
     def test_require_positive_exit_code(self, capsys):
         code, _, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.2",
@@ -268,6 +267,11 @@ class TestErrors:
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
           "path_nine.json"], "paths 1..4"),
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "nan"], "got nan"),
+        # JSON output would carry the non-JSON token Infinity
+        (["simulate", "--network", "demo", "--speed", "1.62", "--path", "1", "--t0", "inf",
+          "--format", "json"], "positive and finite, got inf"),
+        (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1e400", "--format", "json"],
+         "positive and finite, got inf"),
         (["critical-speed", "--network", "demo", "--lo", "1", "--hi", "2", "--tol", "0"],
          "got 0.0"),
         (["critical-speed", "--network", "demo", "--lo", "1", "--hi", "2", "--tol", "-1"],
@@ -317,6 +321,7 @@ class TestErrors:
             "path-above-range", "path-zero", "non-integer-entry", "non-integer-goal",
             "edges-not-a-list", "fractional-endpoint", "nodes-not-a-list",
             "policy-node-zero", "policy-partial-set", "policy-path-above-range", "nan-delay",
+            "inf-delay", "overflowing-delay",
             "zero-tolerance", "negative-tolerance", "nan-tolerance", "nan-lower-speed",
             "minus-inf-lower-speed", "inf-upper-speed", "policy-mu-above-range",
             "policy-mu-not-a-node", "policy-latest-not-a-number", "nan-speed",
@@ -408,10 +413,16 @@ class TestErrors:
     ], ids=["sweep-format", "critical-speed-speed", "paths-speed", "paths-metric",
             "realizable-convention", "speed-and-metric"])
     def test_option_the_command_does_not_read_exits_2(self, capsys, argv, named):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--network", "demo"])
-        assert exc.value.code == EXIT_INVALID
-        assert named in capsys.readouterr().err
+        code, _, err = run(capsys, [*argv, "--network", "demo"])
+        assert code == EXIT_INVALID
+        assert named in err
+
+    @pytest.mark.parametrize("argv", [[], ["solve"], ["critical-speed"]],
+                             ids=["top", "solve", "critical-speed"])
+    def test_help_returns_0(self, capsys, argv):
+        code, out, err = run(capsys, [*argv, "--help"])
+        assert code == EXIT_OK
+        assert out.startswith("usage: ugs-pursuit") and err == ""
 
     @pytest.mark.parametrize("command", [["verify"], ["simulate", "--path", "1"]])
     def test_policy_for_more_paths_rejected_before_reading_sets(self, capsys, tmp_path, command):

@@ -129,7 +129,7 @@ class TestSimulate:
         paths = enumerate_paths(network)
         schedule = build_schedule(paths, network.m)
         metric = euclidean_metric(network, 1.1 * speed_floor(network))
-        result = solve(network, schedule, metric, paths)
+        result = solve(network, schedule, metric, paths, strict_resolution=False)
         for t0 in (result.tolerable_delay, 0.5 * result.tolerable_delay):
             for k in (10, 11, 12, 34, 35, 36):
                 with pytest.raises(InconsistentObservation, match="red at node 9,"):
@@ -168,6 +168,12 @@ class TestSimulate:
         network, _, schedule = demo
         for t0 in (-1.0, math.nan):
             with pytest.raises(SimulationError, match="initial delay must be positive"):
+                simulate(network, schedule, demo_metric, demo_solved, 1, t0)
+
+    def test_rejects_non_finite_delay(self, demo, demo_metric, demo_solved):
+        network, _, schedule = demo
+        for t0 in (math.inf, float("1e400")):
+            with pytest.raises(SimulationError, match="positive and finite, got inf"):
                 simulate(network, schedule, demo_metric, demo_solved, 1, t0)
 
     @pytest.mark.parametrize("k", [0, 9])
