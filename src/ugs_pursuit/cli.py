@@ -145,10 +145,12 @@ def _cmd_tree(args) -> int:
     network, paths, schedule = _load_bundle(args)
     metric, result = _solve(args, network, paths, schedule)
     tree = build_tree(result, schedule, metric)
-    if args.format == "json":
-        _emit(json.dumps(tree_to_json(tree), indent=2))
-    else:
-        _emit(tree_to_dot(tree))
+    try:  # the indented JSON writer nests two generators per level, more than build_tree
+        _emit(json.dumps(tree_to_json(tree), indent=2) if args.format == "json"
+              else tree_to_dot(tree))
+    except RecursionError:
+        raise PursuitError(f"the decision tree is {tree.depth()} levels deep, too deep to write "
+                           f"under Python's recursion limit of {sys.getrecursionlimit()}") from None
     return EXIT_OK
 
 

@@ -23,13 +23,13 @@ is the worst value over the green part and every red report.
 Values for a fixed set do not depend on the pursuer's node except through
 the final travel-time subtraction, so a set's moves are listed once, when
 the set is first read, and each node's cell is filled by one pass over
-them when that cell is first read. The pass runs the recursion: it values a
-split, reading the subsets the split leads to, the first time a cell of the
-set needs it, and keeps the value for the set's other cells. A split at
-``u`` leaves parts whose paths all pass ``u`` or none do, so no set below
-it splits at ``u`` again: a chain of nested cell passes splits at distinct
-nodes, and the recursion is at most ``m + 1`` passes deep. A solve that
-still runs into Python's recursion limit raises PursuitError naming ``m``.
+them when that cell is first read. The pass values a split, reading the
+subsets the split leads to, the first time a cell of the set needs it, and
+keeps the value for the set's other cells. A pass waits, as a generator on
+one explicit stack (``_Solver.score``), while the cells it reads are
+scored, so no solve recurses. A split at ``u`` leaves parts whose paths
+all pass ``u`` or none do, so no set below it splits at ``u`` again: a
+chain of waiting passes splits at distinct nodes, at most ``m + 1`` deep.
 
 A set's candidates come in two parts. ``set_moves`` gives what does not
 depend on the pursuer's speed: the nodes the set reaches, each one's green
@@ -52,8 +52,8 @@ a cell leaves the split unvalued when that ceiling less ``d[j][u]`` lies
 more than ``tie_slack(m)`` below the best score the cell found before it
 (see the scoring order below). The first test only drops splits the
 admissibility test would reject, the second only candidates that cannot
-change the cell's pick, so every computed row is the same as with the full
-recursion; only fewer sets are computed, and which ones depends on the
+change the cell's pick, so every computed row is the same as without the
+bound; only fewer sets are computed, and which ones depends on the
 cells read, not on the order they are read in. A node's bound is built on
 first read, wherever the moves came from.
 
@@ -82,15 +82,14 @@ reading a set it left out of loaded tables raises ``PolicyHole``.
 
 Without pruning, the solve fills the whole lattice bottom-up instead
 (``_Solver.fill_lattice``), smaller sets first: a split looks its parts'
-values up in rows already filled, with no known-path bound and no
-recursion, and the export lists every row. ``solve`` accepts
+values up in rows already filled, with no known-path bound, so no pass
+waits, and the export lists every row. ``solve`` accepts
 ``close_for_simulation`` and ignores it.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -98,7 +97,6 @@ from itertools import accumulate, chain
 from math import inf, isfinite
 from operator import attrgetter, itemgetter, or_
 
-from .errors import PursuitError
 # bench/tracing.py wraps this name to time the realizable-family sweep
 from .information import move_children, realizable_sets, red_reports  # noqa: F401
 from .network import PursuerMetric, VisitSchedule, indices_of, mask_from
@@ -206,9 +204,9 @@ class SolveResult:
         this data as the indented JSON text of ``solve --format json``."""
         solver, masks = self.solver, self.rows
         if solver is not None and self.pruned:
-            masks = {*solver.run(solver.walk_policy), *(1 << k for k in range(self.n))}
+            masks = {*solver.walk_policy(), *(1 << k for k in range(self.n))}
             for mask in masks:
-                solver.run(solver.fill, mask)
+                solver.fill(mask)
         sets = []
         for mask in sorted(masks):
             latest, policy, capture = self.rows[mask]
@@ -435,20 +433,21 @@ def _known_bound(known: list, u: int) -> tuple[list, list]:
     return found
 
 
-def _candidates(moves: tuple, value, known: list, mask: int, nodes, row) -> float:
+def _candidates(moves: tuple, rows: dict, known: list, mask: int, nodes, row):
     """Fill the cells at ``nodes`` of the set ``mask`` in ``row``, its
-    (latest, policy, capture) lists, and return the last one's value: node
-    ``j`` keeps the first candidate in tie-break order whose score, its exit
-    time at ``u`` less ``d[j][u]``, beats the best so far by more than
-    ``TIME_EPS``.
+    (latest, policy, capture) lists: node ``j`` keeps the first candidate
+    in tie-break order whose score, its exit time at ``u`` less
+    ``d[j][u]``, beats the best so far by more than ``TIME_EPS``.
 
     ``moves`` holds the set's valued candidates, ``(u, exit time, kind)``
     in tie-break order, then its splits not valued yet as ``[u, None,
     split]`` lists, ``split`` as ``set_moves`` lists it; a pass that values
     a split makes its list ``[u, exit time, SPLIT]``, -inf when
-    inadmissible. ``value(u, sub)`` returns the latest exit time from ``u``
-    holding the strict subset ``sub``; a split reads its green part, then
-    its red reports in time order. ``known`` holds the known-path bounds
+    inadmissible. A split reads its green part, then its red reports in
+    time order, each part's cell at ``u`` from ``rows``; the pass, a
+    generator, yields ``(u, part, row)`` for a cell not scored yet, ``row``
+    None when the part has none, and reads the cell when resumed, once it
+    is scored. ``known`` holds the known-path bounds
     (``_known_bound``) and, in ``known[0]``, ``d`` and ``tie_slack``. From
     ``j`` a split stays unvalued when its known-path ceiling over ``mask``
     (its paths' smallest) less ``d[j][u]`` lies more than ``tie_slack``
@@ -471,12 +470,20 @@ def _candidates(moves: tuple, value, known: list, mask: int, nodes, row) -> floa
                 if below[bisect_left(ceilings, best + dj[u] - slack)] & mask:
                     continue
                 _, green, time, reds = kind
-                worth = value(u, green)
+                found = rows.get(green)
+                worth = found and found[0][u - 1]
+                if worth is None:
+                    yield u, green, found
+                    worth = rows[green][0][u - 1]
                 if tlt(worth, time):
                     worth = -inf
                 else:
                     for red in reds:
-                        red_value = value(u, red)
+                        found = rows.get(red)
+                        red_value = found and found[0][u - 1]
+                        if red_value is None:
+                            yield u, red, found
+                            red_value = rows[red][0][u - 1]
                         if red_value < worth:
                             worth = red_value
                 split[1], split[2] = worth, SPLIT
@@ -485,7 +492,6 @@ def _candidates(moves: tuple, value, known: list, mask: int, nodes, row) -> floa
             if score > best + TIME_EPS:
                 best, move, pick = score, u, kind
         latest[j - 1], policy[j - 1], capture[j - 1] = best, move, pick == CAPTURE
-    return best
 
 
 class _RowView(Mapping):
@@ -509,7 +515,7 @@ class _RowView(Mapping):
             solver = self.solver
             if solver is None or not 0 < mask <= solver.full:
                 raise KeyError(key)
-            solver.run(solver.value, j, mask)
+            solver.value(j, mask)
             row = self.rows[mask]
         return row[self.column][j - 1]
 
@@ -532,12 +538,12 @@ class _Solver:
     dict; the solver holds neither, so no reference cycle forms. Evaluating
     a set (``evaluate``) lists its moves and stores a row whose cells are
     all None. Scoring a node (``score``) fills that node's cell by a
-    ``_candidates`` pass, which values the splits the cell needs and is
-    where the recursion runs. ``value`` does each step the first time a
-    cell is read; ``pending`` keeps the moves, splits valued so far, of the
-    sets that may still have cells to score, and ``fill`` scores the rest
-    of a set's row and drops its moves. ``cells_scored`` counts the cells
-    scored, the lattice fill's included.
+    ``_candidates`` pass, which values the splits the cell needs, running
+    the passes for the cells they read on an explicit stack. ``value``
+    does each step the first time a cell is read; ``pending`` keeps the
+    moves, splits valued so far, of the sets that may still have cells to
+    score, and ``fill`` scores the rest of a set's row and drops its moves.
+    ``cells_scored`` counts the cells scored, the lattice fill's included.
 
     A singleton's row is its path's ``base_case`` row, built whole when the
     set is first read; ``ends`` lists each path's length and exit. ``known``
@@ -550,7 +556,6 @@ class _Solver:
     """
 
     def __init__(self, schedule, metric, paths, strict_resolution, moves=None):
-        # nothing is built here: every lazy build runs under ``run``
         self.schedule = schedule
         self.metric = metric
         self.strict = strict_resolution
@@ -565,28 +570,11 @@ class _Solver:
         self.known = [(metric.d, self.ends, known_path_margin(m), tie_slack(m))] + [None] * m
 
     def value(self, u: int, mask: int):
-        """The latest exit time from ``u`` holding ``mask``, evaluating the
-        set and scoring the cell on first read."""
-        row = self.rows.get(mask)
-        if row is None:
-            row = self.evaluate(mask)
+        """The latest exit time from ``u`` holding ``mask``: a row lookup,
+        evaluating the set and scoring the cell on first read."""
+        row = self.rows.get(mask) or self.evaluate(mask)
         latest = row[0][u - 1]
-        if latest is None:
-            latest = self.score(mask, (u,))
-        return latest
-
-    def run(self, step, *args):
-        """Call ``value``, ``fill`` or ``walk_policy`` from outside the
-        recursion, reporting Python's recursion limit as a PursuitError
-        naming ``m``."""
-        try:
-            return step(*args)
-        except RecursionError:
-            m = self.schedule.m
-            raise PursuitError(
-                f"solving this network (m = {m} nodes) nests up to m + 1 = {m + 1} cell "
-                f"passes, too deep for Python's recursion limit of "
-                f"{sys.getrecursionlimit()}; raise it with sys.setrecursionlimit") from None
+        return self.score(mask, (u,)) if latest is None else latest
 
     def evaluate(self, mask: int):
         """Store the set's row with no cell scored yet, and its moves for
@@ -620,19 +608,27 @@ class _Solver:
 
     def score(self, mask: int, nodes) -> float:
         """Fill the cells at ``nodes`` of an evaluated set and return the
-        last one's value, as ``_candidates`` picks them."""
+        last one's value, as ``_candidates`` picks them. A part the top pass
+        yields is evaluated if it has no row and, unless its cell is then
+        known, gets a pass on top; the pass below resumes once that is done."""
+        rows, pending, known = self.rows, self.pending, self.known
         self.cells_scored += len(nodes)
-        return _candidates(self.pending[mask], self.value, self.known, mask, nodes,
-                           self.rows[mask])
+        stack = [_candidates(pending[mask], rows, known, mask, nodes, rows[mask])]
+        while stack:
+            for u, part, row in stack[-1]:
+                row = row or self.evaluate(part)
+                if row[0][u - 1] is None:
+                    self.cells_scored += 1
+                    stack.append(_candidates(pending[part], rows, known, part, (u,), row))
+                    break
+            else:
+                stack.pop()
+        return rows[mask][0][nodes[-1] - 1]
 
     def fill(self, mask: int) -> None:
         """Score every cell of the set's row not scored yet."""
-        row = self.rows.get(mask)
-        if row is None:
-            self.evaluate(mask)
-            unscored = range(1, self.schedule.m + 1) if mask & (mask - 1) else ()
-        else:
-            unscored = [j for j, cell in enumerate(row[0], 1) if cell is None]
+        row = self.rows.get(mask) or self.evaluate(mask)
+        unscored = [j for j, cell in enumerate(row[0], 1) if cell is None]
         if unscored:
             self.score(mask, unscored)
         self.pending.pop(mask, None)
@@ -674,7 +670,8 @@ class _Solver:
                 splits.append((u, worth, SPLIT))
             unscored = [None] * schedule.m
             row = rows[mask] = (unscored, unscored[:], unscored[:])
-            _candidates((captures + splits, ()), None, self.known, mask, nodes, row)
+            # every split is valued, so the pass reads no part and never yields
+            next(_candidates((captures + splits, ()), rows, self.known, mask, nodes, row), None)
         self.cells_scored += schedule.m * ((1 << schedule.n) - 1 - schedule.n)
 
     def walk_policy(self) -> set:
@@ -731,7 +728,7 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
                          f"strict_resolution={moves.strict}, solve {strict_resolution}")
     worker = _Solver(schedule, metric, paths, strict_resolution, moves)
     if prune:
-        worker.run(worker.value, 1, worker.full)
+        worker.value(1, worker.full)
     else:
         worker.fill_lattice()
     return SolveResult(n=schedule.n, m=schedule.m, strict_resolution=strict_resolution,

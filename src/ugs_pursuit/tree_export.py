@@ -18,9 +18,10 @@ the solved delay or below walks the tree from its root.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
-from .errors import PolicyHole
+from .errors import PolicyHole, PursuitError
 from .information import move_children
 from .network import PursuerMetric, VisitSchedule, indices_of
 from .solver import SolveResult, metric_digest
@@ -36,16 +37,13 @@ class TreeNode:
     children: dict = field(default_factory=dict)
 
     def depth(self) -> int:
-        if not self.children:
-            return 0
-        return 1 + max(child.depth() for child in self.children.values())
+        level, nodes = 0, [self]
+        while nodes := [child for node in nodes for child in node.children.values()]:
+            level += 1
+        return level
 
     def leaves(self):
-        if not self.children:
-            yield self
-            return
-        for child in self.children.values():
-            yield from child.leaves()
+        return (node for node in self.walk() if not node.children)
 
     def walk(self):
         yield self
@@ -61,15 +59,14 @@ def build_tree(result: SolveResult, schedule: VisitSchedule, metric: PursuerMetr
     ``metric`` is only used to confirm the tables were solved for it: no
     check when the result's solver holds this very metric, digests otherwise.
     Raises PolicyHole when the tables lack a reached (node, set) pair, or
-    when a move reads no path of the set held (``move_children``).
+    when a move reads no path of the set held (``move_children``), and
+    PursuitError when the tree nests deeper than Python's recursion limit.
     """
     solver = result.solver
     if (solver is None or solver.metric is not metric) \
             and metric_digest(metric) != result.metric_digest:
         raise ValueError("metric does not match the one the tables were solved with")
-    full = (1 << result.n) - 1
-    if root is None:
-        root = (1, full)
+    strict = result.strict_resolution
 
     def lookup(j, mask):
         try:
@@ -77,18 +74,22 @@ def build_tree(result: SolveResult, schedule: VisitSchedule, metric: PursuerMetr
         except KeyError:
             raise PolicyHole(f"no table entry for node {j}, set {indices_of(mask)}") from None
 
-    def expand(j, mask, resolve_t):
+    def expand(j, mask, resolve_t, level):
         latest = lookup(j, mask)
         move = result.policy[(j, mask)]
         capture = result.capture_move[(j, mask)]  # wait at the move for each red report
-        children = {label: TreeNode(ugs=move, mask=sub, latest=t, kind="capture", resolve_t=t)
-                    if capture and label != "green" else expand(move, sub, t)
-                    for label, t, sub in move_children(mask, move, schedule,
-                                                       result.strict_resolution)}
+        try:
+            children = {label: TreeNode(ugs=move, mask=sub, latest=t, kind="capture", resolve_t=t)
+                        if capture and label != "green" else expand(move, sub, t, level + 1)
+                        for label, t, sub in move_children(mask, move, schedule, strict)}
+        except RecursionError:  # the deepest level that can still raise names itself
+            raise PursuitError(f"the decision tree is more than {level} levels deep, too deep for "
+                               f"Python's recursion limit of {sys.getrecursionlimit()}") from None
         return TreeNode(ugs=j, mask=mask, latest=latest, kind="decision",
                         resolve_t=resolve_t, children=children)
 
-    return expand(root[0], root[1], None)
+    j, mask = root or (1, result.root_mask)
+    return expand(j, mask, None, 0)
 
 
 def tree_to_json(node: TreeNode) -> dict:

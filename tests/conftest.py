@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from ugs_pursuit import solver
@@ -51,6 +53,36 @@ def single_edge():
     network = validate_network(raw)
     paths = enumerate_paths(network)
     return network, paths, build_schedule(paths, network.m)
+
+
+def comb(k):
+    """The raw description of comb ``k``: a spine of unit-spaced nodes
+    ``1..k`` and, one unit below each spine node ``j`` from 2 to ``k``, an
+    exit numbered ``k + j - 1``; every edge takes 1.5. Its ``k - 1`` paths
+    leave the spine one per exit, so a solve nests cell passes about ``k``
+    deep and the decision tree is about ``k`` levels deep."""
+    spine = [{"id": j, "x": float(j), "y": 0.0} for j in range(1, k + 1)]
+    exits = [{"id": k + j - 1, "x": float(j), "y": -1.0} for j in range(2, k + 1)]
+    edges = [{"from": j, "to": j + 1, "time": 1.5} for j in range(1, k)]
+    edges += [{"from": j, "to": k + j - 1, "time": 1.5} for j in range(2, k + 1)]
+    return {"nodes": spine + exits, "edges": edges, "entry": 1}
+
+
+def with_few_frames(call, spare):
+    """``call()``, run when only ``spare`` more nested calls fit under the
+    recursion limit."""
+    def down(depth):
+        try:
+            return down(depth + 1)
+        except RecursionError:
+            return depth
+
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(limit - down(0) + spare)
+        return call()
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def mask_of(demo_index, *sequences):

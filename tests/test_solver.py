@@ -3,7 +3,6 @@ import json
 import math
 import random
 import re
-import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -38,7 +37,7 @@ from ugs_pursuit.solver import (CAPTURE, SPLIT, MoveTable, _candidates, _known_b
                                 known_path_margin, set_moves)
 from ugs_pursuit.util import TIME_EPS
 
-from conftest import mask_of
+from conftest import comb, mask_of, with_few_frames
 
 
 def positions_value(j, path, metric):
@@ -559,8 +558,9 @@ def first_pick(scores):
     m = len(scores)
     d = [None] + [[0.0] * (m + 1)] * m
     row = ([None], [None], [None])
-    _candidates((tuple((u, score, CAPTURE) for u, score in enumerate(scores, 1)), []), None,
-                [(d, None, None, solver.tie_slack(m))], 0, (1,), row)
+    pass_ = _candidates((tuple((u, score, CAPTURE) for u, score in enumerate(scores, 1)), []), {},
+                        [(d, None, None, solver.tie_slack(m))], 0, (1,), row)
+    next(pass_, None)  # no split, so the pass runs to completion
     return row[1][0]
 
 
@@ -1041,44 +1041,32 @@ class TestScaleLadder:
         assert len(result.on_demand_sets) == 10933
 
 
-def ensure_depth(monkeypatch):
-    """Patch ``_Solver.score`` to record how deeply cell scorings, which
-    value the splits they read, nest; returns the record, whose ``"max"``
-    holds the deepest level seen."""
+def count_passes(monkeypatch):
+    """Patch ``solver._candidates`` to record how many cell passes, each
+    waiting on the cells its splits read, are live at once; returns the
+    record, whose ``"max"`` holds the most seen."""
     record = {"now": 0, "max": 0}
-    original = _Solver.score
+    original = solver._candidates
 
-    def counted(self, mask, nodes):
+    def counted(*args):
         record["now"] += 1
         record["max"] = max(record["max"], record["now"])
         try:
-            return original(self, mask, nodes)
+            yield from original(*args)
         finally:
             record["now"] -= 1
 
-    monkeypatch.setattr(_Solver, "score", counted)
+    monkeypatch.setattr(solver, "_candidates", counted)
     return record
 
 
-def failure_with_few_frames(call):
-    """The message of the PursuitError that ``call()`` raises when only a
-    few more nested calls fit under the recursion limit; None if it returns."""
-    def down(depth):
-        try:
-            return down(depth + 1)
-        except RecursionError:
-            return depth
-
-    limit = sys.getrecursionlimit()
-    try:
-        # room for a few calls, not for nested set evaluations
-        sys.setrecursionlimit(limit - down(0) + 6)
-        call()
-    except PursuitError as exc:
-        return str(exc)
-    finally:
-        sys.setrecursionlimit(limit)
-    return None
+def comb_instance(k, factor):
+    """(network, paths, schedule, metric) for comb ``k`` at ``factor``
+    times its speed floor."""
+    network = validate_network(comb(k))
+    paths = enumerate_paths(network)
+    schedule = build_schedule(paths, network.m)
+    return network, paths, schedule, euclidean_metric(network, factor * speed_floor(network))
 
 
 class TestRecursionDepth:
@@ -1089,32 +1077,28 @@ class TestRecursionDepth:
             "L288x2-strict"])
     def test_at_most_m_plus_one_levels(self, monkeypatch, instance, factor, strict):
         network, paths, schedule, metric = layered(factor=factor, **instance)
-        record = ensure_depth(monkeypatch)
+        record = count_passes(monkeypatch)
         solve(network, schedule, metric, paths, strict_resolution=strict)
         assert 1 < record["max"] <= network.m + 1
 
-    def test_recursion_limit_raises_pursuit_error(self):
-        network, paths, schedule, metric = layered(factor=1.1, **L36)
-        lazy = solve(network, schedule, metric, paths, strict_resolution=True,
-                     close_for_simulation=False)
+    @pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+    @pytest.mark.parametrize("instance", ["comb60", "L36"])
+    def test_solves_with_few_spare_frames(self, instance, strict):
+        # the cell passes nest about 60 deep on comb 60 and up to 13 on L36,
+        # but run on the solver's own stack, so a few frames suffice
+        network, paths, schedule, metric = (comb_instance(60, 1.1) if instance == "comb60"
+                                            else layered(factor=1.1, **L36))
+
+        def export():
+            return solve(network, schedule, metric, paths, strict_resolution=strict).dumps()
+
+        assert with_few_frames(export, 16) == export()
+        # a cell the root solve left unread computes its set, and the sets below, on read
+        lazy = solve(network, schedule, metric, paths, strict_resolution=strict)
         unread = (1, lazy.root_mask & ~1)
         assert unread not in lazy.latest
-        for call in (lambda: solve(network, schedule, metric, paths, strict_resolution=True),
-                     lambda: lazy.latest[unread]):
-            assert "m = 12 nodes" in (failure_with_few_frames(call) or "")
-        fresh = solve(network, schedule, metric, paths, strict_resolution=True)
-        assert lazy.latest[unread] == fresh.latest[unread]
-
-    def test_export_fill_reports_the_recursion_limit(self, monkeypatch, demo, demo_metric):
-        network, paths, schedule = demo
-        result = solve(network, schedule, demo_metric, paths)
-
-        def too_deep(self, mask):
-            raise RecursionError
-
-        monkeypatch.setattr(_Solver, "fill", too_deep)
-        with pytest.raises(PursuitError, match="m = 7 nodes"):
-            result.to_json()
+        fresh = solve(network, schedule, metric, paths, strict_resolution=strict)
+        assert with_few_frames(lambda: lazy.latest[unread], 16) == fresh.latest[unread]
 
 
 def observed_image(mask, u, schedule, strict):
