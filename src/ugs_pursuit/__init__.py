@@ -63,7 +63,7 @@ from .simulator import (
     verify_guarantee,
 )
 from .solver import SolveResult, base_case, full_lattice, solve
-from .tree_export import TreeNode, build_tree, tree_to_dot, tree_to_json
+from .tree_export import TreeNode, build_tree, tree_dumps, tree_to_dot
 from .util import TIME_EPS
 
 __version__ = "0.1.0"

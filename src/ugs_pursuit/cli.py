@@ -27,7 +27,7 @@ from .network import (
 )
 from .simulator import check_table_sizes, simulate, verify_guarantee
 from .solver import SolveResult, metric_digest, solve
-from .tree_export import build_tree, tree_to_dot, tree_to_json
+from .tree_export import build_tree, tree_dumps, tree_to_dot
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -145,12 +145,7 @@ def _cmd_tree(args) -> int:
     network, paths, schedule = _load_bundle(args)
     metric, result = _solve(args, network, paths, schedule)
     tree = build_tree(result, schedule, metric)
-    try:  # the indented JSON writer nests two generators per level, more than build_tree
-        _emit(json.dumps(tree_to_json(tree), indent=2) if args.format == "json"
-              else tree_to_dot(tree))
-    except RecursionError:
-        raise PursuitError(f"the decision tree is {tree.depth()} levels deep, too deep to write "
-                           f"under Python's recursion limit of {sys.getrecursionlimit()}") from None
+    _emit(tree_dumps(tree) if args.format == "json" else tree_to_dot(tree))
     return EXIT_OK
 
 

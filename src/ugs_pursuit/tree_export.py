@@ -9,32 +9,33 @@ other child is expanded in turn. The export's policy walk follows the
 same children. A known path needs no case of its own: the solver stores
 every singleton row as a capture move at the path's exit, so it ends in
 the capture leaf there. Every child set is a strict subset of its
-parent's, so depth never exceeds the path count. Playback
-(``information.observe``) reads each move the same way: the pursuer waits
-at the move's node until its last red report, so a passage while it waits
-is a capture there, which the tree draws as a red report. A playback at
-the solved delay or below walks the tree from its root.
+parent's, so depth never exceeds the path count. Trees are built, walked
+and written on explicit stacks, so no depth meets the recursion limit.
+Playback (``information.observe``) reads each move the same way: the
+pursuer waits at the move's node until its last red report, so a passage
+while it waits is a capture there, which the tree draws as a red report.
+A playback at the solved delay or below walks the tree from its root.
 """
 
 from __future__ import annotations
 
-import sys
+import json
 from dataclasses import dataclass, field
 
-from .errors import PolicyHole, PursuitError
+from .errors import PolicyHole
 from .information import move_children
 from .network import PursuerMetric, VisitSchedule, indices_of
 from .solver import SolveResult, metric_digest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # generated == and repr would recurse: compare renderings
 class TreeNode:
     ugs: int
     mask: int
     latest: float
     kind: str  # "decision" or "capture"
     resolve_t: float | None = None
-    children: dict = field(default_factory=dict)
+    children: dict = field(default_factory=dict, repr=False)
 
     def depth(self) -> int:
         level, nodes = 0, [self]
@@ -46,73 +47,84 @@ class TreeNode:
         return (node for node in self.walk() if not node.children)
 
     def walk(self):
-        yield self
-        for child in self.children.values():
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            yield (node := stack.pop())
+            stack += reversed(node.children.values())
 
 
 def build_tree(result: SolveResult, schedule: VisitSchedule, metric: PursuerMetric,
                root=None) -> TreeNode:
     """Expand the policy into a decision tree from ``root`` (default: the
-    entry node with full uncertainty).
+    entry node with full uncertainty), reading the cells depth first.
 
     ``metric`` is only used to confirm the tables were solved for it: no
     check when the result's solver holds this very metric, digests otherwise.
     Raises PolicyHole when the tables lack a reached (node, set) pair, or
-    when a move reads no path of the set held (``move_children``), and
-    PursuitError when the tree nests deeper than Python's recursion limit.
+    when a move reads no path of the set held (``move_children``).
     """
     solver = result.solver
     if (solver is None or solver.metric is not metric) \
             and metric_digest(metric) != result.metric_digest:
         raise ValueError("metric does not match the one the tables were solved with")
     strict = result.strict_resolution
-
-    def lookup(j, mask):
+    top = {}
+    stack = [(top, None, *(root or (1, result.root_mask)), None)]
+    while stack:
+        siblings, label, j, mask, resolve_t = stack.pop()
         try:
-            return result.latest[(j, mask)]
+            latest = result.latest[(j, mask)]
         except KeyError:
             raise PolicyHole(f"no table entry for node {j}, set {indices_of(mask)}") from None
-
-    def expand(j, mask, resolve_t, level):
-        latest = lookup(j, mask)
         move = result.policy[(j, mask)]
         capture = result.capture_move[(j, mask)]  # wait at the move for each red report
-        try:
-            children = {label: TreeNode(ugs=move, mask=sub, latest=t, kind="capture", resolve_t=t)
-                        if capture and label != "green" else expand(move, sub, t, level + 1)
-                        for label, t, sub in move_children(mask, move, schedule, strict)}
-        except RecursionError:  # the deepest level that can still raise names itself
-            raise PursuitError(f"the decision tree is more than {level} levels deep, too deep for "
-                               f"Python's recursion limit of {sys.getrecursionlimit()}") from None
-        return TreeNode(ugs=j, mask=mask, latest=latest, kind="decision",
-                        resolve_t=resolve_t, children=children)
+        children, expand = {}, []
+        for obs, t, sub in move_children(mask, move, schedule, strict):
+            if capture and obs != "green":
+                children[obs] = TreeNode(ugs=move, mask=sub, latest=t, kind="capture", resolve_t=t)
+            else:
+                children[obs] = None  # holds the label's place until its entry is popped
+                expand.append((children, obs, move, sub, t))
+        siblings[label] = TreeNode(ugs=j, mask=mask, latest=latest, kind="decision",
+                                   resolve_t=resolve_t, children=children)
+        stack += reversed(expand)
+    return top[None]
 
-    j, mask = root or (1, result.root_mask)
-    return expand(j, mask, None, 0)
 
-
-def tree_to_json(node: TreeNode) -> dict:
-    out = {
-        "ugs": node.ugs,
-        "set": list(indices_of(node.mask)),
-        "D": node.latest,
-        "kind": node.kind,
-    }
-    if node.resolve_t is not None:
-        out["t"] = node.resolve_t
-    if node.children:
-        out["children"] = {label: tree_to_json(child) for label, child in node.children.items()}
-    return out
+def tree_dumps(tree: TreeNode) -> str:
+    """The tree as indented JSON (``indent=2``), one object per node: ``ugs``,
+    ``set``, ``D``, ``kind``, ``t`` but at the root, and ``children`` by report
+    label but at a leaf. The stdlib writes each node's own fields, re-indented
+    to its depth; labels, commas and closing braces come off the same stack."""
+    parts, stack = [], [("", tree, "")]  # (text written first, node or None, node's indent)
+    while stack:
+        before, node, pad = stack.pop()
+        parts.append(before)
+        if node is None:
+            continue
+        record = {"ugs": node.ugs, "set": list(indices_of(node.mask)), "D": node.latest,
+                  "kind": node.kind, **({} if node.resolve_t is None else {"t": node.resolve_t})}
+        text = json.dumps(record, indent=2).replace("\n", "\n" + pad)
+        if node.children:  # the record's closing brace gives way to the children's
+            stack.append(("\n" + pad + "  }\n" + pad + "}", None, None))
+            stack += reversed([(f"{',' * bool(k)}\n{pad}    {json.dumps(obs)}: ", child, pad + "    ")
+                               for k, (obs, child) in enumerate(node.children.items())])
+            text = text[:-2 - len(pad)] + ",\n" + pad + '  "children": {'
+        parts.append(text)
+    return "".join(parts)
 
 
 def tree_to_dot(node: TreeNode) -> str:
+    """The tree in Graphviz DOT, its nodes numbered in preorder."""
     lines = ["digraph pursuit {", '  node [shape=box, fontname="Helvetica"];']
-    counter = [0]
-
-    def emit(current: TreeNode) -> int:
-        idx = counter[0]
-        counter[0] += 1
+    stack, count = [(node, None, None)], 0  # (node, parent's number, report), or an edge line
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, str):
+            lines.append(entry)
+            continue
+        current, parent, obs = entry
+        idx, count = count, count + 1
         if current.kind == "capture":
             label = f"capture @ UGS {current.ugs}\\nt={current.latest:.4g}"
             lines.append(f'  n{idx} [label="{label}", shape=oval];')
@@ -120,11 +132,9 @@ def tree_to_dot(node: TreeNode) -> str:
             members = ",".join(str(i) for i in indices_of(current.mask))
             label = f"UGS {current.ugs} | {{{members}}} | D={current.latest:.4g}"
             lines.append(f'  n{idx} [label="{label}"];')
-        for obs, child in current.children.items():
-            cid = emit(child)
-            lines.append(f'  n{idx} -> n{cid} [label="{obs} t={child.resolve_t:.4g}"];')
-        return idx
-
-    emit(node)
+        if parent is not None:  # beneath the children: written after the subtree
+            stack.append(f'  n{parent} -> n{idx} [label="{obs} t={current.resolve_t:.4g}"];')
+        for obs, child in reversed(current.children.items()):
+            stack.append((child, idx, obs))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ from ugs_pursuit import (
     observe,
     realizable_sets,
     solve,
-    tree_to_json,
+    tree_dumps,
     validate_network,
     verify_guarantee,
 )
@@ -930,8 +930,8 @@ class TestPolicyExport:
             for delay in (result.tolerable_delay, result.tolerable_delay / 2):
                 assert playback(network, schedule, metric, reloaded, delay) == \
                     playback(network, schedule, metric, result, delay), delay
-            assert tree_to_json(build_tree(reloaded, schedule, metric)) == \
-                tree_to_json(build_tree(result, schedule, metric))
+            assert tree_dumps(build_tree(reloaded, schedule, metric)) == \
+                tree_dumps(build_tree(result, schedule, metric))
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_lattice_export_lists_every_set(self, strict):

@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -14,12 +15,14 @@ from ugs_pursuit import (
     red_reports,
     simulate,
     solve,
+    tree_dumps,
     tree_to_dot,
-    tree_to_json,
+    validate_network,
 )
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
+from ugs_pursuit.network import indices_of
 
-from conftest import looping_demo_tables, mask_of
+from conftest import comb, looping_demo_tables, mask_of, with_few_frames
 
 
 @pytest.fixture(scope="module")
@@ -242,7 +245,7 @@ class TestStrictRedReports:
 class TestRenderings:
     def test_json_schema(self, demo_tree):
         _, tree = demo_tree
-        payload = tree_to_json(tree)
+        payload = json.loads(tree_dumps(tree))
         assert {"ugs", "set", "D", "kind"} <= payload.keys()
         stack = [payload]
         while stack:
@@ -250,6 +253,29 @@ class TestRenderings:
             for child in node.get("children", {}).values():
                 assert {"ugs", "set", "D", "kind"} <= child.keys()
                 stack.append(child)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_json_is_the_stdlib_rendering(self, demo, demo_metric, demo_index, strict):
+        # demo trees from the entry and from a custom root, and trees whose
+        # red reports span several visit-time classes
+        network, paths, schedule = demo
+        result = solve(network, schedule, demo_metric, paths, strict_resolution=strict)
+        pair = mask_of(demo_index, (1, 3, 4, 6), (1, 3, 4, 7))
+        trees = [build_tree(result, schedule, demo_metric),
+                 build_tree(result, schedule, demo_metric, root=(6, pair))]
+        trees += [strict_tree(*instance)[4] for instance in MULTI_CLASS] if strict else []
+        for tree in trees:
+            text = tree_dumps(tree)
+            payload = json.loads(text)
+            assert text == json.dumps(payload, indent=2)
+            records, stack = [], [payload]
+            while stack:
+                record = stack.pop()
+                records.append((record["ugs"], record["set"], record["D"], record["kind"],
+                                record.get("t"), [*record.get("children", {})]))
+                stack += reversed(record.get("children", {}).values())
+            assert records == [(node.ugs, [*indices_of(node.mask)], node.latest, node.kind,
+                                node.resolve_t, [*node.children]) for node in tree.walk()]
 
     def test_dot_output(self, demo_tree):
         _, tree = demo_tree
@@ -262,3 +288,41 @@ class TestRenderings:
     def test_full_set_membership_label(self, demo_tree):
         _, tree = demo_tree
         assert "{1,2,3,4}" in tree_to_dot(tree)
+
+
+def comb_tables(k):
+    """(result, schedule, metric): comb ``k`` solved strict at twice its
+    speed floor."""
+    network = validate_network(comb(k))
+    paths = enumerate_paths(network)
+    schedule = build_schedule(paths, network.m)
+    metric = euclidean_metric(network, 2.0 * speed_floor(network))
+    return solve(network, schedule, metric, paths, strict_resolution=True), schedule, metric
+
+
+class TestDeepTree:
+    """Comb 60's tree is 59 levels deep, and no traversal nests a call per
+    level, so each runs with a few spare frames."""
+
+    def test_traversals_with_few_spare_frames(self):
+        result, schedule, metric = comb_tables(60)
+
+        def traverse():
+            tree = build_tree(result, schedule, metric)
+            return (tree.depth(), [(node.ugs, node.mask, node.kind) for node in tree.walk()],
+                    [(leaf.ugs, leaf.latest) for leaf in tree.leaves()], tree_to_dot(tree),
+                    tree_dumps(tree))
+
+        normal = traverse()
+        assert normal[0] == 59 and len(normal[2]) == 59
+        assert with_few_frames(traverse, 16) == normal
+
+    def test_repr_and_equality_with_few_spare_frames(self):
+        result, schedule, metric = comb_tables(60)
+        one, two = build_tree(result, schedule, metric), build_tree(result, schedule, metric)
+        text, same, other = with_few_frames(lambda: (repr(one), one == one, one == two), 16)
+        assert text == (f"TreeNode(ugs=1, mask={one.mask}, latest={one.latest!r}, "
+                        "kind='decision', resolve_t=None)")
+        # trees compare by identity; their renderings compare by content
+        assert same and not other
+        assert tree_to_dot(one) == tree_to_dot(two)
