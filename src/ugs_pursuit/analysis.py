@@ -90,18 +90,19 @@ def critical_speed(network, schedule, paths, v_lo: float, v_hi: float,
     ``v_hi``; raises BracketInvalid otherwise. Raises PursuitError, before
     any solve, unless ``tol > 0`` and both ends are finite.
 
-    Most midpoints are predicted, not solved (``bisect_predicted``). A
-    midpoint whose metric is not valid (``euclidean_admissible``, a test
-    over the network's edges) is false. Otherwise its sign is read
-    from the line in w = 1 / speed through the two nearest solved roots,
-    interpolated between them or extrapolated when one side has none:
-    euclidean travel times are distance times w, so the root is piecewise
-    linear in w. With fewer than two roots solved, the midpoint is solved.
-    The ends of the final bracket that were only predicted are then solved.
-    If the predicate is monotone in speed, they confirm every prediction and
-    the answer is plain bisection's bit for bit. If one does not (the root
-    jumped across a predicted midpoint), plain bisection reruns over the
-    memo of solved speeds, so no speed is solved twice.
+    Most midpoints are predicted, not solved (``bisect_predicted``). A speed
+    whose metric is not valid (``euclidean_admissible``, a test over the
+    network's edges) is false with no solve, an end of the bracket too.
+    Otherwise a midpoint's sign is read from the line in w = 1 / speed
+    through the two nearest solved roots, interpolated between them or
+    extrapolated when one side has none: euclidean travel times are distance
+    times w, so the root is piecewise linear in w. With fewer than two roots
+    solved, the midpoint is solved. The ends of the final bracket that were
+    only predicted are then solved. If the predicate is monotone in speed,
+    they confirm every prediction and the answer is plain bisection's bit
+    for bit. If one does not (the root jumped across a predicted midpoint),
+    plain bisection reruns over the memo of solved speeds, so no speed is
+    solved twice.
     """
     check_bracket(v_lo, v_hi, tol)
     moves = MoveTable(schedule, strict_resolution)
@@ -109,22 +110,19 @@ def critical_speed(network, schedule, paths, v_lo: float, v_hi: float,
 
     def positive(speed: float) -> bool:
         if speed not in roots:
-            try:
-                result = _solve_at(network, schedule, paths, speed, strict_resolution, moves)
-            except MetricError:
-                roots[speed] = None
-            else:
-                roots[speed] = result.root_latest
+            roots[speed] = (_solve_at(network, schedule, paths, speed, strict_resolution,
+                                      moves).root_latest
+                            if euclidean_admissible(network, speed) else None)
         root = roots[speed]
         return root is not None and root > TIME_EPS
 
     def predicted(speed: float) -> bool:
-        if not euclidean_admissible(network, speed):
-            roots[speed] = None
-            return False
         solved = sorted((s, root) for s, root in roots.items() if root is not None)
         if len(solved) < 2:
             return positive(speed)
+        if not euclidean_admissible(network, speed):
+            roots[speed] = None
+            return False
         i = min(max(bisect.bisect(solved, (speed,)) - 1, 0), len(solved) - 2)
         (s1, r1), (s2, r2) = solved[i], solved[i + 1]
         w1, w2 = 1.0 / s1, 1.0 / s2

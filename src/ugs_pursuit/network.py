@@ -332,17 +332,16 @@ def build_schedule(paths, m: int) -> VisitSchedule:
 
 
 def euclidean_metric(network: RoadNetwork, speed: float) -> PursuerMetric:
-    """Straight-line-distance-over-speed travel table: the network's
-    ``distances``, each divided by ``speed``.
+    """Straight-line-distance-over-speed travel table: each of the network's
+    ``distances`` divided by ``speed``, one list comprehension per row.
 
-    Requires coordinates on every node and ``speed > 0``; the result must
-    pass ``euclidean_admissible``, and when it does not, ``validate_metric``
-    names the fault (a non-finite coordinate gives a NaN diagonal entry).
+    Requires coordinates on every node and ``speed > 0``, and the one edge
+    rule, ``euclidean_admissible``; when it fails, ``validate_metric`` names
+    the fault (a non-finite coordinate gives a NaN diagonal entry).
     """
     if not speed > 0:  # also rejects NaN
         raise MetricError(f"pursuer speed must be positive, got {speed}")
-    metric = PursuerMetric(d=tuple([tuple(map(operator.truediv, row, itertools.repeat(speed)))
-                                    for row in network.distances]))
+    metric = PursuerMetric(d=tuple([tuple([x / speed for x in row]) for row in network.distances]))
     if not euclidean_admissible(network, speed):
         validate_metric(metric, network, check_triangle=False)
     return metric

@@ -95,7 +95,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from math import inf, isfinite
-from operator import attrgetter, itemgetter, or_
+from operator import itemgetter, or_
 
 # bench/tracing.py wraps this name to time the realizable-family sweep
 from .information import move_children, realizable_sets, red_reports  # noqa: F401
@@ -419,17 +419,18 @@ class MoveTable(dict):
 
 
 def _known_bound(known: list, u: int) -> tuple[list, list]:
-    """Build ``known[u]``, the known-path bound at node ``u``: the values
-    ``L_k - d[u][exit_k]`` plus the margin, ascending (ties by path bit),
-    beside ``below``, where ``below[i]`` holds the first ``i``'s path bits.
-    ``known[0]`` holds the metric's ``d``, each path's ``(L_k, exit_k)``,
-    the margin and ``tie_slack``."""
-    d, ends, margin, _ = known[0]
+    """Build ``known[u]``, the known-path bound at node ``u``: the ceilings
+    ``L_k - d[u][exit_k] + margin`` sorted in place, and ``below[i]``, the
+    bits ORed of the first ``i`` paths by a stable index sort on them. A
+    ``bisect_left`` is never inside a run of equal ceilings, so their order
+    changes no test. ``known[0]`` holds ``d``, each path's ``(L_k,
+    exit_k)``, the margin, ``tie_slack`` and each path's bit ``1 << k``."""
+    d, ends, margin, _, bits = known[0]
     du = d[u]
-    values = [length - du[goal] for length, goal in ends]
-    order = sorted(range(len(values)), key=values.__getitem__)  # stable
-    found = known[u] = ([values[k] + margin for k in order],
-                        [0, *accumulate(map((1).__lshift__, order), or_)])
+    ceilings = [length - du[goal] + margin for length, goal in ends]
+    order = sorted(range(len(ceilings)), key=ceilings.__getitem__)
+    ceilings.sort()
+    found = known[u] = (ceilings, [0, *accumulate(map(bits.__getitem__, order), or_)])
     return found
 
 
@@ -447,14 +448,14 @@ def _candidates(moves: tuple, rows: dict, known: list, mask: int, nodes, row):
     time order, each part's cell at ``u`` from ``rows``; the pass, a
     generator, yields ``(u, part, row)`` for a cell not scored yet, ``row``
     None when the part has none, and reads the cell when resumed, once it
-    is scored. ``known`` holds the known-path bounds
-    (``_known_bound``) and, in ``known[0]``, ``d`` and ``tie_slack``. From
-    ``j`` a split stays unvalued when its known-path ceiling over ``mask``
-    (its paths' smallest) less ``d[j][u]`` lies more than ``tie_slack``
-    below the best so far.
+    is scored. ``known`` holds the known-path bounds (``_known_bound``)
+    and, in ``known[0]``, what they are built from, ``d`` and ``tie_slack``
+    among it. From ``j`` a split stays unvalued when its known-path ceiling
+    over ``mask`` (its paths' smallest) less ``d[j][u]`` lies more than
+    ``tie_slack`` below the best so far.
     """
     valued, splits = moves
-    d, _, _, slack = known[0]
+    d, _, _, slack, _ = known[0]
     latest, policy, capture = row
     for j in nodes:
         dj = d[j]
@@ -548,11 +549,12 @@ class _Solver:
     A singleton's row is its path's ``base_case`` row, built whole when the
     set is first read; ``ends`` lists each path's length and exit. ``known``
     holds the known-path bounds for ``_candidates``, a node's built when it
-    is first read (``_known_bound``). ``moves`` is the ``MoveTable`` the
-    solve was given, or None to build each set's moves as it is computed.
-    A solve without pruning fills every row by ``fill_lattice`` instead,
-    bottom-up, through none of the steps above. ``walked`` holds the sets
-    ``walk_policy`` read, or None until it runs.
+    is first read (``_known_bound``), and in ``known[0]`` ``d``, ``ends``,
+    the margin, ``tie_slack`` and the path bits. ``moves`` is the
+    ``MoveTable`` the solve was given, or None to build each set's moves as
+    it is computed. A solve without pruning fills every row by
+    ``fill_lattice`` instead, bottom-up, through none of the steps above.
+    ``walked`` holds the sets ``walk_policy`` read, or None until it runs.
     """
 
     def __init__(self, schedule, metric, paths, strict_resolution, moves=None):
@@ -565,9 +567,10 @@ class _Solver:
         self.pending: dict[int, tuple[tuple, list]] = {}
         self.cells_scored = 0
         self.walked = None
-        self.ends = [*map(attrgetter("length", "exit"), paths)]
+        self.ends = [(path.length, path.exit) for path in paths]
         m = schedule.m
-        self.known = [(metric.d, self.ends, known_path_margin(m), tie_slack(m))] + [None] * m
+        bits = [1 << k for k in range(len(paths))]
+        self.known = [(metric.d, self.ends, known_path_margin(m), tie_slack(m), bits)] + [None] * m
 
     def value(self, u: int, mask: int):
         """The latest exit time from ``u`` holding ``mask``: a row lookup,

@@ -306,14 +306,16 @@ class TestCriticalSpeedSolves:
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-9])
     def test_layered_networks_in_four_solves(self, strict, tol, solved_speeds):
-        """The floor (an invalid metric), the top speed, one midpoint to
-        draw the line, and the confirmed upper end of the final bracket."""
+        """Four speeds decide the answer and three of them are solved: the
+        top speed, one midpoint to draw the line, and the confirmed upper
+        end of the final bracket. The floor's metric is invalid, which the
+        edge test tells with no solve."""
         for seed in (13, 17, 5):
             network, paths, schedule = layered(seed)
             floor = speed_floor(network)
             critical_speed(network, schedule, paths, floor, 4.82 * floor, tol=tol,
                            strict_resolution=strict)
-            assert sum(solved_speeds.values()) <= 4, seed
+            assert sum(solved_speeds.values()) <= 3, seed
             solved_speeds.clear()
 
     def test_no_speed_solved_twice(self, strict, solved_speeds, monkeypatch):

@@ -559,7 +559,7 @@ def first_pick(scores):
     d = [None] + [[0.0] * (m + 1)] * m
     row = ([None], [None], [None])
     pass_ = _candidates((tuple((u, score, CAPTURE) for u, score in enumerate(scores, 1)), []), {},
-                        [(d, None, None, solver.tie_slack(m))], 0, (1,), row)
+                        [(d, None, None, solver.tie_slack(m), None)], 0, (1,), row)
     next(pass_, None)  # no split, so the pass runs to completion
     return row[1][0]
 
@@ -718,6 +718,18 @@ class TestOneSolvePath:
                 assert shared.to_json() == one_shot.to_json()
                 assert shared.on_demand_sets == one_shot.on_demand_sets
                 assert shared.rows == one_shot.rows
+        # the benchmark's speed study: L17's 20-point grid, one table for the grid
+        network, paths, schedule, _ = layered(factor=2.0, **L17)
+        floor, moves, sets, cells = speed_floor(network), MoveTable(schedule, strict), 0, 0
+        for i in range(20):
+            metric = euclidean_metric(network, floor * (1.02 + 0.2 * i))
+            one_shot = solve(network, schedule, metric, paths, strict_resolution=strict)
+            shared = solve(network, schedule, metric, paths, strict_resolution=strict, moves=moves)
+            assert shared.on_demand_sets == one_shot.on_demand_sets, i
+            assert shared.solver.cells_scored == one_shot.solver.cells_scored, i
+            sets += len(shared.on_demand_sets)
+            cells += shared.solver.cells_scored
+        assert (sets, cells) == ((341, 770) if strict else (354, 898))
 
     def test_only_export_walks_and_only_once(self, monkeypatch):
         network, paths, schedule, metric = layered(factor=1.1, seed=13)
@@ -866,10 +878,13 @@ class TestBuiltOnFirstRead:
             "edges": [{"from": a, "to": b, "time": 2.0} for a, b in [(1, 2), (1, 3), (2, 4), (3, 4)]],
         })
         diamond_paths = enumerate_paths(diamond)
-        instances = [*corpus(), *(layered(factor=1.1, **instance) for instance in
-                                  (L13, L17, L36, L85)),
-                     (diamond, diamond_paths, build_schedule(diamond_paths, diamond.m),
-                      euclidean_metric(diamond, 1.1 * speed_floor(diamond)))]
+        diamond_schedule = build_schedule(diamond_paths, diamond.m)
+        instances = [layered(factor=2.0, **L400)]  # n=400: the sort does real work
+        for factor in (1.1, 2.0):
+            instances += [*corpus(factor),
+                          *(layered(factor=factor, **rung) for rung in (L13, L17, L36, L85)),
+                          (diamond, diamond_paths, diamond_schedule,
+                           euclidean_metric(diamond, factor * speed_floor(diamond)))]
         for network, paths, schedule, metric in instances:
             worker = _Solver(schedule, metric, paths, False)
             margin = known_path_margin(network.m)
