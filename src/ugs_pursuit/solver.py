@@ -83,8 +83,9 @@ reading a set it left out of loaded tables raises ``PolicyHole``.
 Without pruning, the solve fills the whole lattice bottom-up instead
 (``_Solver.fill_lattice``), smaller sets first: a split looks its parts'
 values up in rows already filled, with no known-path bound, so no pass
-waits, and the export lists every row. ``solve`` accepts
-``close_for_simulation`` and ignores it.
+waits, and the export lists every row. Sets with equal valued candidates
+share one row, scored once. ``solve`` accepts ``close_for_simulation`` and
+ignores it.
 """
 
 from __future__ import annotations
@@ -144,7 +145,8 @@ class SolveResult:
     ends in immediate capture. After a pruned solve, a cell no view has read
     yet may be None in ``rows``: ``solver`` fills it, computing its set first
     if needed, the first time a view reads it, and ``to_json`` fills the sets
-    it lists, the policy's. A solve without pruning fills the whole lattice.
+    it lists, the policy's. A solve without pruning fills the whole lattice,
+    and its sets with equal candidate lists share one row object.
     ``strict_resolution`` records which convention produced the tables
     (simulation replays observations under the same convention).
     ``on_demand_sets`` lists the non-singleton sets a pruned solve has
@@ -544,7 +546,8 @@ class _Solver:
     does each step the first time a cell is read; ``pending`` keeps the
     moves, splits valued so far, of the sets that may still have cells to
     score, and ``fill`` scores the rest of a set's row and drops its moves.
-    ``cells_scored`` counts the cells scored, the lattice fill's included.
+    ``cells_scored`` counts the cells scored, the lattice fill's included:
+    ``m`` for each distinct candidate list it scores.
 
     A singleton's row is its path's ``base_case`` row, built whole when the
     set is first read; ``ends`` lists each path's length and exit. ``known``
@@ -640,13 +643,16 @@ class _Solver:
         """Fill every row of the lattice, smaller sets first, so a split
         reads its parts' values from rows already filled. A split is kept
         when its green part reaches its last red report, worth its worst
-        part, and one ``_candidates`` call scores each set's captures and
-        kept splits for all its cells. A node's red reports depend on the
-        set only through its red part there, so each (node, red part) is
-        read once, into per-node dicts dropped on return."""
+        part. With every split valued, a ``_candidates`` pass reads only its
+        list and ``d``, so one pass scores each distinct list of captures
+        and kept splits for all cells, and the sets with that list share the
+        row, which nothing writes after the fill. A node's red reports
+        depend on the set only through its red part there, so each (node,
+        red part) is read once. Both caches are dropped on return."""
         schedule, rows, strict = self.schedule, self.rows, self.strict
         through, nodes = schedule.through, range(1, schedule.m + 1)
         reads = [{} for _ in range(schedule.m + 1)]
+        scored = {}
         for mask in full_lattice(schedule.n):
             if not mask & (mask - 1):
                 rows[mask] = self.base_row(mask)
@@ -671,11 +677,16 @@ class _Solver:
                     if part_value < worth:
                         worth = part_value
                 splits.append((u, worth, SPLIT))
-            unscored = [None] * schedule.m
-            row = rows[mask] = (unscored, unscored[:], unscored[:])
-            # every split is valued, so the pass reads no part and never yields
-            next(_candidates((captures + splits, ()), rows, self.known, mask, nodes, row), None)
-        self.cells_scored += schedule.m * ((1 << schedule.n) - 1 - schedule.n)
+            # keys match equal floats, which differ only as +-0.0; no worth is -0.0,
+            # as times and lengths are >= +0.0 and x - y is -0.0 only when x is -0.0
+            valued = (*captures, *splits)
+            row = scored.get(valued)
+            if row is None:
+                row = scored[valued] = tuple([None] * schedule.m for _ in range(3))
+                # every split is valued, so the pass reads no part and never yields
+                next(_candidates((valued, ()), rows, self.known, mask, nodes, row), None)
+            rows[mask] = row
+        self.cells_scored += schedule.m * len(scored)
 
     def walk_policy(self) -> set:
         """Compute, once, and return the sets that playback of the policy from

@@ -633,7 +633,10 @@ class TestKnownPathBound:
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_computed_rows_equal_unbounded_rows(self, strict):
-        for network, paths, schedule, metric in [*corpus(), layered(factor=1.1, **L85)]:
+        # the reference fills no row through fill_lattice, so it also checks
+        # the rows the lattice fill shares between sets with equal candidates
+        for network, paths, schedule, metric in chain.from_iterable(
+                [*corpus(factor), layered(factor=factor, **L85)] for factor in (1.1, 2.0)):
             expected = unbounded_lattice(paths, schedule, metric, strict)
             lattice = solve(network, schedule, metric, paths, prune=False, strict_resolution=strict)
             lazy = solve(network, schedule, metric, paths, strict_resolution=strict)
@@ -683,6 +686,38 @@ class TestLatticePass:
         # the lazy solve goes through both
         solve(network, schedule, metric, paths, strict_resolution=strict)
         assert calls["evaluate"] and calls["value"]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("factor", [1.1, 2.0])
+    def test_equal_candidates_share_one_scored_row(self, factor, strict):
+        for network, paths, schedule, metric in [*corpus(factor), layered(factor=factor, **L85)]:
+            lattice = solve(network, schedule, metric, paths, prune=False, strict_resolution=strict)
+            groups = {}
+            for mask in full_lattice(schedule.n):
+                if mask & (mask - 1):
+                    moves = tuple(unbounded_candidates(mask, lattice.latest, schedule, strict))
+                    groups.setdefault(moves, []).append(mask)
+            # one pass of m cells per distinct list, and one row object per list
+            assert lattice.solver.cells_scored == network.m * len(groups)
+            rows = lattice.rows
+            assert len({id(rows[masks[0]]) for masks in groups.values()}) == len(groups)
+            for masks in groups.values():
+                assert all(rows[mask] is rows[masks[0]] for mask in masks), masks
+            shared = sum(len(masks) > 1 for masks in groups.values())
+            # the export copies every list: a record's edit reaches neither
+            # the rows nor the other records, even of a set sharing its row
+            before = {mask: tuple(map(list, row)) for mask, row in rows.items()}
+            records = lattice.to_json()["sets"]
+            expected = json.loads(json.dumps(records))
+            pick = next((masks[0] for masks in groups.values() if len(masks) > 1),
+                        lattice.root_mask)
+            i = next(i for i, record in enumerate(records) if mask_from(record["set"]) == pick)
+            records[i]["D"][0] += 1.0
+            expected[i]["D"][0] += 1.0
+            assert records == expected
+            assert {mask: tuple(map(list, row)) for mask, row in rows.items()} == before
+        # L85, the last instance, has sets with equal candidate lists
+        assert shared
 
 
 class TestOneSolvePath:
