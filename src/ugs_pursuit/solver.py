@@ -82,10 +82,10 @@ reading a set it left out of loaded tables raises ``PolicyHole``.
 
 Without pruning, the solve fills the whole lattice bottom-up instead
 (``_Solver.fill_lattice``), smaller sets first: a split looks its parts'
-values up in rows already filled, with no known-path bound, so no pass
-waits, and the export lists every row. Sets with equal valued candidates
-share one row, scored once. ``solve`` accepts ``close_for_simulation`` and
-ignores it.
+values up in rows already filled, its red parts' worst once per (node, red
+part), with no known-path bound, so no pass waits, and the export lists
+every row. Sets with equal valued candidates share one row, scored once.
+``solve`` accepts ``close_for_simulation`` and ignores it.
 """
 
 from __future__ import annotations
@@ -203,17 +203,25 @@ class SolveResult:
         (``_Solver.walk_policy``, run once) and every singleton. A set left
         out raises ``PolicyHole`` when read back. A solve without pruning
         lists the whole lattice, a loaded result its rows. ``dumps`` writes
-        this data as the indented JSON text of ``solve --format json``."""
+        this data as the indented JSON text of ``solve --format json``.
+
+        A set's members are its lowest path and then the members of the set
+        without it, when that smaller set was listed before (in a lattice it
+        always is), and ``indices_of`` otherwise. Every record gets lists of
+        its own, so editing one changes neither the rows nor other records."""
         solver, masks = self.solver, self.rows
         if solver is not None and self.pruned:
             masks = {*solver.walk_policy(), *(1 << k for k in range(self.n))}
             for mask in masks:
                 solver.fill(mask)
-        sets = []
+        sets, listed, rows = [], {}, self.rows
         for mask in sorted(masks):
-            latest, policy, capture = self.rows[mask]
-            sets.append({"set": list(indices_of(mask)), "D": latest[:], "mu": policy[:],
-                         "capture": capture[:]})
+            low = mask & -mask
+            rest = listed.get(mask ^ low)
+            members = listed[mask] = ([low.bit_length(), *rest] if rest is not None
+                                      else list(indices_of(mask)))
+            latest, policy, capture = rows[mask]
+            sets.append({"set": members, "D": latest[:], "mu": policy[:], "capture": capture[:]})
         return {
             "meta": {
                 "n": self.n,
@@ -249,6 +257,9 @@ class SolveResult:
         ``D``, ``mu`` and ``capture`` lists of its record. Raises ValueError
         on tables in the per-(node, set) ``entries`` layout of earlier
         versions, and on
+        - a missing field: ``meta``, ``sets``, a meta field of
+          ``_META_TYPES``, or a record's ``set``, ``D``, ``mu`` or
+          ``capture``, or a meta or record that is not an object;
         - a meta field not of its exact type (see ``_META_TYPES``);
         - a meta ``n`` larger than the number of records (``to_json`` lists
           every singleton set), checked before any set is read;
@@ -259,29 +270,38 @@ class SolveResult:
           values;
         - a ``D`` that is not a finite number, a ``mu`` that is not a node
           ``1..m`` or a ``capture`` that is not a boolean.
-        A fault is named by its set and, for a value, its node."""
+        A fault is named by its set and, for a value, its node; a missing
+        field by its name and where it is missing, a record as ``sets[i]``."""
         if "entries" in data and "sets" not in data:
             raise ValueError("the tables use the per-(node, set) 'entries' layout of earlier "
                              "versions; solve the network again to write one record per set")
-        meta, records = data["meta"], data["sets"]
+        meta, records = _fields(data, ("meta", "sets"), "the tables")
+        _fields(meta, _META_TYPES, "meta")  # names a missing meta field
         for name, kind in _META_TYPES.items():
             if type(meta[name]) is not kind:
                 raise ValueError(f"meta {name} is {meta[name]!r}, not of type {kind.__name__}")
         n, m = meta["n"], meta["m"]
         if n > len(records):  # checked before any mask: members are bounded by n
             raise ValueError(f"meta n is {n}, but the tables list only {len(records)} sets")
+        try:
+            sets, triples = [*map(itemgetter("set"), records)], [*map(_columns_of, records)]
+        except (KeyError, TypeError):
+            for i, record in enumerate(records):
+                _fields(record, _FIELDS, f"sets[{i}]")
+            raise
         # member types are checked first, and exactly: a float 1.0 would pass
         # the range test, and mask_from reads True as path 1
-        sets = [*map(itemgetter("set"), records)]
         members = [*chain.from_iterable(sets)]
         kinds = {*map(type, members)}
         if not kinds <= {int}:
             kind = next(iter(kinds - {int})).__name__
             raise ValueError(f"a set member is a {kind}, not a path index 1..{n}")
-        # whole-column checks; the per-record rule runs only to name a fault
+        # whole-column checks; the per-record rule runs only to name a fault.
+        # The members are all ints, so the distinct values hold the extremes
+        members = {*members}
         if not (all(sets) and 1 <= min(members, default=1) and max(members, default=1) <= n):
             _check_records(records, n, m)
-        rows = dict(zip(map(mask_from, sets), map(_columns_of, records)))
+        rows = dict(zip(map(mask_from, sets), triples))
         columns = [*chain.from_iterable(rows.values())]
         if not (len(rows) == len(records) and {*map(type, columns)} <= {list}
                 and {*map(len, columns)} <= {m} and _cells_valid(columns, m)):
@@ -292,18 +312,37 @@ class SolveResult:
 
 def _cells_valid(columns: list, m: int) -> bool:
     """Whether the ``D``, ``mu`` and ``capture`` lists, in turn, hold only
-    finite numbers, nodes ``1..m`` and booleans."""
+    finite numbers, nodes ``1..m`` and booleans.
+
+    A ``D`` column of floats alone is finite when its sum is: a sum with
+    an inf or NaN term is inf or NaN, and finite floats whose sum overflows
+    are then judged one by one. A column with an int is always judged one
+    by one, since ints too large for a float can cancel in an int sum."""
     latest, moves, captures = (columns[i::3] for i in range(3))
     flat = chain.from_iterable
-    if not ({*map(type, flat(latest))} <= {int, float} and {*map(type, flat(moves))} <= {int}
+    kinds = {*map(type, flat(latest))}
+    if not (kinds <= {int, float} and {*map(type, flat(moves))} <= {int}
             and {*map(type, flat(captures))} <= {bool}):
         return False
-    try:
-        if not all(map(isfinite, flat(latest))):
+    if int in kinds or not isfinite(sum(flat(latest))):
+        try:
+            if not all(map(isfinite, flat(latest))):
+                return False
+        except OverflowError:  # an int too large for a float, yet finite
             return False
-    except OverflowError:  # an int too large for a float, yet finite
-        return False
-    return 1 <= min(flat(moves), default=1) and max(flat(moves), default=1) <= m
+    nodes = {*flat(moves)}  # all ints, so the distinct values hold the extremes
+    return 1 <= min(nodes, default=1) and max(nodes, default=1) <= m
+
+
+def _fields(record, names, where: str) -> list:
+    """The values of ``names`` in ``record``. Raises ValueError naming
+    ``where`` and the first name it lacks, or when it is not an object."""
+    try:
+        return [record[name] for name in names]
+    except KeyError as missing:
+        raise ValueError(f"{where}: no field {missing.args[0]!r}") from None
+    except TypeError:
+        raise ValueError(f"{where}: a {type(record).__name__}, not an object") from None
 
 
 def _check_records(records, n: int, m: int) -> None:
@@ -646,12 +685,22 @@ class _Solver:
         part. With every split valued, a ``_candidates`` pass reads only its
         list and ``d``, so one pass scores each distinct list of captures
         and kept splits for all cells, and the sets with that list share the
-        row, which nothing writes after the fill. A node's red reports
-        depend on the set only through its red part there, so each (node,
-        red part) is read once. Both caches are dropped on return."""
+        row, which nothing writes after the fill.
+
+        A node's red reports depend on the set only through its red part
+        there, so each (node, red part) is read once: a capture keeps the
+        reports until the first split with that red part, which keeps only
+        its bar, the last report's time less ``TIME_EPS``, and its worst
+        red part's value at the node. Every part of a split's red part lies
+        in a smaller set, so its row is filled by then. The bar is the
+        subtraction ``tlt`` makes, and the worst part is the same float the
+        loop over the parts finds (no value is NaN or -0.0), so a split
+        keeps the test and worth of one that reads every part. The caches
+        are dropped on return."""
         schedule, rows, strict = self.schedule, self.rows, self.strict
         through, nodes = schedule.through, range(1, schedule.m + 1)
         reads = [{} for _ in range(schedule.m + 1)]
+        bars = [{} for _ in range(schedule.m + 1)]
         scored = {}
         for mask in full_lattice(schedule.n):
             if not mask & (mask - 1):
@@ -662,21 +711,20 @@ class _Solver:
                 red = mask & through[u]
                 if not red:
                     continue
-                reports = reads[u].get(red)
-                if reports is None:
-                    reports = reads[u][red] = red_reports(red, u, schedule, strict)
                 green = mask ^ red
                 if not green:
+                    reports = reads[u][red] = red_reports(red, u, schedule, strict)
                     captures.append((u, reports[0][0], CAPTURE))
                     continue
+                found = bars[u].get(red)
+                if found is None:
+                    reports = reads[u].pop(red, None) or red_reports(red, u, schedule, strict)
+                    found = bars[u][red] = (reports[-1][0] - TIME_EPS,
+                                            min([rows[part][0][u - 1] for _, part in reports]))
+                bar, worst = found
                 worth = rows[green][0][u - 1]
-                if tlt(worth, reports[-1][0]):
-                    continue
-                for _, part in reports:
-                    part_value = rows[part][0][u - 1]
-                    if part_value < worth:
-                        worth = part_value
-                splits.append((u, worth, SPLIT))
+                if worth >= bar:
+                    splits.append((u, worst if worst < worth else worth, SPLIT))
             # keys match equal floats, which differ only as +-0.0; no worth is -0.0,
             # as times and lengths are >= +0.0 and x - y is -0.0 only when x is -0.0
             valued = (*captures, *splits)

@@ -321,6 +321,29 @@ class TestSolve:
         with pytest.raises(ValueError, match=f"set \\[1\\], node 1: .*{name} None"):
             SolveResult.from_json({"meta": meta, "sets": [record]})
 
+    # (edit, message): each drops a field, or puts a non-object where an object goes
+    @pytest.mark.parametrize("edit,named", [
+        (lambda data: data.pop("meta"), "the tables: no field 'meta'"),
+        (lambda data: data.pop("sets"), "the tables: no field 'sets'"),
+        (lambda data: data["meta"].pop("n"), "meta: no field 'n'"),
+        (lambda data: data["meta"].pop("metric_digest"), "meta: no field 'metric_digest'"),
+        (lambda data: data.update(meta=[4, 7]), "meta: a list, not an object"),
+        (lambda data: data["sets"][3].pop("set"), "sets[3]: no field 'set'"),
+        (lambda data: data["sets"][3].pop("D"), "sets[3]: no field 'D'"),
+        (lambda data: data["sets"][3].pop("mu"), "sets[3]: no field 'mu'"),
+        (lambda data: data["sets"][3].pop("capture"), "sets[3]: no field 'capture'"),
+        (lambda data: data["sets"].__setitem__(3, [[1, 2], [0.0] * 7]),
+         "sets[3]: a list, not an object"),
+        (lambda data: data["sets"].__setitem__(3, None), "sets[3]: a NoneType, not an object"),
+    ], ids=["no-meta", "no-sets", "no-meta-n", "no-meta-digest", "meta-not-an-object",
+            "no-set", "no-D", "no-mu", "no-capture", "record-a-list", "record-null"])
+    def test_json_missing_field_named(self, demo, demo_metric, edit, named):
+        network, paths, schedule = demo
+        data = solve(network, schedule, demo_metric, paths).to_json()
+        edit(data)
+        with pytest.raises(ValueError, match=re.escape(named) + "$"):
+            SolveResult.from_json(data)
+
     # a column (or the set) is replaced whole; a cell is node 3's value in the column
     @pytest.mark.parametrize("name,value,cell,named", [
         ("D", 1.9, False, ": D is a float, not a list of 7 values"),
@@ -654,7 +677,7 @@ class TestLatticePass:
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_red_reports_read_once_per_red_part(self, monkeypatch, strict):
-        network, paths, schedule, metric = layered(factor=1.1, **L85)
+        # captures and splits alike: a split keeps only its bar and worst part
         reads = Counter()
 
         def counted(mask, u, *args):
@@ -662,12 +685,15 @@ class TestLatticePass:
             return red_reports(mask, u, *args)
 
         monkeypatch.setattr(solver, "red_reports", counted)
-        solve(network, schedule, metric, paths, prune=False, strict_resolution=strict)
-        through = schedule.through
-        parts = {(u, mask & through[u]) for mask in full_lattice(schedule.n) if mask & (mask - 1)
-                 for u in range(1, network.m + 1) if mask & through[u]}
-        assert len(parts) == 1623
-        assert reads.keys() == parts and set(reads.values()) == {1}
+        for factor in (1.1, 2.0):
+            network, paths, schedule, metric = layered(factor=factor, **L85)
+            reads.clear()
+            solve(network, schedule, metric, paths, prune=False, strict_resolution=strict)
+            through = schedule.through
+            parts = {(u, mask & through[u]) for mask in full_lattice(schedule.n)
+                     if mask & (mask - 1) for u in range(1, network.m + 1) if mask & through[u]}
+            assert len(parts) == 1623
+            assert reads.keys() == parts and set(reads.values()) == {1}, factor
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_no_set_evaluated_lazily(self, monkeypatch, strict):
@@ -1038,6 +1064,28 @@ class TestJsonRoundTrip:
                     if prune:  # a reloaded lattice is written as a reloaded policy is
                         assert SolveResult.from_json(json.loads(text)).dumps() == text
 
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_each_record_lists_its_own_members(self, prune):
+        # to_json lists a set's members from an earlier record where it can
+        for strict in (False, True):
+            for network, paths, schedule, metric in [*corpus(), layered(factor=1.1, **L85)]:
+                result = solve(network, schedule, metric, paths, prune=prune,
+                               strict_resolution=strict)
+                records = result.to_json()["sets"]
+                masks = sorted(result.rows) if not prune else sorted(
+                    result.solver.walked | {1 << k for k in range(schedule.n)})
+                assert [record["set"] for record in records] == [
+                    list(indices_of(mask)) for mask in masks]
+                assert all(type(record["set"]) is list for record in records)
+                assert len({id(record["set"]) for record in records}) == len(records)
+                # the root without its lowest path is the record the root's list came from
+                expected = json.loads(json.dumps(records))
+                below = next((i for i, mask in enumerate(masks)
+                              if mask == result.root_mask ^ 1), 0)
+                records[below]["set"].append(99)
+                expected[below]["set"].append(99)
+                assert records == expected
+
     def test_export_does_not_share_the_rows(self, demo, demo_metric):
         network, paths, schedule = demo
         result = solve(network, schedule, demo_metric, paths)
@@ -1054,6 +1102,39 @@ class TestJsonRoundTrip:
         next(r for r in data["sets"] if r["set"] == [1, 2, 3, 4])["D"][2] = 10 ** 400
         with pytest.raises(ValueError, match=re.escape("set [1, 2, 3, 4], node 3: D 1000")):
             SolveResult.from_json(data)
+
+    def with_latest(self, demo, demo_metric, cells, listed=(1, 2, 3, 4)):
+        """The demo's pruned export with the ``D`` cells from node 1 on of
+        the set ``listed`` replaced by ``cells``, and that set's record."""
+        network, paths, schedule = demo
+        data = solve(network, schedule, demo_metric, paths).to_json()
+        record = next(r for r in data["sets"] if r["set"] == [*listed])
+        record["D"][:len(cells)] = cells
+        return data, record
+
+    def test_finite_floats_whose_sum_overflows_accepted(self, demo, demo_metric):
+        data, root = self.with_latest(demo, demo_metric, [1e308, 1e308, 1e308])
+        assert not math.isfinite(sum(chain.from_iterable(r["D"] for r in data["sets"])))
+        loaded = SolveResult.from_json(json.loads(json.dumps(data)))
+        assert loaded.rows[mask_from([1, 2, 3, 4])][0] == root["D"]
+        assert loaded.to_json()["sets"] == data["sets"]
+
+    def test_huge_ints_that_cancel_in_a_sum_rejected(self, demo, demo_metric):
+        # the first record's cells come first in the column, so an int sum cancels them
+        data, first = self.with_latest(demo, demo_metric, [10 ** 400, -10 ** 400], listed=[1])
+        assert data["sets"][0] is first
+        assert math.isfinite(sum(chain.from_iterable(r["D"] for r in data["sets"])))
+        with pytest.raises(ValueError, match=re.escape("set [1], node 1: D 1000")):
+            SolveResult.from_json(data)
+
+    @pytest.mark.parametrize("cells", [[3, -2, 0], [-0.0, 0.0]], ids=["ints", "minus-zero"])
+    def test_int_and_signed_zero_latest_accepted(self, demo, demo_metric, cells):
+        data, root = self.with_latest(demo, demo_metric, cells)
+        loaded = SolveResult.from_json(data)
+        latest = loaded.rows[mask_from([1, 2, 3, 4])][0]
+        assert latest == root["D"]
+        assert [*map(type, latest)] == [*map(type, root["D"])]
+        assert math.copysign(1.0, latest[0]) == math.copysign(1.0, cells[0])
 
 
 class TestScaleLadder:
