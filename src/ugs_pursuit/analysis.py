@@ -5,8 +5,9 @@ The solved values at distinct speeds are independent; rows are produced in
 grid order. Which nodes a set reaches, its green part and its red reports do
 not depend on the speed, so each ``sweep`` or ``critical_speed`` call keeps
 one ``MoveTable`` for its schedule and convention and passes it to every
-solve it makes: each set's moves are built once per study. The table is
-dropped when the call returns.
+solve it makes: each set's moves are built once per study. The table leaves
+out the splits no speed admits, those with a green path that exits before
+the last red report. It is dropped when the call returns.
 
 ``critical_speed`` bisects the sign of the solved root but solves only a
 handful of speeds: it predicts each midpoint from the line in 1 / speed

@@ -155,7 +155,7 @@ def _policy_or_solve(args, network, paths, schedule):
     metric, data = _load_metric(args, network), _load_json_file(args.policy)
     with _parsing(args.policy, "solved tables from 'solve --format json'"):
         # before from_json builds a mask as wide as the file's own n
-        check_table_sizes(data["meta"]["n"], data["meta"]["m"], schedule)
+        check_table_sizes(*SolveResult.sizes_of(data), schedule)
         result = SolveResult.from_json(data)
     if result.strict_resolution != args.strict_resolution:
         solved = "with" if result.strict_resolution else "without"

@@ -35,10 +35,11 @@ A set's candidates come in two parts. ``set_moves`` gives what does not
 depend on the pursuer's speed: the nodes the set reaches, each one's green
 part, the time its scoring compares and its red reports. ``_candidates``,
 the one candidate routine, scores them with the solve's values. A
-``MoveTable`` keeps ``set_moves`` for one schedule and convention. A speed
-study passes one to each of its solves (``solve(..., moves=)``), so each
-set's moves are built once per study. A solve without one builds a set's
-moves when it computes the set and keeps none.
+``MoveTable`` keeps ``set_moves`` for one schedule and convention, less the
+splits that no speed admits (below). A speed study passes one to each of
+its solves (``solve(..., moves=)``), so each set's moves are built and
+filtered once per study. A solve without one builds a set's moves when it
+computes the set and keeps none.
 
 Knowing the evader's path never hurts the pursuer, so a set's value at
 ``u`` is at most the smallest known-path value at ``u`` of its paths:
@@ -46,11 +47,14 @@ D(u|G) <= min over k in G of D(u|{k}), plus ``TIME_EPS`` slack that
 ``known_path_margin(m)`` bounds. The bound is used twice. A split at ``u``
 needs D(u|green) to reach the last red report, so when some green path's
 known-path value falls below that time by more than the margin, the split
-is dropped when its set is evaluated, without solving the green part. And
-a split is worth at most the bound over its whole set, so from node ``j``
-a cell leaves the split unvalued when that ceiling less ``d[j][u]`` lies
-more than ``tie_slack(m)`` below the best score the cell found before it
-(see the scoring order below). The first test only drops splits the
+is dropped when its set is evaluated, without solving the green part. A
+``MoveTable`` makes the same test once, at an all-zero metric row, where
+every ceiling is at least what any metric gives, and lists only the splits
+that pass it; ``evaluate`` still makes it at the solve's metric. And a
+split is worth at most the bound over its whole set, so from node ``j`` a
+cell leaves the split unvalued when that ceiling less ``d[j][u]`` lies more
+than ``tie_slack(m)`` below the best score the cell found before it (see
+the scoring order below). The first test only drops splits the
 admissibility test would reject, the second only candidates that cannot
 change the cell's pick, so every computed row is the same as without the
 bound; only fewer sets are computed, and which ones depends on the
@@ -92,7 +96,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from math import inf, isfinite
@@ -251,6 +255,22 @@ class SolveResult:
         body = ",\n    ".join(map(_RECORD.__mod__, zip(*columns)))
         return '{\n  "meta": ' + meta + ',\n  "sets": [\n    ' + body + "\n  ]\n}"
 
+    @staticmethod
+    def sizes_of(data: dict) -> tuple[int, int]:
+        """The ``n`` and ``m`` of ``to_json`` output, which ``from_json``
+        reads first and a caller can test before it builds a row. Raises
+        ValueError on the ``entries`` layout, a missing ``meta`` or ``sets``,
+        and a missing meta field or one not of its exact type."""
+        if "entries" in data and "sets" not in data:
+            raise ValueError("the tables use the per-(node, set) 'entries' layout of earlier "
+                             "versions; solve the network again to write one record per set")
+        meta = _fields(data, ("meta", "sets"), "the tables")[0]
+        _fields(meta, _META_TYPES, "meta")  # names a missing meta field
+        for name, kind in _META_TYPES.items():
+            if type(meta[name]) is not kind:
+                raise ValueError(f"meta {name} is {meta[name]!r}, not of type {kind.__name__}")
+        return meta["n"], meta["m"]
+
     @classmethod
     def from_json(cls, data: dict) -> "SolveResult":
         """Rebuild the rows of ``to_json`` output; each set's row keeps the
@@ -263,6 +283,8 @@ class SolveResult:
         - a meta field not of its exact type (see ``_META_TYPES``);
         - a meta ``n`` larger than the number of records (``to_json`` lists
           every singleton set), checked before any set is read;
+        - a record's ``set`` that is not a list: an int, float, bool or
+          null, named as ``sets[i]``;
         - an empty set, or a member other than an int ``1..n`` (a bool
           included);
         - a set listed twice, in any member order;
@@ -272,15 +294,8 @@ class SolveResult:
           ``1..m`` or a ``capture`` that is not a boolean.
         A fault is named by its set and, for a value, its node; a missing
         field by its name and where it is missing, a record as ``sets[i]``."""
-        if "entries" in data and "sets" not in data:
-            raise ValueError("the tables use the per-(node, set) 'entries' layout of earlier "
-                             "versions; solve the network again to write one record per set")
-        meta, records = _fields(data, ("meta", "sets"), "the tables")
-        _fields(meta, _META_TYPES, "meta")  # names a missing meta field
-        for name, kind in _META_TYPES.items():
-            if type(meta[name]) is not kind:
-                raise ValueError(f"meta {name} is {meta[name]!r}, not of type {kind.__name__}")
-        n, m = meta["n"], meta["m"]
+        n, m = cls.sizes_of(data)
+        meta, records = data["meta"], data["sets"]
         if n > len(records):  # checked before any mask: members are bounded by n
             raise ValueError(f"meta n is {n}, but the tables list only {len(records)} sets")
         try:
@@ -289,9 +304,16 @@ class SolveResult:
             for i, record in enumerate(records):
                 _fields(record, _FIELDS, f"sets[{i}]")
             raise
+        try:
+            members = [*chain.from_iterable(sets)]
+        except TypeError:  # a set that is an int, float, bool or null
+            for i, listed in enumerate(sets):
+                if not isinstance(listed, Iterable):
+                    raise ValueError(f"sets[{i}]: set is {listed!r}, not a list of paths "
+                                     f"1..{n}") from None
+            raise
         # member types are checked first, and exactly: a float 1.0 would pass
         # the range test, and mask_from reads True as path 1
-        members = [*chain.from_iterable(sets)]
         kinds = {*map(type, members)}
         if not kinds <= {int}:
             kind = next(iter(kinds - {int})).__name__
@@ -445,17 +467,32 @@ def set_moves(mask: int, schedule: VisitSchedule, strict: bool) -> tuple[tuple, 
 
 
 class MoveTable(dict):
-    """``set_moves`` of every set read, for one schedule and convention:
-    ``table[mask]`` computes a set's moves on first read and keeps them.
-    A speed study passes one table to each of its solves, so every set's
-    moves are built once per study."""
+    """``set_moves`` of every set read, for one schedule and convention, less
+    the splits no speed admits: ``table[mask]`` computes a set's moves on
+    first read and keeps them. A speed study passes one table to each of its
+    solves, so every set's moves are built and filtered once per study. A
+    split is kept when it passes ``evaluate``'s test at ``admits``, the
+    known-path bound at an all-zero metric row, where each path's ceiling is
+    its length plus the margin and its exit does not matter. Every metric
+    ``euclidean_metric`` or ``table_metric`` returns has entries ``>= 0``
+    and both float steps of a ceiling are monotone, so no such metric gives
+    a path a higher ceiling: a split left out fails at every speed."""
 
     def __init__(self, schedule: VisitSchedule, strict_resolution: bool):
         super().__init__()
         self.schedule, self.strict = schedule, strict_resolution
+        # a path's latest visit time is its length: arrivals never decrease
+        lengths = [max(filter(isfinite, column)) for column in [*zip(*schedule.times)][1:]]
+        zero, bits = (0.0,), [1 << k for k in range(schedule.n)]
+        known = [((zero, zero), [(length, 0) for length in lengths],
+                  known_path_margin(schedule.m), None, bits), None]
+        self.admits = _known_bound(known, 1)
 
     def __missing__(self, mask: int) -> tuple[tuple, tuple]:
-        found = self[mask] = set_moves(mask, self.schedule, self.strict)
+        captures, splits = set_moves(mask, self.schedule, self.strict)
+        ceilings, below = self.admits
+        found = self[mask] = (captures, tuple(
+            split for split in splits if not below[bisect_left(ceilings, split[2])] & split[1]))
         return found
 
 
@@ -465,7 +502,9 @@ def _known_bound(known: list, u: int) -> tuple[list, list]:
     bits ORed of the first ``i`` paths by a stable index sort on them. A
     ``bisect_left`` is never inside a run of equal ceilings, so their order
     changes no test. ``known[0]`` holds ``d``, each path's ``(L_k,
-    exit_k)``, the margin, ``tie_slack`` and each path's bit ``1 << k``."""
+    exit_k)``, the margin, ``tie_slack`` and each path's bit ``1 << k``.
+    ``MoveTable`` builds one with ``d`` all zeros, where each ceiling is
+    ``L_k + margin`` whatever ``exit_k``."""
     d, ends, margin, _, bits = known[0]
     du = d[u]
     ceilings = [length - du[goal] + margin for length, goal in ends]
@@ -625,8 +664,9 @@ class _Solver:
         """Store the set's row with no cell scored yet, and its moves for
         ``score``: its captures, and its splits not dropped by the
         known-path bound, each ``[u, None, split]`` until a pass values it.
-        The moves come from the ``MoveTable`` when the solve has one and
-        from ``set_moves`` otherwise. A singleton's row is its path's
+        The moves come from the ``MoveTable`` when the solve has one, which
+        has left out the splits this test drops at every metric, and from
+        ``set_moves`` otherwise. A singleton's row is its path's
         ``base_case`` row, stored whole."""
         if not mask & (mask - 1):
             row = self.rows[mask] = self.base_row(mask)
@@ -782,7 +822,10 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
     tables; the lattice fill lists its own. Without it the solve builds
     each set's moves when it computes the set and keeps none. Either way
     the moves are scored the same way, so both compute the same sets and
-    rows. Raises ValueError for a table made for another schedule or
+    rows when every entry of ``metric`` is ``>= 0``, as ``euclidean_metric``
+    and ``table_metric`` guarantee (``validate_metric`` checks it): the
+    table leaves out the splits that fail the known-path bound at a zero
+    travel time. Raises ValueError for a table made for another schedule or
     convention.
     """
     if moves is not None and (moves.schedule != schedule or moves.strict != strict_resolution):

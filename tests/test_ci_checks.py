@@ -3,8 +3,10 @@
 
 import pytest
 
-from ugs_pursuit import build_schedule, enumerate_paths, euclidean_metric, full_lattice, solve
+from ugs_pursuit import (build_schedule, enumerate_paths, euclidean_metric, full_lattice, solve,
+                         verify_guarantee)
 from ugs_pursuit.fixtures import random_layered_network, speed_floor
+from ugs_pursuit.solver import MoveTable
 
 
 @pytest.mark.ci
@@ -37,3 +39,36 @@ def test_lazy_cells_equal_the_full_lattice_at_n12():
                   f"{scored} of {every} cells scored")
             assert scored < every, (factor, strict, scored, every)
             assert scored == pinned[factor, strict], (factor, strict, scored)
+
+
+@pytest.mark.ci
+@pytest.mark.parametrize("seed,widths,root,count,scored,records", [
+    (7, [1, 4, 4, 4, 4, 4, 3], 21.707122643086127, 7061, 24761, 41659),
+    (3, [1, 4, 4, 4, 4, 4, 4, 3], 28.939323720432952, 6816, 29647, 50610),
+], ids=["L400", "L474"])
+def test_scale_ladder_rungs_at_twice_the_floor(seed, widths, root, count, scored, records):
+    """L400 (400 paths, 24 nodes) and L474 (474 paths, 28 nodes) at 2x their
+    speed floor, strict resolution: the pinned root, the exact counts of sets
+    the root solve computes and cells it scores (a known-path bound that
+    computes other sets fails here), and playback at the root captures every
+    path. A solve given a ``MoveTable`` gives the same root and counts, and
+    the table then holds the pinned number of split records."""
+    network = random_layered_network(seed, widths=widths)
+    paths = enumerate_paths(network)
+    schedule = build_schedule(paths, network.m)
+    metric = euclidean_metric(network, 2.0 * speed_floor(network))
+    one_shot = solve(network, schedule, metric, paths, strict_resolution=True)
+    assert abs(one_shot.root_latest - root) <= 1e-9, one_shot.root_latest
+    moves = MoveTable(schedule, True)
+    shared = solve(network, schedule, metric, paths, strict_resolution=True, moves=moves)
+    assert shared.root_latest == one_shot.root_latest
+    kept = sum(len(splits) for _, splits in moves.values())
+    print(f"n={schedule.n}: the table keeps {kept} split records")
+    assert kept == records
+    for result in (one_shot, shared):
+        sets, cells = len(result.on_demand_sets), result.solver.cells_scored
+        print(f"n={schedule.n}: the root solve computes {sets} sets, scores {cells} cells")
+        assert (sets, cells) == (count, scored)
+        report = verify_guarantee(network, schedule, metric, result, result.root_latest)
+        assert report.all_captured and len(report.outcomes) == schedule.n
+        print(f"n={schedule.n}: root {result.root_latest!r}, all {schedule.n} captured")

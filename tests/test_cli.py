@@ -461,6 +461,27 @@ class TestErrors:
         # the mask of path 10**8 alone would take 12.5 MB
         assert peak < 4_000_000
 
+    @pytest.mark.parametrize("command", [["verify"], ["simulate", "--path", "1"]],
+                             ids=["verify", "simulate"])
+    @pytest.mark.parametrize("edit,named", [
+        (lambda data: data.pop("meta"), "the tables: no field 'meta'"),
+        (lambda data: data["meta"].pop("n"), "meta: no field 'n'"),
+        (lambda data: data["meta"].pop("m"), "meta: no field 'm'"),
+    ], ids=["no-meta", "no-meta-n", "no-meta-m"])
+    def test_policy_without_sizes_named(self, capsys, tmp_path, command, edit, named):
+        # the size check before from_json names a missing field as from_json does
+        _, solved, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.62",
+                                    "--format", "json"])
+        data = json.loads(solved)
+        edit(data)
+        policy = tmp_path / "sizeless.json"
+        policy.write_text(json.dumps(data))
+        code, _, err = run(capsys, [*command, "--network", "demo", "--speed", "1.62",
+                                    "--t0", "1", "--policy", str(policy)])
+        assert code == EXIT_INVALID
+        assert err == (f"error: {policy}: not solved tables from 'solve --format json' "
+                       f"(ValueError: {named})\n")
+
     def test_random_network_smoke(self, capsys):
         code, out, _ = run(capsys, ["paths", "--network", "random", "--seed", "3"])
         assert code == EXIT_OK

@@ -5,6 +5,7 @@ import random
 import re
 import tracemalloc
 import weakref
+from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain
 
@@ -30,6 +31,7 @@ from ugs_pursuit import (
     verify_guarantee,
 )
 from ugs_pursuit import solver
+from ugs_pursuit.analysis import sweep
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
 from ugs_pursuit.information import move_children, red_reports
 from ugs_pursuit.network import indices_of, mask_from
@@ -268,6 +270,15 @@ class TestSolve:
         with pytest.raises(ValueError, match="not a path index"):
             SolveResult.from_json(data)
 
+    @pytest.mark.parametrize("value", [3, 1.5, True, None], ids=["int", "float", "bool", "null"])
+    def test_json_set_not_a_list_named(self, demo, demo_metric, value):
+        network, paths, schedule = demo
+        data = solve(network, schedule, demo_metric, paths).to_json()
+        data["sets"][3]["set"] = value
+        named = f"sets[3]: set is {value!r}, not a list of paths 1..4"
+        with pytest.raises(ValueError, match=re.escape(named) + "$"):
+            SolveResult.from_json(data)
+
     def test_json_entry_listed_twice(self, demo, demo_metric):
         network, paths, schedule = demo
         data = solve(network, schedule, demo_metric, paths).to_json()
@@ -295,6 +306,19 @@ class TestSolve:
         data["meta"][name] = value
         with pytest.raises(ValueError, match=f"meta {name} is {value!r}, not of type"):
             SolveResult.from_json(data)
+
+    def test_json_sizes_read_before_any_set(self, demo, demo_metric):
+        # sizes_of makes from_json's meta checks and reads no record
+        network, paths, schedule = demo
+        data = solve(network, schedule, demo_metric, paths).to_json()
+        data["sets"] = None
+        assert SolveResult.sizes_of(data) == (schedule.n, schedule.m) == (4, 7)
+        data["meta"]["m"] = 7.0
+        with pytest.raises(ValueError, match=r"^meta m is 7\.0, not of type int$"):
+            SolveResult.sizes_of(data)
+        del data["meta"]
+        with pytest.raises(ValueError, match=r"^the tables: no field 'meta'$"):
+            SolveResult.sizes_of(data)
 
     def test_json_more_paths_than_records_rejected_before_reading_sets(self, demo, demo_metric):
         network, paths, schedule = demo
@@ -774,9 +798,12 @@ class TestOneSolvePath:
                 one_shot = solve(network, schedule, metric, paths, strict_resolution=strict)
                 shared = solve(network, schedule, metric, paths, strict_resolution=strict,
                                moves=MoveTable(schedule, strict))
+                # the splits each set keeps after the known-path bound, and their worths
+                assert shared.solver.pending == one_shot.solver.pending
                 assert shared.on_demand_sets == one_shot.on_demand_sets
                 assert shared.rows == one_shot.rows
                 assert shared.to_json() == one_shot.to_json()
+                assert shared.solver.pending == one_shot.solver.pending
                 assert shared.on_demand_sets == one_shot.on_demand_sets
                 assert shared.rows == one_shot.rows
         # the benchmark's speed study: L17's 20-point grid, one table for the grid
@@ -786,11 +813,69 @@ class TestOneSolvePath:
             metric = euclidean_metric(network, floor * (1.02 + 0.2 * i))
             one_shot = solve(network, schedule, metric, paths, strict_resolution=strict)
             shared = solve(network, schedule, metric, paths, strict_resolution=strict, moves=moves)
+            assert shared.solver.pending == one_shot.solver.pending, i
             assert shared.on_demand_sets == one_shot.on_demand_sets, i
             assert shared.solver.cells_scored == one_shot.solver.cells_scored, i
             sets += len(shared.on_demand_sets)
             cells += shared.solver.cells_scored
         assert (sets, cells) == ((341, 770) if strict else (354, 898))
+        # the split records the table keeps, of 90 that set_moves lists
+        assert sum(len(splits) for _, splits in moves.values()) == (42 if strict else 54)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_table_leaves_out_only_splits_no_speed_admits(self, strict):
+        # every split of set_moves that the table leaves out fails evaluate's
+        # known-path bound at each speed of L17's 20-point grid
+        network, paths, schedule, _ = layered(factor=2.0, **L17)
+        floor, moves = speed_floor(network), MoveTable(schedule, strict)
+        metrics = [euclidean_metric(network, floor * (1.02 + 0.2 * i)) for i in range(20)]
+        for metric in metrics:
+            solve(network, schedule, metric, paths, strict_resolution=strict, moves=moves)
+        left_out = [split for mask, (_, kept) in moves.items()
+                    for split in set_moves(mask, schedule, strict)[1] if split not in kept]
+        assert len(left_out) == (48 if strict else 36)
+        for i, metric in enumerate(metrics):
+            known = _Solver(schedule, metric, paths, strict).known
+            for u, green, time, _ in left_out:
+                ceilings, below = known[u] or _known_bound(known, u)
+                assert below[bisect_left(ceilings, time)] & green, (i, u, indices_of(green))
+
+    def test_table_bound_is_each_paths_length_plus_the_margin(self):
+        # the table reads each length from the schedule's visit times; at a zero
+        # row the bound is the one the solver builds from the paths themselves
+        for network, paths, schedule, _ in [
+                *corpus(), *(layered(factor=1.1, **instance) for instance in (L13, L17, L36, L85))]:
+            zero = [(0.0,) * (schedule.m + 1)] * (schedule.m + 1)
+            bits = [1 << k for k in range(len(paths))]
+            known = [(zero, [(path.length, path.exit) for path in paths],
+                      known_path_margin(schedule.m), None, bits), None]
+            expected = _known_bound(known, 1)
+            for strict in (False, True):
+                ceilings, below = MoveTable(schedule, strict).admits
+                assert [c.hex() for c in ceilings] == [c.hex() for c in expected[0]]
+                assert below == expected[1]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_table_solves_keep_each_paths_exit_when_arrivals_tie(self, strict):
+        # 2**57 + 15.0 rounds back to 2**57, so the path visits nodes 2 and 3 at
+        # one time; its exit is 3, and from the entry 2**57 - d[1][3] is 2**57 - 16
+        network = validate_network({
+            "nodes": [{"id": 1, "x": -1.0, "y": 0.0}, {"id": 2, "x": 0.0, "y": 0.0},
+                      {"id": 3, "x": 15.0, "y": 0.0}],
+            "edges": [{"from": 1, "to": 2, "time": 2.0 ** 57}, {"from": 2, "to": 3, "time": 15.0}]})
+        paths = enumerate_paths(network)
+        schedule = build_schedule(paths, network.m)
+        assert schedule.times[2][1] == schedule.times[3][1] and paths[0].exit == 3
+        grid = [1.01, 2.0]
+        rows = sweep(network, schedule, paths, grid, strict).rows
+        for speed, row in zip(grid, rows):
+            metric = euclidean_metric(network, speed)
+            one_shot = solve(network, schedule, metric, paths, strict_resolution=strict)
+            shared = solve(network, schedule, metric, paths, strict_resolution=strict,
+                           moves=MoveTable(schedule, strict))
+            assert shared.rows == one_shot.rows
+            assert row.latest.hex() == one_shot.root_latest.hex()
+        assert rows[0].latest == 2.0 ** 57 - 16
 
     def test_only_export_walks_and_only_once(self, monkeypatch):
         network, paths, schedule, metric = layered(factor=1.1, seed=13)
