@@ -96,7 +96,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from math import inf, isfinite
@@ -259,77 +259,105 @@ class SolveResult:
     def sizes_of(data: dict) -> tuple[int, int]:
         """The ``n`` and ``m`` of ``to_json`` output, which ``from_json``
         reads first and a caller can test before it builds a row. Raises
-        ValueError on the ``entries`` layout, a missing ``meta`` or ``sets``,
-        and a missing meta field or one not of its exact type."""
-        if "entries" in data and "sets" not in data:
+        ValueError on the faults of ``from_json``'s first two items, and
+        reads no record."""
+        if isinstance(data, dict) and "entries" in data and "sets" not in data:
             raise ValueError("the tables use the per-(node, set) 'entries' layout of earlier "
                              "versions; solve the network again to write one record per set")
         meta = _fields(data, ("meta", "sets"), "the tables")[0]
-        _fields(meta, _META_TYPES, "meta")  # names a missing meta field
-        for name, kind in _META_TYPES.items():
-            if type(meta[name]) is not kind:
-                raise ValueError(f"meta {name} is {meta[name]!r}, not of type {kind.__name__}")
-        return meta["n"], meta["m"]
+        for (name, kind), value in zip(_META_TYPES.items(), _fields(meta, _META_TYPES, "meta")):
+            if type(value) is not kind:
+                raise ValueError(f"meta {name} is {value!r}, not of type {kind.__name__}")
+        n, m = meta["n"], meta["m"]
+        if min(n, m) < 1:
+            raise ValueError(f"meta n is {n} and m is {m}; tables have at least one path and "
+                             "one node")
+        return n, m
 
     @classmethod
     def from_json(cls, data: dict) -> "SolveResult":
         """Rebuild the rows of ``to_json`` output; each set's row keeps the
         ``D``, ``mu`` and ``capture`` lists of its record. Raises ValueError
-        on tables in the per-(node, set) ``entries`` layout of earlier
-        versions, and on
-        - a missing field: ``meta``, ``sets``, a meta field of
-          ``_META_TYPES``, or a record's ``set``, ``D``, ``mu`` or
-          ``capture``, or a meta or record that is not an object;
-        - a meta field not of its exact type (see ``_META_TYPES``);
-        - a meta ``n`` larger than the number of records (``to_json`` lists
-          every singleton set), checked before any set is read;
-        - a record's ``set`` that is not a list: an int, float, bool or
-          null, named as ``sets[i]``;
-        - an empty set, or a member other than an int ``1..n`` (a bool
-          included);
+        on the first of these faults:
+        - tables that are not an object, or that use the per-(node, set)
+          ``entries`` layout of earlier versions;
+        - a missing ``meta`` or ``sets``, a ``meta`` that is not an object,
+          a ``meta`` field that is missing or not of its exact type
+          (``_META_TYPES``), or a ``meta.n`` or ``meta.m`` below 1;
+        - a ``sets`` that is not a list, or a ``meta.n`` larger than its
+          number of records (every table lists each of its ``n`` singleton
+          sets);
+        - a record that is not an object, or that lacks ``set``, ``D``,
+          ``mu`` or ``capture``;
+        - a ``set`` that is not a non-empty list of integers ``1..n``
+          (``True`` is not an integer here);
         - a set listed twice, in any member order;
         - a ``D``, ``mu`` or ``capture`` that is not a list of exactly ``m``
           values;
         - a ``D`` that is not a finite number, a ``mu`` that is not a node
-          ``1..m`` or a ``capture`` that is not a boolean.
-        A fault is named by its set and, for a value, its node; a missing
-        field by its name and where it is missing, a record as ``sets[i]``."""
+          ``1..m``, or a ``capture`` that is not a boolean.
+        The error names the tables, ``meta`` or ``sets`` for the first three,
+        a record as ``sets[i]`` for the next two, and the set, with the node
+        for a bad value, for the rest."""
         n, m = cls.sizes_of(data)
         meta, records = data["meta"], data["sets"]
+        if type(records) is not list:
+            raise ValueError(f"sets: a {type(records).__name__}, not a list")
         if n > len(records):  # checked before any mask: members are bounded by n
             raise ValueError(f"meta n is {n}, but the tables list only {len(records)} sets")
-        try:
-            sets, triples = [*map(itemgetter("set"), records)], [*map(_columns_of, records)]
-        except (KeyError, TypeError):
-            for i, record in enumerate(records):
-                _fields(record, _FIELDS, f"sets[{i}]")
-            raise
-        try:
-            members = [*chain.from_iterable(sets)]
-        except TypeError:  # a set that is an int, float, bool or null
-            for i, listed in enumerate(sets):
-                if not isinstance(listed, Iterable):
-                    raise ValueError(f"sets[{i}]: set is {listed!r}, not a list of paths "
-                                     f"1..{n}") from None
-            raise
-        # member types are checked first, and exactly: a float 1.0 would pass
-        # the range test, and mask_from reads True as path 1
-        kinds = {*map(type, members)}
-        if not kinds <= {int}:
-            kind = next(iter(kinds - {int})).__name__
-            raise ValueError(f"a set member is a {kind}, not a path index 1..{n}")
-        # whole-column checks; the per-record rule runs only to name a fault.
-        # The members are all ints, so the distinct values hold the extremes
-        members = {*members}
-        if not (all(sets) and 1 <= min(members, default=1) and max(members, default=1) <= n):
-            _check_records(records, n, m)
-        rows = dict(zip(map(mask_from, sets), triples))
-        columns = [*chain.from_iterable(rows.values())]
-        if not (len(rows) == len(records) and {*map(type, columns)} <= {list}
-                and {*map(len, columns)} <= {m} and _cells_valid(columns, m)):
-            _check_records(records, n, m)
+        # _fields raises, naming the first field the record lacks
+        _require(lambda records: {*map(type, records)} <= {dict}
+                 and all(map({*_FIELDS}.issubset, records)),
+                 records, lambda i: _fields(records[i], _FIELDS, f"sets[{i}]"))
+        sets, triples = [*map(itemgetter("set"), records)], [*map(_columns_of, records)]
+        _require(lambda sets: {*map(type, sets)} <= {list} and all(sets)
+                 and _ints_in([*chain.from_iterable(sets)], n), sets,
+                 lambda i: f"sets[{i}]: set is {sets[i]!r}, not a list of paths 1..{n}")
+        masks = [*map(mask_from, sets)]
+        _require(lambda masks: len({*masks}) == len(masks), masks,
+                 lambda i: f"set {sets[i]}: listed twice")
+        columns = [*chain.from_iterable(triples)]  # a record's D, mu and capture in turn
+        _require(lambda columns: {*map(type, columns)} <= {list} and {*map(len, columns)} <= {m},
+                 columns, lambda i: f"set {sets[i // 3]}: {_COLUMNS[i % 3]} is "
+                 f"{_shape(columns[i])}, not a list of {m} values, one per node")
+        _require(lambda columns: _cells_valid(columns, m), columns,
+                 lambda i: _cell_fault(sets[i // 3], triples[i // 3], m))
         return cls(n=n, m=m, strict_resolution=meta["strict_resolution"], pruned=meta["pruned"],
-                   rows=rows, _digest=meta["metric_digest"])
+                   rows=dict(zip(masks, triples)), _digest=meta["metric_digest"])
+
+
+def _require(rule, items: list, fault) -> None:
+    """Raise ValueError(fault(i)) unless ``rule(items)``, where ``items[i]``
+    ends the shortest prefix of ``items`` that breaks the rule. A rule that
+    a list breaks is broken by every list that starts with it, so the
+    prefix is found by bisection."""
+    if not rule(items):
+        first = bisect_left(range(len(items)), True, key=lambda i: not rule(items[:i + 1]))
+        raise ValueError(fault(first))
+
+
+def _ints_in(values: list, top: int) -> bool:
+    """Whether every value is an int ``1..top``. Types are exact: a float
+    1.0 would pass the range test, and ``mask_from`` reads True as path 1."""
+    if not {*map(type, values)} <= {int}:
+        return False
+    values = {*values}  # all ints, so the distinct values hold the extremes
+    return not values or 1 <= min(values) and max(values) <= top
+
+
+def _shape(column) -> str:
+    return (f"a list of {len(column)} values" if type(column) is list
+            else f"a {type(column).__name__}")
+
+
+def _cell_fault(listed: list, columns: tuple, m: int) -> str:
+    """The first cell of a set's valid-shaped columns that ``_cells_valid``
+    rejects, named by its set and node."""
+    j, (latest, move, capture) = next((j, cell) for j, cell in enumerate(zip(*columns))
+                                      if not _cells_valid([*map(list, zip(cell))], m))
+    # no solve writes a D that is not finite: every set captures at the entry
+    return (f"set {listed}, node {j + 1}: D {latest!r}, mu {move!r}, capture {capture!r}; "
+            f"D must be a finite number, mu a node 1..{m} and capture a boolean")
 
 
 def _cells_valid(columns: list, m: int) -> bool:
@@ -343,17 +371,14 @@ def _cells_valid(columns: list, m: int) -> bool:
     latest, moves, captures = (columns[i::3] for i in range(3))
     flat = chain.from_iterable
     kinds = {*map(type, flat(latest))}
-    if not (kinds <= {int, float} and {*map(type, flat(moves))} <= {int}
-            and {*map(type, flat(captures))} <= {bool}):
+    if not (kinds <= {int, float} and {*map(type, flat(captures))} <= {bool}
+            and _ints_in([*flat(moves)], m)):
         return False
-    if int in kinds or not isfinite(sum(flat(latest))):
-        try:
-            if not all(map(isfinite, flat(latest))):
-                return False
-        except OverflowError:  # an int too large for a float, yet finite
-            return False
-    nodes = {*flat(moves)}  # all ints, so the distinct values hold the extremes
-    return 1 <= min(nodes, default=1) and max(nodes, default=1) <= m
+    try:
+        return ((int not in kinds and isfinite(sum(flat(latest))))
+                or all(map(isfinite, flat(latest))))
+    except OverflowError:  # an int too large for a float, yet finite
+        return False
 
 
 def _fields(record, names, where: str) -> list:
@@ -365,36 +390,6 @@ def _fields(record, names, where: str) -> list:
         raise ValueError(f"{where}: no field {missing.args[0]!r}") from None
     except TypeError:
         raise ValueError(f"{where}: a {type(record).__name__}, not an object") from None
-
-
-def _check_records(records, n: int, m: int) -> None:
-    """Raise ValueError naming the first record of ``from_json`` input whose
-    set is empty, names a path outside ``1..n`` or repeats an earlier set,
-    whose ``D``, ``mu`` or ``capture`` is not a list of ``m`` values, or
-    that holds a cell whose ``D`` is not a finite number, whose ``mu`` is
-    not a node or whose ``capture`` is not a boolean."""
-    seen = set()
-    for record in records:
-        listed = record["set"]
-        if not listed or min(listed) < 1 or max(listed) > n:
-            raise ValueError(f"set {listed}: members are paths 1..{n}")
-        mask = mask_from(listed)
-        if mask in seen:
-            raise ValueError(f"set {listed}: listed twice")
-        seen.add(mask)
-        columns = _columns_of(record)
-        for name, column in zip(_COLUMNS, columns):
-            if type(column) is not list or len(column) != m:
-                shape = (f"a list of {len(column)} values" if type(column) is list
-                         else f"a {type(column).__name__}")
-                raise ValueError(f"set {listed}: {name} is {shape}, not a list of {m} values, "
-                                 f"one per node")
-        for j, (latest, move, capture) in enumerate(zip(*columns), 1):
-            # no solve writes a D that is not finite: every set captures at the entry
-            if not _cells_valid([[latest], [move], [capture]], m):
-                raise ValueError(f"set {listed}, node {j}: D {latest!r}, mu {move!r}, "
-                                 f"capture {capture!r}; D must be a finite number, mu a node "
-                                 f"1..{m} and capture a boolean")
 
 
 def metric_digest(metric: PursuerMetric) -> str:

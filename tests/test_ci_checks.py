@@ -3,8 +3,8 @@
 
 import pytest
 
-from ugs_pursuit import (build_schedule, enumerate_paths, euclidean_metric, full_lattice, solve,
-                         verify_guarantee)
+from ugs_pursuit import (build_schedule, enumerate_paths, euclidean_metric, full_lattice,
+                         oracle_max_delay, solve, verify_guarantee)
 from ugs_pursuit.fixtures import random_layered_network, speed_floor
 from ugs_pursuit.solver import MoveTable
 
@@ -72,3 +72,29 @@ def test_scale_ladder_rungs_at_twice_the_floor(seed, widths, root, count, scored
         report = verify_guarantee(network, schedule, metric, result, result.root_latest)
         assert report.all_captured and len(report.outcomes) == schedule.n
         print(f"n={schedule.n}: root {result.root_latest!r}, all {schedule.n} captured")
+
+
+@pytest.mark.ci
+def test_oracle_on_36_paths():
+    """random_layered_network(5) (36 paths, 12 nodes) at 1.1x and 2x its
+    floor: each convention's solve equals the oracle of that convention, and
+    the exact oracle (no convention) equals the strict one. At 1.1x the
+    membership value lies above what the exact oracle allows: that
+    convention overclaims there."""
+    network = random_layered_network(5)
+    paths = enumerate_paths(network)
+    schedule = build_schedule(paths, network.m)
+    values = {}
+    for factor in (1.1, 2.0):
+        metric = euclidean_metric(network, factor * speed_floor(network))
+        oracle = {}
+        for strict in (False, True):
+            result = solve(network, schedule, metric, paths, strict_resolution=strict)
+            oracle[strict] = oracle_max_delay(network, schedule, metric, paths, strict)
+            assert abs(oracle[strict] - max(0.0, result.root_latest)) <= 1e-6, (factor, strict)
+        exact = oracle_max_delay(network, schedule, metric, paths, exact=True)
+        assert abs(exact - oracle[True]) <= 1e-6, (factor, exact, oracle[True])
+        print(f"{factor}x: membership {oracle[False]:.6f}, strict and exact {exact:.6f}")
+        values[factor] = round(oracle[False], 6), round(exact, 6)
+    assert values == {1.1: (2.313133, 1.900316), 2.0: (12.223862, 12.011325)}, values
+    assert values[1.1][0] > values[1.1][1]

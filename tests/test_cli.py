@@ -117,6 +117,20 @@ class TestSolve:
         assert payload["meta"]["tolerable_delay"] == pytest.approx(5.610617, abs=1e-5)
         assert payload["meta"]["strict_resolution"] is False
 
+    @pytest.mark.parametrize("flag", [[], ["--strict-resolution"]], ids=["membership", "strict"])
+    def test_json_lists_each_singleton_set_once(self, capsys, flag):
+        # from_json rejects a meta n above the number of records before it builds any
+        # mask; that relies on every table listing each set [k], k = 1..n
+        speeds = {seed: repr(1.1 * speed_floor(random_layered_network(seed))) for seed in (13, 17)}
+        for network in (["demo", "--speed", "1.62"],
+                        *(["random", "--seed", str(seed), "--speed", speed]
+                          for seed, speed in speeds.items())):
+            code, out, _ = run(capsys, ["solve", "--network", *network, *flag, "--format", "json"])
+            assert code == EXIT_OK
+            data = json.loads(out)
+            singletons = sorted(record["set"] for record in data["sets"] if len(record["set"]) == 1)
+            assert singletons == [[k] for k in range(1, data["meta"]["n"] + 1)], network
+
 
 class TestSimulateAndVerify:
     def test_policy_round_trip(self, capsys, tmp_path):
@@ -307,7 +321,7 @@ class TestErrors:
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
           "root_twice.json"], "listed twice"),
         (["simulate", "--network", "demo", "--speed", "1.62", "--path", "1", "--t0", "1",
-          "--policy", "bool_member.json"], "a set member is a bool"),
+          "--policy", "bool_member.json"], "set is [True, 2, 3, 4], not a list of paths 1..4"),
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
           "string_strict.json"], "meta strict_resolution is 'false', not of type bool"),
         (["verify", "--network", "random", "--seed", "3", "--speed", "3", "--t0", "1",
@@ -318,7 +332,7 @@ class TestErrors:
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
           "string_capture.json"], "capture 'false'"),
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
-          "member_zero.json"], "set [0, 2, 3, 4]: members are paths 1..4"),
+          "member_zero.json"], "set is [0, 2, 3, 4], not a list of paths 1..4"),
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
           "null_mu.json"], "mu None"),
         (["verify", "--network", "demo", "--speed", "1.62", "--t0", "1", "--policy",
@@ -331,6 +345,9 @@ class TestErrors:
           "demo_policy.json"], "demo_policy.json: the tables were solved for another metric"),
         (["verify", "--network", "demo", "--speed", "1.62", "--strict-resolution", "--t0", "5.61",
           "--policy", "demo_policy.json"], "solved without --strict-resolution"),
+        (["verify", "--network", "demo", "--speed", "3", "--t0", "0.5", "--policy", "five.json"],
+         "five.json: not solved tables from 'solve --format json' (ValueError: the tables: a int, "
+         "not an object)"),
     ], ids=["edge-without-time", "node-without-id", "non-numeric-time", "top-level-list",
             "metric-without-speed", "policy-not-from-solve", "non-numeric-grid",
             "path-above-range", "path-zero", "non-integer-entry", "non-integer-goal",
@@ -344,7 +361,7 @@ class TestErrors:
             "policy-meta-string-boolean", "policy-for-another-network",
             "policy-fractional-node", "policy-string-capture", "policy-member-zero",
             "policy-null-mu", "policy-null-latest", "policy-nan-latest", "policy-old-layout",
-            "policy-other-metric", "policy-other-convention"])
+            "policy-other-metric", "policy-other-convention", "policy-not-an-object"])
     def test_malformed_input_exit_code(self, capsys, tmp_path, monkeypatch, argv, named):
         _, solved, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.62",
                                     "--format", "json"])
@@ -404,6 +421,7 @@ class TestErrors:
             "nan_latest.json": nan_latest,
             "old_layout.json": old_layout,
             "demo_policy.json": json.loads(solved),
+            "five.json": 5,
         }
         for name, data in files.items():
             (tmp_path / name).write_text(json.dumps(data))

@@ -267,7 +267,8 @@ class TestSolve:
         last = data["sets"][-1]["set"]
         assert last[0] == 1
         last[0] = member
-        with pytest.raises(ValueError, match="not a path index"):
+        named = f"sets[{len(data['sets']) - 1}]: set is {last!r}, not a list of paths 1..4"
+        with pytest.raises(ValueError, match=re.escape(named) + "$"):
             SolveResult.from_json(data)
 
     @pytest.mark.parametrize("value", [3, 1.5, True, None], ids=["int", "float", "bool", "null"])
@@ -305,6 +306,18 @@ class TestSolve:
         data = solve(network, schedule, demo_metric, paths).to_json()
         data["meta"][name] = value
         with pytest.raises(ValueError, match=f"meta {name} is {value!r}, not of type"):
+            SolveResult.from_json(data)
+
+    @pytest.mark.parametrize("n,m,listed", [(0, 7, False), (-2, 7, False), (4, 0, True),
+                                            (4, -1, True)])
+    def test_json_sizes_below_one_rejected(self, demo, demo_metric, n, m, listed):
+        network, paths, schedule = demo
+        data = solve(network, schedule, demo_metric, paths).to_json()
+        data["meta"].update(n=n, m=m)
+        if not listed:
+            data["sets"] = []
+        named = f"meta n is {n} and m is {m}; tables have at least one path and one node"
+        with pytest.raises(ValueError, match=re.escape(named) + "$"):
             SolveResult.from_json(data)
 
     def test_json_sizes_read_before_any_set(self, demo, demo_metric):
@@ -345,8 +358,15 @@ class TestSolve:
         with pytest.raises(ValueError, match=f"set \\[1\\], node 1: .*{name} None"):
             SolveResult.from_json({"meta": meta, "sets": [record]})
 
-    # (edit, message): each drops a field, or puts a non-object where an object goes
+    # (edit, message): each drops a field, or puts a non-object where an object goes or a
+    # non-list where the list of records goes; an edit that is not a function is the tables
     @pytest.mark.parametrize("edit,named", [
+        (5, "the tables: a int, not an object"), (None, "the tables: a NoneType, not an object"),
+        (1.5, "the tables: a float, not an object"), (True, "the tables: a bool, not an object"),
+        (lambda data: data.update(sets=7), "sets: a int, not a list"),
+        (lambda data: data.update(sets=None), "sets: a NoneType, not a list"),
+        (lambda data: data.update(sets="[1, 2, 3, 4]"), "sets: a str, not a list"),
+        (lambda data: data.update(sets={str(k): {} for k in range(9)}), "sets: a dict, not a list"),
         (lambda data: data.pop("meta"), "the tables: no field 'meta'"),
         (lambda data: data.pop("sets"), "the tables: no field 'sets'"),
         (lambda data: data["meta"].pop("n"), "meta: no field 'n'"),
@@ -359,12 +379,17 @@ class TestSolve:
         (lambda data: data["sets"].__setitem__(3, [[1, 2], [0.0] * 7]),
          "sets[3]: a list, not an object"),
         (lambda data: data["sets"].__setitem__(3, None), "sets[3]: a NoneType, not an object"),
-    ], ids=["no-meta", "no-sets", "no-meta-n", "no-meta-digest", "meta-not-an-object",
-            "no-set", "no-D", "no-mu", "no-capture", "record-a-list", "record-null"])
+    ], ids=["tables-int", "tables-null", "tables-float", "tables-bool", "sets-int", "sets-null",
+            "sets-string", "sets-object", "no-meta", "no-sets", "no-meta-n", "no-meta-digest",
+            "meta-not-an-object", "no-set", "no-D", "no-mu", "no-capture", "record-a-list",
+            "record-null"])
     def test_json_missing_field_named(self, demo, demo_metric, edit, named):
         network, paths, schedule = demo
         data = solve(network, schedule, demo_metric, paths).to_json()
-        edit(data)
+        if callable(edit):
+            edit(data)
+        else:
+            data = edit
         with pytest.raises(ValueError, match=re.escape(named) + "$"):
             SolveResult.from_json(data)
 
