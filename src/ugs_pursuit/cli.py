@@ -14,7 +14,7 @@ import json
 import sys
 
 from .analysis import critical_speed, sweep
-from .errors import PursuitError
+from .errors import MetricError, PursuitError
 from .fixtures import demo_bundle, random_layered_network
 from .information import realizable_sets
 from .network import (
@@ -28,6 +28,7 @@ from .network import (
 from .simulator import check_table_sizes, simulate, verify_guarantee
 from .solver import SolveResult, metric_digest, solve
 from .tree_export import build_tree, tree_dumps, tree_to_dot
+from .util import json_number
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -72,7 +73,10 @@ def _load_metric(args, network):
     with _parsing(args.metric, "a metric description"):
         kind = data.get("kind", "table")
         if kind == "euclidean":
-            return euclidean_metric(network, float(data["speed"]))
+            speed = json_number(data["speed"])
+            if speed is None:
+                raise MetricError(f"{args.metric}: 'speed' is {data['speed']!r}, not a number")
+            return euclidean_metric(network, speed)
         if kind == "table":
             return table_metric(data["d"], network)
     raise PursuitError(f"unknown metric kind {kind!r}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,7 +33,7 @@ from .errors import (
     TriangleViolation,
     UnreachableNode,
 )
-from .util import TIME_EPS, group_times, tlt
+from .util import TIME_EPS, group_times, json_number, tlt
 
 VIOLATION_LIMIT = 5
 
@@ -168,15 +167,16 @@ def validate_network(raw: dict) -> RoadNetwork:
     UnreachableNode, NonPositiveEdgeTime, GoalMismatch; NetworkError itself
     for a malformed description: not an object, ``nodes``, ``edges`` or
     ``goals`` not a list, a node or edge record with a missing or
-    non-numeric field, an infinite edge time, or an entry, goal, node id
-    or edge endpoint that is not an integer.
+    non-numeric field (``true`` and ``"7"`` are no numbers), an infinite
+    edge time, or an entry, goal, node id or edge endpoint that is not an
+    integer.
     """
     if not isinstance(raw, dict):
         raise NetworkError(f"a network description is a JSON object, not a {type(raw).__name__}")
     nodes = raw.get("nodes")
     if not nodes or not isinstance(nodes, list):
         raise NetworkError("network needs a non-empty 'nodes' list")
-    ids = [_field(node, "id", operator.index) for node in nodes]
+    ids = [_field(node, "id", int) for node in nodes]
     m = len(ids)
     if sorted(ids) != list(range(1, m + 1)):
         raise NetworkError(f"node ids must be contiguous 1..{m}, got {sorted(ids)}")
@@ -186,7 +186,7 @@ def validate_network(raw: dict) -> RoadNetwork:
         if node.get("x") is not None:
             coords[j] = (_field(node, "x", float), _field(node, "y", float))
 
-    entry = _field({"entry": raw.get("entry", 1)}, "entry", operator.index)
+    entry = _field({"entry": raw.get("entry", 1)}, "entry", int)
     if entry != 1:
         raise NetworkError("the entry node must be node 1 (relabel the input)")
 
@@ -196,7 +196,7 @@ def validate_network(raw: dict) -> RoadNetwork:
     if not isinstance(edges, list):
         raise NetworkError(f"'edges' must be a list of edge records, not a {type(edges).__name__}")
     for edge in edges:
-        j, c = _field(edge, "from", operator.index), _field(edge, "to", operator.index)
+        j, c = _field(edge, "from", int), _field(edge, "to", int)
         if not (1 <= j <= m and 1 <= c <= m):
             raise NetworkError(f"edge ({j},{c}) references an unknown node")
         t = _field(edge, "time", float)
@@ -220,7 +220,7 @@ def validate_network(raw: dict) -> RoadNetwork:
     if declared is not None:
         if not isinstance(declared, list):
             raise NetworkError(f"'goals' must be a list of node ids, not a {type(declared).__name__}")
-        declared = frozenset(_field({"goals": g}, "goals", operator.index) for g in declared)
+        declared = frozenset(_field({"goals": g}, "goals", int) for g in declared)
         if declared != goals:
             raise GoalMismatch(f"declared goals {sorted(declared)} != childless nodes {sorted(goals)}")
 
@@ -245,11 +245,15 @@ def validate_network(raw: dict) -> RoadNetwork:
 
 
 def _field(record, key: str, kind):
-    """``kind(record[key])`` for a node or edge record of the input."""
+    """``record[key]`` of a node or edge record of the input, as the JSON
+    number of ``kind`` (``int`` or ``float``) that ``json_number`` reads."""
     try:
-        return kind(record[key])
-    except (KeyError, TypeError, ValueError):
-        raise NetworkError(f"{record!r}: {key!r} is missing or of the wrong type") from None
+        value = json_number(record[key], kind)
+    except (KeyError, TypeError):  # not an object, or no such field
+        value = None
+    if value is None:
+        raise NetworkError(f"{record!r}: {key!r} is missing or of the wrong type")
+    return value
 
 
 def _topological_order(m: int, children) -> list[int]:
@@ -405,11 +409,18 @@ def validate_metric(metric: PursuerMetric, network: RoadNetwork, check_triangle:
 
 def table_metric(rows, network: RoadNetwork) -> PursuerMetric:
     """Wrap an explicit m-by-m table (0-based rows, as read from JSON) and
-    validate it fully."""
+    validate it fully. Every entry is a JSON number, as ``json_number``
+    reads it; any other entry raises MetricError naming it."""
     m = network.m
     if len(rows) != m or any(len(r) != m for r in rows):
         raise MetricError(f"metric table must be {m}x{m}")
-    d = [(0.0,) * (m + 1)] + [(0.0, *(float(v) for v in r)) for r in rows]
+    d = [(0.0,) * (m + 1)]
+    for i, row in enumerate(rows, 1):
+        values = [*map(json_number, row)]
+        if None in values:
+            j = values.index(None)
+            raise MetricError(f"metric entry ({i}, {j + 1}) is {row[j]!r}, not a number")
+        d.append((0.0, *values))
     metric = PursuerMetric(d=tuple(d))
     validate_metric(metric, network)
     return metric

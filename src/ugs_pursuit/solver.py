@@ -102,7 +102,8 @@ from itertools import accumulate, chain
 from math import inf, isfinite
 from operator import itemgetter, or_
 
-# bench/tracing.py wraps this name to time the realizable-family sweep
+# realizable_sets is re-exported only so that bench/tracing.py's wrapper binds;
+# the solver never calls it, so that span reads 0 until the tracer is retargeted
 from .information import move_children, realizable_sets, red_reports  # noqa: F401
 from .network import PursuerMetric, VisitSchedule, indices_of, mask_from
 from .util import TIME_EPS, tlt

@@ -39,6 +39,19 @@ def group_times(pairs):
     return out
 
 
+def json_number(value, kind=float):
+    """``kind(value)`` when ``value`` is a JSON number of that kind, else
+    None: ``int`` takes an integer, ``float`` any number a float holds.
+    Types are exact, as in ``SolveResult.from_json``: True is no number here,
+    and "7" is a string."""
+    if type(value) is int or (kind is float and type(value) is float):
+        try:
+            return kind(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    return None
+
+
 def check_bracket(lo: float, hi: float, tol: float) -> None:
     """Raise PursuitError unless ``tol > 0`` and both bracket ends are finite."""
     if not tol > 0:  # also rejects NaN

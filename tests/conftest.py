@@ -68,6 +68,23 @@ def comb(k):
     return {"nodes": spine + exits, "edges": edges, "entry": 1}
 
 
+def flip_id(network):
+    """Node id ``j`` of ``network`` with ids 2..m reversed (an involution)."""
+    return lambda j: j if j == network.entry else network.m + 2 - j
+
+
+def reversed_ids(network):
+    """``network`` with its non-entry node ids reversed: node ``j`` of
+    2..m is node ``m + 2 - j``, so events at equal times come in the
+    opposite node order, and the paths are renumbered."""
+    new = flip_id(network)
+    return validate_network({
+        "nodes": [{"id": new(j), "x": x, "y": y} for j, (x, y) in enumerate(network.coords[1:], 1)],
+        "edges": [{"from": new(a), "to": new(b), "time": t} for a, b, t in network.edges()],
+        "entry": network.entry,
+    })
+
+
 def with_few_frames(call, spare):
     """``call()``, run when only ``spare`` more nested calls fit under the
     recursion limit."""

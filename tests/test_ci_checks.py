@@ -1,12 +1,67 @@
-"""Library checks too slow for tier-1, which deselects the ``ci`` marker
-(``pyproject.toml``); CI runs them with ``python -m pytest -m ci``."""
+"""Checks too slow for tier-1, which deselects the ``ci`` marker
+(``pyproject.toml``); CI runs them with ``python -m pytest -m ci``: the
+deep comb at the default recursion limit
+(``test_deep_comb_at_the_default_recursion_limit``), lazy cells against the
+full lattice at n = 12, the scale-ladder rungs L400 and L474 at twice their
+floor, and the oracle on 36 paths."""
+
+import json
+import sys
 
 import pytest
 
 from ugs_pursuit import (build_schedule, enumerate_paths, euclidean_metric, full_lattice,
-                         oracle_max_delay, solve, verify_guarantee)
+                         oracle_max_delay, solve, validate_network, verify_guarantee)
+from ugs_pursuit.cli import EXIT_OK, main
 from ugs_pursuit.fixtures import random_layered_network, speed_floor
 from ugs_pursuit.solver import MoveTable
+
+from conftest import comb
+
+
+@pytest.mark.ci
+def test_deep_comb_at_the_default_recursion_limit(capsys, tmp_path):
+    """Comb 400 and comb 1000 (``conftest.comb``) at twice their floor, at
+    Python's default recursion limit: cell passes nest about k deep, on the
+    solver's own stack, not Python's. Through the CLI, comb 400 solves to
+    the pinned delay under both conventions and plays back at it, and comb
+    1000's strict tree (999 levels), built and written on explicit stacks,
+    draws as DOT: 2,996 nodes, 999 of them capture leaves (shape=oval), and
+    2,995 edges. Not as JSON: indented JSON writes each set member on its
+    own line at the node's depth, so comb 1000 would be about 729 MB.
+    Through the library, comb 1000's strict root solve computes 998 sets
+    and playback at its root captures all 999 paths."""
+    assert sys.getrecursionlimit() == 1000
+    files = {}
+    for k in (400, 1000):
+        files[k] = tmp_path / f"comb{k}.json"
+        files[k].write_text(json.dumps(comb(k)))
+    speed = repr(2.0 / 1.5)  # every edge is one unit long and takes 1.5
+
+    def cli(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_OK, ""), argv
+        return out.splitlines()
+
+    for flag in ([], ["--strict-resolution"]):
+        shared = ["--network", str(files[400]), "--speed", speed, *flag]
+        assert "tolerable delay at entry: 1.939340" in cli(["solve", *shared])
+        assert cli(["verify", *shared, "--t0", "1.9393398282201786"])[-1] == "all captured"
+    dot = cli(["tree", "--network", str(files[1000]), "--speed", speed, "--strict-resolution"])
+    assert len(dot) == 5994
+    assert sum("->" in line for line in dot) == 2995
+    assert sum("shape=oval" in line for line in dot) == 999
+
+    network = validate_network(comb(1000))
+    paths = enumerate_paths(network)
+    schedule = build_schedule(paths, network.m)
+    metric = euclidean_metric(network, 2.0 * speed_floor(network))
+    result = solve(network, schedule, metric, paths, strict_resolution=True)
+    assert abs(result.root_latest - 1.9393398282201786) <= 1e-9, result.root_latest
+    assert len(result.on_demand_sets) == 998
+    report = verify_guarantee(network, schedule, metric, result, result.root_latest)
+    assert report.all_captured and len(report.outcomes) == schedule.n == 999
 
 
 @pytest.mark.ci

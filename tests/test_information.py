@@ -27,7 +27,7 @@ from ugs_pursuit import (
 )
 from ugs_pursuit.fixtures import random_instance, random_layered_network
 
-from conftest import mask_of
+from conftest import flip_id, mask_of, reversed_ids
 
 
 NEAR_TIES = [(1.0 + 0.8e-9, 1.0 + 1.6e-9), (math.nextafter(1.0 + 1e-9, 0.0), 1.0 + 1e-9)]
@@ -289,21 +289,6 @@ def test_partition_is_exact(inst, strict):
         sets = [sub for _, _, sub in move_children(full, u, schedule, strict)]
         assert reduce(or_, sets) == full
         assert sum(map(int.bit_count, sets)) == full.bit_count()  # no path in two
-
-
-def flip_id(network):
-    """Node id ``j`` of ``network`` with ids 2..m reversed (an involution)."""
-    return lambda j: j if j == network.entry else network.m + 2 - j
-
-
-def reversed_ids(network):
-    """``network`` with its non-entry node ids reversed."""
-    new = flip_id(network)
-    return validate_network({
-        "nodes": [{"id": new(j), "x": x, "y": y} for j, (x, y) in enumerate(network.coords[1:], 1)],
-        "edges": [{"from": new(a), "to": new(b), "time": t} for a, b, t in network.edges()],
-        "entry": network.entry,
-    })
 
 
 def family_of(network):

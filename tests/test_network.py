@@ -110,6 +110,34 @@ class TestValidateNetwork:
         with pytest.raises(NetworkError):
             net([1, 2], [(1, 2, 1.0), (1, 2, 2.0)])
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda raw: raw["nodes"][0].update(id=True), "'id'"),
+        (lambda raw: raw.update(entry=True), "'entry'"),
+        (lambda raw: raw["edges"][0].update({"from": True}), "'from'"),
+        (lambda raw: raw["edges"][0].update(to="2"), "'to'"),
+        (lambda raw: raw.update(goals=[True, 2]), "'goals'"),
+        (lambda raw: raw["nodes"][0].update(x=True, y=0.0), "'x'"),
+        (lambda raw: raw["nodes"][0].update(x="3e0", y=0.0), "'x'"),
+        (lambda raw: raw["nodes"][0].update(x=10 ** 400, y=0.0), "'x'"),
+        (lambda raw: raw["edges"][0].update(time=True), "'time'"),
+        (lambda raw: raw["edges"][0].update(time="7"), "'time'"),
+    ], ids=["bool-id", "bool-entry", "bool-from", "string-to", "bool-goal", "bool-x",
+            "string-x", "int-x-beyond-float", "bool-time", "string-time"])
+    def test_only_json_numbers_of_the_field_kind(self, edit, named):
+        # ids, entry, endpoints and goals take JSON integers, coordinates and times any
+        # JSON number a float holds: True is no number, and "7" is a string
+        raw = {"nodes": [{"id": 1}, {"id": 2}], "edges": [{"from": 1, "to": 2, "time": 1.0}],
+               "entry": 1}
+        edit(raw)
+        with pytest.raises(NetworkError, match=f"{named} is missing or of the wrong type"):
+            validate_network(raw)
+
+    def test_integer_coordinates_and_times_accepted(self):
+        network = validate_network({"nodes": [{"id": 1, "x": 0, "y": 0}, {"id": 2, "x": 3, "y": 4}],
+                                    "edges": [{"from": 1, "to": 2, "time": 7}], "entry": 1})
+        assert network.coords[2] == (3.0, 4.0) and network.edge_time[(1, 2)] == 7.0
+        assert type(network.edge_time[(1, 2)]) is float
+
 
 class TestEnumeratePaths:
     def test_demo_paths(self, demo):
@@ -350,6 +378,14 @@ class TestMetrics:
     def test_euclidean_passes_full_validation(self, demo, demo_metric):
         network, _, _ = demo
         validate_metric(demo_metric, network)
+
+    @pytest.mark.parametrize("entry", [True, "2.98", None], ids=["bool", "string", "null"])
+    def test_table_entries_are_json_numbers(self, demo, demo_metric, entry):
+        network, _, _ = demo
+        rows = [[*row[1:]] for row in demo_metric.d[1:]]
+        rows[2][4] = entry
+        with pytest.raises(MetricError, match=re.escape(f"metric entry (3, 5) is {entry!r}, not a number")):
+            table_metric(rows, network)
 
     def test_table_shape_checked(self, demo):
         network, _, _ = demo

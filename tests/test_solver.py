@@ -1,18 +1,23 @@
 import gc
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ugs_pursuit
 from ugs_pursuit import (
     InconsistentObservation,
     PursuitError,
@@ -22,6 +27,7 @@ from ugs_pursuit import (
     enumerate_paths,
     euclidean_metric,
     build_tree,
+    demo_bundle,
     full_lattice,
     observe,
     realizable_sets,
@@ -39,7 +45,7 @@ from ugs_pursuit.solver import (CAPTURE, SPLIT, MoveTable, _candidates, _known_b
                                 known_path_margin, set_moves)
 from ugs_pursuit.util import TIME_EPS
 
-from conftest import comb, mask_of, with_few_frames
+from conftest import comb, mask_of, reversed_ids, with_few_frames
 
 
 def positions_value(j, path, metric):
@@ -464,6 +470,16 @@ class TestMetricDigest:
             assert report.all_captured
         assert digest_calls == []
 
+    def test_package_imports_without_openssl(self):
+        # the digest takes SHA-256 from the interpreter (_sha2 on 3.12+, _sha256 before):
+        # importing hashlib would load OpenSSL, about 3.7 MB of resident memory. A fresh
+        # interpreter, since this one may have loaded hashlib already
+        check = 'import sys, ugs_pursuit, ugs_pursuit.cli; assert "_hashlib" not in sys.modules'
+        source = str(Path(ugs_pursuit.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": source})
+        assert done.returncode == 0, done.stderr
+
     def test_export_and_tree_digest_once(self, demo, demo_metric, digest_calls):
         # a tree drawn with the solve's own metric compares nothing; one drawn
         # with an equal metric object compares digests, the solve's once
@@ -622,6 +638,27 @@ class TestScoringKernel:
                 value = solve(other, other_schedule, other_metric, other_paths,
                               strict_resolution=strict).root_latest
                 assert value == pytest.approx(root, abs=1e-9)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_roots_bit_identical_under_reversed_tie_order(self, strict):
+        # a cell keeps the first of equal moves in node order: reversing the ids 2..m
+        # reverses that order and renumbers the paths, yet no root may move by one bit
+        networks = {f"corpus {seed}": random_instance(seed, n_max=4, m_max=8)[0]
+                    for seed in range(1, 51)}
+        networks["demo"] = demo_bundle()[0]
+        for name, instance in {"L13": L13, "L17": L17, "L36": L36, "L85": L85}.items():
+            networks[name] = random_layered_network(**instance)
+        for name, network in networks.items():
+            for factor in (1.1, 2.0):
+                speed = factor * speed_floor(network)
+                roots = []
+                for labelled in (network, reversed_ids(network)):
+                    paths = enumerate_paths(labelled)
+                    schedule = build_schedule(paths, labelled.m)
+                    metric = euclidean_metric(labelled, speed)
+                    result = solve(labelled, schedule, metric, paths, strict_resolution=strict)
+                    roots.append(result.root_latest.hex())
+                assert roots[0] == roots[1], (name, factor)
 
 
 def first_pick(scores):
