@@ -70,6 +70,9 @@ def _load_metric(args, network):
     if args.metric is None:
         return euclidean_metric(network, args.speed)
     data = _load_json_file(args.metric)
+    if type(data) is not dict:
+        raise MetricError(f"{args.metric}: a metric description is a JSON object, "
+                          f"not a {type(data).__name__}")
     with _parsing(args.metric, "a metric description"):
         kind = data.get("kind", "table")
         if kind == "euclidean":

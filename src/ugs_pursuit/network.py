@@ -33,7 +33,7 @@ from .errors import (
     TriangleViolation,
     UnreachableNode,
 )
-from .util import TIME_EPS, group_times, json_number, tlt
+from .util import TIME_EPS, group_times, json_number, shape_of, tlt
 
 VIOLATION_LIMIT = 5
 
@@ -106,6 +106,7 @@ class VisitSchedule:
     ``through[j]`` is the bitmask of paths that visit ``j`` and
     ``groups[j]`` lists ``(time, mask)`` pairs grouping the paths that
     visit ``j`` at the same instant, in increasing time order.
+    ``ends[k - 1]`` is path ``k``'s ``(length, exit)``.
     """
 
     m: int
@@ -113,6 +114,7 @@ class VisitSchedule:
     times: tuple[tuple[float, ...], ...]
     through: tuple[int, ...]
     groups: tuple[tuple[tuple[float, int], ...], ...]
+    ends: tuple[tuple[float, int], ...]
 
     def min_visit(self, j: int, mask: int) -> float:
         return min(map(self.times[j].__getitem__, indices_of(mask)))
@@ -315,10 +317,12 @@ def build_schedule(paths, m: int) -> VisitSchedule:
     n = max(path.index for path in paths)
     times = [[math.inf] * (n + 1) for _ in range(m + 1)]
     through = [0] * (m + 1)
+    ends = [None] * n
     for path in paths:
         for pos, j in enumerate(path.nodes):
             times[j][path.index] = path.arrival[pos]
             through[j] |= 1 << (path.index - 1)
+        ends[path.index - 1] = (path.length, path.exit)
     for j in range(1, m + 1):
         if through[j] == 0:
             raise OrphanUgs(f"node {j} appears on no evader path")
@@ -332,6 +336,7 @@ def build_schedule(paths, m: int) -> VisitSchedule:
         times=tuple(tuple(row) for row in times),
         through=tuple(through),
         groups=tuple(groups),
+        ends=tuple(ends),
     )
 
 
@@ -408,14 +413,16 @@ def validate_metric(metric: PursuerMetric, network: RoadNetwork, check_triangle:
 
 
 def table_metric(rows, network: RoadNetwork) -> PursuerMetric:
-    """Wrap an explicit m-by-m table (0-based rows, as read from JSON) and
-    validate it fully. Every entry is a JSON number, as ``json_number``
-    reads it; any other entry raises MetricError naming it."""
+    """Wrap and fully validate an m-by-m table (0-based rows, as read from
+    JSON). A table or row that is not a list of ``m``, or an entry that is
+    not a JSON number (``json_number``), raises MetricError naming it."""
     m = network.m
-    if len(rows) != m or any(len(r) != m for r in rows):
-        raise MetricError(f"metric table must be {m}x{m}")
+    if type(rows) is not list or len(rows) != m:
+        raise MetricError(f"metric table is {shape_of(rows)}, not a list of {m} rows")
     d = [(0.0,) * (m + 1)]
     for i, row in enumerate(rows, 1):
+        if type(row) is not list or len(row) != m:
+            raise MetricError(f"metric row {i} is {shape_of(row)}, not a list of {m} numbers")
         values = [*map(json_number, row)]
         if None in values:
             j = values.index(None)

@@ -54,13 +54,6 @@ class SimOutcome:
         return "\n".join(json.dumps(row.to_json()) for row in self.transcript)
 
 
-def _exit_of(network: RoadNetwork, schedule: VisitSchedule, k: int) -> tuple[int, float]:
-    for j in network.goals:
-        if schedule.times[j][k] < float("inf"):
-            return j, schedule.times[j][k]
-    raise SimulationError(f"path {k} has no goal node")
-
-
 def check_table_sizes(n, m, schedule: VisitSchedule) -> None:
     """Raise SimulationError unless tables for ``n`` paths and ``m`` nodes
     fit the network of ``schedule``."""
@@ -72,8 +65,9 @@ def check_table_sizes(n, m, schedule: VisitSchedule) -> None:
 def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetric,
              result: SolveResult, k: int, t0: float) -> SimOutcome:
     """Play the solved policy from entry delay ``t0`` against evader path
-    ``k`` and report capture or escape with a full observation transcript;
-    a capture at the entry (``t0`` within ``TIME_EPS`` of 0) has no row.
+    ``k`` and report capture, or escape at its ``schedule.ends`` exit, with
+    a full observation transcript; a capture at the entry (``t0`` within
+    ``TIME_EPS`` of 0) has no row.
 
     Raises InconsistentObservation when a reading contradicts the tracked
     set, SimulationError unless ``0 < t0 < inf``, when ``k`` is outside
@@ -88,7 +82,7 @@ def simulate(network: RoadNetwork, schedule: VisitSchedule, metric: PursuerMetri
         raise SimulationError(f"no evader path {k}: paths are numbered 1..{schedule.n}")
     check_table_sizes(result.n, result.m, schedule)
     strict = result.strict_resolution
-    exit_node, exit_time = _exit_of(network, schedule, k)
+    exit_time, exit_node = schedule.ends[k - 1]
     rows: list[TranscriptRow] = []
 
     # the chase starts with a reading at the entry, which every path passed at time 0

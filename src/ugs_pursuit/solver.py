@@ -43,23 +43,24 @@ computes the set and keeps none.
 
 Knowing the evader's path never hurts the pursuer, so a set's value at
 ``u`` is at most the smallest known-path value at ``u`` of its paths:
-D(u|G) <= min over k in G of D(u|{k}), plus ``TIME_EPS`` slack that
-``known_path_margin(m)`` bounds. The bound is used twice. A split at ``u``
-needs D(u|green) to reach the last red report, so when some green path's
-known-path value falls below that time by more than the margin, the split
-is dropped when its set is evaluated, without solving the green part. A
-``MoveTable`` makes the same test once, at an all-zero metric row, where
-every ceiling is at least what any metric gives, and lists only the splits
-that pass it; ``evaluate`` still makes it at the solve's metric. And a
-split is worth at most the bound over its whole set, so from node ``j`` a
-cell leaves the split unvalued when that ceiling less ``d[j][u]`` lies more
-than ``tie_slack(m)`` below the best score the cell found before it (see
-the scoring order below). The first test only drops splits the
-admissibility test would reject, the second only candidates that cannot
-change the cell's pick, so every computed row is the same as without the
-bound; only fewer sets are computed, and which ones depends on the
-cells read, not on the order they are read in. A node's bound is built on
-first read, wherever the moves came from.
+D(u|G) <= min over k in G of D(u|{k}) = L_k - d[u][exit_k], with each
+path's ``(L_k, exit_k)`` from ``VisitSchedule.ends``, plus ``TIME_EPS``
+slack that ``known_path_margin(m)`` bounds. The bound is used twice. A
+split at ``u`` needs D(u|green) to reach the last red report, so when some
+green path's known-path value falls below that time by more than the
+margin, the split is dropped when its set is evaluated, without solving
+the green part. A ``MoveTable`` makes the same test once, at an all-zero
+metric row, where every ceiling is at least what any metric gives, and
+lists only the splits that pass it; ``evaluate`` still makes it at the
+solve's metric. And a split is worth at most the bound over its whole set,
+so from node ``j`` a cell leaves the split unvalued when that ceiling less
+``d[j][u]`` lies more than ``tie_slack(m)`` below the best score the cell
+found before it (see the scoring order below). The first test only drops
+splits the admissibility test would reject, the second only candidates
+that cannot change the cell's pick, so every computed row is the same as
+without the bound; only fewer sets are computed, and which ones depends on
+the cells read, not on the order they are read in. A node's bound is built
+on first read, wherever the moves came from.
 
 Scoring order: a set's candidates are listed capture moves first, then
 split moves, each group by node id; nodes no path in the set passes are
@@ -89,7 +90,6 @@ Without pruning, the solve fills the whole lattice bottom-up instead
 values up in rows already filled, its red parts' worst once per (node, red
 part), with no known-path bound, so no pass waits, and the export lists
 every row. Sets with equal valued candidates share one row, scored once.
-``solve`` accepts ``close_for_simulation`` and ignores it.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ from operator import itemgetter, or_
 # the solver never calls it, so that span reads 0 until the tracer is retargeted
 from .information import move_children, realizable_sets, red_reports  # noqa: F401
 from .network import PursuerMetric, VisitSchedule, indices_of, mask_from
-from .util import TIME_EPS, tlt
+from .util import TIME_EPS, shape_of, tlt
 
 # The interpreter's own SHA-256, as the random module takes its SHA-512:
 # importing hashlib loads OpenSSL, about 3.7 MB of resident memory.
@@ -132,10 +132,10 @@ _encode_items = json.JSONEncoder(separators=(_ITEM, ": ")).encode
 
 
 def base_case(j: int, k: int, schedule: VisitSchedule, metric: PursuerMetric, paths) -> float:
-    """Latest exit time from node ``j`` when the evader's path ``k`` is
-    known: reach the path's exit just in time."""
-    path = paths[k - 1]
-    return path.length - metric.time(j, path.exit)
+    """Latest exit time from node ``j`` once path ``k`` is known: reach its
+    exit, ``schedule.ends[k - 1]``, just in time. ``paths`` is not read."""
+    length, goal = schedule.ends[k - 1]
+    return length - metric.time(j, goal)
 
 
 @dataclass
@@ -320,7 +320,7 @@ class SolveResult:
         columns = [*chain.from_iterable(triples)]  # a record's D, mu and capture in turn
         _require(lambda columns: {*map(type, columns)} <= {list} and {*map(len, columns)} <= {m},
                  columns, lambda i: f"set {sets[i // 3]}: {_COLUMNS[i % 3]} is "
-                 f"{_shape(columns[i])}, not a list of {m} values, one per node")
+                 f"{shape_of(columns[i])}, not a list of {m} values, one per node")
         _require(lambda columns: _cells_valid(columns, m), columns,
                  lambda i: _cell_fault(sets[i // 3], triples[i // 3], m))
         return cls(n=n, m=m, strict_resolution=meta["strict_resolution"], pruned=meta["pruned"],
@@ -344,11 +344,6 @@ def _ints_in(values: list, top: int) -> bool:
         return False
     values = {*values}  # all ints, so the distinct values hold the extremes
     return not values or 1 <= min(values) and max(values) <= top
-
-
-def _shape(column) -> str:
-    return (f"a list of {len(column)} values" if type(column) is list
-            else f"a {type(column).__name__}")
 
 
 def _cell_fault(listed: list, columns: tuple, m: int) -> str:
@@ -468,8 +463,8 @@ class MoveTable(dict):
     first read and keeps them. A speed study passes one table to each of its
     solves, so every set's moves are built and filtered once per study. A
     split is kept when it passes ``evaluate``'s test at ``admits``, the
-    known-path bound at an all-zero metric row, where each path's ceiling is
-    its length plus the margin and its exit does not matter. Every metric
+    known-path bound of the schedule's ``ends`` at an all-zero metric row,
+    where each path's ceiling is its length plus the margin. Every metric
     ``euclidean_metric`` or ``table_metric`` returns has entries ``>= 0``
     and both float steps of a ceiling are monotone, so no such metric gives
     a path a higher ceiling: a split left out fails at every speed."""
@@ -477,11 +472,8 @@ class MoveTable(dict):
     def __init__(self, schedule: VisitSchedule, strict_resolution: bool):
         super().__init__()
         self.schedule, self.strict = schedule, strict_resolution
-        # a path's latest visit time is its length: arrivals never decrease
-        lengths = [max(filter(isfinite, column)) for column in [*zip(*schedule.times)][1:]]
-        zero, bits = (0.0,), [1 << k for k in range(schedule.n)]
-        known = [((zero, zero), [(length, 0) for length in lengths],
-                  known_path_margin(schedule.m), None, bits), None]
+        zero, bits = (0.0,) * (schedule.m + 1), [1 << k for k in range(schedule.n)]
+        known = [((zero, zero), schedule.ends, known_path_margin(schedule.m), None, bits), None]
         self.admits = _known_bound(known, 1)
 
     def __missing__(self, mask: int) -> tuple[tuple, tuple]:
@@ -497,10 +489,9 @@ def _known_bound(known: list, u: int) -> tuple[list, list]:
     ``L_k - d[u][exit_k] + margin`` sorted in place, and ``below[i]``, the
     bits ORed of the first ``i`` paths by a stable index sort on them. A
     ``bisect_left`` is never inside a run of equal ceilings, so their order
-    changes no test. ``known[0]`` holds ``d``, each path's ``(L_k,
-    exit_k)``, the margin, ``tie_slack`` and each path's bit ``1 << k``.
-    ``MoveTable`` builds one with ``d`` all zeros, where each ceiling is
-    ``L_k + margin`` whatever ``exit_k``."""
+    changes no test. ``known[0]`` holds ``d``, the schedule's ``ends``, the
+    margin, ``tie_slack`` and each path's bit ``1 << k``; ``MoveTable``'s
+    has ``d`` all zeros."""
     d, ends, margin, _, bits = known[0]
     du = d[u]
     ceilings = [length - du[goal] + margin for length, goal in ends]
@@ -623,18 +614,17 @@ class _Solver:
     ``cells_scored`` counts the cells scored, the lattice fill's included:
     ``m`` for each distinct candidate list it scores.
 
-    A singleton's row is its path's ``base_case`` row, built whole when the
-    set is first read; ``ends`` lists each path's length and exit. ``known``
-    holds the known-path bounds for ``_candidates``, a node's built when it
-    is first read (``_known_bound``), and in ``known[0]`` ``d``, ``ends``,
-    the margin, ``tie_slack`` and the path bits. ``moves`` is the
-    ``MoveTable`` the solve was given, or None to build each set's moves as
-    it is computed. A solve without pruning fills every row by
-    ``fill_lattice`` instead, bottom-up, through none of the steps above.
-    ``walked`` holds the sets ``walk_policy`` read, or None until it runs.
+    A singleton's row is its path's ``base_case`` row, built whole from
+    ``schedule.ends`` when the set is first read. ``known`` holds the
+    known-path bounds for ``_candidates`` (``_known_bound``), a node's
+    built when it is first read. ``moves`` is the ``MoveTable`` the solve
+    was given, or None to build each set's moves as it is computed. A solve
+    without pruning fills every row by ``fill_lattice`` instead, bottom-up,
+    through none of the steps above. ``walked`` holds the sets
+    ``walk_policy`` read, or None until it runs.
     """
 
-    def __init__(self, schedule, metric, paths, strict_resolution, moves=None):
+    def __init__(self, schedule, metric, strict_resolution, moves=None):
         self.schedule = schedule
         self.metric = metric
         self.strict = strict_resolution
@@ -644,10 +634,9 @@ class _Solver:
         self.pending: dict[int, tuple[tuple, list]] = {}
         self.cells_scored = 0
         self.walked = None
-        self.ends = [(path.length, path.exit) for path in paths]
         m = schedule.m
-        bits = [1 << k for k in range(len(paths))]
-        self.known = [(metric.d, self.ends, known_path_margin(m), tie_slack(m), bits)] + [None] * m
+        bits = [1 << k for k in range(schedule.n)]
+        self.known = [(metric.d, schedule.ends, known_path_margin(m), tie_slack(m), bits)] + [None] * m
 
     def value(self, u: int, mask: int):
         """The latest exit time from ``u`` holding ``mask``: a row lookup,
@@ -684,7 +673,7 @@ class _Solver:
         """The row of a singleton set: its path's ``base_case`` values, each
         node's move its exit, a capture."""
         m = self.schedule.m
-        length, goal = self.ends[mask.bit_length() - 1]
+        length, goal = self.schedule.ends[mask.bit_length() - 1]
         return [length - dj[goal] for dj in self.metric.d[1:]], [goal] * m, [True] * m
 
     def score(self, mask: int, nodes) -> float:
@@ -810,7 +799,7 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
     the sets playback reads, then fills and lists only those and the
     singletons. With ``prune`` off, the solve fills every row of the full
     subset lattice bottom-up instead (``_Solver.fill_lattice``).
-    ``close_for_simulation`` is accepted and has no effect.
+    ``network``, ``paths`` and ``close_for_simulation`` are not read.
 
     ``moves`` is a ``MoveTable`` shared by the solves of one speed study
     (``analysis`` passes one under either convention): a pruned solve
@@ -827,7 +816,7 @@ def solve(network, schedule: VisitSchedule, metric: PursuerMetric, paths,
     if moves is not None and (moves.schedule != schedule or moves.strict != strict_resolution):
         raise ValueError(f"the move table is for another schedule or convention: table "
                          f"strict_resolution={moves.strict}, solve {strict_resolution}")
-    worker = _Solver(schedule, metric, paths, strict_resolution, moves)
+    worker = _Solver(schedule, metric, strict_resolution, moves)
     if prune:
         worker.value(1, worker.full)
     else:

@@ -52,6 +52,11 @@ def json_number(value, kind=float):
     return None
 
 
+def shape_of(value) -> str:
+    """A loaded value as an error names it: a list by length, else by type."""
+    return f"a list of {len(value)} values" if type(value) is list else f"a {type(value).__name__}"
+
+
 def check_bracket(lo: float, hi: float, tol: float) -> None:
     """Raise PursuitError unless ``tol > 0`` and both bracket ends are finite."""
     if not tol > 0:  # also rejects NaN

@@ -388,6 +388,12 @@ class TestErrors:
          "metric entry (1, 1) is True, not a number"),
         (["solve", "--network", "demo", "--metric", "string_table.json"],
          "metric entry (1, 2) is '2.98', not a number"),
+        (["solve", "--network", "demo", "--metric", "list_metric.json"],
+         "list_metric.json: a metric description is a JSON object, not a list"),
+        (["solve", "--network", "demo", "--metric", "string_row.json"],
+         "metric row 1 is a str, not a list of 7 numbers"),
+        (["solve", "--network", "demo", "--metric", "null_table.json"],
+         "metric table is a NoneType, not a list of 7 rows"),
     ], ids=["edge-without-time", "node-without-id", "non-numeric-time", "top-level-list",
             "metric-without-speed", "policy-not-from-solve", "non-numeric-grid",
             "path-above-range", "path-zero", "non-integer-entry", "non-integer-goal",
@@ -404,7 +410,8 @@ class TestErrors:
             "policy-other-metric", "policy-other-convention", "policy-not-an-object",
             "bool-node-id", "bool-endpoint", "numeric-string-time", "bool-coordinate",
             "bool-metric-speed", "numeric-string-metric-speed", "bool-metric-entry",
-            "numeric-string-metric-entry"])
+            "numeric-string-metric-entry", "metric-file-a-list", "string-metric-row",
+            "null-metric-table"])
     def test_malformed_input_exit_code(self, capsys, tmp_path, monkeypatch, argv, named):
         _, solved, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.62",
                                     "--format", "json"])
@@ -474,6 +481,9 @@ class TestErrors:
             "string_speed.json": {"kind": "euclidean", "speed": "2"},
             "bool_table.json": {"kind": "table", "d": [[True] * 7 for _ in range(7)]},
             "string_table.json": {"kind": "table", "d": [[0.0] + ["2.98"] * 6 for _ in range(7)]},
+            "list_metric.json": [[0.0] * 7 for _ in range(7)],
+            "string_row.json": {"kind": "table", "d": ["0" * 7] * 7},
+            "null_table.json": {"kind": "table", "d": None},
         }
         for name, data in files.items():
             (tmp_path / name).write_text(json.dumps(data))

@@ -240,6 +240,7 @@ class TestBuildSchedule:
                     if schedule.times[j][path.index] < math.inf
                 }
                 assert visited == set(path.nodes)
+                assert schedule.ends[path.index - 1] == (path.length, path.exit)
 
 
 class TestMetrics:
@@ -379,12 +380,29 @@ class TestMetrics:
         network, _, _ = demo
         validate_metric(demo_metric, network)
 
-    @pytest.mark.parametrize("entry", [True, "2.98", None], ids=["bool", "string", "null"])
-    def test_table_entries_are_json_numbers(self, demo, demo_metric, entry):
+    @pytest.mark.parametrize("row,column,value,named", [
+        (2, 4, True, "metric entry (3, 5) is True, not a number"),
+        (2, 4, "2.98", "metric entry (3, 5) is '2.98', not a number"),
+        (2, 4, None, "metric entry (3, 5) is None, not a number"),
+        # a string of length m is no row of m entries
+        (6, None, "0" * 7, "metric row 7 is a str, not a list of 7 numbers"),
+        (6, None, 5, "metric row 7 is a int, not a list of 7 numbers"),
+        (6, None, None, "metric row 7 is a NoneType, not a list of 7 numbers"),
+        (6, None, [0.0] * 6, "metric row 7 is a list of 6 values, not a list of 7 numbers"),
+        (None, None, 5, "metric table is a int, not a list of 7 rows"),
+        (None, None, None, "metric table is a NoneType, not a list of 7 rows"),
+    ], ids=["bool", "string", "null", "string-row", "int-row", "null-row", "short-row",
+            "int-table", "null-table"])
+    def test_table_entries_are_json_numbers(self, demo, demo_metric, row, column, value, named):
         network, _, _ = demo
-        rows = [[*row[1:]] for row in demo_metric.d[1:]]
-        rows[2][4] = entry
-        with pytest.raises(MetricError, match=re.escape(f"metric entry (3, 5) is {entry!r}, not a number")):
+        rows = [[*d[1:]] for d in demo_metric.d[1:]]
+        if row is None:
+            rows = value
+        elif column is None:
+            rows[row] = value
+        else:
+            rows[row][column] = value
+        with pytest.raises(MetricError, match=re.escape(named)):
             table_metric(rows, network)
 
     def test_table_shape_checked(self, demo):

@@ -31,6 +31,7 @@ from ugs_pursuit import (
     full_lattice,
     observe,
     realizable_sets,
+    simulate,
     solve,
     tree_dumps,
     validate_network,
@@ -897,14 +898,14 @@ class TestOneSolvePath:
                     for split in set_moves(mask, schedule, strict)[1] if split not in kept]
         assert len(left_out) == (48 if strict else 36)
         for i, metric in enumerate(metrics):
-            known = _Solver(schedule, metric, paths, strict).known
+            known = _Solver(schedule, metric, strict).known
             for u, green, time, _ in left_out:
                 ceilings, below = known[u] or _known_bound(known, u)
                 assert below[bisect_left(ceilings, time)] & green, (i, u, indices_of(green))
 
     def test_table_bound_is_each_paths_length_plus_the_margin(self):
-        # the table reads each length from the schedule's visit times; at a zero
-        # row the bound is the one the solver builds from the paths themselves
+        # the table reads each path's length from the schedule; at a zero row
+        # its bound is the one built from the paths themselves
         for network, paths, schedule, _ in [
                 *corpus(), *(layered(factor=1.1, **instance) for instance in (L13, L17, L36, L85))]:
             zero = [(0.0,) * (schedule.m + 1)] * (schedule.m + 1)
@@ -937,6 +938,10 @@ class TestOneSolvePath:
                            moves=MoveTable(schedule, strict))
             assert shared.rows == one_shot.rows
             assert row.latest.hex() == one_shot.root_latest.hex()
+            # playback meets the path at its exit, or sees it leave there
+            for t0, captured in ((one_shot.tolerable_delay, True), (2.0 ** 58, False)):
+                outcome = simulate(network, schedule, metric, shared, 1, t0)
+                assert (outcome.captured, outcome.node, outcome.time) == (captured, 3, 2.0 ** 57)
         assert rows[0].latest == 2.0 ** 57 - 16
 
     def test_only_export_walks_and_only_once(self, monkeypatch):
@@ -1047,7 +1052,7 @@ class TestBuiltOnFirstRead:
         assert [record["set"] for record in singletons] == [[k] for k in range(1, schedule.n + 1)]
         # the rows a solve without pruning builds for them (n = 18 is too many
         # paths for its whole lattice here): ``base_row`` of each singleton
-        lattice = _Solver(schedule, metric, paths, True)
+        lattice = _Solver(schedule, metric, True)
         for record in singletons:
             row = lattice.base_row(mask_from(record["set"]))
             assert (record["D"], record["mu"], record["capture"]) == row
@@ -1094,7 +1099,7 @@ class TestBuiltOnFirstRead:
                           (diamond, diamond_paths, diamond_schedule,
                            euclidean_metric(diamond, factor * speed_floor(diamond)))]
         for network, paths, schedule, metric in instances:
-            worker = _Solver(schedule, metric, paths, False)
+            worker = _Solver(schedule, metric, False)
             margin = known_path_margin(network.m)
             for u in range(1, network.m + 1):
                 pairs = sorted((base_case(u, p.index, schedule, metric, paths), 1 << (p.index - 1))
