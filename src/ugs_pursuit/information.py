@@ -5,8 +5,9 @@ actually encounter.
 An uncertainty set is a bitmask over path indices (bit ``k - 1`` = path
 ``k``). A visit-time class at node ``u`` is one entry of
 ``schedule.groups[u]``: the paths whose visits to ``u`` lie within
-``TIME_EPS`` of the class's first visit. Every red must match a class of
-the tracked set, under either convention. A reading keeps one of the sets
+``TIME_EPS`` of the class's first visit; ``visit_classes`` is the one scan
+that lists a set's classes at a node. Every red must match a class of the
+tracked set, under either convention. A reading keeps one of the sets
 ``red_reports`` lists for the move, or the paths avoiding the node, so
 every kept set is one the solver scores the move by. ``move_children``
 lists them in order, in closed form: the children the export's policy
@@ -16,6 +17,7 @@ safe for concurrent use.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import InconsistentObservation, PolicyHole
@@ -33,12 +35,36 @@ def update_red(mask: int, u: int, passage: float, schedule: VisitSchedule) -> in
 
     Raises InconsistentObservation when no class matches.
     """
-    for t, cls in red_reports(mask, u, schedule, True):
+    for t, cls in zip(*visit_classes(mask, u, schedule)):
         if teq(t, passage):
             return cls
     raise InconsistentObservation(
         f"red at node {u}, passage time {passage:.9g} matches no path in {indices_of(mask)}"
     )
+
+
+def visit_classes(mask: int, u: int, schedule: VisitSchedule,
+                  every: bool = True) -> tuple[Sequence[float], Sequence[int]]:
+    """The visit-time classes of ``mask`` at ``u``, as two sequences in
+    increasing time: the classes' times and their sets. Both are empty when
+    no path in ``mask`` passes ``u``. The scan stops at the class that
+    completes the paths of ``mask`` through ``u``, or, unless ``every``, at
+    the first class, returned as two 1-tuples: a capture, and a membership
+    red report, read only that one. The lattice fill keeps one scan per
+    (node, red part), where 1-tuples cost it less than lists."""
+    times, sets = [], []
+    left = mask & schedule.through[u]
+    for t, group in schedule.groups[u]:
+        cls = group & mask
+        if cls:
+            if not every:
+                return (t,), (cls,)
+            times.append(t)
+            sets.append(cls)
+            left ^= cls
+            if not left:
+                break
+    return times, sets
 
 
 def red_reports(mask: int, u: int, schedule: VisitSchedule, strict: bool) -> tuple[tuple[float, int], ...]:
@@ -47,23 +73,14 @@ def red_reports(mask: int, u: int, schedule: VisitSchedule, strict: bool) -> tup
     ``mask`` passes ``u``.
 
     Under strict resolution each visit-time class of the red part is its own
-    report, and the scan stops at the class that completes the red part.
-    Under the membership convention there is one report: the whole red part,
-    at its earliest visit. Either way the green report resolves at the time
-    of the last red report.
+    report (``visit_classes``). Under the membership convention there is one
+    report: the whole red part, at its earliest visit. Either way the green
+    report resolves at the time of the last red report.
     """
-    reports = []
-    left = mask & schedule.through[u]
-    for t, group in schedule.groups[u]:
-        cls = group & mask
-        if cls:
-            if not strict:
-                return ((t, left),)
-            reports.append((t, cls))
-            left ^= cls
-            if not left:
-                break
-    return tuple(reports)
+    times, sets = visit_classes(mask, u, schedule, strict)
+    if strict:
+        return tuple(zip(times, sets))
+    return ((times[0], mask & schedule.through[u]),) if times else ()
 
 
 @dataclass(frozen=True)
@@ -104,8 +121,7 @@ def observe(mask: int, u: int, t: float, visit: float, schedule: VisitSchedule,
     green = mask & ~schedule.through[u]
     if green == mask:
         raise _reads_nothing(mask, u)
-    reports = red_reports(mask, u, schedule, strict or not green)
-    end = max(t, reports[-1][0])
+    end = max(t, visit_classes(mask, u, schedule, strict or not green)[0][-1])
     if tle(visit, end):
         return None
     if green == 0:

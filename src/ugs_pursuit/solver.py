@@ -13,10 +13,12 @@ moves read. For a set ``I`` and a candidate sensor ``u``:
   worth is the worst case over the two reports.
 
 Two resolution conventions are supported. They differ only in the red
-reports a visit can give, and ``information.red_reports`` is the one place
-that lists them. The default treats a red report as membership information
-only: one report, the whole red part at its earliest visit. Strict
-resolution gives one report per visit-time class. Under both, the green
+reports a visit can give, and every report is read from one scan of the
+red part's visit-time classes, ``information.visit_classes``:
+``red_reports`` lists them from it, and ``set_moves`` and the lattice fill
+read it directly. The default treats a red report as membership
+information only: one report, the whole red part at its earliest visit.
+Strict resolution gives one report per visit-time class. Under both, the green
 continuation must survive until the last red report, and the move's worth
 is the worst value over the green part and every red report.
 
@@ -33,13 +35,15 @@ chain of waiting passes splits at distinct nodes, at most ``m + 1`` deep.
 
 A set's candidates come in two parts. ``set_moves`` gives what does not
 depend on the pursuer's speed: the nodes the set reaches, each one's green
-part, the time its scoring compares and its red reports. ``_candidates``,
-the one candidate routine, scores them with the solve's values. A
-``MoveTable`` keeps ``set_moves`` for one schedule and convention, less the
-splits that no speed admits (below). A speed study passes one to each of
-its solves (``solve(..., moves=)``), so each set's moves are built and
-filtered once per study. A solve without one builds a set's moves when it
-computes the set and keeps none.
+part, the time its scoring compares and its red reports, from one class
+scan per node that stops at the first class when that is all the move
+reads (a capture, or a membership split). ``_candidates``, the one
+candidate routine, scores them with the solve's values. A ``MoveTable``
+keeps ``set_moves`` for one schedule and convention, less the splits that
+no speed admits (below). A speed study passes one to each of its solves
+(``solve(..., moves=)``), so each set's moves are built and filtered once
+per study. A solve without one builds a set's moves when it computes the
+set and keeps none.
 
 Knowing the evader's path never hurts the pursuer, so a set's value at
 ``u`` is at most the smallest known-path value at ``u`` of its paths:
@@ -60,7 +64,10 @@ splits the admissibility test would reject, the second only candidates
 that cannot change the cell's pick, so every computed row is the same as
 without the bound; only fewer sets are computed, and which ones depends on
 the cells read, not on the order they are read in. A node's bound is built
-on first read, wherever the moves came from.
+on first read, wherever the moves came from, by sorting the paths by
+ceiling from the order last used at that node: a ``MoveTable`` keeps that
+order across a study's solves, and a solve without one keeps it for the
+solve alone (``_known_bound``: any sort by ceiling gives the same tests).
 
 Scoring order: a set's candidates are listed capture moves first, then
 split moves, each group by node id; nodes no path in the set passes are
@@ -104,9 +111,9 @@ from operator import itemgetter, or_
 
 # realizable_sets is re-exported only so that bench/tracing.py's wrapper binds;
 # the solver never calls it, so that span reads 0 until the tracer is retargeted
-from .information import move_children, realizable_sets, red_reports  # noqa: F401
+from .information import move_children, realizable_sets, visit_classes  # noqa: F401
 from .network import PursuerMetric, VisitSchedule, indices_of, mask_from
-from .util import TIME_EPS, shape_of, tlt
+from .util import TIME_EPS, shape_of
 
 # The interpreter's own SHA-256, as the random module takes its SHA-512:
 # importing hashlib loads OpenSSL, about 3.7 MB of resident memory.
@@ -440,20 +447,22 @@ def set_moves(mask: int, schedule: VisitSchedule, strict: bool) -> tuple[tuple, 
     candidate it scores as, ``(u, first visit, CAPTURE)``; a split is
     ``(u, green, time, reds)``: the part avoiding ``u``, the last red
     report's time (which the green part must reach) and the red reports'
-    sets in time order, as ``information.red_reports`` lists them."""
+    sets in time order, as ``information.red_reports`` lists them. Both are
+    read from the red part's ``visit_classes``: only the first class for a
+    capture and for a membership split, whose one red report is the whole
+    red part."""
     captures, splits = [], []
     through = schedule.through
     for u in range(1, schedule.m + 1):
-        if not mask & through[u]:
+        red = mask & through[u]
+        if not red:
             continue
-        reports = red_reports(mask, u, schedule, strict)
-        green = mask & ~through[u]
+        green = mask ^ red
+        times, reds = visit_classes(red, u, schedule, strict and green != 0)
         if green:
-            # one report (always so under the membership convention) needs no map
-            reds = (reports[0][1],) if len(reports) == 1 else tuple(map(itemgetter(1), reports))
-            splits.append((u, green, reports[-1][0], reds))
+            splits.append((u, green, times[-1], tuple(reds) if strict else (red,)))
         else:
-            captures.append((u, reports[0][0], CAPTURE))
+            captures.append((u, times[0], CAPTURE))
     return tuple(captures), tuple(splits)
 
 
@@ -467,13 +476,19 @@ class MoveTable(dict):
     where each path's ceiling is its length plus the margin. Every metric
     ``euclidean_metric`` or ``table_metric`` returns has entries ``>= 0``
     and both float steps of a ceiling are monotone, so no such metric gives
-    a path a higher ceiling: a split left out fails at every speed."""
+    a path a higher ceiling: a split left out fails at every speed.
+
+    ``orders`` keeps, per node, the path order and prefix ORs of the last
+    known-path bound a solve built there (``_known_bound``): a study's
+    solves each start their sort from the order the last one found."""
 
     def __init__(self, schedule: VisitSchedule, strict_resolution: bool):
         super().__init__()
         self.schedule, self.strict = schedule, strict_resolution
+        self.orders = [None] * (schedule.m + 1)
         zero, bits = (0.0,) * (schedule.m + 1), [1 << k for k in range(schedule.n)]
-        known = [((zero, zero), schedule.ends, known_path_margin(schedule.m), None, bits), None]
+        known = [((zero, zero), schedule.ends, known_path_margin(schedule.m), None, bits,
+                  [None, None]), None]
         self.admits = _known_bound(known, 1)
 
     def __missing__(self, mask: int) -> tuple[tuple, tuple]:
@@ -487,17 +502,25 @@ class MoveTable(dict):
 def _known_bound(known: list, u: int) -> tuple[list, list]:
     """Build ``known[u]``, the known-path bound at node ``u``: the ceilings
     ``L_k - d[u][exit_k] + margin`` sorted in place, and ``below[i]``, the
-    bits ORed of the first ``i`` paths by a stable index sort on them. A
-    ``bisect_left`` is never inside a run of equal ceilings, so their order
-    changes no test. ``known[0]`` holds ``d``, the schedule's ``ends``, the
-    margin, ``tie_slack`` and each path's bit ``1 << k``; ``MoveTable``'s
-    has ``d`` all zeros."""
-    d, ends, margin, _, bits = known[0]
+    bits ORed of the first ``i`` paths in a stable sort on them.
+    ``known[0]`` holds ``d``, the schedule's ``ends``, the margin,
+    ``tie_slack``, each path's bit ``1 << k`` and ``kept``: per node, the
+    path order and prefix ORs last built there, or None. ``MoveTable``'s
+    has ``d`` all zeros. The sort starts from the kept order, index order
+    at first, and reuses its prefix ORs when it leaves that order as it is.
+    That is exact: ``bisect_left`` returns the start of a run of equal
+    ceilings, never a place inside one, so any stable sort by ceiling gives
+    a ``below`` that ORs the same paths, those of lower ceiling, at every
+    index a test reads."""
+    d, ends, margin, _, bits, kept = known[0]
     du = d[u]
     ceilings = [length - du[goal] + margin for length, goal in ends]
-    order = sorted(range(len(ceilings)), key=ceilings.__getitem__)
+    last = kept[u]
+    order = sorted(last[0] if last else range(len(ceilings)), key=ceilings.__getitem__)
+    if last is None or order != last[0]:
+        last = kept[u] = (order, [0, *accumulate(map(bits.__getitem__, order), or_)])
     ceilings.sort()
-    found = known[u] = (ceilings, [0, *accumulate(map(bits.__getitem__, order), or_)])
+    found = known[u] = (ceilings, last[1])
     return found
 
 
@@ -522,14 +545,15 @@ def _candidates(moves: tuple, rows: dict, known: list, mask: int, nodes, row):
     ``tie_slack`` below the best so far.
     """
     valued, splits = moves
-    d, _, _, slack, _ = known[0]
+    d, _, _, slack, _, _ = known[0]
+    eps = TIME_EPS
     latest, policy, capture = row
     for j in nodes:
         dj = d[j]
         best = -inf
         for u, worth, kind in valued:
             score = worth - dj[u]
-            if score > best + TIME_EPS:
+            if score > best + eps:
                 best, move, pick = score, u, kind
         for split in splits:
             u, worth, kind = split
@@ -543,7 +567,7 @@ def _candidates(moves: tuple, rows: dict, known: list, mask: int, nodes, row):
                 if worth is None:
                     yield u, green, found
                     worth = rows[green][0][u - 1]
-                if tlt(worth, time):
+                if worth < time - eps:  # tlt(worth, time)
                     worth = -inf
                 else:
                     for red in reds:
@@ -557,7 +581,7 @@ def _candidates(moves: tuple, rows: dict, known: list, mask: int, nodes, row):
                 split[1], split[2] = worth, SPLIT
                 kind = SPLIT
             score = worth - dj[u]
-            if score > best + TIME_EPS:
+            if score > best + eps:
                 best, move, pick = score, u, kind
         latest[j - 1], policy[j - 1], capture[j - 1] = best, move, pick == CAPTURE
 
@@ -617,11 +641,12 @@ class _Solver:
     A singleton's row is its path's ``base_case`` row, built whole from
     ``schedule.ends`` when the set is first read. ``known`` holds the
     known-path bounds for ``_candidates`` (``_known_bound``), a node's
-    built when it is first read. ``moves`` is the ``MoveTable`` the solve
-    was given, or None to build each set's moves as it is computed. A solve
-    without pruning fills every row by ``fill_lattice`` instead, bottom-up,
-    through none of the steps above. ``walked`` holds the sets
-    ``walk_policy`` read, or None until it runs.
+    built when it is first read, from the path orders ``moves`` keeps or,
+    without it, a list of the solve's own. ``moves`` is the ``MoveTable``
+    the solve was given, or None to build each set's moves as it is
+    computed. A solve without pruning fills every row by ``fill_lattice``
+    instead, bottom-up, through none of the steps above. ``walked`` holds
+    the sets ``walk_policy`` read, or None until it runs.
     """
 
     def __init__(self, schedule, metric, strict_resolution, moves=None):
@@ -636,7 +661,9 @@ class _Solver:
         self.walked = None
         m = schedule.m
         bits = [1 << k for k in range(schedule.n)]
-        self.known = [(metric.d, schedule.ends, known_path_margin(m), tie_slack(m), bits)] + [None] * m
+        kept = [None] * (m + 1) if moves is None else moves.orders
+        self.known = [(metric.d, schedule.ends, known_path_margin(m), tie_slack(m), bits,
+                       kept)] + [None] * m
 
     def value(self, u: int, mask: int):
         """The latest exit time from ``u`` holding ``mask``: a row lookup,
@@ -713,11 +740,13 @@ class _Solver:
         row, which nothing writes after the fill.
 
         A node's red reports depend on the set only through its red part
-        there, so each (node, red part) is read once: a capture keeps the
-        reports until the first split with that red part, which keeps only
-        its bar, the last report's time less ``TIME_EPS``, and its worst
-        red part's value at the node. Every part of a split's red part lies
-        in a smaller set, so its row is filled by then. The bar is the
+        there, so each (node, red part) is scanned once (``visit_classes``,
+        every class under strict, the first under membership): a capture
+        keeps the scan until the first split with that red part, which
+        keeps only its bar, the last report's time less ``TIME_EPS``, and
+        its worst red report's value at the node, a class under strict and
+        the whole red part under membership. Every red report lies in a
+        smaller set, so its row is filled by then. The bar is the
         subtraction ``tlt`` makes, and the worst part is the same float the
         loop over the parts finds (no value is NaN or -0.0), so a split
         keeps the test and worth of one that reads every part. The caches
@@ -738,14 +767,15 @@ class _Solver:
                     continue
                 green = mask ^ red
                 if not green:
-                    reports = reads[u][red] = red_reports(red, u, schedule, strict)
-                    captures.append((u, reports[0][0], CAPTURE))
+                    times, _ = reads[u][red] = visit_classes(red, u, schedule, strict)
+                    captures.append((u, times[0], CAPTURE))
                     continue
                 found = bars[u].get(red)
                 if found is None:
-                    reports = reads[u].pop(red, None) or red_reports(red, u, schedule, strict)
-                    found = bars[u][red] = (reports[-1][0] - TIME_EPS,
-                                            min([rows[part][0][u - 1] for _, part in reports]))
+                    times, parts = reads[u].pop(red, None) or visit_classes(red, u, schedule,
+                                                                             strict)
+                    found = bars[u][red] = (times[-1] - TIME_EPS, min(
+                        [rows[part][0][u - 1] for part in (parts if strict else (red,))]))
                 bar, worst = found
                 worth = rows[green][0][u - 1]
                 if worth >= bar:

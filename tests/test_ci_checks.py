@@ -3,7 +3,7 @@
 deep comb at the default recursion limit
 (``test_deep_comb_at_the_default_recursion_limit``), lazy cells against the
 full lattice at n = 12, the scale-ladder rungs L400 and L474 at twice their
-floor, and the oracle on 36 paths."""
+floor, the oracle on 36 paths, and the general DAGs of seeds 1-1,199."""
 
 import json
 import sys
@@ -16,7 +16,7 @@ from ugs_pursuit.cli import EXIT_OK, main
 from ugs_pursuit.fixtures import random_layered_network, speed_floor
 from ugs_pursuit.solver import MoveTable
 
-from conftest import comb
+from conftest import check_dags, comb
 
 
 @pytest.mark.ci
@@ -153,3 +153,10 @@ def test_oracle_on_36_paths():
         values[factor] = round(oracle[False], 6), round(exact, 6)
     assert values == {1.1: (2.313133, 1.900316), 2.0: (12.223862, 12.011325)}, values
     assert values[1.1][0] > values[1.1][1]
+
+
+@pytest.mark.ci
+def test_general_dags_1_to_1199():
+    """``conftest.check_dags`` over DAG seeds 1-1,199, of which tier-1 runs
+    the first 200: 1,674 (network, metric) cases."""
+    assert check_dags(range(1, 1200)) == 1674

@@ -26,6 +26,7 @@ from ugs_pursuit import (
     verify_guarantee,
 )
 from ugs_pursuit.fixtures import random_instance, random_layered_network
+from ugs_pursuit.information import visit_classes
 
 from conftest import flip_id, mask_of, reversed_ids
 
@@ -414,3 +415,14 @@ class TestRedReports:
                                       True)
                         assert row.info in [cls for _, cls in strict], (seed, mask, u, k)
                         assert row.info >> (k - 1) & 1, (seed, mask, u, k)
+
+    def test_reports_are_the_visit_classes(self):
+        # the one scan: every class under strict, the first alone otherwise
+        for seed in range(1, 51):
+            _, _, schedule = random_instance(seed, n_max=4, m_max=8)
+            for mask in full_lattice(schedule.n):
+                for u in range(1, schedule.m + 1):
+                    times, sets = visit_classes(mask, u, schedule)
+                    assert tuple(zip(times, sets)) == red_reports(mask, u, schedule, True)
+                    first = visit_classes(mask, u, schedule, False)
+                    assert [*map(list, first)] == [times[:1], sets[:1]]

@@ -10,6 +10,10 @@ of every path on the reloaded tables (``verify_guarantee``) at the solved
 delay and at half of it: each outcome with its transcript, or the error
 text. The demo, L13 and L17 also hash a 21-point ``sweep`` CSV and the
 ``critical_speed`` between the floor and the grid's top, per convention.
+The demo and the layered networks also hash what the command line prints,
+with its exit status: ``solve`` text, ``simulate --path 1`` and ``verify``
+in text and ``--format json``, each at the solved delay, or at 1 when that
+is 0 (a delay the commands refuse).
 
 A change that should change no output leaves the file as it is. A change
 that changes outputs on purpose rewrites it and names the changed keys:
@@ -17,8 +21,11 @@ that changes outputs on purpose rewrites it and names the changed keys:
     PYTHONPATH=src python tests/test_parity.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 from ugs_pursuit import (
@@ -26,6 +33,7 @@ from ugs_pursuit import (
     SolveResult,
     build_schedule,
     build_tree,
+    cli,
     critical_speed,
     demo_bundle,
     enumerate_paths,
@@ -71,8 +79,39 @@ def playback(network, schedule, metric, tables, delay) -> str:
                        for k, outcome in report.outcomes.items()])
 
 
+def command_line(argv) -> str:
+    """The exit status and everything ``ugs-pursuit argv`` prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    return f"exit {status}\n{out.getvalue()}{err.getvalue()}"
+
+
+def command_lines(name, network, folder, speed, strict, delay):
+    """(output, text) for each command the set runs on one instance."""
+    if name == "demo":
+        source = "demo"
+    else:
+        source = str(Path(folder) / f"{name}.json")
+        Path(source).write_text(json.dumps({
+            "nodes": [{"id": j, "x": x, "y": y} for j, (x, y) in enumerate(network.coords[1:], 1)],
+            "edges": [{"from": a, "to": b, "time": t} for a, b, t in network.edges()],
+            "entry": network.entry}))
+    given = ["--network", source, "--speed", repr(speed), *(["--strict-resolution"] * strict)]
+    at = ["--t0", repr(delay or 1.0)]
+    yield "cli-solve", command_line(["solve", *given])
+    yield "cli-simulate", command_line(["simulate", *given, "--path", "1", *at])
+    yield "cli-verify", command_line(["verify", *given, *at])
+    yield "cli-verify-json", command_line(["verify", *given, *at, "--format", "json"])
+
+
 def outputs():
     """(key, text) for every output of the set, keys in a fixed order."""
+    with tempfile.TemporaryDirectory() as folder:
+        yield from _outputs(folder)
+
+
+def _outputs(folder):
     for name, (network, paths, schedule) in instances():
         floor = speed_floor(network)
         for convention, strict in CONVENTIONS.items():
@@ -90,6 +129,10 @@ def outputs():
                 for part, t0 in (("verify", delay), ("verify-half", delay / 2)):
                     yield f"{key}/{part}", text_or_error(
                         lambda: playback(network, schedule, metric, tables, t0))
+                if not name.startswith("corpus"):
+                    for part, text in command_lines(name, network, folder, factor * floor,
+                                                    strict, delay):
+                        yield f"{key}/{part}", text
             if name in STUDIED:
                 grid = [floor * 0.9, *(floor * (1.02 + 0.2 * i) for i in range(20))]
                 yield f"{name}/sweep/{convention}", sweep(

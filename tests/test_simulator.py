@@ -28,7 +28,7 @@ from ugs_pursuit import simulator
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
 from ugs_pursuit.util import tle
 
-from conftest import looping_demo_tables
+from conftest import check_dags, looping_demo_tables
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +254,12 @@ class TestOracle:
         network, paths, schedule = demo
         got = oracle_max_delay(network, schedule, zero_metric, paths)
         assert got == pytest.approx(11.83, abs=1e-6)
+
+    def test_general_dags_match_the_solver(self):
+        # skip edges, exits at several depths and tied integer visit times,
+        # none of which a layered network draws; tests/test_ci_checks.py runs
+        # seeds 1-1,199
+        assert check_dags(range(1, 201)) == 286
 
     def test_seven_paths_and_eleven_nodes_match_the_solver(self):
         # entry -> 7 middle nodes -> one goal (n=7 paths), and an 11-node chain (m=11 nodes)

@@ -40,7 +40,7 @@ from ugs_pursuit import (
 from ugs_pursuit import solver
 from ugs_pursuit.analysis import sweep
 from ugs_pursuit.fixtures import random_instance, random_layered_network, speed_floor
-from ugs_pursuit.information import move_children, red_reports
+from ugs_pursuit.information import move_children, red_reports, visit_classes
 from ugs_pursuit.network import indices_of, mask_from
 from ugs_pursuit.solver import (CAPTURE, SPLIT, MoveTable, _candidates, _known_bound, _Solver,
                                 known_path_margin, set_moves)
@@ -139,6 +139,32 @@ class TestCandidateMoves:
         moves = unbounded_candidates(pair, result.latest, schedule)
         kinds = [kind for _, _, kind in moves]
         assert kinds == sorted(kinds, key=lambda k: k != CAPTURE)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_set_moves_equal_moves_built_from_red_reports(self, strict):
+        # set_moves reads visit_classes, the scan red_reports is built on; on
+        # every set an export of the parity set computes, it lists the moves
+        # red_reports gives: a capture at the first report, a split with the
+        # last report's time and every report's set
+        demo = demo_bundle()
+        instances = [(*demo, euclidean_metric(demo[0], factor * speed_floor(demo[0])))
+                     for factor in (1.1, 2.0)]
+        for factor in (1.1, 2.0):
+            instances += [*corpus(factor), *(layered(factor=factor, **instance)
+                                             for instance in (L13, L17, L36, L85))]
+        for network, paths, schedule, metric in instances:
+            result = solve(network, schedule, metric, paths, strict_resolution=strict)
+            result.to_json()
+            for mask in result.on_demand_sets:
+                captures, splits = [], []
+                for u in range(1, network.m + 1):
+                    reports = red_reports(mask, u, schedule, strict)
+                    green = mask & ~schedule.through[u]
+                    if reports and green:
+                        splits.append((u, green, reports[-1][0], tuple(red for _, red in reports)))
+                    elif reports:
+                        captures.append((u, reports[0][0], CAPTURE))
+                assert set_moves(mask, schedule, strict) == (tuple(captures), tuple(splits)), mask
 
 
 class TestSolve:
@@ -669,7 +695,7 @@ def first_pick(scores):
     d = [None] + [[0.0] * (m + 1)] * m
     row = ([None], [None], [None])
     pass_ = _candidates((tuple((u, score, CAPTURE) for u, score in enumerate(scores, 1)), []), {},
-                        [(d, None, None, solver.tie_slack(m), None)], 0, (1,), row)
+                        [(d, None, None, solver.tie_slack(m), None, None)], 0, (1,), row)
     next(pass_, None)  # no split, so the pass runs to completion
     return row[1][0]
 
@@ -764,14 +790,15 @@ class TestLatticePass:
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_red_reports_read_once_per_red_part(self, monkeypatch, strict):
-        # captures and splits alike: a split keeps only its bar and worst part
+        # captures and splits alike: a split keeps only its bar and worst part;
+        # the reports are read through their visit-time classes
         reads = Counter()
 
         def counted(mask, u, *args):
             reads[(u, mask)] += 1
-            return red_reports(mask, u, *args)
+            return visit_classes(mask, u, *args)
 
-        monkeypatch.setattr(solver, "red_reports", counted)
+        monkeypatch.setattr(solver, "visit_classes", counted)
         for factor in (1.1, 2.0):
             network, paths, schedule, metric = layered(factor=factor, **L85)
             reads.clear()
@@ -869,21 +896,64 @@ class TestOneSolvePath:
                 assert shared.solver.pending == one_shot.solver.pending
                 assert shared.on_demand_sets == one_shot.on_demand_sets
                 assert shared.rows == one_shot.rows
-        # the benchmark's speed study: L17's 20-point grid, one table for the grid
-        network, paths, schedule, _ = layered(factor=2.0, **L17)
-        floor, moves, sets, cells = speed_floor(network), MoveTable(schedule, strict), 0, 0
-        for i in range(20):
-            metric = euclidean_metric(network, floor * (1.02 + 0.2 * i))
-            one_shot = solve(network, schedule, metric, paths, strict_resolution=strict)
-            shared = solve(network, schedule, metric, paths, strict_resolution=strict, moves=moves)
-            assert shared.solver.pending == one_shot.solver.pending, i
-            assert shared.on_demand_sets == one_shot.on_demand_sets, i
-            assert shared.solver.cells_scored == one_shot.solver.cells_scored, i
-            sets += len(shared.on_demand_sets)
-            cells += shared.solver.cells_scored
-        assert (sets, cells) == ((341, 770) if strict else (354, 898))
-        # the split records the table keeps, of 90 that set_moves lists
-        assert sum(len(splits) for _, splits in moves.values()) == (42 if strict else 54)
+        # the benchmark's speed study, L17's 20-point grid, with one table for
+        # the grid, which keeps each node's path order from solve to solve; in
+        # ascending, descending and shuffled order, and the grids of L36 and L85
+        for name, instance, order in [("L17", L17, 1), ("L17", L17, -1), ("L17", L17, 0),
+                                      ("L36", L36, 1), ("L85", L85, 1)]:
+            network, paths, schedule, _ = layered(factor=2.0, **instance)
+            floor, moves, sets, cells = speed_floor(network), MoveTable(schedule, strict), 0, 0
+            grid = [floor * (1.02 + 0.2 * i) for i in range(20)][::order or 1]
+            if not order:
+                random.Random(17).shuffle(grid)
+            for speed in grid:
+                metric = euclidean_metric(network, speed)
+                one_shot = solve(network, schedule, metric, paths, strict_resolution=strict)
+                shared = solve(network, schedule, metric, paths, strict_resolution=strict,
+                               moves=moves)
+                assert shared.solver.pending == one_shot.solver.pending, (name, speed)
+                assert shared.on_demand_sets == one_shot.on_demand_sets, (name, speed)
+                assert shared.solver.cells_scored == one_shot.solver.cells_scored, (name, speed)
+                assert shared.rows == one_shot.rows, (name, speed)
+                sets += len(shared.on_demand_sets)
+                cells += shared.solver.cells_scored
+            if name == "L17":
+                assert (sets, cells) == ((341, 770) if strict else (354, 898)), order
+                # the split records the table keeps, of 90 that set_moves lists
+                assert sum(len(splits) for _, splits in moves.values()) == (42 if strict else 54)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_kept_order_is_rebuilt_when_ceilings_swap(self, strict):
+        # two exits: path 1 ends at node 2 at time 2, path 2 at node 3 at time
+        # 7, five units from node 2, so at node 2 their ceilings less the
+        # margin are 2 and 7 - 5 / speed: path 2's is lower at speed 0.9, tied
+        # at 1 and higher at 2
+        network = validate_network({
+            "nodes": [{"id": 1, "x": 0.0, "y": 0.0}, {"id": 2, "x": 1.0, "y": 0.0},
+                      {"id": 3, "x": 6.0, "y": 0.0}],
+            "edges": [{"from": 1, "to": 2, "time": 2.0}, {"from": 1, "to": 3, "time": 7.0}]})
+        paths = enumerate_paths(network)
+        schedule = build_schedule(paths, network.m)
+        assert schedule.ends == ((2.0, 2), (7.0, 3))
+        moves = MoveTable(schedule, strict)
+        for speed, order in ((0.9, [1, 0]), (1.0, [1, 0]), (2.0, [0, 1]), (0.9, [1, 0])):
+            metric = euclidean_metric(network, speed)
+            kept = solve(network, schedule, metric, paths, strict_resolution=strict,
+                         moves=moves).solver.known[2]
+            fresh = _Solver(schedule, metric, strict).known
+            ceilings, below = _known_bound(fresh, 2)
+            assert moves.orders[2][0] == order, speed
+            assert kept[0] == ceilings, speed
+            if speed == 1.0:
+                # the tie keeps the order of the speed before, which index
+                # order would break the other way; the tests read the same
+                assert ceilings[0] == ceilings[1] and kept[1] != below
+                for bar in (-math.inf, ceilings[0] - 1.0, ceilings[0], ceilings[0] + 1.0,
+                            math.inf):
+                    i = bisect_left(ceilings, bar)
+                    assert kept[1][i] == below[i], bar
+            else:
+                assert kept == (ceilings, below), speed
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_table_leaves_out_only_splits_no_speed_admits(self, strict):
@@ -911,7 +981,7 @@ class TestOneSolvePath:
             zero = [(0.0,) * (schedule.m + 1)] * (schedule.m + 1)
             bits = [1 << k for k in range(len(paths))]
             known = [(zero, [(path.length, path.exit) for path in paths],
-                      known_path_margin(schedule.m), None, bits), None]
+                      known_path_margin(schedule.m), None, bits, [None, None]), None]
             expected = _known_bound(known, 1)
             for strict in (False, True):
                 ceilings, below = MoveTable(schedule, strict).admits
