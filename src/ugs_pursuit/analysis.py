@@ -51,20 +51,23 @@ class SpeedSweep:
         return "\n".join(lines) + "\n"
 
 
-def _solve_at(network, schedule, paths, speed, strict_resolution, moves):
+def _solve_at(network, schedule, paths, speed, moves):
+    """Solve at ``speed`` under the convention of the study's move table."""
     metric = euclidean_metric(network, speed)
-    return solve(network, schedule, metric, paths, strict_resolution=strict_resolution,
-                 moves=moves)
+    return solve(network, schedule, metric, paths, strict_resolution=moves.strict, moves=moves)
 
 
 def sweep(network, schedule, paths, grid, strict_resolution: bool = False) -> SpeedSweep:
     """One solve per speed in the (ascending) grid. Speeds that violate the
-    pursuer-faster-than-evader requirement yield rows flagged invalid."""
+    pursuer-faster-than-evader requirement yield rows flagged invalid. A
+    network without coordinates has no valid speed: MetricError, before
+    any solve."""
+    network.distances  # raises MetricError when a node has no coordinates
     rows = []
     moves = MoveTable(schedule, strict_resolution)
     for speed in grid:
         try:
-            result = _solve_at(network, schedule, paths, speed, strict_resolution, moves)
+            result = _solve_at(network, schedule, paths, speed, moves)
         except MetricError:
             rows.append(SweepRow(speed=speed, latest=None, delay=None, move=None, valid=False))
             continue
@@ -89,7 +92,8 @@ def critical_speed(network, schedule, paths, v_lo: float, v_hi: float,
     bisection tracks only whether it is positive. Requires the predicate to
     be false at ``v_lo`` (zero delay, or an invalid metric) and true at
     ``v_hi``; raises BracketInvalid otherwise. Raises PursuitError, before
-    any solve, unless ``tol > 0`` and both ends are finite.
+    any solve, unless ``tol > 0`` and both ends are finite, and MetricError
+    when a node of the network has no coordinates.
 
     Most midpoints are predicted, not solved (``bisect_predicted``). A speed
     whose metric is not valid (``euclidean_admissible``, a test over the
@@ -106,13 +110,13 @@ def critical_speed(network, schedule, paths, v_lo: float, v_hi: float,
     solved twice.
     """
     check_bracket(v_lo, v_hi, tol)
+    network.distances  # raises MetricError when a node has no coordinates
     moves = MoveTable(schedule, strict_resolution)
     roots = {}  # speed -> solved root, None where the metric is invalid
 
     def positive(speed: float) -> bool:
         if speed not in roots:
-            roots[speed] = (_solve_at(network, schedule, paths, speed, strict_resolution,
-                                      moves).root_latest
+            roots[speed] = (_solve_at(network, schedule, paths, speed, moves).root_latest
                             if euclidean_admissible(network, speed) else None)
         root = roots[speed]
         return root is not None and root > TIME_EPS

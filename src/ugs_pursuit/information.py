@@ -5,10 +5,12 @@ actually encounter.
 An uncertainty set is a bitmask over path indices (bit ``k - 1`` = path
 ``k``). A visit-time class at node ``u`` is one entry of
 ``schedule.groups[u]``: the paths whose visits to ``u`` lie within
-``TIME_EPS`` of the class's first visit; ``visit_classes`` is the one scan
-that lists a set's classes at a node. Every red must match a class of the
-tracked set, under either convention. A reading keeps one of the sets
-``red_reports`` lists for the move, or the paths avoiding the node, so
+``TIME_EPS`` of the class's first visit. The two resolution conventions
+differ only in the red reports a visit gives, and ``visit_classes`` is the
+one scan that lists them, under either: each class (strict), or the whole
+red part at its earliest visit (membership). Every red must match a class
+of the tracked set, under either convention. A reading keeps one of the
+reports the scan lists for the move, or the paths avoiding the node, so
 every kept set is one the solver scores the move by. ``move_children``
 lists them in order, in closed form: the children the export's policy
 walk follows and the decision tree draws. All functions here are pure and
@@ -44,21 +46,23 @@ def update_red(mask: int, u: int, passage: float, schedule: VisitSchedule) -> in
 
 
 def visit_classes(mask: int, u: int, schedule: VisitSchedule,
-                  every: bool = True) -> tuple[Sequence[float], Sequence[int]]:
-    """The visit-time classes of ``mask`` at ``u``, as two sequences in
-    increasing time: the classes' times and their sets. Both are empty when
-    no path in ``mask`` passes ``u``. The scan stops at the class that
-    completes the paths of ``mask`` through ``u``, or, unless ``every``, at
-    the first class, returned as two 1-tuples: a capture, and a membership
-    red report, read only that one. The lattice fill keeps one scan per
-    (node, red part), where 1-tuples cost it less than lists."""
+                  strict: bool = True) -> tuple[Sequence[float], Sequence[int]]:
+    """The red reports a visit to ``u`` can give a pursuer holding ``mask``,
+    as two sequences in increasing time: the reports' times and their sets.
+    Both are empty when no path in ``mask`` passes ``u``. Under strict
+    resolution each visit-time class of ``mask`` at ``u`` is its own report,
+    and the scan stops at the class that completes the red part, ``mask &
+    schedule.through[u]``. Under membership there is one report, the whole
+    red part at its earliest visit, returned as two 1-tuples: the lattice
+    fill keeps one scan per (node, red part), where they cost it less than
+    lists. A capture reads only the first time, which both forms share."""
     times, sets = [], []
     left = mask & schedule.through[u]
     for t, group in schedule.groups[u]:
         cls = group & mask
         if cls:
-            if not every:
-                return (t,), (cls,)
+            if not strict:
+                return (t,), (left,)
             times.append(t)
             sets.append(cls)
             left ^= cls
@@ -68,19 +72,11 @@ def visit_classes(mask: int, u: int, schedule: VisitSchedule,
 
 
 def red_reports(mask: int, u: int, schedule: VisitSchedule, strict: bool) -> tuple[tuple[float, int], ...]:
-    """The red reports a visit to ``u`` can give a pursuer holding ``mask``,
-    as ``(visit time, set)`` pairs in increasing time; empty when no path in
-    ``mask`` passes ``u``.
-
-    Under strict resolution each visit-time class of the red part is its own
-    report (``visit_classes``). Under the membership convention there is one
-    report: the whole red part, at its earliest visit. Either way the green
-    report resolves at the time of the last red report.
-    """
-    times, sets = visit_classes(mask, u, schedule, strict)
-    if strict:
-        return tuple(zip(times, sets))
-    return ((times[0], mask & schedule.through[u]),) if times else ()
+    """The red reports of ``visit_classes`` as ``(visit time, set)`` pairs
+    in increasing time; empty when no path in ``mask`` passes ``u``. Under
+    either convention the green report resolves at the time of the last red
+    report."""
+    return tuple(zip(*visit_classes(mask, u, schedule, strict)))
 
 
 @dataclass(frozen=True)
@@ -104,11 +100,10 @@ def observe(mask: int, u: int, t: float, visit: float, schedule: VisitSchedule,
     """Read sensor ``u`` on arrival at time ``t`` holding ``mask``, the
     evader passing ``u`` at ``visit`` (inf: never); None means a capture at
     ``visit``. A passage before ``t`` reads red, and ``update_red`` finds
-    its visit-time class: the reading keeps that class (strict) or every
-    path through ``u``. Otherwise the pursuer waits at ``u`` until the
-    move's last red report (``red_reports``: the last class under strict,
-    the earliest visit under membership, the last class whenever every path
-    in ``mask`` passes ``u``). A passage by then is a capture; else the
+    its visit-time class: the reading keeps the red report that holds it
+    (``visit_classes``). Otherwise the pursuer waits at ``u`` until the
+    move's last red report, or its last class whenever every path in
+    ``mask`` passes ``u``. A passage by then is a capture; else the
     reading is green then and keeps the paths avoiding ``u``. This is the
     reading the solver values the move by. Raises InconsistentObservation
     if a red matches no class or a green keeps no path, and PolicyHole when
@@ -117,7 +112,8 @@ def observe(mask: int, u: int, t: float, visit: float, schedule: VisitSchedule,
     if tlt(visit, t):
         # read at the passage itself: t - (t - visit) can round out of its class
         cls = update_red(mask, u, visit, schedule)
-        return TranscriptRow(t, u, visit, cls if strict else mask & schedule.through[u])
+        report = next(red for red in visit_classes(mask, u, schedule, strict)[1] if red & cls)
+        return TranscriptRow(t, u, visit, report)
     green = mask & ~schedule.through[u]
     if green == mask:
         raise _reads_nothing(mask, u)
@@ -192,12 +188,13 @@ def realizable_sets(schedule: VisitSchedule, paths) -> RealizableFamily:
     right then; after a path's exit event, drop alive sets containing it,
     since waiting on them past that instant would let the evader escape.
     Each log row lists the sets alive just before the event plus the
-    children it created.
+    children it created. Each path's exit is read from ``schedule.ends``;
+    ``paths`` is not read.
     """
     n = schedule.n
     exits = [0] * (schedule.m + 1)  # the paths ending at each node
-    for p in paths:
-        exits[p.exit] |= 1 << (p.index - 1)
+    for k, (_, goal) in enumerate(schedule.ends):
+        exits[goal] |= 1 << k
     events = sorted((t, j, group_mask) for j in range(1, schedule.m + 1)
                     for t, group_mask in schedule.groups[j])  # (time, node) is unique
 

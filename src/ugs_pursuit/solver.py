@@ -13,14 +13,14 @@ moves read. For a set ``I`` and a candidate sensor ``u``:
   worth is the worst case over the two reports.
 
 Two resolution conventions are supported. They differ only in the red
-reports a visit can give, and every report is read from one scan of the
-red part's visit-time classes, ``information.visit_classes``:
-``red_reports`` lists them from it, and ``set_moves`` and the lattice fill
-read it directly. The default treats a red report as membership
-information only: one report, the whole red part at its earliest visit.
-Strict resolution gives one report per visit-time class. Under both, the green
-continuation must survive until the last red report, and the move's worth
-is the worst value over the green part and every red report.
+reports a visit can give, and one function lists them under either,
+``information.visit_classes``: ``set_moves``, the lattice fill, playback
+and the decision tree all read the reports from it. The default treats a
+red report as membership information only: one report, the whole red part
+at its earliest visit. Strict resolution gives one report per visit-time
+class. Under both, the green continuation must survive until the last red
+report, and the move's worth is the worst value over the green part and
+every red report.
 
 Values for a fixed set do not depend on the pursuer's node except through
 the final travel-time subtraction, so a set's moves are listed once, when
@@ -35,15 +35,14 @@ chain of waiting passes splits at distinct nodes, at most ``m + 1`` deep.
 
 A set's candidates come in two parts. ``set_moves`` gives what does not
 depend on the pursuer's speed: the nodes the set reaches, each one's green
-part, the time its scoring compares and its red reports, from one class
-scan per node that stops at the first class when that is all the move
-reads (a capture, or a membership split). ``_candidates``, the one
-candidate routine, scores them with the solve's values. A ``MoveTable``
-keeps ``set_moves`` for one schedule and convention, less the splits that
-no speed admits (below). A speed study passes one to each of its solves
-(``solve(..., moves=)``), so each set's moves are built and filtered once
-per study. A solve without one builds a set's moves when it computes the
-set and keeps none.
+part, the time its scoring compares and its red reports, from one
+``visit_classes`` scan per node, which for a capture reads only the first
+visit. ``_candidates``, the one candidate routine, scores them with the
+solve's values. A ``MoveTable`` keeps ``set_moves`` for one schedule and
+convention, less the splits that no speed admits (below). A speed study
+passes one to each of its solves (``solve(..., moves=)``), so each set's
+moves are built and filtered once per study. A solve without one builds a
+set's moves when it computes the set and keeps none.
 
 Knowing the evader's path never hurts the pursuer, so a set's value at
 ``u`` is at most the smallest known-path value at ``u`` of its paths:
@@ -447,10 +446,9 @@ def set_moves(mask: int, schedule: VisitSchedule, strict: bool) -> tuple[tuple, 
     candidate it scores as, ``(u, first visit, CAPTURE)``; a split is
     ``(u, green, time, reds)``: the part avoiding ``u``, the last red
     report's time (which the green part must reach) and the red reports'
-    sets in time order, as ``information.red_reports`` lists them. Both are
-    read from the red part's ``visit_classes``: only the first class for a
-    capture and for a membership split, whose one red report is the whole
-    red part."""
+    sets in time order. Both are read from the red part's
+    ``visit_classes``: a split's reports as the scan lists them, and only
+    the first visit for a capture."""
     captures, splits = [], []
     through = schedule.through
     for u in range(1, schedule.m + 1):
@@ -460,7 +458,7 @@ def set_moves(mask: int, schedule: VisitSchedule, strict: bool) -> tuple[tuple, 
         green = mask ^ red
         times, reds = visit_classes(red, u, schedule, strict and green != 0)
         if green:
-            splits.append((u, green, times[-1], tuple(reds) if strict else (red,)))
+            splits.append((u, green, times[-1], tuple(reds)))
         else:
             captures.append((u, times[0], CAPTURE))
     return tuple(captures), tuple(splits)
@@ -740,13 +738,11 @@ class _Solver:
         row, which nothing writes after the fill.
 
         A node's red reports depend on the set only through its red part
-        there, so each (node, red part) is scanned once (``visit_classes``,
-        every class under strict, the first under membership): a capture
-        keeps the scan until the first split with that red part, which
-        keeps only its bar, the last report's time less ``TIME_EPS``, and
-        its worst red report's value at the node, a class under strict and
-        the whole red part under membership. Every red report lies in a
-        smaller set, so its row is filled by then. The bar is the
+        there, so each (node, red part) is scanned once (``visit_classes``):
+        a capture keeps the scan until the first split with that red part,
+        which keeps only its bar, the last report's time less ``TIME_EPS``,
+        and its worst red report's value at the node. Every red report lies
+        in a smaller set, so its row is filled by then. The bar is the
         subtraction ``tlt`` makes, and the worst part is the same float the
         loop over the parts finds (no value is NaN or -0.0), so a split
         keeps the test and worth of one that reads every part. The caches
@@ -774,8 +770,8 @@ class _Solver:
                 if found is None:
                     times, parts = reads[u].pop(red, None) or visit_classes(red, u, schedule,
                                                                              strict)
-                    found = bars[u][red] = (times[-1] - TIME_EPS, min(
-                        [rows[part][0][u - 1] for part in (parts if strict else (red,))]))
+                    found = bars[u][red] = (times[-1] - TIME_EPS,
+                                            min([rows[part][0][u - 1] for part in parts]))
                 bar, worst = found
                 worth = rows[green][0][u - 1]
                 if worth >= bar:

@@ -20,6 +20,7 @@ from ugs_pursuit import (
     oracle_max_delay,
     solve,
     sweep,
+    validate_network,
     verify_guarantee,
 )
 from ugs_pursuit import analysis, simulator, solver, util
@@ -298,6 +299,31 @@ def layered(seed, widths=None):
     network = random_layered_network(seed, widths)
     paths = enumerate_paths(network)
     return network, paths, build_schedule(paths, network.m)
+
+
+class TestNetworkWithoutCoordinates:
+    """A network whose nodes have no coordinates has no euclidean metric at
+    any speed. A study names that fault before its first solve, as ``solve``
+    does, instead of listing every speed as an invalid row or blaming the
+    bracket."""
+
+    @pytest.fixture
+    def bare(self):
+        edges = [{"from": 1, "to": j, "time": 1.0} for j in (2, 3)]
+        network = validate_network({"nodes": [{"id": j} for j in (1, 2, 3)], "edges": edges,
+                                    "entry": 1})
+        paths = enumerate_paths(network)
+        return network, paths, build_schedule(paths, network.m)
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["membership", "strict"])
+    def test_studies_name_the_missing_coordinates(self, bare, solved_speeds, strict):
+        network, paths, schedule = bare
+        missing = "^node 1 has no coordinates; euclidean metric unavailable$"
+        with pytest.raises(MetricError, match=missing):
+            sweep(network, schedule, paths, [1.0, 2.0], strict)
+        with pytest.raises(MetricError, match=missing):
+            critical_speed(network, schedule, paths, 0.5, 5.0, strict_resolution=strict)
+        assert not solved_speeds
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])

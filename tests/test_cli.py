@@ -394,6 +394,10 @@ class TestErrors:
          "metric row 1 is a str, not a list of 7 numbers"),
         (["solve", "--network", "demo", "--metric", "null_table.json"],
          "metric table is a NoneType, not a list of 7 rows"),
+        (["sweep", "--network", "no_xy.json", "--grid", "1,2"],
+         "node 1 has no coordinates; euclidean metric unavailable"),
+        (["critical-speed", "--network", "no_xy.json", "--lo", "0.5", "--hi", "5"],
+         "node 1 has no coordinates; euclidean metric unavailable"),
     ], ids=["edge-without-time", "node-without-id", "non-numeric-time", "top-level-list",
             "metric-without-speed", "policy-not-from-solve", "non-numeric-grid",
             "path-above-range", "path-zero", "non-integer-entry", "non-integer-goal",
@@ -411,7 +415,8 @@ class TestErrors:
             "bool-node-id", "bool-endpoint", "numeric-string-time", "bool-coordinate",
             "bool-metric-speed", "numeric-string-metric-speed", "bool-metric-entry",
             "numeric-string-metric-entry", "metric-file-a-list", "string-metric-row",
-            "null-metric-table"])
+            "null-metric-table", "sweep-without-coordinates",
+            "critical-speed-without-coordinates"])
     def test_malformed_input_exit_code(self, capsys, tmp_path, monkeypatch, argv, named):
         _, solved, _ = run(capsys, ["solve", "--network", "demo", "--speed", "1.62",
                                     "--format", "json"])
@@ -484,6 +489,7 @@ class TestErrors:
             "list_metric.json": [[0.0] * 7 for _ in range(7)],
             "string_row.json": {"kind": "table", "d": ["0" * 7] * 7},
             "null_table.json": {"kind": "table", "d": None},
+            "no_xy.json": {"nodes": [*two, {"id": 3}], "edges": [edge, {**edge, "to": 3}]},
         }
         for name, data in files.items():
             (tmp_path / name).write_text(json.dumps(data))

@@ -417,12 +417,15 @@ class TestRedReports:
                         assert row.info >> (k - 1) & 1, (seed, mask, u, k)
 
     def test_reports_are_the_visit_classes(self):
-        # the one scan: every class under strict, the first alone otherwise
+        # the one scan: every class under strict, and under membership one
+        # report, the whole red part at its earliest visit
         for seed in range(1, 51):
             _, _, schedule = random_instance(seed, n_max=4, m_max=8)
             for mask in full_lattice(schedule.n):
                 for u in range(1, schedule.m + 1):
                     times, sets = visit_classes(mask, u, schedule)
                     assert tuple(zip(times, sets)) == red_reports(mask, u, schedule, True)
-                    first = visit_classes(mask, u, schedule, False)
-                    assert [*map(list, first)] == [times[:1], sets[:1]]
+                    membership = visit_classes(mask, u, schedule, False)
+                    red = mask & schedule.through[u]
+                    assert [*map(list, membership)] == [times[:1], [red] if red else []]
+                    assert tuple(zip(*membership)) == red_reports(mask, u, schedule, False)

@@ -8,12 +8,19 @@ of each are ``SolveResult.dumps()``, the ``dumps()`` of the tables reloaded
 by ``from_json``, the DOT drawing of the decision tree, and the playback
 of every path on the reloaded tables (``verify_guarantee``) at the solved
 delay and at half of it: each outcome with its transcript, or the error
-text. The demo, L13 and L17 also hash a 21-point ``sweep`` CSV and the
-``critical_speed`` between the floor and the grid's top, per convention.
+text. The same playback runs at 1.25 and 1.5 times the solved delay (times
+1 when that is 0), above the value, where a late red can reach a capture
+move and a stay can read red again. The demo, L13 and L17 also hash a
+21-point ``sweep`` CSV and the ``critical_speed`` between the floor and
+the grid's top, per convention.
 The demo and the layered networks also hash what the command line prints,
 with its exit status: ``solve`` text, ``simulate --path 1`` and ``verify``
 in text and ``--format json``, each at the solved delay, or at 1 when that
-is 0 (a delay the commands refuse).
+is 0 (a delay the commands refuse). Last come the general DAGs of
+``conftest.dag_cases`` seeds 1-200: membership playback of every path at
+the case's own solved delay, when that is positive. No test asserts what
+it gives, and it fails on about a third of the cases, so the digests are
+what shows a change there.
 
 A change that should change no output leaves the file as it is. A change
 that changes outputs on purpose rewrites it and names the changed keys:
@@ -47,12 +54,16 @@ from ugs_pursuit import (
     verify_guarantee,
 )
 
+from conftest import dag_cases
+
 DIGESTS = Path(__file__).with_name("parity.json")
 LAYERED = {"L13": (13, None), "L17": (17, None), "L36": (5, None),
            "L85": (85, [1, 3, 3, 3, 3, 2])}
 STUDIED = ("demo", "L13", "L17")
 CONVENTIONS = {"membership": False, "strict": True}
 FACTORS = {"x1.1": 1.1, "x2": 2.0}
+LATE = {"verify-x1.25": 1.25, "verify-x1.5": 1.5}
+DAG_SEEDS = range(1, 201)
 
 
 def instances():
@@ -126,7 +137,8 @@ def _outputs(folder):
                 yield f"{key}/dot", text_or_error(
                     lambda: tree_to_dot(build_tree(result, schedule, metric)))
                 delay = result.tolerable_delay
-                for part, t0 in (("verify", delay), ("verify-half", delay / 2)):
+                late = [(part, (delay or 1.0) * f) for part, f in LATE.items()]
+                for part, t0 in (("verify", delay), ("verify-half", delay / 2), *late):
                     yield f"{key}/{part}", text_or_error(
                         lambda: playback(network, schedule, metric, tables, t0))
                 if not name.startswith("corpus"):
@@ -140,6 +152,14 @@ def _outputs(folder):
                 yield f"{name}/critical-speed/{convention}", text_or_error(lambda: repr(
                     critical_speed(network, schedule, paths, floor, grid[-1],
                                    strict_resolution=strict)))
+    for seed in DAG_SEEDS:
+        for label, (network, paths, schedule, metric) in zip(("euclidean", "table"),
+                                                             dag_cases(seed)):
+            result = solve(network, schedule, metric, paths,
+                           strict_resolution=CONVENTIONS["membership"])
+            if result.tolerable_delay > 0:
+                yield f"dag-{seed}/{label}/membership/verify", text_or_error(
+                    lambda: playback(network, schedule, metric, result, result.tolerable_delay))
 
 
 def digests() -> dict:

@@ -791,7 +791,7 @@ class TestLatticePass:
     @pytest.mark.parametrize("strict", [False, True])
     def test_red_reports_read_once_per_red_part(self, monkeypatch, strict):
         # captures and splits alike: a split keeps only its bar and worst part;
-        # the reports are read through their visit-time classes
+        # the reports are read from one visit_classes scan under either convention
         reads = Counter()
 
         def counted(mask, u, *args):
